@@ -423,8 +423,8 @@ std::string usage() {
         "  --checkpoint-interval=N  snapshot every N iterations (0 = off)\n"
         "  --workers=N          parallel campaign workers sharing one\n"
         "                       coverage map and negation frontier\n"
-        "                       (default 1 = the serial driver, bit-identical\n"
-        "                       sessions)\n"
+        "                       (default 1 = the serial campaign, on the\n"
+        "                       calling thread)\n"
         "  --solver-cache=N     memoize definitive solver answers, N entries\n"
         "                       LRU (0 = off); shared across workers\n"
         "  --explore-matchings  route tests through the match scheduler and\n"

@@ -151,21 +151,6 @@ void CampaignCheckpoint::write(std::ostream& os) const {
   os << "compi-checkpoint " << kVersion << '\n';
   os << "seed " << seed << '\n';
   os << "next_iteration " << next_iteration << '\n';
-
-  os << "plan " << plan_nprocs << ' ' << plan_focus << ' ';
-  write_assignment(os, plan_inputs);
-  os << '\n';
-  os << "next_is_restart " << (next_is_restart ? 1 : 0) << '\n';
-  os << "pending_depth ";
-  if (pending_depth) {
-    os << *pending_depth;
-  } else {
-    os << "none";
-  }
-  os << '\n';
-  os << "failures " << failures << '\n';
-  os << "consecutive_replans " << consecutive_replans << '\n';
-  os << "bounded_phase " << (bounded_phase ? 1 : 0) << '\n';
   os << "counters " << restarts << ' ' << max_constraint_set << ' '
      << depth_bound_used << ' ' << transient_retries << ' ' << focus_replans
      << '\n';
@@ -226,12 +211,9 @@ void CampaignCheckpoint::write(std::ostream& os) const {
     os << '\n';
   }
 
-  os << "strategy " << escape(strategy_name) << '\n';
   // Opaque blobs are embedded verbatim, prefixed with their line count.
-  write_blob(os, "strategy_state_lines", strategy_state);
   write_blob(os, "ledger_lines", ledger_state);
 
-  os << "workers " << workers << '\n';
   os << "cursors " << worker_cursors.size() << '\n';
   for (const WorkerCursor& w : worker_cursors) {
     os << "cursor " << w.plan_nprocs << ' ' << w.plan_focus << ' '
@@ -279,32 +261,7 @@ std::optional<CampaignCheckpoint> CampaignCheckpoint::read(std::istream& is) {
     return std::nullopt;
   }
 
-  if (!expect(is, "plan") || !(is >> c.plan_nprocs >> c.plan_focus) ||
-      !read_assignment(is, c.plan_inputs)) {
-    return std::nullopt;
-  }
   int flag = 0;
-  if (!expect(is, "next_is_restart") || !(is >> flag)) return std::nullopt;
-  c.next_is_restart = flag != 0;
-  {
-    std::string tok;
-    if (!expect(is, "pending_depth") || !(is >> tok)) return std::nullopt;
-    if (tok != "none") {
-      std::size_t depth = 0;
-      const auto [ptr, ec] =
-          std::from_chars(tok.data(), tok.data() + tok.size(), depth);
-      if (ec != std::errc{} || ptr != tok.data() + tok.size()) {
-        return std::nullopt;
-      }
-      c.pending_depth = depth;
-    }
-  }
-  if (!expect(is, "failures") || !(is >> c.failures)) return std::nullopt;
-  if (!expect(is, "consecutive_replans") || !(is >> c.consecutive_replans)) {
-    return std::nullopt;
-  }
-  if (!expect(is, "bounded_phase") || !(is >> flag)) return std::nullopt;
-  c.bounded_phase = flag != 0;
   if (!expect(is, "counters") ||
       !(is >> c.restarts >> c.max_constraint_set >> c.depth_bound_used >>
         c.transient_retries >> c.focus_replans)) {
@@ -426,14 +383,8 @@ std::optional<CampaignCheckpoint> CampaignCheckpoint::read(std::istream& is) {
     c.pending_interleavings.push_back(std::move(p));
   }
 
-  if (!expect(is, "strategy")) return std::nullopt;
-  c.strategy_name = unescape(read_tail(is));
-  if (!read_blob(is, "strategy_state_lines", c.strategy_state)) {
-    return std::nullopt;
-  }
   if (!read_blob(is, "ledger_lines", c.ledger_state)) return std::nullopt;
 
-  if (!expect(is, "workers") || !(is >> c.workers)) return std::nullopt;
   if (!expect(is, "cursors") || !(is >> n)) return std::nullopt;
   // A hostile/corrupt count must not drive a giant reserve; cursors are one
   // per worker, so anything huge is garbage.

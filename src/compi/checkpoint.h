@@ -62,12 +62,11 @@ void write_bug(std::ostream& os, const BugRecord& b);
 
 // ---- the campaign snapshot ----
 
-/// One parallel worker's private loop state: everything a worker needs to
+/// One campaign worker's private loop state: everything a worker needs to
 /// continue its in-flight search line after a kill — the already-planned
 /// next test, backtracking flags, and the worker's own strategy snapshot
 /// (each worker runs an independent strategy instance over the shared
-/// coverage).  The serial driver has exactly this state too, stored in the
-/// top-level CampaignCheckpoint fields; cursors exist only for workers > 1.
+/// coverage).  A serial campaign is one worker, hence one cursor.
 struct WorkerCursor {
   solver::Assignment plan_inputs;
   int plan_nprocs = 1;
@@ -104,34 +103,22 @@ struct CoordShardCursor {
 };
 
 struct CampaignCheckpoint {
-  // v8: a `sandbox2` line follows the v3 `sandbox` line with the
-  // fork-server engine counters — warm spawns, cold-fork fallbacks, server
-  // restarts, and batched in-process runs — so the overhead accounting
-  // survives a kill + resume.  (v7 added the optional coordinator section
-  // (`coord 1`) — global budget/completed counters, outstanding leases,
-  // and per-shard merge cursors; v6 added interleaving ids/decision
-  // vectors and the interleaving frontier; v5 added worker ordinals and
-  // per-worker cursors; v4 embedded the coverage-attribution ledger
-  // snapshot; v3 added the sandbox accounting line; v2 added solver_nodes
-  // and retries to iter lines.)  Older snapshots are rejected and the
-  // campaign falls back to a fresh start, by design.
-  static constexpr int kVersion = 8;
+  // v9: the driver loop state lives only in the worker cursors — a serial
+  // campaign writes one — instead of top-level plan/strategy lines.  (v8
+  // added the `sandbox2` line with the fork-server engine counters; v7 the
+  // optional coordinator section (`coord 1`) — global budget/completed
+  // counters, outstanding leases, and per-shard merge cursors; v6
+  // interleaving ids/decision vectors and the interleaving frontier; v5
+  // worker ordinals and per-worker cursors; v4 the coverage-attribution
+  // ledger snapshot; v3 the sandbox accounting line; v2 solver_nodes and
+  // retries on iter lines.)  Older snapshots are rejected and the campaign
+  // falls back to a fresh start, by design.
+  static constexpr int kVersion = 9;
 
   /// Campaign seed the snapshot was taken under (resume sanity check).
   std::uint64_t seed = 0;
   /// First iteration the resumed campaign should execute.
   int next_iteration = 0;
-
-  // Driver loop state.
-  solver::Assignment plan_inputs;
-  int plan_nprocs = 1;
-  int plan_focus = 0;
-  bool next_is_restart = false;
-  std::optional<std::size_t> pending_depth;
-  int failures = 0;
-  int consecutive_replans = 0;
-  /// Two-phase search already switched to BoundedDFS.
-  bool bounded_phase = false;
 
   // Accumulated results.
   std::size_t restarts = 0;
@@ -170,23 +157,15 @@ struct CampaignCheckpoint {
   std::size_t interleavings_pruned = 0;
   std::size_t interleavings_capped = 0;
 
-  /// Search-strategy snapshot: strategy name + its opaque state blob
-  /// (written by SearchStrategy::save_state).
-  std::string strategy_name;
-  std::string strategy_state;
-
   /// Coverage-attribution ledger snapshot (CoverageLedger::write), embedded
   /// as an opaque blob so attribution survives kill + --resume.  Empty when
   /// the producing campaign predates the ledger (never the case for v4+
   /// writers, but read() tolerates an empty blob).
   std::string ledger_state;
 
-  /// Worker count the snapshot was taken under.  Serial campaigns write 1
-  /// and no cursors; parallel campaigns write one cursor per worker.  A
-  /// resume whose --workers disagrees with the snapshot (or whose cursor
-  /// count is inconsistent) starts fresh rather than guessing how to remap
-  /// in-flight search lines.
-  int workers = 1;
+  /// One cursor per campaign worker.  A resume whose --workers disagrees
+  /// with the cursor count starts fresh rather than guessing how to remap
+  /// in-flight search lines.  Coordinator snapshots carry none.
   std::vector<WorkerCursor> worker_cursors;
 
   /// Coordinator section (v7): present only for `compi coordinate`

@@ -1,17 +1,63 @@
+// The campaign engine (paper §II-A, Fig. 3).
+//
+// A campaign is `--workers` N workers, each running the full
+// execute -> observe -> solve loop, merging into ONE campaign: a shared
+// CoverageTracker, attribution ledger, bug list, iteration log,
+// interleaving frontier and event journal.  The serial campaign (N = 1, the
+// default) is one worker on the calling thread; N > 1 runs each worker on
+// its own thread.  Each worker owns its private search line — strategy
+// instance, test plan, solver, Framework and Executor — so target execution
+// and constraint solving, where the time goes, run outside the campaign
+// lock.
+//
+// Locking: the shared state is guarded by one campaign mutex (`mu`), taken
+// only when another thread can observe that state — a second worker, or
+// the control plane's /explain endpoint under --serve.  A lone unserved
+// worker never locks.
+//
+// Iteration ordinals are dealt from one atomic ticket counter, so the
+// campaign executes exactly the configured budget regardless of how the
+// work interleaves.  Rows land in iterations.csv in completion order
+// (each tagged with its worker) and are re-sorted by ordinal for the
+// final summary rewrite.
+//
+// The negation frontier is deduplicated across workers: before solving a
+// candidate that steers toward an uncovered untaken arm, a worker claims
+// the arm in the shared in-flight set — a second worker proposing the
+// same arm skips it (frontier_dedup_skips) instead of burning solver
+// budget on a duplicate.  A claim whose arm another worker covered while
+// the solve ran is dropped before its model is used
+// (stale_candidate_drops).  Candidates whose target is ALREADY covered
+// pass through unclaimed: those are DFS backtracking moves, not frontier
+// work, and filtering them would break search completeness.  A single
+// worker's claims never collide, so N = 1 is the classic serial search.
+//
+// Timing: exec_seconds is each worker's launch-phase wall clock;
+// solve_seconds is the worker's THREAD CPU time, which sums correctly
+// across overlapping workers (see obs/phase_clock.h and DESIGN.md).
+//
+// Checkpointing: the snapshot embeds one WorkerCursor per worker (plan +
+// strategy state) plus the contiguous completed-iteration prefix; resume
+// requires the same seed AND the same --workers, otherwise the campaign
+// starts fresh rather than remapping in-flight search lines.
 #include "compi/driver.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
+#include <unordered_set>
 
 #include "compi/checkpoint.h"
 #include "compi/driver_internal.h"
+#include "compi/executor.h"
 #include "compi/explain.h"
 #include "compi/interleaving.h"
 #include "compi/ledger.h"
@@ -24,8 +70,6 @@
 #include "obs/phase_clock.h"
 #include "obs/status.h"
 #include "obs/trace.h"
-#include "sandbox/fork_server.h"
-#include "sandbox/supervisor.h"
 #include "serve/control_plane.h"
 #include "solver/cache.h"
 #include "solver/solver.h"
@@ -35,19 +79,50 @@ namespace compi {
 using detail::bug_signature;
 using detail::mix_seed;
 
+namespace {
+
+/// One worker's private search line: its planned next test, its strategy,
+/// and the backtracking flags between iterations.
+struct WorkerState {
+  TestPlan plan;
+  std::unique_ptr<SearchStrategy> strategy;
+  StrategyConfig scfg;
+  std::optional<std::size_t> pending_depth;
+  bool next_is_restart = true;
+  bool bounded_phase = false;
+  int failures = 0;
+  int consecutive_replans = 0;
+};
+
+ckpt::WorkerCursor cursor_of(const WorkerState& ws) {
+  ckpt::WorkerCursor cur;
+  cur.plan_inputs = ws.plan.inputs;
+  cur.plan_nprocs = ws.plan.nprocs;
+  cur.plan_focus = ws.plan.focus;
+  cur.next_is_restart = ws.next_is_restart;
+  cur.pending_depth = ws.pending_depth;
+  cur.failures = ws.failures;
+  cur.consecutive_replans = ws.consecutive_replans;
+  cur.bounded_phase = ws.bounded_phase;
+  cur.strategy_name = ws.strategy->name();
+  std::ostringstream blob;
+  ws.strategy->save_state(blob);
+  cur.strategy_state = blob.str();
+  return cur;
+}
+
+}  // namespace
+
 Campaign::Campaign(const TargetInfo& target, CampaignOptions options)
     : target_(target), options_(std::move(options)) {}
 
 CampaignResult Campaign::run() {
-  return options_.workers > 1 ? run_parallel() : run_serial();
-}
-
-CampaignResult Campaign::run_serial() {
   using Clock = std::chrono::steady_clock;
+  const int workers = std::max(options_.workers, 1);
 
   // ---- observability setup ----
-  // The driver owns track 0 of the trace; MiniMPI rank threads claim
-  // tracks 1..nprocs inside launch().
+  // Worker w owns trace tracks [w*(max_procs+1), (w+1)*(max_procs+1)): its
+  // driver loop on the base track, its MiniMPI rank threads above it.
   obs::set_thread_track(0);
   if (options_.trace) {
     obs::tracer().configure(options_.trace_buffer_kb);
@@ -103,6 +178,12 @@ CampaignResult Campaign::run_serial() {
   obs::Counter& m_cache_evictions = reg.counter(
       "compi_solver_cache_evictions_total",
       "Solver memoization cache LRU evictions");
+  obs::Counter& m_dedup_skips = reg.counter(
+      "compi_frontier_dedup_skips_total",
+      "Candidates skipped because another worker claimed the same arm");
+  obs::Counter& m_stale_drops = reg.counter(
+      "compi_stale_candidate_drops_total",
+      "Claimed candidates dropped: arm covered while the solve ran");
   obs::Counter& m_interleavings = reg.counter(
       "compi_interleavings_total",
       "Reordered wildcard matchings replayed (--explore-matchings)");
@@ -112,13 +193,21 @@ CampaignResult Campaign::run_serial() {
   obs::Gauge& m_interleavings_pending = reg.gauge(
       "compi_interleavings_pending",
       "Reordered wildcard matchings queued and awaiting replay");
-  obs::Gauge& m_worker_progress = reg.gauge(
-      "compi_worker_last_progress_seconds{worker=\"0\"}",
-      "Campaign-relative time of each worker's last completed iteration");
+  // Registered adjacently so the Prometheus writer emits one HELP/TYPE
+  // pair for the whole compi_worker_last_progress_seconds family.
+  std::vector<obs::Gauge*> m_worker_progress;
+  m_worker_progress.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w) {
+    m_worker_progress.push_back(&reg.gauge(
+        "compi_worker_last_progress_seconds{worker=\"" + std::to_string(w) +
+            "\"}",
+        "Campaign-relative time of each worker's last completed iteration"));
+  }
 
-  // Solver memoization (--solver-cache=N entries; 0 = off, the default).
-  // Optional so the off state carries zero overhead — solve_incremental
-  // takes a plain nullptr.
+  // Solver memoization (--solver-cache=N entries; 0 = off, the default):
+  // one cache shared by every worker — cross-worker hits are the point
+  // (workers flip neighbouring branches of the same paths).  Off means a
+  // plain nullptr to solve_incremental, so it costs nothing.
   std::optional<solver::SolveCache> solve_cache;
   if (options_.solver_cache_entries > 0) {
     solve_cache.emplace(
@@ -165,15 +254,13 @@ CampaignResult Campaign::run_serial() {
   };
 
   CampaignResult result;
+  result.workers_used = static_cast<std::size_t>(workers);
   rt::VarRegistry registry;
   CoverageTracker coverage(*target_.table);
   CoverageLedger ledger(*target_.table);
   obs::Journal journal;
-  Framework framework(registry, options_.max_procs, options_.framework,
-                      options_.conflict_resolution);
   std::optional<SessionWriter> session;
   if (!options_.log_dir.empty()) session.emplace(options_.log_dir);
-  solver::Solver the_solver({options_.solver_node_budget});
 
   // ---- live status board (--status-file heartbeat + GET /status) ----
   // The board is the single writer both the file heartbeat and the control
@@ -187,60 +274,145 @@ CampaignResult Campaign::run_serial() {
   }
   std::shared_ptr<obs::StatusBoard> board;
   if (serving || !status_path.empty()) {
-    board = std::make_shared<obs::StatusBoard>(1, options_.iterations);
+    board = std::make_shared<obs::StatusBoard>(workers, options_.iterations);
     board->set_campaign(options_.initial_nprocs, options_.initial_focus);
   }
-  // Leaf mutex ordering the /explain endpoint (server thread) against the
-  // loop's ledger and iteration-record mutations.  Never taken when not
-  // serving, so the serve-off loop is untouched.
-  std::mutex live_mu;
-  const auto live_lock = [&] {
-    return serving ? std::unique_lock<std::mutex>(live_mu)
-                   : std::unique_lock<std::mutex>();
-  };
 
-  TestPlan plan;
-  plan.nprocs = options_.initial_nprocs;
-  plan.focus = options_.initial_focus;
+  // ---- the shared campaign state ----
+  // Guarded by `mu` whenever a second thread can reach it: another worker,
+  // or the control plane's /explain handler.  lock_state() is the only way
+  // the loop takes `mu`, and it is a no-op for one unserved worker.
+  std::mutex mu;
+  const bool shared = workers > 1 || serving;
+  const auto lock_state = [&] {
+    return shared ? std::unique_lock<std::mutex>(mu)
+                  : std::unique_lock<std::mutex>();
+  };
+  std::vector<std::string> known_hangs;  // signatures proven to really hang
+  /// Shared interleaving frontier (--explore-matchings): any worker's run
+  /// forks alternatives, any worker replays them.
+  InterleavingFrontier interleavings;
+  /// Untaken arms currently being solved for, keyed by BranchId: the
+  /// cross-worker frontier deduplication set.
+  std::unordered_set<sym::BranchId> in_flight;
+  /// Ticket counter: each worker iteration consumes one ordinal.
+  std::atomic<int> next_ticket{0};
+  std::atomic<bool> stop{false};
+  bool halted = false;
+  int executed = 0;  // iterations run by THIS process (halt hook)
+
+  // Running totals for the telemetry piggyback (work_source.h) and the
+  // stall-diagnosis engine: cumulative solver outcome mix and phase time.
+  // Atomics, not `mu` fields: workers bump them from the solve loop, which
+  // deliberately holds no lock.
+  std::atomic<std::int64_t> tele_sat{0}, tele_unsat{0}, tele_budget{0};
+  std::atomic<std::int64_t> tele_exec_us{0}, tele_solve_us{0};
+  /// Live frontier depth: the last planned constraint set's size, or 0 the
+  /// moment a worker's strategy ran dry (the frontier-starved signal).
+  std::atomic<std::int64_t> tele_frontier{-1};
+
+  // Stall diagnosis (obs/diagnosis.h): fed once per iteration, journals
+  // verdict transitions, and leaves its final verdict on the result.  Pure
+  // computation over local state — obs-off and serve-off sessions see the
+  // identical artifact bytes they always did.
+  obs::DiagnosisEngine diagnosis_engine(&journal);
+  const auto diagnosis_input = [&] {  // callers hold the state lock
+    obs::DiagnosisInput in;
+    in.elapsed_seconds = elapsed();
+    in.frontier_depth = tele_frontier.load();
+    in.interleavings_pending =
+        static_cast<std::int64_t>(interleavings.queue.size());
+    in.solver_sat = tele_sat.load();
+    in.solver_unsat = tele_unsat.load();
+    in.solver_budget = tele_budget.load();
+    in.plateau_window_seconds = options_.stall_window_seconds;
+    return in;
+  };
+  /// Completion tracking for checkpoint boundaries: done[i] marks ordinal
+  /// i fully recorded; `prefix` is the first not-yet-complete ordinal, so
+  /// every iteration below it is safely checkpointable.
+  std::vector<char> done(static_cast<std::size_t>(
+                             std::max(options_.iterations, 0)),
+                         0);
+  int prefix = 0;
+  /// Per-worker cursors as of each worker's last completed iteration.  A
+  /// worker can snapshot only its own strategy (the others are mid-run),
+  /// so with N > 1 every worker refreshes its cursor each iteration; a
+  /// lone worker refreshes only right before it snapshots.
+  std::vector<ckpt::WorkerCursor> cursors(static_cast<std::size_t>(workers));
+  const bool checkpointing =
+      session && (options_.checkpoint_interval > 0 ||
+                  options_.halt_after_iterations > 0);
 
   // Two-phase search (paper §II-B): pure DFS for the first
   // dfs_phase_iterations, then BoundedDFS with a bound derived from the
   // longest observed constraint set.  Other strategies run single-phase.
   const bool two_phase = options_.search == SearchKind::kBoundedDfs;
-  StrategyConfig scfg;
-  scfg.kind = two_phase ? SearchKind::kDfs : options_.search;
-  scfg.seed = options_.seed;
-  scfg.table = target_.table;
-  scfg.coverage = &coverage;
-  std::unique_ptr<SearchStrategy> strategy = make_strategy(scfg);
-
-  std::optional<std::size_t> pending_depth;  // depth of the accepted flip
-  bool next_is_restart = true;               // the first run is a "restart"
-  bool bounded_phase = false;                // two-phase switch happened
-  int failures = 0;
-  int consecutive_replans = 0;
-  int start_iter = 0;
-  std::vector<std::string> known_hangs;  // signatures proven to really hang
-  InterleavingFrontier interleavings;    // --explore-matchings frontier
+  std::vector<WorkerState> wstate(static_cast<std::size_t>(workers));
+  const auto make_worker_state = [&](int w, bool bounded, std::size_t bound) {
+    StrategyConfig scfg;
+    if (two_phase) {
+      scfg.kind = bounded ? SearchKind::kBoundedDfs : SearchKind::kDfs;
+    } else {
+      scfg.kind = options_.search;
+    }
+    scfg.bound = bound;
+    // A lone worker searches with the campaign seed itself; N workers get
+    // decorrelated seeds, so they explore N diverging search lines instead
+    // of racing down the same one.
+    scfg.seed = workers == 1
+                    ? options_.seed
+                    : mix_seed(options_.seed,
+                               0x5eed0000ULL + static_cast<std::uint64_t>(w));
+    scfg.table = target_.table;
+    scfg.coverage = &coverage;
+    WorkerState ws;
+    ws.scfg = scfg;
+    ws.strategy = make_strategy(scfg);
+    ws.bounded_phase = bounded;
+    ws.plan.nprocs = options_.initial_nprocs;
+    ws.plan.focus = options_.initial_focus;
+    return ws;
+  };
+  for (int w = 0; w < workers; ++w) {
+    wstate[static_cast<std::size_t>(w)] =
+        make_worker_state(w, false, static_cast<std::size_t>(-1));
+  }
 
   // ---- resume a checkpointed session (crash recovery) ----
-  if (options_.resume && !options_.log_dir.empty()) {
+  if (options_.resume && session) {
     std::optional<ckpt::CampaignCheckpoint> c =
         read_checkpoint(options_.log_dir);
-    // A snapshot taken by a parallel campaign carries per-worker cursors the
-    // serial loop has no way to honour: start fresh instead of resuming one
-    // of N in-flight search lines arbitrarily.
-    if (c && c->seed == options_.seed && c->workers == 1) {
-      if (two_phase && c->bounded_phase) {
-        scfg.kind = SearchKind::kBoundedDfs;
-        scfg.bound = c->depth_bound_used;
+    if (c && c->seed == options_.seed &&
+        c->worker_cursors.size() == static_cast<std::size_t>(workers)) {
+      // Validate every cursor's strategy blob BEFORE touching shared
+      // state, so a half-readable snapshot degrades to a clean fresh start.
+      std::vector<WorkerState> restored;
+      restored.reserve(static_cast<std::size_t>(workers));
+      for (int w = 0; w < workers; ++w) {
+        const ckpt::WorkerCursor& cur =
+            c->worker_cursors[static_cast<std::size_t>(w)];
+        WorkerState ws = make_worker_state(
+            w, two_phase && cur.bounded_phase, c->depth_bound_used);
+        std::istringstream blob(cur.strategy_state);
+        if (cur.strategy_name != ws.strategy->name() ||
+            !ws.strategy->load_state(blob)) {
+          break;
+        }
+        ws.plan.inputs = cur.plan_inputs;
+        ws.plan.nprocs = cur.plan_nprocs;
+        ws.plan.focus = cur.plan_focus;
+        ws.next_is_restart = cur.next_is_restart;
+        ws.pending_depth = cur.pending_depth;
+        ws.failures = cur.failures;
+        ws.consecutive_replans = cur.consecutive_replans;
+        restored.push_back(std::move(ws));
       }
-      strategy = make_strategy(scfg);
-      std::istringstream blob(c->strategy_state);
-      if (c->strategy_name == strategy->name() &&
-          strategy->load_state(blob)) {
-        for (const rt::VarMeta& m : c->registry) {
-          registry.intern(m.key, m.kind, m.domain, m.cap, m.comm_index);
+      if (restored.size() == static_cast<std::size_t>(workers)) {
+        wstate = std::move(restored);
+        for (const rt::VarMeta& meta : c->registry) {
+          registry.intern(meta.key, meta.kind, meta.domain, meta.cap,
+                          meta.comm_index);
         }
         rt::CoverageBitmap bitmap(target_.table->num_branches());
         for (sym::BranchId b : c->covered) bitmap.mark(b);
@@ -261,14 +433,6 @@ CampaignResult Campaign::run_serial() {
         result.fork_server_restarts = c->fork_server_restarts;
         result.batch_runs = c->batch_runs;
         result.resumed = true;
-        plan.inputs = std::move(c->plan_inputs);
-        plan.nprocs = c->plan_nprocs;
-        plan.focus = c->plan_focus;
-        pending_depth = c->pending_depth;
-        next_is_restart = c->next_is_restart;
-        bounded_phase = c->bounded_phase;
-        failures = c->failures;
-        consecutive_replans = c->consecutive_replans;
         known_hangs = std::move(c->known_hang_signatures);
         interleavings.queue.assign(c->pending_interleavings.begin(),
                                    c->pending_interleavings.end());
@@ -279,31 +443,44 @@ CampaignResult Campaign::run_serial() {
         interleavings.run_count = c->interleavings_run;
         interleavings.pruned = c->interleavings_pruned;
         interleavings.capped = c->interleavings_capped;
-        start_iter = c->next_iteration;
+        next_ticket.store(c->next_iteration);
+        prefix = c->next_iteration;
+        for (int i = 0; i < c->next_iteration &&
+                        i < static_cast<int>(done.size());
+             ++i) {
+          done[static_cast<std::size_t>(i)] = 1;
+        }
         if (!c->ledger_state.empty()) {
           std::istringstream ledger_blob(c->ledger_state);
           // A failed read keeps the fresh ledger: attribution restarts but
           // the campaign itself is unaffected.
           (void)ledger.read(ledger_blob);
         }
-      } else {
-        // Unreadable strategy state: fall back to a fresh campaign.
-        scfg.kind = two_phase ? SearchKind::kDfs : options_.search;
-        scfg.bound = static_cast<std::size_t>(-1);
-        strategy = make_strategy(scfg);
       }
+    }
+  }
+  const int start_iter = next_ticket.load();
+
+  // Seed every cursor from its worker's initial (or restored) state, so a
+  // checkpoint taken before worker w completes an iteration still embeds a
+  // loadable cursor for it.
+  if (checkpointing) {
+    for (int w = 0; w < workers; ++w) {
+      cursors[static_cast<std::size_t>(w)] =
+          cursor_of(wstate[static_cast<std::size_t>(w)]);
     }
   }
 
   // Open iterations.csv for incremental appends (header + any restored
-  // prefix) so a crash mid-campaign loses at most the in-flight row.
+  // prefix) so a crash mid-campaign loses at most the in-flight rows.
   if (session) session->begin_iterations(result.iterations);
 
   // Open the event journal alongside it.  On resume the journal keeps only
   // events below the checkpoint boundary, so its iteration events stay
   // aligned with the restored iterations.csv prefix.
   if (options_.journal && session) {
-    const std::filesystem::path journal_path = session->dir() / "journal.jsonl";
+    const std::filesystem::path journal_path =
+        session->dir() / "journal.jsonl";
     if (result.resumed) {
       (void)journal.open_resume(journal_path, start_iter);
     } else {
@@ -327,7 +504,9 @@ CampaignResult Campaign::run_serial() {
   // The control plane is declared AFTER the export guard on purpose:
   // reverse destruction stops the server thread (and with it every live
   // endpoint) before the journal closes and the final export runs — on
-  // every exit path, including thrown fatal errors.
+  // every exit path, including thrown fatal errors.  The happy path also
+  // stops it explicitly once the workers are done, before finalize
+  // mutates the shared state without the lock.
   serve::ControlPlane control_plane;
   if (serving && board != nullptr) {
     serve::ControlPlaneConfig cp;
@@ -336,7 +515,9 @@ CampaignResult Campaign::run_serial() {
     cp.journal = &journal;
     cp.status = [board] { return board->snapshot(); };
     cp.explain = [&, board] {
-      std::lock_guard<std::mutex> lock(live_mu);
+      // /explain renders a bounded summary from the live ledger under the
+      // campaign mutex — the lock the workers' bookkeeping sections take.
+      std::lock_guard<std::mutex> lock(mu);
       std::vector<std::string> lines;
       (void)journal.tap_since(0, lines);
       return explain_live(ledger, *target_.table, result.iterations, lines);
@@ -372,8 +553,8 @@ CampaignResult Campaign::run_serial() {
     };
     if (control_plane.start(std::move(cp))) {
       board->set_serve_port(control_plane.port());
-      // Publish the bound port immediately (iteration -1): with
-      // --serve=0 this is how clients discover the ephemeral port.
+      // Publish the bound port immediately (iteration -1): with --serve=0
+      // this is how clients discover the ephemeral port.
       if (!status_path.empty()) {
         (void)obs::write_status_file(
             status_path, obs::render_status_json(board->snapshot()));
@@ -387,132 +568,25 @@ CampaignResult Campaign::run_serial() {
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   };
 
-  // Every test execution funnels through here: in-process by default, or a
-  // fork()ed sandbox child under --isolate, so a target that really
-  // segfaults or wedges is contained, mapped onto the Outcome taxonomy,
-  // and the campaign keeps going with whatever coverage was harvested.
-  sandbox::SandboxOptions sandbox_options;
-  sandbox_options.hang_timeout =
-      std::chrono::milliseconds(options_.hang_timeout_ms);
-  sandbox_options.child_mem_mb = options_.child_mem_mb;
-  // Warm-snapshot engine (--fork-server, on by default under --isolate):
-  // one long-lived server child forks every iteration from a warm
-  // snapshot; a dead server falls back to cold run_sandboxed per
-  // iteration without losing the in-flight test.
-  std::optional<sandbox::ForkServer> fork_server;
-  if (options_.isolate && options_.fork_server) {
-    sandbox::ForkServerOptions fso;
-    fso.sandbox = sandbox_options;
-    fso.max_restarts = options_.fork_server_restarts;
-    fork_server.emplace(*target_.table, fso);
-  }
-  // Batched fast path (--batch-reset): a streak of clean sandboxed runs
-  // earns in-process execution; any fault demotes back to the sandbox.
-  sandbox::BatchGate batch_gate(options_.batch_warmup);
-  int journal_iter = start_iter;  // iteration the next journal event names
-  // Branch ids the last execute() recovered from the sandbox harvest map
-  // (empty for in-process runs and delivered results): the ledger flags
-  // first hits that survived a child death with these.
-  std::vector<sym::BranchId> last_harvested;
-  const auto execute = [&](const minimpi::LaunchSpec& s) {
-    last_harvested.clear();
-    if (!options_.isolate) return minimpi::launch(s, *target_.table);
-    if (options_.batch_reset && batch_gate.ready()) {
-      minimpi::RunResult r = sandbox::run_batch_reset(s, *target_.table);
-      ++result.batch_runs;
-      m_batch_runs.inc();
-      if (r.job_outcome() == rt::Outcome::kOk) {
-        batch_gate.record_clean();
-      } else {
-        batch_gate.record_fault();
-      }
-      return r;
-    }
-    sandbox::SandboxStats st;
-    minimpi::RunResult r;
-    if (fork_server) {
-      bool warm = false;
-      const std::uint64_t restarts_before = fork_server->stats().restarts;
-      r = fork_server->run(s, &st, &warm);
-      const std::uint64_t deaths =
-          fork_server->stats().restarts - restarts_before;
-      if (deaths > 0) {
-        result.fork_server_restarts += deaths;
-        m_server_restarts.inc(static_cast<std::int64_t>(deaths));
-        obs::instant(obs::Cat::kSandbox, "server_restart");
-        obs::JournalEvent(journal, "fork_server_restart", journal_iter)
-            .num("restarts",
-                 static_cast<std::int64_t>(fork_server->stats().restarts))
-            .boolean("degraded", fork_server->degraded());
-      }
-      if (warm) {
-        ++result.warm_spawns;
-        m_warm_spawns.inc();
-        m_spawn_us.observe(static_cast<std::int64_t>(
-            fork_server->stats().last_spawn_seconds * 1e6));
-      } else if (st.forked) {
-        ++result.cold_forks;
-        m_cold_forks.inc();
-      }
-    } else {
-      r = sandbox::run_sandboxed(s, *target_.table, sandbox_options, &st);
-    }
-    if (options_.batch_reset && st.forked) {
-      const bool clean = !st.signal_kill && !st.hang_kill &&
-                         r.job_outcome() == rt::Outcome::kOk;
-      if (clean) {
-        batch_gate.record_clean();
-      } else {
-        batch_gate.record_fault();
-      }
-    }
-    if (!st.forked) return r;
-    ++result.sandbox_runs;
-    result.sandbox_harvest_bytes += st.harvest_bytes;
-    m_sandbox_harvest_bytes.inc(
-        static_cast<std::int64_t>(st.harvest_bytes));
-    last_harvested = std::move(st.harvested);
-    if (st.signal_kill) {
-      ++result.sandbox_signal_kills;
-      m_sandbox_signal_kills.inc();
-      obs::instant(obs::Cat::kSandbox, "signal_kill", "signal",
-                   st.term_signal);
-      obs::JournalEvent(journal, "sandbox_kill", journal_iter)
-          .str("kind", "signal")
-          .num("signal", st.term_signal)
-          .num("harvested_branches",
-               static_cast<std::int64_t>(last_harvested.size()));
-    }
-    if (st.hang_kill) {
-      ++result.sandbox_hang_kills;
-      m_sandbox_hang_kills.inc();
-      obs::instant(obs::Cat::kSandbox, "hang_kill");
-      obs::JournalEvent(journal, "sandbox_kill", journal_iter)
-          .str("kind", "hang")
-          .num("harvested_branches",
-               static_cast<std::int64_t>(last_harvested.size()));
-    }
-    return r;
+  // Bug-budget exhaustion (--max-bugs) ends the campaign gracefully: the
+  // workers stop, and summary/ledger/obs exports below all still run.
+  const auto bug_budget_hit = [&] {  // callers hold the state lock
+    return options_.max_bugs > 0 &&
+           result.bugs.size() >= static_cast<std::size_t>(options_.max_bugs);
   };
 
-  const auto save_checkpoint = [&](int next_iteration) {
+  // Snapshot under the state lock.  Only the contiguous completed prefix
+  // is recorded as "done": ordinals at or past `prefix` (completed out of
+  // order, or in flight) are re-run on resume — coverage merging is
+  // idempotent, so the only cost is repeated work, never corruption.
+  const auto save_checkpoint_locked = [&] {
     if (!session) return;
     obs::ObsSpan span(obs::Cat::kCheckpoint, "save_checkpoint", "iteration",
-                      next_iteration);
-    // The checkpoint reads the ledger and the iteration records wholesale;
-    // keep /explain out while the snapshot is taken.
-    const auto live = live_lock();
+                      prefix);
     ckpt::CampaignCheckpoint c;
     c.seed = options_.seed;
-    c.next_iteration = next_iteration;
-    c.plan_inputs = plan.inputs;
-    c.plan_nprocs = plan.nprocs;
-    c.plan_focus = plan.focus;
-    c.next_is_restart = next_is_restart;
-    c.pending_depth = pending_depth;
-    c.failures = failures;
-    c.consecutive_replans = consecutive_replans;
-    c.bounded_phase = bounded_phase;
+    c.next_iteration = prefix;
+    c.worker_cursors = cursors;
     c.restarts = result.restarts;
     c.max_constraint_set = result.max_constraint_set;
     c.depth_bound_used = result.depth_bound_used;
@@ -526,7 +600,13 @@ CampaignResult Campaign::run_serial() {
     c.cold_forks = result.cold_forks;
     c.fork_server_restarts = result.fork_server_restarts;
     c.batch_runs = result.batch_runs;
-    c.iterations = result.iterations;
+    for (const IterationRecord& r : result.iterations) {
+      if (r.iteration < prefix) c.iterations.push_back(r);
+    }
+    std::sort(c.iterations.begin(), c.iterations.end(),
+              [](const IterationRecord& a, const IterationRecord& b) {
+                return a.iteration < b.iteration;
+              });
     c.bugs = result.bugs;
     c.covered = coverage.bitmap().covered_ids();
     c.registry = registry.all();
@@ -543,121 +623,19 @@ CampaignResult Campaign::run_serial() {
     c.interleavings_run = interleavings.run_count;
     c.interleavings_pruned = interleavings.pruned;
     c.interleavings_capped = interleavings.capped;
-    c.strategy_name = strategy->name();
-    std::ostringstream blob;
-    strategy->save_state(blob);
-    c.strategy_state = blob.str();
     std::ostringstream ledger_blob;
     ledger.write(ledger_blob);
     c.ledger_state = ledger_blob.str();
     session->write_checkpoint(c);
     session->write_ledger(ledger, *target_.table);
-    session->write_coverage_timeline(result.iterations);
+    session->write_coverage_timeline(c.iterations);
     journal.flush();
     export_obs();
   };
 
-  int executed = 0;   // iterations run by THIS process (halt hook)
-  bool halted = false;
-
-  // Running totals for the telemetry piggyback (work_source.h) and the
-  // stall-diagnosis engine: cumulative solver outcome mix and phase time.
-  std::int64_t tele_sat = 0, tele_unsat = 0, tele_budget = 0;
-  std::int64_t tele_exec_us = 0, tele_solve_us = 0;
-  // Live frontier depth: the last planned constraint set's size, or 0 the
-  // moment the strategy ran dry (that is the frontier-starved signal).
-  std::int64_t tele_frontier = -1;
-
-  // Stall diagnosis (obs/diagnosis.h): fed once per iteration, journals
-  // verdict transitions, and leaves its final verdict on the result.  Pure
-  // computation over local state — obs-off and serve-off sessions see the
-  // identical artifact bytes they always did.
-  obs::DiagnosisEngine diagnosis_engine(&journal);
-  const auto diagnosis_input = [&] {
-    obs::DiagnosisInput in;
-    in.elapsed_seconds = elapsed();
-    in.frontier_depth = tele_frontier;
-    in.interleavings_pending =
-        static_cast<std::int64_t>(interleavings.queue.size());
-    in.solver_sat = tele_sat;
-    in.solver_unsat = tele_unsat;
-    in.solver_budget = tele_budget;
-    in.plateau_window_seconds = options_.stall_window_seconds;
-    return in;
-  };
-
-  // Bug-budget exhaustion (--max-bugs) ends the campaign gracefully: the
-  // loop breaks, and summary/ledger/obs exports below all still run.
-  const auto bug_budget_hit = [&] {
-    return options_.max_bugs > 0 &&
-           result.bugs.size() >= static_cast<std::size_t>(options_.max_bugs);
-  };
-
-  // Distributed intake: one report per completed iteration.  The delta
-  // carries FULL local state and a CUMULATIVE iteration count (see
-  // work_source.h) so a replay after a reconnect or a reclaimed lease
-  // merges to the same global state.  The ledger blob is rendered lazily —
-  // the work source only pays for it when it actually transmits — and the
-  // closure runs on THIS thread inside report(), so the live lock ordering
-  // holds.
-  const auto report_work = [&](bool final_report) {
-    if (options_.work_source == nullptr) return;
-    WorkDelta d;
-    d.final_report = final_report;
-    d.covered = coverage.bitmap().covered_ids();
-    d.interleaving_seen.assign(interleavings.seen.begin(),
-                               interleavings.seen.end());
-    {
-      const auto live = live_lock();
-      d.iterations_completed =
-          static_cast<std::int64_t>(result.iterations.size());
-      d.bugs = result.bugs;
-      if (tele_frontier >= 0) {
-        d.frontier_depth = tele_frontier;
-      } else if (!result.iterations.empty()) {
-        d.frontier_depth = static_cast<std::int64_t>(
-            result.iterations.back().constraint_set_size);
-      }
-    }
-    d.elapsed_us = static_cast<std::int64_t>(elapsed() * 1e6);
-    d.interleavings_pending =
-        static_cast<std::int64_t>(interleavings.queue.size());
-    d.solver_sat = tele_sat;
-    d.solver_unsat = tele_unsat;
-    d.solver_budget = tele_budget;
-    d.exec_us = tele_exec_us;
-    d.solve_us = tele_solve_us;
-    d.ledger_blob = [&] {
-      const auto live = live_lock();
-      std::ostringstream blob;
-      ledger.write(blob);
-      return blob.str();
-    };
-    options_.work_source->report(d);
-  };
-
-  // Periodic snapshot / simulated-kill bookkeeping at the bottom of every
-  // iteration; returns true when the campaign must stop abruptly.
-  const auto end_of_iteration = [&](int iter) {
-    report_work(/*final_report=*/false);
-    if (options_.checkpoint_interval > 0 &&
-        (iter + 1) % options_.checkpoint_interval == 0) {
-      save_checkpoint(iter + 1);
-    }
-    ++executed;
-    if (options_.halt_after_iterations > 0 &&
-        executed >= options_.halt_after_iterations &&
-        iter + 1 < options_.iterations) {
-      save_checkpoint(iter + 1);
-      return true;
-    }
-    return false;
-  };
-
-  // One "iteration" journal event per iterations.csv row (both the normal
-  // and the focus-replan append sites funnel through here) plus the
+  // One "iteration" journal event per iterations.csv row plus the
   // --status-file heartbeat, rewritten via tmp + rename so a monitoring
-  // reader never sees a torn file.
+  // reader never sees a torn file.  Callers hold the state lock.
   const auto note_iteration = [&](const IterationRecord& rec,
                                   const std::map<std::string, std::int64_t>&
                                       named_inputs,
@@ -689,7 +667,7 @@ CampaignResult Campaign::run_serial() {
     board->record_iteration(rec.iteration, rec.covered_branches,
                             result.bugs.size(), elapsed(), rec.nprocs,
                             rec.focus, rt::to_string(rec.outcome),
-                            /*worker=*/0);
+                            rec.worker);
     board->set_depths(rec.constraint_set_size, interleavings.queue.size());
     if (cache != nullptr) {
       board->set_solver_cache(static_cast<std::int64_t>(cache->hits()),
@@ -698,452 +676,709 @@ CampaignResult Campaign::run_serial() {
     m_frontier_depth.set(static_cast<std::int64_t>(rec.constraint_set_size));
     m_interleavings_pending.set(
         static_cast<std::int64_t>(interleavings.queue.size()));
-    m_worker_progress.set(static_cast<std::int64_t>(elapsed()));
+    m_worker_progress[static_cast<std::size_t>(rec.worker)]->set(
+        static_cast<std::int64_t>(elapsed()));
     if (!status_path.empty()) {
       (void)obs::write_status_file(
           status_path, obs::render_status_json(board->snapshot()));
     }
   };
 
-  for (int iter = start_iter; iter < options_.iterations; ++iter) {
-    if (options_.time_budget_seconds > 0 &&
-        elapsed() >= options_.time_budget_seconds) {
-      break;
+  // Distributed intake (callers hold the state lock): one report per
+  // completed iteration, carrying FULL local state and a CUMULATIVE count
+  // (see work_source.h) so replays after reconnects or reclaimed leases
+  // are idempotent.  The ledger blob is rendered lazily — the work source
+  // only pays for it when it actually transmits — by a closure that runs
+  // inside report() on this thread and takes no locks of its own.
+  const auto report_work_locked = [&](bool final_report) {
+    if (options_.work_source == nullptr) return;
+    WorkDelta d;
+    d.final_report = final_report;
+    d.iterations_completed =
+        static_cast<std::int64_t>(result.iterations.size());
+    d.covered = coverage.bitmap().covered_ids();
+    d.interleaving_seen.assign(interleavings.seen.begin(),
+                               interleavings.seen.end());
+    d.bugs = result.bugs;
+    if (tele_frontier.load() >= 0) {
+      d.frontier_depth = tele_frontier.load();
+    } else if (!result.iterations.empty()) {
+      d.frontier_depth = static_cast<std::int64_t>(
+          result.iterations.back().constraint_set_size);
     }
-    // ---- distributed intake: lease one iteration, absorb the fleet ----
-    // acquire() blocks for a lease (or passes immediately standalone /
-    // degraded); false means the coordinator declared the global budget
-    // done.  Remote coverage merges BEFORE planning so the strategy's
-    // dedup and stale-candidate pruning skip branches other shards
-    // already covered — that is the frontier partition.
-    if (options_.work_source != nullptr) {
-      if (!options_.work_source->acquire()) {
-        obs::JournalEvent(journal, "work_source_stop", iter);
+    d.elapsed_us = static_cast<std::int64_t>(elapsed() * 1e6);
+    d.interleavings_pending =
+        static_cast<std::int64_t>(interleavings.queue.size());
+    d.solver_sat = tele_sat.load();
+    d.solver_unsat = tele_unsat.load();
+    d.solver_budget = tele_budget.load();
+    d.exec_us = tele_exec_us.load();
+    d.solve_us = tele_solve_us.load();
+    d.ledger_blob = [&] {
+      std::ostringstream blob;
+      ledger.write(blob);
+      return blob.str();
+    };
+    options_.work_source->report(d);
+  };
+
+  // End-of-iteration bookkeeping under the state lock: completion
+  // tracking, cursor refresh, periodic checkpoint, halt hook.  Sets `stop`
+  // when the campaign must end abruptly.
+  const auto end_of_iteration_locked = [&](int iter, int w) {
+    report_work_locked(/*final_report=*/false);
+    if (iter >= 0 && iter < static_cast<int>(done.size())) {
+      done[static_cast<std::size_t>(iter)] = 1;
+      while (prefix < static_cast<int>(done.size()) &&
+             done[static_cast<std::size_t>(prefix)] != 0) {
+        ++prefix;
+      }
+    }
+    ++executed;
+    const bool periodic =
+        options_.checkpoint_interval > 0 &&
+        result.iterations.size() %
+                static_cast<std::size_t>(options_.checkpoint_interval) ==
+            0;
+    const bool halt = options_.halt_after_iterations > 0 &&
+                      executed >= options_.halt_after_iterations &&
+                      next_ticket.load() < options_.iterations;
+    if (checkpointing && (workers > 1 || periodic || halt)) {
+      cursors[static_cast<std::size_t>(w)] =
+          cursor_of(wstate[static_cast<std::size_t>(w)]);
+    }
+    if (periodic) save_checkpoint_locked();
+    if (halt) {
+      save_checkpoint_locked();
+      halted = true;
+      stop.store(true);
+    }
+  };
+
+  // Campaign-wide accounting of one Executor::run (journal events name the
+  // iteration and worker).  In-process runs have nothing to account.
+  const auto account = [&](const ExecReport& x, int iter, int w) {
+    if (!x.batch && !x.sandbox.forked && x.server_deaths == 0) return;
+    const auto lock = lock_state();
+    if (x.batch) {
+      ++result.batch_runs;
+      m_batch_runs.inc();
+    }
+    if (x.server_deaths > 0) {
+      result.fork_server_restarts += x.server_deaths;
+      m_server_restarts.inc(static_cast<std::int64_t>(x.server_deaths));
+      obs::instant(obs::Cat::kSandbox, "server_restart");
+      obs::JournalEvent(journal, "fork_server_restart", iter)
+          .num("restarts", static_cast<std::int64_t>(x.server_restarts))
+          .boolean("degraded", x.server_degraded)
+          .num("worker", w);
+    }
+    if (x.warm) {
+      ++result.warm_spawns;
+      m_warm_spawns.inc();
+      m_spawn_us.observe(static_cast<std::int64_t>(x.spawn_seconds * 1e6));
+    } else if (x.cold) {
+      ++result.cold_forks;
+      m_cold_forks.inc();
+    }
+    const sandbox::SandboxStats& st = x.sandbox;
+    if (!st.forked) return;
+    ++result.sandbox_runs;
+    result.sandbox_harvest_bytes += st.harvest_bytes;
+    m_sandbox_harvest_bytes.inc(static_cast<std::int64_t>(st.harvest_bytes));
+    if (st.signal_kill) {
+      ++result.sandbox_signal_kills;
+      m_sandbox_signal_kills.inc();
+      obs::instant(obs::Cat::kSandbox, "signal_kill", "signal",
+                   st.term_signal);
+      obs::JournalEvent(journal, "sandbox_kill", iter)
+          .str("kind", "signal")
+          .num("signal", st.term_signal)
+          .num("worker", w)
+          .num("harvested_branches",
+               static_cast<std::int64_t>(st.harvested.size()));
+    }
+    if (st.hang_kill) {
+      ++result.sandbox_hang_kills;
+      m_sandbox_hang_kills.inc();
+      obs::instant(obs::Cat::kSandbox, "hang_kill");
+      obs::JournalEvent(journal, "sandbox_kill", iter)
+          .str("kind", "hang")
+          .num("worker", w)
+          .num("harvested_branches",
+               static_cast<std::int64_t>(st.harvested.size()));
+    }
+  };
+
+  // ---- the worker loop ----
+  const auto worker_body = [&](int w) {
+    const int track_base = w * (options_.max_procs + 1);
+    obs::set_thread_track(track_base);
+    WorkerState& ws = wstate[static_cast<std::size_t>(w)];
+    solver::Solver the_solver({options_.solver_node_budget});
+    Framework framework(registry, options_.max_procs, options_.framework,
+                        options_.conflict_resolution);
+    Executor executor(*target_.table, options_);
+    // Branch ids the last execute() recovered from the sandbox harvest map
+    // (empty for in-process runs and delivered results): the ledger flags
+    // first hits that survived a child death with these.
+    std::vector<sym::BranchId> last_harvested;
+    int last_iter = -1;  // the ordinal this worker parks on when done
+
+    const auto execute = [&](const minimpi::LaunchSpec& s, int iter) {
+      ExecReport x;
+      minimpi::RunResult r = executor.run(s, x);
+      account(x, iter, w);
+      last_harvested = std::move(x.sandbox.harvested);
+      return r;
+    };
+
+    while (!stop.load(std::memory_order_relaxed) &&
+           next_ticket.load() < options_.iterations) {
+      if (options_.time_budget_seconds > 0 &&
+          elapsed() >= options_.time_budget_seconds) {
         break;
       }
-      const std::vector<sym::BranchId> fleet_covered =
-          options_.work_source->take_remote_coverage();
-      if (!fleet_covered.empty()) {
-        rt::CoverageBitmap fleet(target_.table->num_branches());
-        for (const sym::BranchId b : fleet_covered) fleet.mark(b);
-        coverage.merge(fleet);
-      }
-      for (const std::uint64_t h :
-           options_.work_source->take_remote_interleavings()) {
-        interleavings.seen.insert(h);
-      }
-    }
-    obs::ObsSpan iter_span(obs::Cat::kDriver, "iteration", "iter", iter);
-    journal_iter = iter;
-    if (board != nullptr) {
-      board->worker_phase(0, iter, obs::WorkerPhase::kExecute);
-    }
-    const std::size_t covered_before = coverage.covered_branches();
-    int iter_retries = 0;  // transient retries absorbed by THIS iteration
-
-    // ---- pop a pending reordered matching, if any ----
-    // Interleavings are frontier items: each consumes one iteration,
-    // replaying its parent run's inputs under the prescribed match plan.
-    // The planned input-driven test simply runs on the next iteration.
-    std::optional<PendingInterleaving> pending;
-    if (options_.explore_matchings && !interleavings.queue.empty()) {
-      pending = std::move(interleavings.queue.front());
-      interleavings.queue.pop_front();
-      ++interleavings.run_count;
-      m_interleavings.inc();
-      obs::JournalEvent(journal, "interleaving", iter)
-          .num("id", pending->id)
-          .num("plan_size", static_cast<std::int64_t>(pending->plan.size()))
-          .num("nprocs", pending->nprocs)
-          .num("focus", pending->focus);
-    }
-    const solver::Assignment* run_inputs =
-        pending ? &pending->inputs : &plan.inputs;
-    const int run_nprocs = pending ? pending->nprocs : plan.nprocs;
-    const int run_focus = pending ? pending->focus : plan.focus;
-
-    // ---- launch the planned test (§III-D) ----
-    minimpi::LaunchSpec spec;
-    spec.program = target_.program;
-    spec.nprocs = run_nprocs;
-    spec.focus = run_focus;
-    spec.one_way = options_.one_way;
-    spec.registry = &registry;
-    spec.inputs = run_inputs;
-    spec.rng_seed = mix_seed(options_.seed, static_cast<std::uint64_t>(iter));
-    spec.step_budget = options_.step_budget;
-    spec.reduction = options_.reduction;
-    spec.mark_mpi_vars = options_.framework;
-    spec.timeout = options_.test_timeout;
-    if (options_.explore_matchings) {
-      spec.match_schedule = true;
-      if (pending) spec.match_plan = pending->plan;
-    }
-
-    // A per-test timeout is transient until proven otherwise: retry with a
-    // relaxed clock/step budget (and a re-mixed chaos seed, so injected
-    // noise is re-rolled) before letting it count as a hang.
-    minimpi::RunResult run;
-    for (int attempt = 0;; ++attempt) {
-      if (options_.chaos.enabled()) {
-        spec.chaos = options_.chaos;
-        spec.chaos.seed =
-            mix_seed(options_.chaos.seed,
-                     static_cast<std::uint64_t>(iter) * 64 +
-                         static_cast<std::uint64_t>(attempt));
-        obs::JournalEvent(journal, "chaos_armed", iter)
-            .num("attempt", attempt)
-            .num("seed", static_cast<std::int64_t>(spec.chaos.seed));
-      }
-      spec.timeout = options_.test_timeout * (1 << attempt);
-      spec.step_budget = options_.step_budget << attempt;
-      run = execute(spec);
-      if (run.job_outcome() != rt::Outcome::kTimeout) break;
-      const std::string sig = bug_signature(run.job_message());
-      if (std::find(known_hangs.begin(), known_hangs.end(), sig) !=
-          known_hangs.end()) {
-        break;  // already proven to hang: don't burn retries again
-      }
-      if (attempt >= options_.retry_max) {
-        known_hangs.push_back(sig);
-        break;
-      }
-      obs::instant(obs::Cat::kChaosRetry, "timeout_retry", "attempt", attempt);
-      obs::JournalEvent(journal, "retry", iter)
-          .str("kind", "timeout")
-          .num("attempt", attempt);
-      m_retries.inc();
-      backoff(attempt);
-      ++result.transient_retries;
-      ++iter_retries;
-    }
-    m_iterations.inc();
-    if (session) session->write_iteration(iter, run);
-
-    // ---- record coverage (all recorders — or focus only for No_Fwk) ----
-    if (options_.framework) {
-      coverage.merge(run.merged_coverage());
-    } else {
-      coverage.merge(run.focus_log().covered);
-    }
-
-    const rt::TestLog& focus_log = run.focus_log();
-    result.max_constraint_set =
-        std::max(result.max_constraint_set, focus_log.path.size());
-
-    // ---- attribute this run's coverage (ledger + journal) ----
-    // The named assignment of the run: the focus's actually-used values, or
-    // the planned assignment when the focus died before flushing its log
-    // (same fallback the bug records use).
-    std::map<std::string, std::int64_t> named_inputs;
-    for (const auto& [var, value] :
-         !focus_log.inputs_used.empty() ? focus_log.inputs_used
-                                        : *run_inputs) {
-      named_inputs[registry.meta(var).key] = value;
-    }
-    {
-      CoverageLedger::RunContext lctx;
-      lctx.iteration = iter;
-      lctx.nprocs = run_nprocs;
-      lctx.focus = run_focus;
-      lctx.inputs = &named_inputs;
-      lctx.harvested = &last_harvested;
-      lctx.interleaving = pending ? pending->id : -1;
-      const auto live = live_lock();
-      ledger.record_run(lctx, run);
-    }
-
-    IterationRecord rec;
-    rec.iteration = iter;
-    rec.nprocs = run_nprocs;
-    rec.focus = run_focus;
-    rec.interleaving = pending ? pending->id : -1;
-    rec.outcome = run.job_outcome();
-    rec.constraint_set_size = focus_log.path.size();
-    rec.covered_branches = coverage.covered_branches();
-    rec.exec_seconds = run.wall_seconds;
-    rec.restart = next_is_restart;
-    rec.retries = iter_retries;
-    m_exec_us.observe(static_cast<std::int64_t>(rec.exec_seconds * 1e6));
-    tele_exec_us += static_cast<std::int64_t>(rec.exec_seconds * 1e6);
-    m_covered.set(static_cast<std::int64_t>(rec.covered_branches));
-
-    // ---- wildcard matchings: journal the decisions, fork alternatives ----
-    if (spec.match_schedule) {
-      for (const minimpi::MatchRecord& mr : run.match_trace) {
-        obs::JournalEvent(journal, "match_choice", iter)
-            .num("rank", mr.rank)
-            .num("seq", mr.seq)
-            .num("src", mr.chosen_src)
-            .num("feasible", static_cast<std::int64_t>(mr.feasible.size()))
-            .num("interleaving", rec.interleaving);
-      }
-      if (rec.outcome == rt::Outcome::kDeadlock) {
-        obs::JournalEvent(journal, "deadlock", iter)
-            .str("cycle", run.job_message())
-            .num("interleaving", rec.interleaving);
-      }
-      // Fork from the actually-used inputs when the focus recorded them:
-      // an interleaving replays at a different iteration (different RNG
-      // stream), so the planned assignment alone would re-roll any value
-      // the parent drew randomly.
-      enqueue_alternatives(interleavings, run.match_trace,
-                           !focus_log.inputs_used.empty()
-                               ? focus_log.inputs_used
-                               : *run_inputs,
-                           run_nprocs, run_focus,
-                           options_.max_interleavings);
-    }
-
-    // ---- log error-inducing inputs (§V) ----
-    if (rt::is_fault(rec.outcome)) {
-      const std::string msg = run.job_message();
-      const std::string sig = bug_signature(msg);
-      auto known = std::find_if(
-          result.bugs.begin(), result.bugs.end(),
-          [&](const BugRecord& b) { return bug_signature(b.message) == sig; });
-      if (known == result.bugs.end()) {
-        BugRecord bug;
-        bug.first_iteration = iter;
-        bug.occurrences = 1;
-        bug.outcome = rec.outcome;
-        bug.message = msg;
-        bug.inputs = focus_log.inputs_used;
-        // A sandboxed child killed by a real signal dies before flushing
-        // its log, so the focus's inputs_used is empty: fall back to the
-        // planned assignment — those ARE the error-inducing inputs.
-        if (bug.inputs.empty()) bug.inputs = *run_inputs;
-        for (const auto& [var, value] : bug.inputs) {
-          bug.named_inputs[registry.meta(var).key] = value;
+      // ---- distributed intake: lease one iteration, absorb the fleet ----
+      // acquire() blocks for a lease (or passes immediately standalone /
+      // degraded); false means the coordinator declared the global budget
+      // done.  It runs before the ticket, so a denied acquire never burns
+      // an ordinal.  Remote coverage merges BEFORE planning so the
+      // strategy's dedup and stale-candidate pruning skip branches other
+      // shards already covered — that is the frontier partition.
+      if (options_.work_source != nullptr) {
+        if (!options_.work_source->acquire()) {
+          obs::JournalEvent(journal, "work_source_stop", next_ticket.load())
+              .num("worker", w);
+          stop.store(true);
+          break;
         }
-        bug.nprocs = run_nprocs;
-        bug.focus = run_focus;
-        if (spec.match_schedule) {
-          // The full decision vector — not just the forced prefix — so the
-          // replay pins EVERY wildcard choice of the failing run.
-          bug.decisions.reserve(run.match_trace.size());
-          for (const minimpi::MatchRecord& mr : run.match_trace) {
-            bug.decisions.push_back({mr.rank, mr.seq, mr.chosen_src});
+        const std::vector<sym::BranchId> fleet_covered =
+            options_.work_source->take_remote_coverage();
+        const std::vector<std::uint64_t> fleet_iseen =
+            options_.work_source->take_remote_interleavings();
+        if (!fleet_covered.empty() || !fleet_iseen.empty()) {
+          const auto lock = lock_state();
+          if (!fleet_covered.empty()) {
+            rt::CoverageBitmap fleet(target_.table->num_branches());
+            for (const sym::BranchId b : fleet_covered) fleet.mark(b);
+            coverage.merge(fleet);
+          }
+          interleavings.seen.insert(fleet_iseen.begin(), fleet_iseen.end());
+        }
+      }
+      const int iter = next_ticket.fetch_add(1);
+      if (iter >= options_.iterations) break;
+      obs::ObsSpan iter_span(obs::Cat::kDriver, "iteration", "iter", iter);
+      int iter_retries = 0;  // transient retries absorbed by THIS iteration
+      last_iter = iter;
+      if (board != nullptr) {
+        board->worker_phase(w, iter, obs::WorkerPhase::kExecute);
+      }
+
+      // ---- pop a pending reordered matching, if any ----
+      // Interleavings are frontier items: each consumes one iteration,
+      // replaying its parent run's inputs under the prescribed match plan.
+      // The planned input-driven test simply runs on the next iteration.
+      std::optional<PendingInterleaving> pending;
+      if (options_.explore_matchings) {
+        const auto lock = lock_state();
+        if (!interleavings.queue.empty()) {
+          pending = std::move(interleavings.queue.front());
+          interleavings.queue.pop_front();
+          ++interleavings.run_count;
+        }
+      }
+      if (pending) {
+        m_interleavings.inc();
+        obs::JournalEvent(journal, "interleaving", iter)
+            .num("id", pending->id)
+            .num("plan_size",
+                 static_cast<std::int64_t>(pending->plan.size()))
+            .num("nprocs", pending->nprocs)
+            .num("focus", pending->focus)
+            .num("worker", w);
+      }
+      const solver::Assignment* run_inputs =
+          pending ? &pending->inputs : &ws.plan.inputs;
+      const int run_nprocs = pending ? pending->nprocs : ws.plan.nprocs;
+      const int run_focus = pending ? pending->focus : ws.plan.focus;
+
+      // ---- launch the planned test (§III-D) ----
+      minimpi::LaunchSpec spec;
+      spec.program = target_.program;
+      spec.nprocs = run_nprocs;
+      spec.focus = run_focus;
+      spec.one_way = options_.one_way;
+      spec.registry = &registry;
+      spec.inputs = run_inputs;
+      spec.rng_seed =
+          mix_seed(options_.seed, static_cast<std::uint64_t>(iter));
+      spec.step_budget = options_.step_budget;
+      spec.reduction = options_.reduction;
+      spec.mark_mpi_vars = options_.framework;
+      spec.timeout = options_.test_timeout;
+      spec.track_base = track_base;
+      if (options_.explore_matchings) {
+        spec.match_schedule = true;
+        if (pending) spec.match_plan = pending->plan;
+      }
+
+      // A per-test timeout is transient until proven otherwise: retry with
+      // a relaxed clock/step budget (and a re-mixed chaos seed, so injected
+      // noise is re-rolled) before letting it count as a hang.
+      minimpi::RunResult run;
+      for (int attempt = 0;; ++attempt) {
+        if (options_.chaos.enabled()) {
+          spec.chaos = options_.chaos;
+          spec.chaos.seed =
+              mix_seed(options_.chaos.seed,
+                       static_cast<std::uint64_t>(iter) * 64 +
+                           static_cast<std::uint64_t>(attempt));
+          obs::JournalEvent(journal, "chaos_armed", iter)
+              .num("attempt", attempt)
+              .num("worker", w)
+              .num("seed", static_cast<std::int64_t>(spec.chaos.seed));
+        }
+        spec.timeout = options_.test_timeout * (1 << attempt);
+        spec.step_budget = options_.step_budget << attempt;
+        run = execute(spec, iter);
+        if (run.job_outcome() != rt::Outcome::kTimeout) break;
+        const std::string sig = bug_signature(run.job_message());
+        bool known = false;
+        {
+          const auto lock = lock_state();
+          // Already proven to hang: don't burn retries again.
+          known = std::find(known_hangs.begin(), known_hangs.end(), sig) !=
+                  known_hangs.end();
+          if (!known && attempt >= options_.retry_max) {
+            known_hangs.push_back(sig);
+            known = true;
           }
         }
-        if (options_.confirm_bugs) {
-          // Replay once with the same inputs and NO injected noise; a bug
-          // that fails to reproduce is environment-induced, hence flaky.
-          minimpi::LaunchSpec confirm = spec;
-          confirm.chaos = minimpi::FaultPlan{};
-          confirm.inputs = &bug.inputs;
-          confirm.match_plan = bug.decisions;
-          confirm.timeout = options_.test_timeout;
-          confirm.step_budget = options_.step_budget;
-          // Same funnel as the discovery run: replaying a real SIGSEGV
-          // in-process would kill the tester itself.
-          const minimpi::RunResult rerun = execute(confirm);
-          bug.flaky = rerun.job_outcome() != bug.outcome;
+        if (known) break;
+        obs::instant(obs::Cat::kChaosRetry, "timeout_retry", "attempt",
+                     attempt);
+        obs::JournalEvent(journal, "retry", iter)
+            .str("kind", "timeout")
+            .num("worker", w)
+            .num("attempt", attempt);
+        m_retries.inc();
+        backoff(attempt);
+        {
+          const auto lock = lock_state();
+          ++result.transient_retries;
         }
-        m_bugs.inc();
-        result.bugs.push_back(std::move(bug));
-      } else {
-        ++known->occurrences;
+        ++iter_retries;
       }
-    }
+      m_iterations.inc();
 
-    // ---- interleaving replays don't drive the search ----
-    // The reordered matching's job was its outcome verdict and any new
-    // coverage, both recorded above (plus the alternatives it forked).
-    // The strategy neither observes its path nor solves from it; the
-    // already-planned input-driven test runs on the next iteration.
-    if (pending) {
-      {
-        const auto live = live_lock();
-        result.iterations.push_back(rec);
+      const rt::TestLog& focus_log = run.focus_log();
+
+      IterationRecord rec;
+      rec.iteration = iter;
+      rec.worker = w;
+      rec.nprocs = run_nprocs;
+      rec.focus = run_focus;
+      rec.interleaving = pending ? pending->id : -1;
+      rec.outcome = run.job_outcome();
+      rec.constraint_set_size = focus_log.path.size();
+      rec.exec_seconds = run.wall_seconds;
+      rec.restart = ws.next_is_restart;
+      rec.retries = iter_retries;
+      m_exec_us.observe(static_cast<std::int64_t>(rec.exec_seconds * 1e6));
+      tele_exec_us += static_cast<std::int64_t>(rec.exec_seconds * 1e6);
+
+      // ---- record coverage and attribute the run (ledger) ----
+      // All recorders' coverage, or the focus's only for No_Fwk.  The named
+      // assignment is the focus's actually-used values, or the planned
+      // assignment when the focus died before flushing its log (same
+      // fallback the bug records use).
+      std::map<std::string, std::int64_t> named_inputs;
+      for (const auto& [var, value] :
+           !focus_log.inputs_used.empty() ? focus_log.inputs_used
+                                          : *run_inputs) {
+        named_inputs[registry.meta(var).key] = value;
       }
+      std::size_t covered_before = 0;
+      {
+        const auto lock = lock_state();
+        if (session) session->write_iteration(iter, run);
+        covered_before = coverage.covered_branches();
+        if (options_.framework) {
+          coverage.merge(run.merged_coverage());
+        } else {
+          coverage.merge(run.focus_log().covered);
+        }
+        result.max_constraint_set =
+            std::max(result.max_constraint_set, focus_log.path.size());
+        CoverageLedger::RunContext lctx;
+        lctx.iteration = iter;
+        lctx.nprocs = run_nprocs;
+        lctx.focus = run_focus;
+        lctx.inputs = &named_inputs;
+        lctx.harvested = &last_harvested;
+        lctx.interleaving = pending ? pending->id : -1;
+        ledger.record_run(lctx, run);
+        rec.covered_branches = coverage.covered_branches();
+        if (spec.match_schedule) {
+          // Fork from the actually-used inputs when the focus recorded
+          // them: an interleaving replays at a different iteration
+          // (different RNG stream), so the planned assignment alone would
+          // re-roll any value the parent drew randomly.
+          enqueue_alternatives(interleavings, run.match_trace,
+                               !focus_log.inputs_used.empty()
+                                   ? focus_log.inputs_used
+                                   : *run_inputs,
+                               run_nprocs, run_focus,
+                               options_.max_interleavings);
+        }
+      }
+      m_covered.set(static_cast<std::int64_t>(rec.covered_branches));
+
+      // ---- wildcard matchings: journal the decisions ----
+      if (spec.match_schedule) {
+        for (const minimpi::MatchRecord& mr : run.match_trace) {
+          obs::JournalEvent(journal, "match_choice", iter)
+              .num("rank", mr.rank)
+              .num("seq", mr.seq)
+              .num("src", mr.chosen_src)
+              .num("feasible",
+                   static_cast<std::int64_t>(mr.feasible.size()))
+              .num("interleaving", rec.interleaving);
+        }
+        if (rec.outcome == rt::Outcome::kDeadlock) {
+          obs::JournalEvent(journal, "deadlock", iter)
+              .str("cycle", run.job_message())
+              .num("interleaving", rec.interleaving);
+        }
+      }
+
+      // ---- log error-inducing inputs (§V) ----
+      if (rt::is_fault(rec.outcome)) {
+        const std::string msg = run.job_message();
+        const std::string sig = bug_signature(msg);
+        const auto find_bug = [&] {
+          return std::find_if(result.bugs.begin(), result.bugs.end(),
+                              [&](const BugRecord& b) {
+                                return bug_signature(b.message) == sig;
+                              });
+        };
+        bool fresh = false;
+        {
+          const auto lock = lock_state();
+          const auto known = find_bug();
+          if (known == result.bugs.end()) {
+            fresh = true;
+          } else {
+            ++known->occurrences;
+          }
+        }
+        if (fresh) {
+          BugRecord bug;
+          bug.first_iteration = iter;
+          bug.occurrences = 1;
+          bug.outcome = rec.outcome;
+          bug.message = msg;
+          bug.inputs = focus_log.inputs_used;
+          // A sandboxed child killed by a real signal dies before flushing
+          // its log, so the focus's inputs_used is empty: fall back to the
+          // planned assignment — those ARE the error-inducing inputs.
+          if (bug.inputs.empty()) bug.inputs = *run_inputs;
+          for (const auto& [var, value] : bug.inputs) {
+            bug.named_inputs[registry.meta(var).key] = value;
+          }
+          bug.nprocs = run_nprocs;
+          bug.focus = run_focus;
+          if (spec.match_schedule) {
+            // The full decision vector — not just the forced prefix — so
+            // the replay pins EVERY wildcard choice of the failing run.
+            bug.decisions.reserve(run.match_trace.size());
+            for (const minimpi::MatchRecord& mr : run.match_trace) {
+              bug.decisions.push_back({mr.rank, mr.seq, mr.chosen_src});
+            }
+          }
+          if (options_.confirm_bugs) {
+            // Replay once with the same inputs and NO injected noise; a bug
+            // that fails to reproduce is environment-induced, hence flaky.
+            // Same funnel as the discovery run (replaying a real SIGSEGV
+            // in-process would kill the tester itself), outside the lock so
+            // the other workers keep going.
+            minimpi::LaunchSpec confirm = spec;
+            confirm.chaos = minimpi::FaultPlan{};
+            confirm.inputs = &bug.inputs;
+            confirm.match_plan = bug.decisions;
+            confirm.timeout = options_.test_timeout;
+            confirm.step_budget = options_.step_budget;
+            const minimpi::RunResult rerun = execute(confirm, iter);
+            bug.flaky = rerun.job_outcome() != bug.outcome;
+          }
+          const auto lock = lock_state();
+          // Re-check: another worker may have landed the same signature
+          // while the confirmation replay ran.
+          const auto known = find_bug();
+          if (known == result.bugs.end()) {
+            m_bugs.inc();
+            result.bugs.push_back(std::move(bug));
+          } else {
+            ++known->occurrences;
+          }
+        }
+      }
+
+      // ---- interleaving replays don't drive the search ----
+      // The reordered matching's job was its outcome verdict and any new
+      // coverage, both recorded above (plus the alternatives it forked).
+      // The strategy neither observes its path nor solves from it; the
+      // already-planned input-driven test runs on the next iteration.
+      if (pending) {
+        const auto lock = lock_state();
+        result.iterations.push_back(rec);
+        if (session) session->append_iteration(rec);
+        note_iteration(rec, named_inputs,
+                       rec.covered_branches - covered_before);
+        if (bug_budget_hit()) {
+          obs::JournalEvent(journal, "bug_budget_exhausted", iter)
+              .num("bugs", static_cast<std::int64_t>(result.bugs.size()));
+          stop.store(true);
+          break;
+        }
+        end_of_iteration_locked(iter, w);
+        continue;
+      }
+
+      // ---- graceful degradation: the focus died before recording ----
+      // A fault (often injected) killed the focus before any symbolic
+      // branch was logged, so this run can't drive the search.  Re-plan
+      // the same test with the focus moved to another rank instead of
+      // wasting the iteration; bounded so a fault on EVERY rank still
+      // terminates.
+      const bool focus_dead =
+          run.focus >= 0 &&
+          static_cast<std::size_t>(run.focus) < run.ranks.size() &&
+          run.ranks[run.focus].outcome != rt::Outcome::kOk;
+      if (focus_dead && focus_log.path.empty() && ws.plan.nprocs > 1 &&
+          ws.consecutive_replans < ws.plan.nprocs - 1) {
+        const auto lock = lock_state();
+        result.iterations.push_back(rec);
+        if (session) session->append_iteration(rec);
+        note_iteration(rec, named_inputs,
+                       rec.covered_branches - covered_before);
+        ws.plan.focus = (ws.plan.focus + 1) % ws.plan.nprocs;
+        ++result.focus_replans;
+        ++ws.consecutive_replans;
+        if (bug_budget_hit()) {
+          stop.store(true);
+          break;
+        }
+        end_of_iteration_locked(iter, w);
+        continue;
+      }
+      ws.consecutive_replans = 0;
+
+      // ---- two-phase switch: estimate the BoundedDFS depth bound ----
+      if (two_phase && !ws.bounded_phase &&
+          iter + 1 >= options_.dfs_phase_iterations) {
+        std::size_t bound = 0;
+        {
+          const auto lock = lock_state();
+          bound = options_.depth_bound > 0
+                      ? static_cast<std::size_t>(options_.depth_bound)
+                      : static_cast<std::size_t>(
+                            static_cast<double>(result.max_constraint_set) *
+                                options_.bound_slack +
+                            10);
+          result.depth_bound_used = bound;
+        }
+        ws.scfg.kind = SearchKind::kBoundedDfs;
+        ws.scfg.bound = bound;
+        ws.strategy = make_strategy(ws.scfg);
+        ws.bounded_phase = true;
+        ws.pending_depth.reset();  // root the new strategy at this path
+      }
+
+      ws.strategy->observe(focus_log.path, ws.next_is_restart
+                                               ? std::nullopt
+                                               : ws.pending_depth);
+      ws.next_is_restart = false;
+      ws.pending_depth.reset();
+
+      // ---- pick and solve the next constraint set (§II-A) ----
+      // Thread CPU time, not wall clock: the solve phase runs entirely on
+      // this thread, and CPU time neither counts retry-backoff sleeps nor
+      // double-counts when workers overlap (see DESIGN.md).
+      const double solve_cpu_start = obs::thread_cpu_seconds();
+      if (board != nullptr) {
+        board->worker_phase(w, iter, obs::WorkerPhase::kSolve);
+      }
+      obs::ObsSpan plan_span(obs::Cat::kStrategy, "plan_next_test");
+      bool planned = false;
+      while (auto cand = ws.strategy->next()) {
+        // Frontier deduplication: claim an UNCOVERED target arm before
+        // spending solver budget on it.  Covered targets pass through
+        // unclaimed — those are backtracking moves.
+        bool claimed = false;
+        if (cand->target >= 0) {
+          const auto lock = lock_state();
+          if (!coverage.branch_covered(cand->target)) {
+            if (in_flight.count(cand->target) != 0) {
+              ++result.frontier_dedup_skips;
+              m_dedup_skips.inc();
+              continue;
+            }
+            in_flight.insert(cand->target);
+            claimed = true;
+          }
+        }
+
+        // Insert the MPI-semantics constraints before the negated
+        // constraint (which must stay last for incremental solving).
+        std::vector<solver::Predicate> preds = std::move(cand->constraints);
+        const solver::Predicate negated = std::move(preds.back());
+        preds.pop_back();
+        for (auto& p : framework.mpi_constraints(focus_log)) {
+          preds.push_back(std::move(p));
+        }
+        preds.push_back(negated);
+
+        const std::int64_t nodes_before = rec.solver_nodes;
+        solver::SolveResult solved = the_solver.solve_incremental(
+            preds, framework.domains(), focus_log.inputs_used, cache);
+        rec.solver_nodes += solved.nodes_searched;
+        // Node-budget exhaustion is "unknown", not UNSAT: back off and
+        // retry the same query with a doubled budget before treating it as
+        // failed.
+        for (int attempt = 0;
+             !solved.sat && solved.budget_exhausted &&
+             attempt < options_.retry_max;
+             ++attempt) {
+          obs::instant(obs::Cat::kChaosRetry, "solver_retry", "attempt",
+                       attempt);
+          obs::JournalEvent(journal, "retry", iter)
+              .str("kind", "solver")
+              .num("attempt", attempt)
+              .num("worker", w)
+              .num("target", cand->target);
+          m_retries.inc();
+          backoff(attempt);
+          {
+            const auto lock = lock_state();
+            ++result.transient_retries;
+          }
+          ++iter_retries;
+          solver::Solver relaxed(
+              {options_.solver_node_budget << (attempt + 1)});
+          solved = relaxed.solve_incremental(preds, framework.domains(),
+                                             focus_log.inputs_used, cache);
+          rec.solver_nodes += solved.nodes_searched;
+        }
+
+        if (claimed) {
+          const auto lock = lock_state();
+          in_flight.erase(cand->target);
+          if (coverage.branch_covered(cand->target)) {
+            // Another worker's execution covered the arm while this solve
+            // ran: the candidate is stale, its model worthless.  Drop it
+            // without accepting or recording a failure.
+            ++result.stale_candidate_drops;
+            m_stale_drops.inc();
+            obs::JournalEvent(journal, "stale_drop", iter)
+                .num("worker", w)
+                .num("target", cand->target);
+            continue;
+          }
+        }
+
+        obs::JournalEvent(journal, "solve", iter)
+            .num("depth", static_cast<std::int64_t>(cand->depth))
+            .num("target", cand->target)
+            .num("worker", w)
+            .boolean("sat", solved.sat)
+            .boolean("budget_exhausted", solved.budget_exhausted)
+            .num("nodes", rec.solver_nodes - nodes_before)
+            .num("slice_size", static_cast<std::int64_t>(solved.slice_size));
+        if (solved.sat) {
+          ++tele_sat;
+        } else if (solved.budget_exhausted) {
+          ++tele_budget;
+        } else {
+          ++tele_unsat;
+        }
+        if (solved.sat) {
+          ws.plan = framework.plan_next_test(solved, focus_log, ws.plan);
+          ws.strategy->accepted(*cand);
+          ws.pending_depth = cand->depth;
+          ws.failures = 0;
+          planned = true;
+          break;
+        }
+        // The negation failed: remember the nearest miss for the branch it
+        // was steering toward (UNSAT keeps the rendered constraint around
+        // for --explain's never-taken report).
+        if (cand->target >= 0) {
+          const auto lock = lock_state();
+          ledger.record_solve_failure(cand->target, iter,
+                                      negated.to_string(),
+                                      solved.budget_exhausted);
+        }
+        if (++ws.failures >= options_.restart_after_failures) break;
+      }
+      rec.solve_seconds = obs::thread_cpu_seconds() - solve_cpu_start;
+      rec.retries = iter_retries;
+      m_solve_us.observe(static_cast<std::int64_t>(rec.solve_seconds * 1e6));
+      tele_solve_us += static_cast<std::int64_t>(rec.solve_seconds * 1e6);
+      m_solver_nodes.observe(rec.solver_nodes);
+      tele_frontier.store(
+          planned ? static_cast<std::int64_t>(rec.constraint_set_size) : 0);
+
+      // ---- record the iteration + end-of-iteration bookkeeping ----
+      const auto lock = lock_state();
+      result.iterations.push_back(rec);
       if (session) session->append_iteration(rec);
       note_iteration(rec, named_inputs, rec.covered_branches - covered_before);
+      if (!planned) {
+        // Strategy exhausted or solver stuck: restart with random inputs.
+        ++result.restarts;
+        m_restarts.inc();
+        ws.plan.inputs.clear();
+        ws.plan.nprocs = options_.initial_nprocs;
+        ws.plan.focus = options_.initial_focus;
+        ws.failures = 0;
+        ws.next_is_restart = true;
+      }
       if (bug_budget_hit()) {
         obs::JournalEvent(journal, "bug_budget_exhausted", iter)
             .num("bugs", static_cast<std::int64_t>(result.bugs.size()));
+        stop.store(true);
         break;
       }
-      if (end_of_iteration(iter)) {
-        halted = true;
-        break;
-      }
-      continue;
+      end_of_iteration_locked(iter, w);
     }
-
-    // ---- graceful degradation: the focus died before recording ----
-    // A fault (often injected) killed the focus before any symbolic branch
-    // was logged, so this run can't drive the search.  Re-plan the same
-    // test with the focus moved to another rank instead of wasting the
-    // iteration; bounded so a fault on EVERY rank still terminates.
-    const bool focus_dead =
-        run.focus >= 0 &&
-        static_cast<std::size_t>(run.focus) < run.ranks.size() &&
-        run.ranks[run.focus].outcome != rt::Outcome::kOk;
-    if (focus_dead && focus_log.path.empty() && plan.nprocs > 1 &&
-        consecutive_replans < plan.nprocs - 1) {
-      {
-        const auto live = live_lock();
-        result.iterations.push_back(rec);
-      }
-      if (session) session->append_iteration(rec);
-      note_iteration(rec, named_inputs, rec.covered_branches - covered_before);
-      plan.focus = (plan.focus + 1) % plan.nprocs;
-      ++result.focus_replans;
-      ++consecutive_replans;
-      if (bug_budget_hit()) break;
-      if (end_of_iteration(iter)) {
-        halted = true;
-        break;
-      }
-      continue;
-    }
-    consecutive_replans = 0;
-
-    // ---- two-phase switch: estimate the BoundedDFS depth bound ----
-    if (two_phase && iter + 1 == options_.dfs_phase_iterations) {
-      const std::size_t bound =
-          options_.depth_bound > 0
-              ? static_cast<std::size_t>(options_.depth_bound)
-              : static_cast<std::size_t>(
-                    static_cast<double>(result.max_constraint_set) *
-                        options_.bound_slack +
-                    10);
-      result.depth_bound_used = bound;
-      scfg.kind = SearchKind::kBoundedDfs;
-      scfg.bound = bound;
-      strategy = make_strategy(scfg);
-      bounded_phase = true;
-      pending_depth.reset();  // root the new strategy at this path
-    }
-
-    strategy->observe(focus_log.path,
-                      next_is_restart ? std::nullopt : pending_depth);
-    next_is_restart = false;
-    pending_depth.reset();
-
-    // ---- pick and solve the next constraint set (§II-A) ----
-    // Thread CPU time, not wall clock: the solve phase runs entirely on
-    // this thread, and CPU time neither counts retry-backoff sleeps nor
-    // double-counts when parallel workers overlap (see DESIGN.md).
-    const double solve_cpu_start = obs::thread_cpu_seconds();
     if (board != nullptr) {
-      board->worker_phase(0, iter, obs::WorkerPhase::kSolve);
+      board->worker_phase(w, last_iter, obs::WorkerPhase::kDone);
     }
-    obs::ObsSpan plan_span(obs::Cat::kStrategy, "plan_next_test");
-    bool planned = false;
-    while (auto cand = strategy->next()) {
-      // Insert the MPI-semantics constraints before the negated constraint
-      // (which must stay last for incremental solving).
-      std::vector<solver::Predicate> preds = std::move(cand->constraints);
-      const solver::Predicate negated = std::move(preds.back());
-      preds.pop_back();
-      for (auto& p : framework.mpi_constraints(focus_log)) {
-        preds.push_back(std::move(p));
-      }
-      preds.push_back(negated);
+  };
 
-      const std::int64_t nodes_before = rec.solver_nodes;
-      solver::SolveResult solved = the_solver.solve_incremental(
-          preds, framework.domains(), focus_log.inputs_used, cache);
-      rec.solver_nodes += solved.nodes_searched;
-      // Node-budget exhaustion is "unknown", not UNSAT: back off and retry
-      // the same query with a doubled budget before treating it as failed.
-      for (int attempt = 0;
-           !solved.sat && solved.budget_exhausted &&
-           attempt < options_.retry_max;
-           ++attempt) {
-        obs::instant(obs::Cat::kChaosRetry, "solver_retry", "attempt",
-                     attempt);
-        obs::JournalEvent(journal, "retry", iter)
-            .str("kind", "solver")
-            .num("attempt", attempt)
-            .num("target", cand->target);
-        m_retries.inc();
-        backoff(attempt);
-        ++result.transient_retries;
-        ++iter_retries;
-        solver::Solver relaxed(
-            {options_.solver_node_budget << (attempt + 1)});
-        solved = relaxed.solve_incremental(preds, framework.domains(),
-                                           focus_log.inputs_used, cache);
-        rec.solver_nodes += solved.nodes_searched;
-      }
-      obs::JournalEvent(journal, "solve", iter)
-          .num("depth", static_cast<std::int64_t>(cand->depth))
-          .num("target", cand->target)
-          .boolean("sat", solved.sat)
-          .boolean("budget_exhausted", solved.budget_exhausted)
-          .num("nodes", rec.solver_nodes - nodes_before)
-          .num("slice_size", static_cast<std::int64_t>(solved.slice_size));
-      if (solved.sat) {
-        ++tele_sat;
-      } else if (solved.budget_exhausted) {
-        ++tele_budget;
-      } else {
-        ++tele_unsat;
-      }
-      if (solved.sat) {
-        plan = framework.plan_next_test(solved, focus_log, plan);
-        strategy->accepted(*cand);
-        pending_depth = cand->depth;
-        failures = 0;
-        planned = true;
-        break;
-      }
-      // The negation failed: remember the nearest miss for the branch it
-      // was steering toward (UNSAT keeps the rendered constraint around
-      // for --explain's never-taken report).
-      if (cand->target >= 0) {
-        const auto live = live_lock();
-        ledger.record_solve_failure(cand->target, iter, negated.to_string(),
-                                    solved.budget_exhausted);
-      }
-      if (++failures >= options_.restart_after_failures) break;
-    }
-    rec.solve_seconds = obs::thread_cpu_seconds() - solve_cpu_start;
-    rec.retries = iter_retries;
-    m_solve_us.observe(static_cast<std::int64_t>(rec.solve_seconds * 1e6));
-    tele_solve_us += static_cast<std::int64_t>(rec.solve_seconds * 1e6);
-    m_solver_nodes.observe(rec.solver_nodes);
-    tele_frontier =
-        planned ? static_cast<std::int64_t>(rec.constraint_set_size) : 0;
-    {
-      const auto live = live_lock();
-      result.iterations.push_back(rec);
-    }
-    if (session) session->append_iteration(rec);
-    note_iteration(rec, named_inputs, rec.covered_branches - covered_before);
+  if (workers == 1) {
+    worker_body(0);  // the serial campaign: one worker, this thread
+  } else {
+    std::vector<std::jthread> threads;
+    threads.reserve(static_cast<std::size_t>(workers));
+    for (int w = 0; w < workers; ++w) threads.emplace_back(worker_body, w);
+  }  // join
+  obs::set_thread_track(0);
+  // Stop serving before finalize: the sort below mutates the iteration
+  // vector the /explain endpoint reads, and finalize runs unlocked now
+  // that the workers are done.
+  control_plane.stop();
 
-    if (!planned) {
-      // Strategy exhausted or solver stuck: restart with random inputs.
-      ++result.restarts;
-      m_restarts.inc();
-      plan.inputs.clear();
-      plan.nprocs = options_.initial_nprocs;
-      plan.focus = options_.initial_focus;
-      failures = 0;
-      next_is_restart = true;
-    }
-
-    if (bug_budget_hit()) {
-      obs::JournalEvent(journal, "bug_budget_exhausted", iter)
-          .num("bugs", static_cast<std::int64_t>(result.bugs.size()));
-      break;
-    }
-    if (end_of_iteration(iter)) {
-      halted = true;
-      break;
-    }
-  }
-
-  // Flush the final delta whatever way the loop ended (bug budget, time
+  // Flush the final delta whatever way the workers stopped (budget, bug
   // budget, stop grant): the work source retains it for reconciliation
   // even when the coordinator is unreachable right now.
-  report_work(/*final_report=*/true);
+  report_work_locked(/*final_report=*/true);
 
   // Final stall verdict for the report and --explain: one more sample at
-  // the terminal state (the loop may have exited between samples).
+  // the terminal state (the workers may have stopped between samples).
   {
     const obs::Diagnosis diag = diagnosis_engine.update(
         diagnosis_input(),
@@ -1155,12 +1390,11 @@ CampaignResult Campaign::run_serial() {
     result.stalled_seconds = diag.stalled_seconds;
   }
 
-  if (board != nullptr) {
-    board->worker_phase(0, result.iterations.empty()
-                               ? -1
-                               : result.iterations.back().iteration,
-                        obs::WorkerPhase::kDone);
-  }
+  // ---- finalize ----
+  std::sort(result.iterations.begin(), result.iterations.end(),
+            [](const IterationRecord& a, const IterationRecord& b) {
+              return a.iteration < b.iteration;
+            });
   result.covered_branches = coverage.covered_branches();
   result.reachable_branches = coverage.reachable_branches();
   result.total_branches = coverage.total_branches();
@@ -1194,7 +1428,12 @@ CampaignResult Campaign::run_serial() {
     session->write_ledger(ledger, *target_.table);
     session->write_coverage_timeline(result.iterations);
     if (options_.checkpoint_interval > 0) {
-      save_checkpoint(options_.iterations);
+      for (int w = 0; w < workers; ++w) {
+        cursors[static_cast<std::size_t>(w)] =
+            cursor_of(wstate[static_cast<std::size_t>(w)]);
+      }
+      prefix = std::max(prefix, options_.iterations);
+      save_checkpoint_locked();
     }
   }
   campaign_span.finish();  // close before the dump so the span is in it

@@ -150,17 +150,12 @@ class Campaign {
  public:
   Campaign(const TargetInfo& target, CampaignOptions options);
 
-  /// Runs the full campaign to its iteration/time budget.  Dispatches to
-  /// the serial loop (workers <= 1, bit-identical to the pre-parallel
-  /// driver) or the parallel engine (parallel.cc).
+  /// Runs the full campaign to its iteration/time budget: `workers`
+  /// execute->solve loops over shared coverage, ledger, and candidate
+  /// frontier.  One worker (the default) runs on the calling thread.
   [[nodiscard]] CampaignResult run();
 
  private:
-  [[nodiscard]] CampaignResult run_serial();
-  /// The --workers engine: N concurrent execute->solve loops over shared
-  /// coverage, ledger, and candidate frontier (defined in parallel.cc).
-  [[nodiscard]] CampaignResult run_parallel();
-
   TargetInfo target_;  // by value: callers may pass temporaries
   CampaignOptions options_;
 };

@@ -1,6 +1,6 @@
-// Helpers shared by the serial driver loop (driver.cc) and the parallel
-// campaign engine (parallel.cc).  Internal to the driver — not part of the
-// compi:: public surface.
+// Helpers shared by the campaign engine (driver.cc), the coordinator and
+// the shard link.  Internal to the driver — not part of the compi:: public
+// surface.
 #pragma once
 
 #include <cstdint>

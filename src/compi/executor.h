@@ -1,0 +1,61 @@
+// One campaign worker's test-execution engine (the launch step of §III-D).
+//
+// Every test a worker runs funnels through Executor::run, which picks the
+// rung of the execution ladder:
+//   * an in-process MiniMPI launch (the default, no --isolate);
+//   * --batch-reset: in-process again once the target earned it with a
+//     streak of clean sandboxed runs (any fault demotes it);
+//   * the fork server's warm snapshot (--isolate, the default engine);
+//   * a cold per-iteration fork (--fork-server=off, or the in-flight
+//     iteration of a dead fork server, which ForkServer re-runs itself).
+//
+// An Executor belongs to exactly one worker and is NOT thread-safe: its
+// fork server child is forked from, and serves, that worker's thread.  It
+// reports what each run did in an ExecReport and leaves the campaign-wide
+// accounting (result counters, metrics, journal) to the caller.
+#pragma once
+
+#include <cstdint>
+#include <optional>
+
+#include "compi/options.h"
+#include "minimpi/launcher.h"
+#include "sandbox/fork_server.h"
+#include "sandbox/supervisor.h"
+
+namespace compi {
+
+/// What one Executor::run did.
+struct ExecReport {
+  bool batch = false;  // ran in-process on the --batch-reset fast path
+  bool warm = false;   // forked from the fork server's warm snapshot
+  bool cold = false;   // a configured fork server fell back to a cold fork
+  /// Fork-server deaths absorbed during this run, and the server's state
+  /// afterwards (for the restart journal event).
+  std::uint64_t server_deaths = 0;
+  std::uint64_t server_restarts = 0;
+  bool server_degraded = false;
+  /// Warm-spawn latency (valid when `warm`).
+  double spawn_seconds = 0.0;
+  /// The sandboxed child's fate; `sandbox.forked` is false for in-process
+  /// runs.
+  sandbox::SandboxStats sandbox;
+};
+
+class Executor {
+ public:
+  Executor(const rt::BranchTable& table, const CampaignOptions& options);
+
+  [[nodiscard]] minimpi::RunResult run(const minimpi::LaunchSpec& spec,
+                                       ExecReport& report);
+
+ private:
+  const rt::BranchTable& table_;
+  bool isolate_;
+  bool batch_reset_;
+  sandbox::SandboxOptions sandbox_options_;
+  std::optional<sandbox::ForkServer> fork_server_;
+  sandbox::BatchGate batch_gate_;
+};
+
+}  // namespace compi

@@ -59,9 +59,9 @@ struct CampaignOptions {
   bool conflict_resolution = true;
 
   // ---- parallelism (the --workers engine) ----
-  /// Concurrent campaign workers.  1 (the default) runs the serial driver
-  /// loop unchanged — sessions are bit-identical to the pre-parallel
-  /// driver.  N > 1 runs N worker threads that each execute->solve
+  /// Concurrent campaign workers.  1 (the default) runs the single worker
+  /// on the calling thread: the serial campaign, searching with `seed`
+  /// itself.  N > 1 runs N worker threads that each execute->solve
   /// independently while sharing one coverage map, attribution ledger, and
   /// deduplicated negation frontier (two workers never chase the same
   /// untaken arm concurrently; a candidate whose arm another worker covered

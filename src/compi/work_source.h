@@ -2,11 +2,9 @@
 // coordinator protocol, abstracted).
 //
 // A WorkSource decides whether the next iteration may run and absorbs the
-// results of completed ones.  The campaign loops (driver.cc serial and
-// parallel.cc workers) consult it when CampaignOptions::work_source is
-// set; a null pointer (the default) leaves both engines byte-identical to
-// their standalone behaviour — the same gating pattern as `serving` /
-// `live_lock()`.
+// results of completed ones.  Every campaign worker (driver.cc) consults
+// it when CampaignOptions::work_source is set; a null pointer (the
+// default) leaves the engine byte-identical to its standalone behaviour.
 //
 // The contract is built for idempotent re-execution: report() always
 // carries the shard's FULL covered set, FULL bug list, and CUMULATIVE

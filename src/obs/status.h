@@ -1,15 +1,14 @@
 // Campaign status snapshot: the one heartbeat schema shared by the
 // --status-file writer, the /status endpoint, and `compi top`.
 //
-// Both campaign loops (driver.cc and parallel.cc) used to carry their own
-// near-identical tmp+rename JSON emitters; this module is the single
-// writer.  A StatusBoard is the live, mutex-guarded copy of the snapshot:
-// the loops update it at iteration boundaries (serial: no contention;
-// parallel: callers already hold the campaign mutex, the board's own leaf
-// mutex only orders those writes against the control-plane server thread
-// reading a snapshot).  Lock discipline: the board mutex is a LEAF — it is
-// taken with the campaign mutex held but never the other way around, and
-// the server thread takes it alone.
+// This module is the single tmp+rename JSON heartbeat writer.  A
+// StatusBoard is the live, mutex-guarded copy of the snapshot: campaign
+// workers update it at iteration boundaries (with N > 1 they already hold
+// the campaign mutex; the board's own leaf mutex only orders those writes
+// against the control-plane server thread reading a snapshot).  Lock
+// discipline: the board mutex is a LEAF — it is taken with the campaign
+// mutex held but never the other way around, and the server thread takes
+// it alone.
 //
 // The JSON schema is a strict superset of the original seven-field
 // heartbeat: the legacy fields come first in the same order, so existing
@@ -58,7 +57,7 @@ struct StatusSnapshot {
   int serve_port = -1;  // bound HTTP port; -1 when not serving
   int workers = 1;
   int iterations_total = 0;
-  std::size_t frontier_depth = 0;         // in-flight claimed negation arms
+  std::size_t frontier_depth = 0;         // last path's negation candidates
   std::size_t interleavings_pending = 0;  // queued wildcard reorderings
   std::int64_t solver_cache_hits = 0;
   std::int64_t solver_cache_misses = 0;
@@ -90,7 +89,7 @@ struct StatusSnapshot {
 /// tmp file cannot be written or the rename fails.
 bool write_status_file(const std::string& path, const std::string& contents);
 
-/// The live snapshot both campaign loops maintain when a status file or
+/// The live snapshot the campaign engine maintains when a status file or
 /// the control plane wants one.  All methods are thread-safe (leaf mutex).
 class StatusBoard {
  public:

@@ -78,14 +78,18 @@ ckpt::CampaignCheckpoint sample_checkpoint() {
   ckpt::CampaignCheckpoint c;
   c.seed = 77;
   c.next_iteration = 12;
-  c.plan_inputs = {{0, 5}, {1, -3}};
-  c.plan_nprocs = 6;
-  c.plan_focus = 2;
-  c.next_is_restart = true;
-  c.pending_depth = 4;
-  c.failures = 3;
-  c.consecutive_replans = 1;
-  c.bounded_phase = true;
+  ckpt::WorkerCursor cur;
+  cur.plan_inputs = {{0, 5}, {1, -3}};
+  cur.plan_nprocs = 6;
+  cur.plan_focus = 2;
+  cur.next_is_restart = true;
+  cur.pending_depth = 4;
+  cur.failures = 3;
+  cur.consecutive_replans = 1;
+  cur.bounded_phase = true;
+  cur.strategy_name = "BoundedDFS";
+  cur.strategy_state = "stats 4 1\nframes 0\n";
+  c.worker_cursors.push_back(cur);
   c.restarts = 2;
   c.max_constraint_set = 9;
   c.depth_bound_used = 20;
@@ -131,8 +135,6 @@ ckpt::CampaignCheckpoint sample_checkpoint() {
   rank_meta.comm_index = 0;
   c.registry.push_back(rank_meta);
   c.known_hang_signatures = {"test wall-clock timeout", "hang\nwith newline"};
-  c.strategy_name = "BoundedDFS";
-  c.strategy_state = "stats 4 1\nframes 0\n";
   return c;
 }
 
@@ -144,14 +146,19 @@ TEST(Ckpt, CampaignCheckpointRoundTrips) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->seed, c.seed);
   EXPECT_EQ(back->next_iteration, c.next_iteration);
-  EXPECT_EQ(back->plan_inputs, c.plan_inputs);
-  EXPECT_EQ(back->plan_nprocs, c.plan_nprocs);
-  EXPECT_EQ(back->plan_focus, c.plan_focus);
-  EXPECT_EQ(back->next_is_restart, c.next_is_restart);
-  EXPECT_EQ(back->pending_depth, c.pending_depth);
-  EXPECT_EQ(back->failures, c.failures);
-  EXPECT_EQ(back->consecutive_replans, c.consecutive_replans);
-  EXPECT_EQ(back->bounded_phase, c.bounded_phase);
+  ASSERT_EQ(back->worker_cursors.size(), 1u);
+  const ckpt::WorkerCursor& cur = back->worker_cursors[0];
+  const ckpt::WorkerCursor& want = c.worker_cursors[0];
+  EXPECT_EQ(cur.plan_inputs, want.plan_inputs);
+  EXPECT_EQ(cur.plan_nprocs, want.plan_nprocs);
+  EXPECT_EQ(cur.plan_focus, want.plan_focus);
+  EXPECT_EQ(cur.next_is_restart, want.next_is_restart);
+  EXPECT_EQ(cur.pending_depth, want.pending_depth);
+  EXPECT_EQ(cur.failures, want.failures);
+  EXPECT_EQ(cur.consecutive_replans, want.consecutive_replans);
+  EXPECT_EQ(cur.bounded_phase, want.bounded_phase);
+  EXPECT_EQ(cur.strategy_name, want.strategy_name);
+  EXPECT_EQ(cur.strategy_state, want.strategy_state);
   EXPECT_EQ(back->restarts, c.restarts);
   EXPECT_EQ(back->max_constraint_set, c.max_constraint_set);
   EXPECT_EQ(back->depth_bound_used, c.depth_bound_used);
@@ -176,8 +183,6 @@ TEST(Ckpt, CampaignCheckpointRoundTrips) {
   EXPECT_EQ(back->registry[1].kind, rt::VarKind::kRankLocal);
   EXPECT_EQ(back->registry[1].comm_index, 0);
   EXPECT_EQ(back->known_hang_signatures, c.known_hang_signatures);
-  EXPECT_EQ(back->strategy_name, c.strategy_name);
-  EXPECT_EQ(back->strategy_state, c.strategy_state);
 }
 
 TEST(Ckpt, TruncatedOrWrongVersionIsRejected) {
@@ -249,6 +254,13 @@ void expect_resume_equivalence(int kill_after) {
   ASSERT_TRUE(fs::exists(killed_dir.path / "checkpoint.txt"));
   ASSERT_FALSE(fs::exists(killed_dir.path / "summary.txt"))
       << "a killed process cannot have written its summary";
+  // The serial campaign is one worker: its loop state is cursor 0.
+  const auto snapshot = read_checkpoint(killed_dir.path);
+  ASSERT_TRUE(snapshot.has_value());
+  EXPECT_EQ(snapshot->next_iteration, kill_after);
+  ASSERT_EQ(snapshot->worker_cursors.size(), 1u);
+  EXPECT_EQ(snapshot->worker_cursors[0].bounded_phase,
+            kill_after >= resume_opts(killed_dir.path).dfs_phase_iterations);
 
   // ...then resumed from its session directory.
   CampaignOptions resumed = resume_opts(killed_dir.path);

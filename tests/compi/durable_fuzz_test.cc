@@ -193,11 +193,11 @@ TEST(DurableFuzz, CheckpointReadNeverCrashes) {
 }
 
 TEST(DurableFuzz, OldVersionCheckpointIsRejectedCleanly) {
-  // v7 (pre-fork-server, no sandbox2 line) and any other non-current
+  // v8 (top-level serial plan/strategy lines) and any other non-current
   // version must be refused by design: the campaign falls back to a
   // fresh start.
   for (const char* version :
-       {"0", "1", "2", "3", "4", "5", "6", "7", "99", "-5"}) {
+       {"0", "1", "2", "3", "4", "5", "6", "7", "8", "99", "-5"}) {
     std::string bytes = corpus().serial_checkpoint;
     const std::string current =
         "compi-checkpoint " + std::to_string(ckpt::CampaignCheckpoint::kVersion);

@@ -163,10 +163,11 @@ TEST(CoverageLedger, SurvivesACheckpointV4RoundTrip) {
 
   ckpt::CampaignCheckpoint checkpoint;
   checkpoint.seed = 7;
-  checkpoint.strategy_name = "bounded-dfs";
+  checkpoint.worker_cursors.emplace_back();
+  checkpoint.worker_cursors[0].strategy_name = "bounded-dfs";
   // Blobs are line-oriented and newline-terminated (as save_state and
   // CoverageLedger::write produce them).
-  checkpoint.strategy_state = "opaque\nstrategy\nlines\n";
+  checkpoint.worker_cursors[0].strategy_state = "opaque\nstrategy\nlines\n";
   std::ostringstream ledger_blob;
   ledger.write(ledger_blob);
   checkpoint.ledger_state = ledger_blob.str();
@@ -175,7 +176,9 @@ TEST(CoverageLedger, SurvivesACheckpointV4RoundTrip) {
   checkpoint.write(file);
   const auto restored = ckpt::CampaignCheckpoint::read(file);
   ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->strategy_state, checkpoint.strategy_state);
+  ASSERT_EQ(restored->worker_cursors.size(), 1u);
+  EXPECT_EQ(restored->worker_cursors[0].strategy_state,
+            checkpoint.worker_cursors[0].strategy_state);
   ASSERT_FALSE(restored->ledger_state.empty());
 
   CoverageLedger recovered(fig2_table());

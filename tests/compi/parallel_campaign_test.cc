@@ -1,7 +1,7 @@
 // Differential testing of the parallel campaign engine (--workers).
 //
 // The contracts under test, from options.h and DESIGN.md:
-//   * workers=1 IS the serial driver: same seed => bit-identical
+//   * workers=1 IS the serial campaign: same seed => bit-identical
 //     iterations.csv / ledger.csv (timing columns excluded — wall clock is
 //     the one permitted nondeterminism).
 //   * the solver cache changes cost accounting (solver_nodes) but never
@@ -115,7 +115,7 @@ TEST(ParallelCampaign, WorkersOneMatchesSerialSessionExactly) {
   const CampaignResult serial_result = Campaign(fig2_target(), serial).run();
 
   CampaignOptions one = base_opts(one_worker_dir.path);
-  one.workers = 1;  // must dispatch to the identical serial loop
+  one.workers = 1;  // explicitly one worker: the serial campaign itself
   const CampaignResult one_result = Campaign(fig2_target(), one).run();
 
   EXPECT_EQ(serial_result.covered_branches, one_result.covered_branches);

@@ -6,7 +6,7 @@
 // same iterations.csv (timing columns excluded), same covered set, same
 // bugs.txt — on both the fig2 target and the message-heavy mini-IMB
 // suite.  The --batch-reset fast path must likewise be bit-identical to a
-// plain non-isolated serial session, and checkpoint v8 must carry the
+// plain non-isolated serial session, and the checkpoint must carry the
 // engine counters across a resume.
 #include <gtest/gtest.h>
 
@@ -227,7 +227,7 @@ TEST(ForkServerEquivalence, CheckpointResumeCarriesEngineCounters) {
   const auto snapshot = read_checkpoint(dir.path);
   ASSERT_TRUE(snapshot.has_value());
   EXPECT_EQ(snapshot->warm_spawns, partial_warm)
-      << "checkpoint v8 must persist the engine accounting";
+      << "the checkpoint must persist the engine accounting";
   EXPECT_EQ(snapshot->batch_runs, 0u);
 
   CampaignOptions resumed = opts;
