@@ -262,6 +262,14 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
       const auto v = want_int(0, 100'000'000);
       if (!v) return fail("--checkpoint-interval needs an integer >= 0");
       cfg.campaign.checkpoint_interval = static_cast<int>(*v);
+    } else if (flag == "--keep-rank-logs") {
+      if (value == "all") {
+        cfg.campaign.keep_rank_logs = -1;
+      } else {
+        const auto v = want_int(0, 100'000'000);
+        if (!v) return fail("--keep-rank-logs needs N >= 0 or 'all'");
+        cfg.campaign.keep_rank_logs = static_cast<int>(*v);
+      }
     } else if (flag == "--workers") {
       const auto v = want_int(1, 256);
       if (!v) return fail("--workers needs 1..256");
@@ -418,9 +426,13 @@ std::string usage() {
         "  --dfs-phase=N        pure-DFS iterations before BoundedDFS\n"
         "  --depth-bound=N      explicit bound (0 = derive from phase 1)\n"
         "  --seed=N             RNG seed\n"
-        "  --log-dir=PATH       write per-iteration logs + iterations.csv\n"
+        "  --log-dir=PATH       write a session: iterations.csv, bugs.txt,\n"
+        "                       rank logs, checkpoints\n"
         "  --resume=PATH        continue the checkpointed session in PATH\n"
         "  --checkpoint-interval=N  snapshot every N iterations (0 = off)\n"
+        "  --keep-rank-logs=N|all  per-rank logs kept in the session: each\n"
+        "                       bug's first iteration plus the last N\n"
+        "                       (default 16; 0 = none, all = every one)\n"
         "  --workers=N          parallel campaign workers sharing one\n"
         "                       coverage map and negation frontier\n"
         "                       (default 1 = the serial campaign, on the\n"

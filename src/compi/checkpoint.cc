@@ -33,17 +33,6 @@ std::optional<rt::Outcome> read_outcome(std::istream& is) {
   return rt::outcome_from_string(tok);
 }
 
-double read_double(std::istream& is) {
-  std::string tok;
-  is >> tok;
-  double v = 0.0;
-  const auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (ec != std::errc{} || ptr != tok.data() + tok.size()) {
-    is.setstate(std::ios::failbit);
-  }
-  return v;
-}
-
 void write_assignment(std::ostream& os, const solver::Assignment& a) {
   os << a.size();
   // Sorted by variable id for a canonical (diff-able) file.
@@ -159,15 +148,7 @@ void CampaignCheckpoint::write(std::ostream& os) const {
   os << "sandbox2 " << warm_spawns << ' ' << cold_forks << ' '
      << fork_server_restarts << ' ' << batch_runs << '\n';
 
-  os << "iterations " << iterations.size() << '\n';
-  for (const IterationRecord& r : iterations) {
-    os << "iter " << r.iteration << ' ' << r.nprocs << ' ' << r.focus << ' '
-       << rt::to_string(r.outcome) << ' ' << r.constraint_set_size << ' '
-       << r.covered_branches << ' ' << format_double(r.exec_seconds) << ' '
-       << format_double(r.solve_seconds) << ' ' << (r.restart ? 1 : 0) << ' '
-       << r.solver_nodes << ' ' << r.retries << ' ' << r.worker << ' '
-       << r.interleaving << '\n';
-  }
+  os << "iterations " << history_rows << ' ' << (finished ? 1 : 0) << '\n';
 
   os << "bugs " << bugs.size() << '\n';
   for (const BugRecord& b : bugs) write_bug(os, b);
@@ -279,29 +260,10 @@ std::optional<CampaignCheckpoint> CampaignCheckpoint::read(std::istream& is) {
   }
 
   std::size_t n = 0;
-  if (!expect(is, "iterations") || !(is >> n)) return std::nullopt;
-  c.iterations.reserve(std::min(n, kMaxSaneReserve));
-  for (std::size_t i = 0; i < n; ++i) {
-    IterationRecord r;
-    if (!expect(is, "iter") ||
-        !(is >> r.iteration >> r.nprocs >> r.focus)) {
-      return std::nullopt;
-    }
-    const auto outcome = read_outcome(is);
-    if (!outcome) return std::nullopt;
-    r.outcome = *outcome;
-    if (!(is >> r.constraint_set_size >> r.covered_branches)) {
-      return std::nullopt;
-    }
-    r.exec_seconds = read_double(is);
-    r.solve_seconds = read_double(is);
-    if (!(is >> flag)) return std::nullopt;
-    r.restart = flag != 0;
-    if (!(is >> r.solver_nodes >> r.retries >> r.worker >> r.interleaving)) {
-      return std::nullopt;
-    }
-    c.iterations.push_back(std::move(r));
+  if (!expect(is, "iterations") || !(is >> c.history_rows >> flag)) {
+    return std::nullopt;
   }
+  c.finished = flag != 0;
 
   if (!expect(is, "bugs") || !(is >> n)) return std::nullopt;
   c.bugs.reserve(std::min(n, kMaxSaneReserve));
@@ -455,6 +417,15 @@ std::optional<CampaignCheckpoint> CampaignCheckpoint::read(std::istream& is) {
     }
   }
   if (!expect(is, "end")) return std::nullopt;
+  // The history must match the resume point: a mid-campaign snapshot spans
+  // every ordinal before it (a damaged count must not resume with rows
+  // missing), a finished one at most those, a coordinator's none.
+  const auto next = static_cast<std::size_t>(c.next_iteration);
+  if (c.next_iteration < 0 || c.history_rows > next ||
+      (c.is_coordinator ? c.history_rows != 0
+                        : !c.finished && c.history_rows != next)) {
+    return std::nullopt;
+  }
   return c;
 }
 

@@ -2,11 +2,15 @@
 //
 // A long campaign must survive being killed: SessionWriter periodically
 // snapshots the full driver state — registry, RNG-bearing search-strategy
-// state, coverage bitmap, accumulated iteration/bug records, and the
-// already-planned next test — into <dir>/checkpoint.txt, and Campaign::run
-// can resume from it, continuing deterministically where the killed
-// process stopped (same coverage, bug list, and iteration tail as an
-// uninterrupted run).
+// state, coverage bitmap, bug records, and the already-planned next test —
+// into <dir>/checkpoint.txt, and Campaign::run can resume from it,
+// continuing deterministically where the killed process stopped (same
+// coverage, bug list, and iteration tail as an uninterrupted run).
+//
+// The snapshot holds state, not history: its size does not grow with the
+// iteration count.  The per-iteration records live in the append-only
+// <dir>/iterations.csv; the snapshot only says how many of its rows it
+// spans, and read_checkpoint (session.h) rebuilds them from the CSV.
 //
 // The format is line-oriented text.  Strings are escaped (\n, \r, \\) so
 // multi-line fault messages round-trip; doubles use shortest-round-trip
@@ -103,8 +107,11 @@ struct CoordShardCursor {
 };
 
 struct CampaignCheckpoint {
-  // v9: the driver loop state lives only in the worker cursors — a serial
-  // campaign writes one — instead of top-level plan/strategy lines.  (v8
+  // v10: the iteration history moves out to iterations.csv — the
+  // `iterations N F` line keeps only the row count and the finished flag,
+  // with no `iter` lines.
+  // (v9 moved the driver loop state into the worker cursors — a serial
+  // campaign writes one — instead of top-level plan/strategy lines; v8
   // added the `sandbox2` line with the fork-server engine counters; v7 the
   // optional coordinator section (`coord 1`) — global budget/completed
   // counters, outstanding leases, and per-shard merge cursors; v6
@@ -113,7 +120,7 @@ struct CampaignCheckpoint {
   // ledger snapshot; v3 the sandbox accounting line; v2 solver_nodes and
   // retries on iter lines.)  Older snapshots are rejected and the campaign
   // falls back to a fresh start, by design.
-  static constexpr int kVersion = 9;
+  static constexpr int kVersion = 10;
 
   /// Campaign seed the snapshot was taken under (resume sanity check).
   std::uint64_t seed = 0;
@@ -137,6 +144,18 @@ struct CampaignCheckpoint {
   std::size_t cold_forks = 0;
   std::size_t fork_server_restarts = 0;
   std::size_t batch_runs = 0;
+  /// The snapshot's history: the number of iterations.csv rows below
+  /// next_iteration, one per ordinal.  A mid-campaign snapshot spans every
+  /// ordinal before its resume point, so this equals next_iteration; read()
+  /// rejects anything else.  Coordinator snapshots have no CSV and span 0.
+  std::size_t history_rows = 0;
+  /// Set on the end-of-campaign snapshot only.  A campaign stopped early
+  /// (bug or time budget) points next_iteration at the budget so a resume
+  /// runs nothing, and its history may then span fewer rows than that.
+  bool finished = false;
+  /// Those rows, in iteration order.  Not part of the snapshot text:
+  /// read() leaves this empty and write() ignores it; read_checkpoint
+  /// fills it from the session's iterations.csv.
   std::vector<IterationRecord> iterations;
   std::vector<BugRecord> bugs;
   std::vector<sym::BranchId> covered;

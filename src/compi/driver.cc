@@ -37,9 +37,10 @@
 // across overlapping workers (see obs/phase_clock.h and DESIGN.md).
 //
 // Checkpointing: the snapshot embeds one WorkerCursor per worker (plan +
-// strategy state) plus the contiguous completed-iteration prefix; resume
-// requires the same seed AND the same --workers, otherwise the campaign
-// starts fresh rather than remapping in-flight search lines.
+// strategy state) plus the length of the contiguous completed-iteration
+// prefix, whose rows it rebuilds from iterations.csv; resume requires the
+// same seed AND the same --workers, otherwise the campaign starts fresh
+// rather than remapping in-flight search lines.
 #include "compi/driver.h"
 
 #include <algorithm>
@@ -260,7 +261,9 @@ CampaignResult Campaign::run() {
   CoverageLedger ledger(*target_.table);
   obs::Journal journal;
   std::optional<SessionWriter> session;
-  if (!options_.log_dir.empty()) session.emplace(options_.log_dir);
+  if (!options_.log_dir.empty()) {
+    session.emplace(options_.log_dir, options_.keep_rank_logs);
+  }
 
   // ---- live status board (--status-file heartbeat + GET /status) ----
   // The board is the single writer both the file heartbeat and the control
@@ -578,14 +581,21 @@ CampaignResult Campaign::run() {
   // Snapshot under the state lock.  Only the contiguous completed prefix
   // is recorded as "done": ordinals at or past `prefix` (completed out of
   // order, or in flight) are re-run on resume — coverage merging is
-  // idempotent, so the only cost is repeated work, never corruption.
-  const auto save_checkpoint_locked = [&] {
+  // idempotent, so the only cost is repeated work, never corruption.  The
+  // snapshot holds no history: it spans the first `prefix` iterations.csv
+  // rows, which the session flushes before it.  The final snapshot, taken
+  // after summary.txt, spans every row and points at the budget, so a
+  // resume of a finished campaign runs nothing; it skips the fsyncs, as
+  // the summary files it follows have none either.
+  const auto save_checkpoint_locked = [&](bool final_snapshot) {
     if (!session) return;
     obs::ObsSpan span(obs::Cat::kCheckpoint, "save_checkpoint", "iteration",
                       prefix);
     ckpt::CampaignCheckpoint c;
     c.seed = options_.seed;
-    c.next_iteration = prefix;
+    c.next_iteration =
+        final_snapshot ? std::max(prefix, options_.iterations) : prefix;
+    c.finished = final_snapshot;
     c.worker_cursors = cursors;
     c.restarts = result.restarts;
     c.max_constraint_set = result.max_constraint_set;
@@ -600,13 +610,17 @@ CampaignResult Campaign::run() {
     c.cold_forks = result.cold_forks;
     c.fork_server_restarts = result.fork_server_restarts;
     c.batch_runs = result.batch_runs;
+    // The history rows, for the row count and the coverage timeline; N
+    // workers also complete ordinals past the prefix, out of order.
+    std::vector<IterationRecord> rows;
     for (const IterationRecord& r : result.iterations) {
-      if (r.iteration < prefix) c.iterations.push_back(r);
+      if (r.iteration < c.next_iteration) rows.push_back(r);
     }
-    std::sort(c.iterations.begin(), c.iterations.end(),
+    std::sort(rows.begin(), rows.end(),
               [](const IterationRecord& a, const IterationRecord& b) {
                 return a.iteration < b.iteration;
               });
+    c.history_rows = rows.size();
     c.bugs = result.bugs;
     c.covered = coverage.bitmap().covered_ids();
     c.registry = registry.all();
@@ -626,9 +640,9 @@ CampaignResult Campaign::run() {
     std::ostringstream ledger_blob;
     ledger.write(ledger_blob);
     c.ledger_state = ledger_blob.str();
-    session->write_checkpoint(c);
+    session->write_checkpoint(c, /*sync=*/!final_snapshot);
     session->write_ledger(ledger, *target_.table);
-    session->write_coverage_timeline(c.iterations);
+    session->write_coverage_timeline(rows);
     journal.flush();
     export_obs();
   };
@@ -683,6 +697,21 @@ CampaignResult Campaign::run() {
           status_path, obs::render_status_json(board->snapshot()));
     }
   };
+
+  // Records one completed iteration (callers hold the state lock): its
+  // result row, its CSV row, its rank logs under the retention policy, and
+  // its journal event and heartbeat.
+  const auto record_iteration_locked =
+      [&](const IterationRecord& rec, minimpi::RunResult&& run,
+          const std::map<std::string, std::int64_t>& named_inputs,
+          std::size_t new_branches) {
+        result.iterations.push_back(rec);
+        if (session) {
+          session->append_iteration(rec);
+          session->retain_iteration(rec.iteration, std::move(run));
+        }
+        note_iteration(rec, named_inputs, new_branches);
+      };
 
   // Distributed intake (callers hold the state lock): one report per
   // completed iteration, carrying FULL local state and a CUMULATIVE count
@@ -747,9 +776,9 @@ CampaignResult Campaign::run() {
       cursors[static_cast<std::size_t>(w)] =
           cursor_of(wstate[static_cast<std::size_t>(w)]);
     }
-    if (periodic) save_checkpoint_locked();
+    if (periodic) save_checkpoint_locked(/*final_snapshot=*/false);
     if (halt) {
-      save_checkpoint_locked();
+      save_checkpoint_locked(/*final_snapshot=*/false);
       halted = true;
       stop.store(true);
     }
@@ -1003,7 +1032,6 @@ CampaignResult Campaign::run() {
       std::size_t covered_before = 0;
       {
         const auto lock = lock_state();
-        if (session) session->write_iteration(iter, run);
         covered_before = coverage.covered_branches();
         if (options_.framework) {
           coverage.merge(run.merged_coverage());
@@ -1120,6 +1148,8 @@ CampaignResult Campaign::run() {
           if (known == result.bugs.end()) {
             m_bugs.inc();
             result.bugs.push_back(std::move(bug));
+            // Every bug in bugs.txt keeps its first iteration's rank logs.
+            if (session) session->write_iteration(iter, run);
           } else {
             ++known->occurrences;
           }
@@ -1133,10 +1163,8 @@ CampaignResult Campaign::run() {
       // already-planned input-driven test runs on the next iteration.
       if (pending) {
         const auto lock = lock_state();
-        result.iterations.push_back(rec);
-        if (session) session->append_iteration(rec);
-        note_iteration(rec, named_inputs,
-                       rec.covered_branches - covered_before);
+        record_iteration_locked(rec, std::move(run), named_inputs,
+                                rec.covered_branches - covered_before);
         if (bug_budget_hit()) {
           obs::JournalEvent(journal, "bug_budget_exhausted", iter)
               .num("bugs", static_cast<std::int64_t>(result.bugs.size()));
@@ -1160,10 +1188,8 @@ CampaignResult Campaign::run() {
       if (focus_dead && focus_log.path.empty() && ws.plan.nprocs > 1 &&
           ws.consecutive_replans < ws.plan.nprocs - 1) {
         const auto lock = lock_state();
-        result.iterations.push_back(rec);
-        if (session) session->append_iteration(rec);
-        note_iteration(rec, named_inputs,
-                       rec.covered_branches - covered_before);
+        record_iteration_locked(rec, std::move(run), named_inputs,
+                                rec.covered_branches - covered_before);
         ws.plan.focus = (ws.plan.focus + 1) % ws.plan.nprocs;
         ++result.focus_replans;
         ++ws.consecutive_replans;
@@ -1333,9 +1359,8 @@ CampaignResult Campaign::run() {
 
       // ---- record the iteration + end-of-iteration bookkeeping ----
       const auto lock = lock_state();
-      result.iterations.push_back(rec);
-      if (session) session->append_iteration(rec);
-      note_iteration(rec, named_inputs, rec.covered_branches - covered_before);
+      record_iteration_locked(rec, std::move(run), named_inputs,
+                              rec.covered_branches - covered_before);
       if (!planned) {
         // Strategy exhausted or solver stuck: restart with random inputs.
         ++result.restarts;
@@ -1425,15 +1450,15 @@ CampaignResult Campaign::run() {
   if (halted) return result;
   if (session) {
     session->write_summary(result);
-    session->write_ledger(ledger, *target_.table);
-    session->write_coverage_timeline(result.iterations);
     if (options_.checkpoint_interval > 0) {
       for (int w = 0; w < workers; ++w) {
         cursors[static_cast<std::size_t>(w)] =
             cursor_of(wstate[static_cast<std::size_t>(w)]);
       }
-      prefix = std::max(prefix, options_.iterations);
-      save_checkpoint_locked();
+      save_checkpoint_locked(/*final_snapshot=*/true);  // + ledger, timeline
+    } else {
+      session->write_ledger(ledger, *target_.table);
+      session->write_coverage_timeline(result.iterations);
     }
   }
   campaign_span.finish();  // close before the dump so the span is in it

@@ -156,6 +156,10 @@ struct CampaignOptions {
   /// directory: per-iteration rank logs (the files the instrumented
   /// processes write in the paper's tool), iterations.csv, and bugs.txt.
   std::string log_dir;
+  /// Rank-log retention for the session: the logs of every bug's first
+  /// iteration plus those of the last K iterations (written at campaign
+  /// end).  -1 keeps every iteration's logs; 0 keeps none.
+  int keep_rank_logs = 16;
 
   // ---- observability ----
   /// Record scoped spans/instants into the trace ring and export them as

@@ -1,9 +1,15 @@
 #include "compi/session.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <array>
 #include <charconv>
 #include <functional>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "obs/artifacts.h"
 
@@ -101,18 +107,152 @@ std::map<std::string, std::string> read_summary(const fs::path& summary_file) {
   return out;
 }
 
+namespace {
+
+// `worker` and `interleaving` ride at the END of the row so positional
+// readers of the older layouts (explain, external tooling) keep working.
+constexpr const char* kCsvHeader =
+    "iteration,nprocs,focus,outcome,constraint_set_size,"
+    "covered_branches,exec_seconds,solve_seconds,restart,"
+    "solver_nodes,retries,worker,interleaving\n";
+
+// Timings use the checkpoint's shortest round-trip form: the CSV is the
+// history a resume rebuilds, so a restored row must be bit-exact.
+void write_csv_row(std::ostream& csv, const IterationRecord& r) {
+  csv << r.iteration << ',' << r.nprocs << ',' << r.focus << ','
+      << rt::to_string(r.outcome) << ',' << r.constraint_set_size << ','
+      << r.covered_branches << ',' << ckpt::format_double(r.exec_seconds)
+      << ',' << ckpt::format_double(r.solve_seconds) << ','
+      << (r.restart ? 1 : 0) << ',' << r.solver_nodes << ',' << r.retries
+      << ',' << r.worker << ',' << r.interleaving << '\n';
+}
+
+template <typename T>
+bool parse_field(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return !text.empty() && ec == std::errc{} && ptr == end;
+}
+
+/// Parses one data row of kCsvHeader's columns; false for anything else
+/// (the header, a torn final row, a corrupted field).
+bool parse_csv_row(std::string_view line, IterationRecord& r) {
+  std::array<std::string_view, 13> f;
+  std::size_t n = 0;
+  for (;;) {
+    if (n == f.size()) return false;
+    const auto comma = line.find(',');
+    f[n++] = line.substr(0, comma);
+    if (comma == std::string_view::npos) break;
+    line.remove_prefix(comma + 1);
+  }
+  const auto outcome = rt::outcome_from_string(f[3]);
+  int restart = -1;
+  if (n != f.size() || !outcome || !parse_field(f[0], r.iteration) ||
+      !parse_field(f[1], r.nprocs) || !parse_field(f[2], r.focus) ||
+      !parse_field(f[4], r.constraint_set_size) ||
+      !parse_field(f[5], r.covered_branches) ||
+      !parse_field(f[6], r.exec_seconds) ||
+      !parse_field(f[7], r.solve_seconds) || !parse_field(f[8], restart) ||
+      (restart != 0 && restart != 1) || !parse_field(f[9], r.solver_nodes) ||
+      !parse_field(f[10], r.retries) || !parse_field(f[11], r.worker) ||
+      !parse_field(f[12], r.interleaving)) {
+    return false;
+  }
+  r.outcome = *outcome;
+  r.restart = restart == 1;
+  return true;
+}
+
+/// Fills c.iterations from the CSV rows below c.next_iteration, in ordinal
+/// order; false unless they are exactly c.history_rows parseable rows with
+/// distinct ordinals — for a mid-campaign snapshot (history_rows ==
+/// next_iteration) that is one row for every ordinal.
+bool rebuild_history(const fs::path& csv, ckpt::CampaignCheckpoint& c) {
+  c.iterations.clear();
+  if (c.history_rows == 0) return true;  // coordinator snapshots, too
+  std::ifstream in(csv);
+  std::string line;
+  while (std::getline(in, line)) {
+    IterationRecord r;
+    if (parse_csv_row(line, r) && r.iteration >= 0 &&
+        r.iteration < c.next_iteration) {
+      c.iterations.push_back(r);
+    }
+  }
+  std::sort(c.iterations.begin(), c.iterations.end(),
+            [](const IterationRecord& a, const IterationRecord& b) {
+              return a.iteration < b.iteration;
+            });
+  const auto duplicate = std::adjacent_find(
+      c.iterations.begin(), c.iterations.end(),
+      [](const IterationRecord& a, const IterationRecord& b) {
+        return a.iteration == b.iteration;
+      });
+  return c.iterations.size() == c.history_rows &&
+         duplicate == c.iterations.end();
+}
+
+/// fsync()s a file or directory through a fresh read-only descriptor.
+bool sync_path(const fs::path& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
+}
+
+/// Writes `file` through a tmp file + rename, so readers never see it
+/// torn; false (and no trace of the attempt) when the write failed.
+bool replace_file(const fs::path& file,
+                  const std::function<void(std::ostream&)>& body) {
+  const fs::path tmp = fs::path(file) += ".tmp";
+  bool written = false;
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    if (out.is_open()) {
+      body(out);
+      out.flush();
+      written = out.good();
+    }
+  }
+  std::error_code ec;
+  if (written) fs::rename(tmp, file, ec);
+  if (written && !ec) return true;
+  fs::remove(tmp, ec);
+  return false;
+}
+
+void write_rank_logs(const fs::path& iter_dir,
+                     const std::vector<minimpi::RankResult>& ranks) {
+  fs::create_directories(iter_dir);
+  for (std::size_t rank = 0; rank < ranks.size(); ++rank) {
+    std::ofstream out(iter_dir / ("rank_" + std::to_string(rank) + ".log"));
+    out << ranks[rank].log.serialize();
+  }
+}
+
+fs::path iteration_dir(const fs::path& dir, int iteration) {
+  return dir / ("iter_" + std::to_string(iteration));
+}
+
+}  // namespace
+
 std::optional<ckpt::CampaignCheckpoint> read_checkpoint(const fs::path& dir) {
   const auto try_read =
-      [](const fs::path& file) -> std::optional<ckpt::CampaignCheckpoint> {
+      [&dir](const fs::path& file) -> std::optional<ckpt::CampaignCheckpoint> {
     std::ifstream in(file);
     if (!in) return std::nullopt;
-    return ckpt::CampaignCheckpoint::read(in);
+    std::optional<ckpt::CampaignCheckpoint> c =
+        ckpt::CampaignCheckpoint::read(in);
+    if (c && !rebuild_history(dir / "iterations.csv", *c)) return std::nullopt;
+    return c;
   };
   if (auto c = try_read(dir / "checkpoint.txt")) return c;
   // Torn or truncated snapshot (the writer died mid-file, or the disk
-  // filled): fall back to the previous complete snapshot kept as .bak, so
-  // the session resumes from the last good checkpoint instead of starting
-  // over.
+  // filled), or history rows it needs gone missing: fall back to the
+  // previous complete snapshot kept as .bak, so the session resumes from
+  // the last good checkpoint instead of starting over.
   return try_read(dir / "checkpoint.txt.bak");
 }
 
@@ -123,62 +263,88 @@ SessionWriter::SessionWriter(fs::path dir, int keep_rank_logs)
 
 void SessionWriter::write_iteration(int iteration,
                                     const minimpi::RunResult& run) {
-  // Nothing to retain (keep_rank_logs = 0, past the retention window, or a
-  // run with no rank logs): don't litter the session with empty iter dirs.
-  if (keep_rank_logs_ >= 0 && iteration >= keep_rank_logs_) return;
-  if (run.ranks.empty()) return;
-  const fs::path iter_dir =
-      dir_ / ("iter_" + std::to_string(iteration));
-  fs::create_directories(iter_dir);
-  for (std::size_t rank = 0; rank < run.ranks.size(); ++rank) {
-    std::ofstream out(iter_dir / ("rank_" + std::to_string(rank) + ".log"));
-    out << run.ranks[rank].log.serialize();
+  // Nothing to retain (keep_rank_logs = 0, or a run with no rank logs):
+  // don't litter the session with empty iter dirs.
+  if (keep_rank_logs_ == 0 || run.ranks.empty()) return;
+  write_rank_logs(iteration_dir(dir_, iteration), run.ranks);
+}
+
+void SessionWriter::retain_iteration(int iteration,
+                                     minimpi::RunResult&& run) {
+  if (keep_rank_logs_ < 0) {
+    write_iteration(iteration, run);
+    return;
   }
+  const auto window = static_cast<std::size_t>(keep_rank_logs_);
+  if (window == 0 || run.ranks.empty()) return;
+  if (recent_.size() == window && iteration < recent_.begin()->first) return;
+  recent_[iteration] = std::move(run.ranks);
+  if (recent_.size() > window) recent_.erase(recent_.begin());
 }
-
-namespace {
-
-// `worker` and `interleaving` ride at the END of the row so positional
-// readers of the older layouts (explain, external tooling) keep working.
-constexpr const char* kCsvHeader =
-    "iteration,nprocs,focus,outcome,constraint_set_size,"
-    "covered_branches,exec_seconds,solve_seconds,restart,"
-    "solver_nodes,retries,worker,interleaving\n";
-
-void write_csv_row(std::ostream& csv, const IterationRecord& r) {
-  csv << r.iteration << ',' << r.nprocs << ',' << r.focus << ','
-      << rt::to_string(r.outcome) << ',' << r.constraint_set_size << ','
-      << r.covered_branches << ',' << r.exec_seconds << ','
-      << r.solve_seconds << ',' << (r.restart ? 1 : 0) << ','
-      << r.solver_nodes << ',' << r.retries << ',' << r.worker << ','
-      << r.interleaving << '\n';
-}
-
-}  // namespace
 
 void SessionWriter::begin_iterations(
     const std::vector<IterationRecord>& restored) {
-  csv_.open(dir_ / "iterations.csv", std::ios::trunc);
-  csv_ << kCsvHeader;
-  for (const IterationRecord& r : restored) write_csv_row(csv_, r);
-  csv_.flush();
+  const fs::path file = dir_ / "iterations.csv";
+  bool ok = true;
+  if (restored.empty()) {
+    // A fresh session has no history to protect: truncate in place.
+    csv_.open(file, std::ios::trunc);
+    csv_ << kCsvHeader;
+  } else {
+    // A resumed one replaces the file whole, so a kill mid-rewrite cannot
+    // tear the rows its snapshot rebuilds from.
+    ok = replace_file(file, [&](std::ostream& out) {
+      out << kCsvHeader;
+      for (const IterationRecord& r : restored) write_csv_row(out, r);
+    });
+    csv_.open(file, std::ios::app);
+  }
+  if (!ok || !csv_.good()) lose_csv_rows();
 }
 
 void SessionWriter::append_iteration(const IterationRecord& rec) {
   if (!csv_.is_open()) return;
   write_csv_row(csv_, rec);
+  if (!csv_.good()) lose_csv_rows();  // a failed buffer drain (disk full)
+}
+
+void SessionWriter::lose_csv_rows() {
+  obs::note_artifact_write_error("iterations",
+                                 (dir_ / "iterations.csv").string());
+  csv_.clear();
+  csv_lost_rows_ = true;
+}
+
+bool SessionWriter::flush_iterations(bool sync) {
+  if (csv_lost_rows_) return false;
+  if (!csv_.is_open()) return true;  // no incremental CSV (coordinator)
   csv_.flush();
+  bool ok = csv_.good();
+  if (ok && sync) ok = sync_path(dir_ / "iterations.csv");
+  if (!ok) lose_csv_rows();
+  return ok;
 }
 
 void SessionWriter::write_summary(const CampaignResult& result) {
   if (csv_.is_open()) csv_.close();
-  {
-    std::ofstream csv(dir_ / "iterations.csv");
-    csv << kCsvHeader;
-    for (const IterationRecord& r : result.iterations) {
-      write_csv_row(csv, r);
-    }
+  // Replaced whole, so a kill mid-rewrite cannot tear the rows the last
+  // snapshot rebuilds from.
+  const bool rewritten =
+      replace_file(dir_ / "iterations.csv", [&](std::ostream& csv) {
+        csv << kCsvHeader;
+        for (const IterationRecord& r : result.iterations) {
+          write_csv_row(csv, r);
+        }
+      });
+  if (rewritten) {
+    csv_lost_rows_ = false;  // whole again: the final snapshot may land
+  } else {
+    lose_csv_rows();
   }
+  for (const auto& [iteration, ranks] : recent_) {
+    write_rank_logs(iteration_dir(dir_, iteration), ranks);
+  }
+  recent_.clear();
   {
     std::ofstream bugs(dir_ / "bugs.txt");
     for (const BugRecord& bug : result.bugs) {
@@ -250,19 +416,23 @@ void SessionWriter::write_coverage_timeline(
   }
 }
 
-void SessionWriter::write_checkpoint(
-    const ckpt::CampaignCheckpoint& checkpoint) {
+void SessionWriter::write_checkpoint(const ckpt::CampaignCheckpoint& checkpoint,
+                                     bool sync) {
   const fs::path final_path = dir_ / "checkpoint.txt";
   const fs::path tmp = dir_ / "checkpoint.txt.tmp";
-  bool written = false;
-  {
+  // The snapshot's history is the CSV prefix: those rows land first, or
+  // the snapshot would not rebuild.
+  bool written = flush_iterations(sync);
+  if (written) {
     std::ofstream out(tmp);
-    if (out.is_open()) {
+    written = out.is_open();
+    if (written) {
       checkpoint.write(out);
       out.flush();
       written = out.good();
     }
   }
+  if (written && sync) written = sync_path(tmp);
   // A failed or short tmp write (unwritable dir, disk full) must never
   // replace a complete snapshot with a torn one: report, drop the tmp,
   // keep the previous checkpoint (and its .bak) untouched.
@@ -278,7 +448,11 @@ void SessionWriter::write_checkpoint(
   std::error_code ec;
   fs::rename(final_path, dir_ / "checkpoint.txt.bak", ec);  // first write: ok
   fs::rename(tmp, final_path, ec);
-  if (ec) obs::note_artifact_write_error("checkpoint", final_path.string());
+  // The renames are directory entries: sync the directory so the new
+  // snapshot's name, not just its bytes, survives power loss.
+  if (ec || (sync && !sync_path(dir_))) {
+    obs::note_artifact_write_error("checkpoint", final_path.string());
+  }
 }
 
 }  // namespace compi

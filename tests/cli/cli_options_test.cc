@@ -190,6 +190,25 @@ TEST(CliOptions, RejectsBadRobustnessValues) {
   EXPECT_TRUE(parse({"--resume="}).error.has_value());
 }
 
+TEST(CliOptions, KeepRankLogsTakesACountOrAll) {
+  EXPECT_EQ(parse({}).config.campaign.keep_rank_logs, 16);
+  EXPECT_EQ(parse({"--keep-rank-logs=0"}).config.campaign.keep_rank_logs, 0);
+  EXPECT_EQ(parse({"--keep-rank-logs=40"}).config.campaign.keep_rank_logs, 40);
+  const ParseResult all = parse({"--keep-rank-logs=all"});
+  ASSERT_FALSE(all.error.has_value()) << *all.error;
+  EXPECT_EQ(all.config.campaign.keep_rank_logs, -1);
+}
+
+TEST(CliOptions, RejectsBadKeepRankLogsValues) {
+  // -1 is the in-memory spelling of "all", not a CLI value.
+  EXPECT_TRUE(parse({"--keep-rank-logs=-1"}).error.has_value());
+  EXPECT_TRUE(parse({"--keep-rank-logs=-16"}).error.has_value());
+  EXPECT_TRUE(parse({"--keep-rank-logs="}).error.has_value());
+  EXPECT_TRUE(parse({"--keep-rank-logs=some"}).error.has_value());
+  EXPECT_TRUE(parse({"--keep-rank-logs=ALL"}).error.has_value());
+  EXPECT_TRUE(parse({"--keep-rank-logs=3x"}).error.has_value());
+}
+
 TEST(CliOptions, ResumeNamesTheSessionDirectory) {
   const ParseResult r = parse({"--resume=/tmp/session"});
   ASSERT_FALSE(r.error.has_value());
@@ -315,7 +334,7 @@ TEST(CliOptions, UsageMentionsEveryFlag) {
        {"--iterations", "--strategy", "--cap", "--nprocs", "--max-procs",
         "--seed", "--log-dir", "--no-reduction", "--no-framework",
         "--one-way", "--random", "--list-targets", "--resume",
-        "--checkpoint-interval", "--retry-max", "--retry-backoff-ms",
+        "--checkpoint-interval", "--keep-rank-logs", "--retry-max", "--retry-backoff-ms",
         "--chaos-seed", "--chaos-drop-rate", "--chaos-crash-rank",
         "--chaos-crash-at", "--no-confirm-bugs", "--isolate",
         "--hang-timeout-ms", "--child-mem-mb", "--connect", "--shard-name",

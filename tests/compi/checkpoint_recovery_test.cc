@@ -153,6 +153,72 @@ TEST(CheckpointRecovery, PartialFinalCsvRowIsRepairedOnResume) {
       << "begin_iterations must rewrite the CSV from the restored records";
 }
 
+/// Deletes the iterations.csv row of `iteration`.
+void delete_csv_row(const fs::path& dir, int iteration) {
+  std::ifstream in(dir / "iterations.csv");
+  std::ostringstream kept;
+  std::string line;
+  const std::string prefix = std::to_string(iteration) + ",";
+  while (std::getline(in, line)) {
+    if (line.rfind(prefix, 0) != 0) kept << line << '\n';
+  }
+  in.close();
+  std::ofstream(dir / "iterations.csv", std::ios::trunc) << kept.str();
+}
+
+/// Every ordinal of the budget exactly once, in order: no short history.
+void expect_full_history(const CampaignResult& got) {
+  ASSERT_EQ(got.iterations.size(), 60u);
+  for (std::size_t i = 0; i < got.iterations.size(); ++i) {
+    EXPECT_EQ(got.iterations[i].iteration, static_cast<int>(i));
+  }
+}
+
+TEST(CheckpointRecovery, MissingCsvRowFallsBackToBak) {
+  // Halting at 32 leaves checkpoint.txt at 32 and checkpoint.txt.bak at
+  // the periodic snapshot of 30.  A row the newer snapshot spans but the
+  // older one does not is missing: the history of checkpoint.txt cannot be
+  // rebuilt, so resume continues from the .bak instead.
+  TempDir dir;
+  run_until_halt(dir.path, 32);
+  delete_csv_row(dir.path, 31);
+  const auto snapshot = read_checkpoint(dir.path);
+  ASSERT_TRUE(snapshot.has_value());
+  EXPECT_EQ(snapshot->next_iteration, 30);
+  EXPECT_EQ(snapshot->iterations.size(), 30u);
+  const CampaignResult got = resume_campaign(dir.path);
+  EXPECT_TRUE(got.resumed);
+  expect_full_history(got);
+}
+
+TEST(CheckpointRecovery, MissingCsvRowBelowBothSnapshotsStartsFresh) {
+  // A row both snapshots span is missing: neither can be rebuilt, and the
+  // campaign starts over rather than resuming a short history.
+  TempDir dir;
+  run_until_halt(dir.path, 32);
+  delete_csv_row(dir.path, 10);
+  EXPECT_FALSE(read_checkpoint(dir.path).has_value());
+  const CampaignResult got = resume_campaign(dir.path);
+  EXPECT_FALSE(got.resumed);
+  expect_full_history(got);
+}
+
+TEST(CheckpointRecovery, DuplicateCsvRowIsRejected) {
+  // Exactly one row per ordinal: a second row for an ordinal the snapshot
+  // spans makes its history ambiguous.
+  TempDir dir;
+  run_until_halt(dir.path, 30);
+  {
+    std::ifstream in(dir.path / "iterations.csv");
+    std::string header, row;
+    std::getline(in, header);
+    std::getline(in, row);  // iteration 0
+    in.close();
+    std::ofstream(dir.path / "iterations.csv", std::ios::app) << row << '\n';
+  }
+  EXPECT_FALSE(read_checkpoint(dir.path).has_value());
+}
+
 TEST(CheckpointRecovery, BothSnapshotsUnreadableFallsBackToFreshRun) {
   TempDir dir;
   run_until_halt(dir.path, 30);

@@ -99,8 +99,13 @@ ckpt::CampaignCheckpoint sample_checkpoint() {
   c.sandbox_signal_kills = 3;
   c.sandbox_hang_kills = 2;
   c.sandbox_harvest_bytes = 123456;
+  // The history lives in iterations.csv: the snapshot spans its first row.
+  // That is short of next_iteration, which only the end-of-campaign
+  // snapshot of an early-stopped campaign may be.
+  c.history_rows = 1;
+  c.finished = true;
   IterationRecord rec;
-  rec.iteration = 11;
+  rec.iteration = 0;
   rec.nprocs = 6;
   rec.focus = 2;
   rec.outcome = rt::Outcome::kSegfault;
@@ -139,10 +144,14 @@ ckpt::CampaignCheckpoint sample_checkpoint() {
 }
 
 TEST(Ckpt, CampaignCheckpointRoundTrips) {
+  // Through a session directory: the snapshot text plus the CSV row its
+  // history is rebuilt from.
   const ckpt::CampaignCheckpoint c = sample_checkpoint();
-  std::stringstream ss;
-  c.write(ss);
-  const auto back = ckpt::CampaignCheckpoint::read(ss);
+  TempDir dir;
+  SessionWriter writer(dir.path);
+  writer.begin_iterations(c.iterations);
+  writer.write_checkpoint(c);
+  const auto back = read_checkpoint(dir.path);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->seed, c.seed);
   EXPECT_EQ(back->next_iteration, c.next_iteration);
@@ -168,6 +177,8 @@ TEST(Ckpt, CampaignCheckpointRoundTrips) {
   EXPECT_EQ(back->sandbox_signal_kills, c.sandbox_signal_kills);
   EXPECT_EQ(back->sandbox_hang_kills, c.sandbox_hang_kills);
   EXPECT_EQ(back->sandbox_harvest_bytes, c.sandbox_harvest_bytes);
+  EXPECT_EQ(back->history_rows, 1u);
+  EXPECT_TRUE(back->finished);
   ASSERT_EQ(back->iterations.size(), 1u);
   EXPECT_EQ(back->iterations[0].outcome, rt::Outcome::kSegfault);
   EXPECT_EQ(back->iterations[0].exec_seconds, c.iterations[0].exec_seconds);
@@ -200,6 +211,29 @@ TEST(Ckpt, TruncatedOrWrongVersionIsRejected) {
 
   std::stringstream garbage("not a checkpoint at all\n");
   EXPECT_FALSE(ckpt::CampaignCheckpoint::read(garbage).has_value());
+}
+
+TEST(Ckpt, HistoryRowsMustMatchTheResumePoint) {
+  const auto reads = [](const ckpt::CampaignCheckpoint& c) {
+    std::stringstream text;
+    c.write(text);
+    return ckpt::CampaignCheckpoint::read(text).has_value();
+  };
+  ckpt::CampaignCheckpoint c = sample_checkpoint();
+  c.finished = false;
+  c.history_rows = 12;  // == next_iteration: every ordinal before it
+  EXPECT_TRUE(reads(c));
+  c.history_rows = 11;  // a mid-campaign snapshot may not span fewer
+  EXPECT_FALSE(reads(c));
+  c.finished = true;
+  EXPECT_TRUE(reads(c));
+  c.history_rows = 13;  // and none may span more
+  EXPECT_FALSE(reads(c));
+  c.history_rows = 1;  // a coordinator's spans none
+  c.is_coordinator = true;
+  EXPECT_FALSE(reads(c));
+  c.history_rows = 0;
+  EXPECT_TRUE(reads(c));
 }
 
 // ---------------------------------------------------------------------------

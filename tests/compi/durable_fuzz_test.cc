@@ -65,6 +65,11 @@ struct Corpus {
   /// (leases and shard cursors with hostile shard names), as
   /// `compi coordinate` writes.
   std::string coordinator_checkpoint;
+  /// A serial session killed halfway: its snapshot plus the CSV rows it
+  /// rebuilds its history from.
+  std::string killed_checkpoint;
+  std::string killed_bak;
+  std::string killed_csv;
   std::string journal;
   std::string iterations_csv;
   std::string ledger_csv;
@@ -109,6 +114,22 @@ const Corpus& corpus() {
       out.parallel_checkpoint = slurp(dir.path / "checkpoint.txt");
     }
     {
+      TempDir dir;
+      CampaignOptions opts;
+      opts.seed = 11;
+      opts.iterations = 40;
+      opts.initial_nprocs = 4;
+      opts.max_procs = 8;
+      opts.dfs_phase_iterations = 20;
+      opts.checkpoint_interval = 5;
+      opts.halt_after_iterations = 20;
+      opts.log_dir = dir.path.string();
+      (void)Campaign(fig2_target(), opts).run();
+      out.killed_checkpoint = slurp(dir.path / "checkpoint.txt");
+      out.killed_bak = slurp(dir.path / "checkpoint.txt.bak");
+      out.killed_csv = slurp(dir.path / "iterations.csv");
+    }
+    {
       // Coordinator snapshots are the serial shape plus the coord section;
       // graft one onto the real serial snapshot so every other field stays
       // a genuine campaign state.
@@ -117,6 +138,7 @@ const Corpus& corpus() {
           ckpt::CampaignCheckpoint::read(is);
       if (cp.has_value()) {
         cp->is_coordinator = true;
+        cp->history_rows = 0;  // a coordinator keeps no iterations.csv
         cp->coord_budget = 480;
         cp->coord_completed = 123;
         cp->coord_next_lease_id = 9;
@@ -197,7 +219,7 @@ TEST(DurableFuzz, OldVersionCheckpointIsRejectedCleanly) {
   // version must be refused by design: the campaign falls back to a
   // fresh start.
   for (const char* version :
-       {"0", "1", "2", "3", "4", "5", "6", "7", "8", "99", "-5"}) {
+       {"0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "99", "-5"}) {
     std::string bytes = corpus().serial_checkpoint;
     const std::string current =
         "compi-checkpoint " + std::to_string(ckpt::CampaignCheckpoint::kVersion);
@@ -317,6 +339,9 @@ TEST(DurableFuzz, ResumeOverCorruptedCheckpointStillCompletes) {
   for (int i = 0; i < 4; ++i) {
     TempDir dir;
     spit(dir.path / "checkpoint.txt", mutate(corpus().serial_checkpoint, rng));
+    // The CSV the history is rebuilt from, so a mutated snapshot that still
+    // parses reaches the resume path instead of failing the rebuild.
+    spit(dir.path / "iterations.csv", corpus().iterations_csv);
     CampaignOptions opts;
     opts.seed = 11;
     opts.iterations = 30;
@@ -328,6 +353,70 @@ TEST(DurableFuzz, ResumeOverCorruptedCheckpointStillCompletes) {
     const CampaignResult result = Campaign(fig2_target(), opts).run();
     EXPECT_EQ(result.iterations.size(), 30u)
         << (result.resumed ? "resumed a corrupt snapshot?" : "fresh");
+  }
+}
+
+TEST(DurableFuzz, ResumeOverCorruptedCsvStillCompletes) {
+  // The snapshot is intact but the CSV its history is rebuilt from is
+  // mutated.  Whether resume continues (the damage lies past the
+  // snapshot's rows) or starts fresh (it does not), the campaign runs to
+  // its full budget with every ordinal exactly once — never a short
+  // history.
+  std::mt19937 rng(0xC5F00D);
+  ASSERT_FALSE(corpus().killed_checkpoint.empty());
+  {
+    // Sanity: the pristine pair rebuilds the snapshot's 20 rows.
+    TempDir dir;
+    spit(dir.path / "checkpoint.txt", corpus().killed_checkpoint);
+    spit(dir.path / "iterations.csv", corpus().killed_csv);
+    const auto snapshot = read_checkpoint(dir.path);
+    ASSERT_TRUE(snapshot.has_value());
+    EXPECT_EQ(snapshot->iterations.size(), 20u);
+  }
+  for (int i = 0; i < 12; ++i) {
+    TempDir dir;
+    spit(dir.path / "checkpoint.txt", corpus().killed_checkpoint);
+    spit(dir.path / "iterations.csv", mutate(corpus().killed_csv, rng));
+    CampaignOptions opts;
+    opts.seed = 11;
+    opts.iterations = 40;
+    opts.initial_nprocs = 4;
+    opts.max_procs = 8;
+    opts.dfs_phase_iterations = 20;
+    opts.checkpoint_interval = 5;
+    opts.resume = true;
+    opts.log_dir = dir.path.string();
+    const CampaignResult result = Campaign(fig2_target(), opts).run();
+    ASSERT_EQ(result.iterations.size(), 40u)
+        << (result.resumed ? "resumed" : "fresh");
+    for (std::size_t k = 0; k < result.iterations.size(); ++k) {
+      EXPECT_EQ(result.iterations[k].iteration, static_cast<int>(k));
+    }
+  }
+}
+
+TEST(DurableFuzz, DamagedHistoryCountFallsBackToBak) {
+  // One flipped digit in a mid-campaign snapshot's row count would let a
+  // resume continue with ordinals missing from its history.  The snapshot
+  // must read as unreadable instead, so the previous one (.bak) is used.
+  const std::string line = "\niterations 20 0\n";
+  const std::size_t at = corpus().killed_checkpoint.find(line);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_FALSE(corpus().killed_bak.empty());
+  for (const char* count : {"19", "10", "2", "0", "21"}) {
+    std::string bytes = corpus().killed_checkpoint;
+    bytes.replace(at, line.size(),
+                  std::string("\niterations ") + count + " 0\n");
+    TempDir dir;
+    spit(dir.path / "checkpoint.txt", bytes);
+    spit(dir.path / "iterations.csv", corpus().killed_csv);
+    EXPECT_FALSE(read_checkpoint(dir.path).has_value()) << count;
+    spit(dir.path / "checkpoint.txt.bak", corpus().killed_bak);
+    const auto snapshot = read_checkpoint(dir.path);
+    ASSERT_TRUE(snapshot.has_value()) << count;
+    EXPECT_GT(snapshot->next_iteration, 0);
+    EXPECT_EQ(snapshot->iterations.size(),
+              static_cast<std::size_t>(snapshot->next_iteration));
   }
 }
 

@@ -150,6 +150,12 @@ TEST(MatchOutcomes, CheckpointV6RoundTripsInterleavingState) {
   ckpt::CampaignCheckpoint c;
   c.seed = 9;
   c.next_iteration = 4;
+  c.history_rows = 4;
+  for (int i = 0; i < 3; ++i) {
+    IterationRecord earlier;
+    earlier.iteration = i;
+    c.iterations.push_back(earlier);
+  }
   IterationRecord rec;
   rec.iteration = 3;
   rec.nprocs = 3;
@@ -176,13 +182,21 @@ TEST(MatchOutcomes, CheckpointV6RoundTripsInterleavingState) {
   c.interleavings_pruned = 5;
   c.interleavings_capped = 2;
 
-  std::stringstream ss;
-  c.write(ss);
-  const auto back = ckpt::CampaignCheckpoint::read(ss);
+  // The iteration rows round-trip through the session's iterations.csv,
+  // everything else through the snapshot text.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("compi_match_ckpt_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  SessionWriter writer(dir);
+  writer.begin_iterations(c.iterations);
+  writer.write_checkpoint(c);
+  const auto back = read_checkpoint(dir);
+  std::filesystem::remove_all(dir);
   ASSERT_TRUE(back.has_value());
-  ASSERT_EQ(back->iterations.size(), 1u);
-  EXPECT_EQ(back->iterations[0].outcome, rt::Outcome::kDeadlock);
-  EXPECT_EQ(back->iterations[0].interleaving, 7);
+  ASSERT_EQ(back->iterations.size(), 4u);
+  EXPECT_EQ(back->iterations[3].outcome, rt::Outcome::kDeadlock);
+  EXPECT_EQ(back->iterations[3].interleaving, 7);
   ASSERT_EQ(back->bugs.size(), 1u);
   EXPECT_EQ(back->bugs[0].outcome, rt::Outcome::kOrphanMessage);
   EXPECT_EQ(back->bugs[0].decisions, c.bugs[0].decisions);

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "compi/fixed_run.h"
@@ -57,8 +58,12 @@ TEST(Session, WritesIterationLogsAndSummary) {
   EXPECT_TRUE(fs::exists(tmp.path / "iterations.csv"));
   EXPECT_TRUE(fs::exists(tmp.path / "summary.txt"));
   EXPECT_TRUE(fs::exists(tmp.path / "bugs.txt"));
-  EXPECT_TRUE(fs::exists(tmp.path / "iter_0" / "rank_0.log"));
-  EXPECT_TRUE(fs::exists(tmp.path / "iter_0" / "rank_3.log"));
+  // Rank logs are retained for the last iterations (and bug iterations):
+  // the final iteration's directory holds every rank's log.
+  const fs::path last =
+      tmp.path / ("iter_" + std::to_string(result.iterations.back().iteration));
+  EXPECT_TRUE(fs::exists(last / "rank_0.log"));
+  EXPECT_TRUE(fs::exists(last / "rank_3.log"));
 
   // iterations.csv: header + one row per iteration.
   const std::string csv = slurp(tmp.path / "iterations.csv");
@@ -188,16 +193,112 @@ TEST(Session, SummaryReportsRobustnessCounters) {
 }
 
 TEST(Session, KeepRankLogsLimit) {
+  // K = 2 keeps the last two iterations handed over, written at summary
+  // time, plus any iteration written explicitly (a bug's first iteration).
   TempDir tmp;
   SessionWriter writer(tmp.path, /*keep_rank_logs=*/2);
-  minimpi::RunResult run;
-  run.ranks.resize(1);
-  run.ranks[0].log.covered = rt::CoverageBitmap(4);
-  writer.write_iteration(0, run);
-  writer.write_iteration(1, run);
-  writer.write_iteration(2, run);
-  EXPECT_TRUE(fs::exists(tmp.path / "iter_1" / "rank_0.log"));
-  EXPECT_FALSE(fs::exists(tmp.path / "iter_2"));
+  const auto one_rank = [] {
+    minimpi::RunResult run;
+    run.ranks.resize(1);
+    run.ranks[0].log.covered = rt::CoverageBitmap(4);
+    return run;
+  };
+  writer.write_iteration(0, one_rank());
+  for (int i = 0; i < 4; ++i) writer.retain_iteration(i, one_rank());
+  EXPECT_TRUE(fs::exists(tmp.path / "iter_0" / "rank_0.log"));
+  EXPECT_FALSE(fs::exists(tmp.path / "iter_3"))
+      << "the window is written at campaign end, not per iteration";
+  writer.write_summary(CampaignResult{});
+  EXPECT_TRUE(fs::exists(tmp.path / "iter_0" / "rank_0.log"));
+  EXPECT_FALSE(fs::exists(tmp.path / "iter_1"));
+  EXPECT_TRUE(fs::exists(tmp.path / "iter_2" / "rank_0.log"));
+  EXPECT_TRUE(fs::exists(tmp.path / "iter_3" / "rank_0.log"));
+}
+
+TEST(Session, KeepRankLogsAllWritesEveryIterationAtOnce) {
+  TempDir tmp;
+  SessionWriter writer(tmp.path, /*keep_rank_logs=*/-1);
+  for (int i = 0; i < 3; ++i) {
+    minimpi::RunResult run;
+    run.ranks.resize(2);
+    writer.retain_iteration(i, std::move(run));
+  }
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(fs::exists(tmp.path / ("iter_" + std::to_string(i)) /
+                           "rank_1.log"))
+        << i;
+  }
+}
+
+/// The iter_<n> directories a session holds.
+std::set<int> iteration_dirs(const fs::path& dir) {
+  std::set<int> out;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    if (e.is_directory() && name.rfind("iter_", 0) == 0) {
+      out.insert(std::stoi(name.substr(5)));
+    }
+  }
+  return out;
+}
+
+TEST(Session, RetainsBugIterationsPlusTheLastK) {
+  TempDir tmp;
+  CampaignOptions opts = session_opts(tmp.path, 200);
+  opts.keep_rank_logs = 5;
+  const CampaignResult result =
+      Campaign(fig2_target(/*with_bug=*/true), opts).run();
+  ASSERT_FALSE(result.bugs.empty());
+
+  std::set<int> want;
+  for (const BugRecord& bug : result.bugs) want.insert(bug.first_iteration);
+  for (int i = opts.iterations - opts.keep_rank_logs; i < opts.iterations;
+       ++i) {
+    want.insert(i);
+  }
+  EXPECT_EQ(iteration_dirs(tmp.path), want);
+  for (const int i : want) {
+    EXPECT_TRUE(fs::exists(tmp.path / ("iter_" + std::to_string(i)) /
+                           "rank_0.log"))
+        << i;
+  }
+}
+
+TEST(Session, KeepRankLogsZeroKeepsNoneEvenForBugs) {
+  TempDir tmp;
+  CampaignOptions opts = session_opts(tmp.path, 200);
+  opts.keep_rank_logs = 0;
+  const CampaignResult result =
+      Campaign(fig2_target(/*with_bug=*/true), opts).run();
+  ASSERT_FALSE(result.bugs.empty());
+  EXPECT_TRUE(iteration_dirs(tmp.path).empty());
+}
+
+TEST(Session, CheckpointSizeIsFlatInIterationCount) {
+  // The snapshot holds campaign state, not history: ten times the
+  // iterations must not make it meaningfully larger.  The search stack in
+  // the cursor's strategy blob is left out of the measure: it is bounded
+  // by the depth bound, not by the iteration count, and its depth at the
+  // moment of the snapshot swings the size by a few hundred bytes.
+  const auto snapshot_bytes = [](int iterations) {
+    TempDir tmp;
+    CampaignOptions opts = session_opts(tmp.path, iterations);
+    (void)Campaign(fig2_target(/*with_bug=*/true), opts).run();
+    std::ifstream in(tmp.path / "checkpoint.txt");
+    std::optional<ckpt::CampaignCheckpoint> c =
+        ckpt::CampaignCheckpoint::read(in);
+    EXPECT_TRUE(c.has_value());
+    if (!c) return std::size_t{0};
+    for (ckpt::WorkerCursor& w : c->worker_cursors) w.strategy_state.clear();
+    std::ostringstream text;
+    c->write(text);
+    return text.str().size();
+  };
+  const std::size_t small = snapshot_bytes(100);
+  const std::size_t large = snapshot_bytes(1000);
+  ASSERT_GT(small, 0u);
+  EXPECT_LE(static_cast<double>(large), 1.1 * static_cast<double>(small))
+      << small << " bytes at 100 iterations, " << large << " at 1000";
 }
 
 TEST(Session, KeepRankLogsZeroCreatesNoIterationDirs) {

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "compi/checkpoint.h"
 #include "compi/session.h"
@@ -79,10 +80,15 @@ TEST(ArtifactErrorsTest, JournalOpenFailureIsCounted) {
 TEST(ArtifactErrorsTest, FailedCheckpointWriteKeepsTheLastGoodSnapshot) {
   TempDir tmp;
   SessionWriter writer(tmp.path / "sess");
+  // Each snapshot spans the iterations.csv rows before its resume point.
+  std::vector<IterationRecord> rows(20);
+  for (int i = 0; i < 20; ++i) rows[static_cast<std::size_t>(i)].iteration = i;
+  writer.begin_iterations(rows);
 
   ckpt::CampaignCheckpoint first;
   first.seed = 42;
   first.next_iteration = 9;
+  first.history_rows = 9;
   writer.write_checkpoint(first);
   ASSERT_TRUE(read_checkpoint(writer.dir()).has_value());
 
@@ -94,6 +100,7 @@ TEST(ArtifactErrorsTest, FailedCheckpointWriteKeepsTheLastGoodSnapshot) {
   ckpt::CampaignCheckpoint second;
   second.seed = 42;
   second.next_iteration = 20;
+  second.history_rows = 20;
   writer.write_checkpoint(second);
   EXPECT_EQ(obs::artifact_write_errors(), before + 1);
   const auto kept = read_checkpoint(writer.dir());
