@@ -123,7 +123,7 @@ CampaignResult Campaign::run() {
 
   // ---- observability setup ----
   // Worker w owns trace tracks [w*(max_procs+1), (w+1)*(max_procs+1)): its
-  // driver loop on the base track, its MiniMPI rank threads above it.
+  // driver loop on the base track, its MiniMPI rank fibers above it.
   obs::set_thread_track(0);
   if (options_.trace) {
     obs::tracer().configure(options_.trace_buffer_kb);
@@ -839,6 +839,15 @@ CampaignResult Campaign::run() {
     }
   };
 
+  // Every worker's Executor is made, and its fork server child forked,
+  // here, before any worker thread exists: a fork taken while another
+  // thread holds an allocator lock hands the child that lock, held forever.
+  std::vector<std::unique_ptr<Executor>> executors;
+  for (int w = 0; w < workers; ++w) {
+    executors.push_back(std::make_unique<Executor>(*target_.table, options_));
+    executors.back()->start(target_.program);
+  }
+
   // ---- the worker loop ----
   const auto worker_body = [&](int w) {
     const int track_base = w * (options_.max_procs + 1);
@@ -847,7 +856,7 @@ CampaignResult Campaign::run() {
     solver::Solver the_solver({options_.solver_node_budget});
     Framework framework(registry, options_.max_procs, options_.framework,
                         options_.conflict_resolution);
-    Executor executor(*target_.table, options_);
+    Executor& executor = *executors[static_cast<std::size_t>(w)];
     // Branch ids the last execute() recovered from the sandbox harvest map
     // (empty for in-process runs and delivered results): the ledger flags
     // first hits that survived a child death with these.

@@ -20,6 +20,13 @@ Executor::Executor(const rt::BranchTable& table, const CampaignOptions& options)
   }
 }
 
+void Executor::start(const minimpi::Program& program) {
+  if (!fork_server_) return;
+  minimpi::LaunchSpec prototype;
+  prototype.program = program;
+  (void)fork_server_->start(prototype);
+}
+
 minimpi::RunResult Executor::run(const minimpi::LaunchSpec& spec,
                                  ExecReport& report) {
   report = ExecReport{};

@@ -10,7 +10,8 @@
 //     iteration of a dead fork server, which ForkServer re-runs itself).
 //
 // An Executor belongs to exactly one worker and is NOT thread-safe: its
-// fork server child is forked from, and serves, that worker's thread.  It
+// fork server child is forked by start() before the workers start and
+// then serves that worker's thread alone.  It
 // reports what each run did in an ExecReport and leaves the campaign-wide
 // accounting (result counters, metrics, journal) to the caller.
 #pragma once
@@ -45,6 +46,10 @@ struct ExecReport {
 class Executor {
  public:
   Executor(const rt::BranchTable& table, const CampaignOptions& options);
+
+  /// Forks the fork server (when one is configured) with `program` as its
+  /// snapshot; call on a thread that is still the process's only one.
+  void start(const minimpi::Program& program);
 
   [[nodiscard]] minimpi::RunResult run(const minimpi::LaunchSpec& spec,
                                        ExecReport& report);

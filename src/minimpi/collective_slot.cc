@@ -1,36 +1,34 @@
 #include "minimpi/collective_slot.h"
 
+#include <algorithm>
+
 #include "minimpi/match_scheduler.h"
 #include "obs/metrics.h"
 
 namespace compi::minimpi {
 
-void CollectiveSlot::wait(World& world, int global_rank,
-                          std::unique_lock<std::mutex>& lock,
-                          const std::function<bool()>& pred) {
+std::any CollectiveSlot::wait(World& world, Waiter& me) {
   MatchScheduler* sched = world.match_scheduler();
-  bool blocked = false;
-  while (!pred()) {
-    world.check_alive();
-    if (sched != nullptr) {
-      // Mark blocked only once the predicate is known false; a member that
-      // sails through never registers with the deadlock detector.
-      if (!blocked) {
-        blocked = true;
-        sched->block_collective(global_rank);  // throws on the victim
-      } else {
-        sched->poll(global_rank);
-      }
+  waiters_.push_back(&me);
+  if (sched != nullptr) sched->block_collective(me.global_rank);
+  // Leaving early (abort, deadline, deadlock victim) withdraws the waiter,
+  // so a later round never writes into a dead frame.
+  struct Leave {
+    CollectiveSlot& slot;
+    MatchScheduler* sched;
+    Waiter& me;
+    ~Leave() {
+      if (!me.done) std::erase(slot.waiters_, &me);
+      if (sched != nullptr) sched->unblock_collective(me.global_rank);
     }
-    // Bounded quantum: a job abort() only notifies mailbox waiters, so slot
-    // waiters poll the abort flag at a short interval instead of sleeping
-    // all the way to the job deadline.
-    const auto quantum =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
-    cv_.wait_until(lock, std::min(quantum, world.deadline()));
+  } leave{*this, sched, me};
+  while (!me.done) {
+    world.park();
+    if (me.done) break;
+    if (sched != nullptr) sched->check_victim(me.global_rank);
     world.check_alive();
   }
-  if (sched != nullptr && blocked) sched->unblock_collective(global_rank);
+  return std::move(me.result);
 }
 
 std::any CollectiveSlot::run(World& world, int local_rank, int global_rank,
@@ -38,31 +36,22 @@ std::any CollectiveSlot::run(World& world, int local_rank, int global_rank,
   static obs::Counter& collectives = obs::registry().counter(
       "compi_mpi_collectives_total", "Collective operations entered (per rank)");
   collectives.inc();
-  std::unique_lock lock(mu_);
-  // Wait for the previous round to fully drain before joining a new one.
-  wait(world, global_rank, lock, [&] { return !draining_; });
-
+  world.check_alive();
   contributions_[local_rank] = std::move(contribution);
-  if (++arrived_ == size_) {
-    result_ = combine(contributions_);
-    for (std::any& c : contributions_) c.reset();
-    arrived_ = 0;
-    departed_ = 0;
-    draining_ = true;
-    ++generation_;
-    cv_.notify_all();
-  } else {
-    const std::uint64_t my_gen = generation_;
-    wait(world, global_rank, lock, [&] { return generation_ != my_gen; });
+  if (++arrived_ < size_) {
+    Waiter me{global_rank, {}};
+    return wait(world, me);
   }
-
-  std::any out = result_;
-  if (++departed_ == size_) {
-    result_.reset();
-    draining_ = false;
-    cv_.notify_all();
+  std::any result = combine(contributions_);
+  for (std::any& c : contributions_) c.reset();
+  arrived_ = 0;
+  for (Waiter* w : waiters_) {
+    w->result = result;
+    w->done = true;
+    world.unpark(w->global_rank);
   }
-  return out;
+  waiters_.clear();
+  return result;
 }
 
 }  // namespace compi::minimpi

@@ -3,15 +3,13 @@
 // Every collective in MiniMPI follows the same shape: all members deposit a
 // contribution, the last arriver combines them, everyone retrieves the
 // result.  Because MPI requires all members to call collectives in the same
-// order, a single count-based slot per communicator is sufficient; it is
-// reusable (phase/drain bookkeeping) and abort-aware.
+// order, a single count-based slot per communicator is sufficient.  Early
+// arrivers park; the last arriver hands each of them a copy of the result
+// and unparks them, so the slot is free for the next round at once.
 #pragma once
 
 #include <any>
-#include <condition_variable>
-#include <cstdint>
 #include <functional>
-#include <mutex>
 #include <vector>
 
 #include "minimpi/world.h"
@@ -28,25 +26,26 @@ class CollectiveSlot {
   /// runs `combine` over all contributions (indexed by local rank); every
   /// member receives a copy of the combined std::any.  Raises JobAborted on
   /// job abort / deadline.  `global_rank` identifies the caller to the
-  /// match scheduler (blocked-state bookkeeping for exact deadlock
-  /// detection); a waiter elected deadlock victim raises DeadlockDetected.
+  /// fiber scheduler and the match scheduler (blocked-state bookkeeping for
+  /// exact deadlock detection); a waiter elected deadlock victim raises
+  /// DeadlockDetected.
   std::any run(World& world, int local_rank, int global_rank,
                std::any contribution, const Combine& combine);
 
  private:
-  void wait(World& world, int global_rank,
-            std::unique_lock<std::mutex>& lock,
-            const std::function<bool()>& pred);
+  /// An early arriver, parked until the last arriver fills `result`.
+  struct Waiter {
+    int global_rank;
+    std::any result;
+    bool done = false;
+  };
+
+  std::any wait(World& world, Waiter& me);
 
   int size_;
-  std::mutex mu_;
-  std::condition_variable cv_;
   std::vector<std::any> contributions_;
-  std::any result_;
+  std::vector<Waiter*> waiters_;
   int arrived_ = 0;
-  int departed_ = 0;
-  bool draining_ = false;
-  std::uint64_t generation_ = 0;
 };
 
 }  // namespace compi::minimpi

@@ -1,7 +1,6 @@
 #include "minimpi/fault_plan.h"
 
 #include <string>
-#include <thread>
 
 #include "minimpi/world.h"
 #include "obs/metrics.h"
@@ -22,9 +21,9 @@ std::uint64_t splitmix64(std::uint64_t x) {
 
 ChaosEngine::ChaosEngine(const FaultPlan& plan, int nprocs)
     : plan_(plan),
-      calls_(static_cast<std::size_t>(nprocs)),
-      collectives_(static_cast<std::size_t>(nprocs)),
-      sends_(static_cast<std::size_t>(nprocs)) {}
+      calls_(static_cast<std::size_t>(nprocs), 0),
+      collectives_(static_cast<std::size_t>(nprocs), 0),
+      sends_(static_cast<std::size_t>(nprocs), 0) {}
 
 double ChaosEngine::hash01(std::uint64_t stream, std::uint64_t n) const {
   const std::uint64_t h =
@@ -35,9 +34,7 @@ double ChaosEngine::hash01(std::uint64_t stream, std::uint64_t n) const {
 
 bool ChaosEngine::should_drop(int src_global) {
   if (plan_.drop_rate <= 0.0) return false;
-  const std::int64_t n =
-      sends_[static_cast<std::size_t>(src_global)].fetch_add(
-          1, std::memory_order_relaxed);
+  const std::int64_t n = sends_[static_cast<std::size_t>(src_global)]++;
   return hash01(0xd309 + static_cast<std::uint64_t>(src_global),
                 static_cast<std::uint64_t>(n)) < plan_.drop_rate;
 }
@@ -46,9 +43,7 @@ std::chrono::milliseconds ChaosEngine::next_delay(int src_global) {
   if (plan_.delay_rate <= 0.0) return std::chrono::milliseconds{0};
   // Note: shares the send counter stream logically but must not consume
   // should_drop's sequence — use the call counter snapshot instead.
-  const std::int64_t n =
-      sends_[static_cast<std::size_t>(src_global)].load(
-          std::memory_order_relaxed);
+  const std::int64_t n = sends_[static_cast<std::size_t>(src_global)];
   const bool hit = hash01(0xde1a + static_cast<std::uint64_t>(src_global),
                           static_cast<std::uint64_t>(n)) < plan_.delay_rate;
   return hit ? plan_.delay : std::chrono::milliseconds{0};
@@ -56,8 +51,7 @@ std::chrono::milliseconds ChaosEngine::next_delay(int src_global) {
 
 void ChaosEngine::on_mpi_call(World& world, int global_rank, bool collective) {
   const auto rank = static_cast<std::size_t>(global_rank);
-  const std::int64_t call =
-      calls_[rank].fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::int64_t call = ++calls_[rank];
   if (global_rank == plan_.crash_rank && call == plan_.crash_at_call) {
     static obs::Counter& crashes = obs::registry().counter(
         "compi_chaos_crashes_total", "Crash faults injected by chaos plans");
@@ -72,18 +66,17 @@ void ChaosEngine::on_mpi_call(World& world, int global_rank, bool collective) {
             std::to_string(call));
   }
   if (collective && global_rank == plan_.stall_rank) {
-    const std::int64_t coll =
-        collectives_[rank].fetch_add(1, std::memory_order_relaxed) + 1;
+    const std::int64_t coll = ++collectives_[rank];
     if (coll == plan_.stall_at_collective) {
       static obs::Counter& stalls = obs::registry().counter(
           "compi_chaos_stalls_total", "Stall faults injected by chaos plans");
       stalls.inc();
       obs::instant(obs::Cat::kChaos, "chaos_stall", "collective", coll);
-      // Never arrive: hold the rank here until the deadline watchdog (or a
-      // peer's fault) unwinds the job.  check_alive raises JobAborted.
+      // Never arrive: park until the deadline (or a peer's fault) unwinds
+      // the job.  check_alive raises JobAborted.
       for (;;) {
         world.check_alive();
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        world.park_until(world.deadline());
       }
     }
   }

@@ -11,11 +11,10 @@
 // counts them per rank and decides, from a stateless hash of (seed, rank,
 // counter), whether to crash the rank, drop or delay an outgoing message,
 // or stall a collective.  Per-rank counters make every decision independent
-// of thread interleaving: the same plan over the same program always
-// injects the same faults.
+// of rank interleaving: the same plan over the same program always injects
+// the same faults.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <vector>
@@ -31,7 +30,7 @@ struct FaultPlan {
   std::uint64_t seed = 0;
 
   /// Probability that an outgoing point-to-point message is silently lost
-  /// (the receiver blocks; the job's wall-clock watchdog must catch it).
+  /// (the receiver blocks; the job ends as a timeout).
   double drop_rate = 0.0;
 
   /// Probability that an outgoing message is delayed by `delay` first.
@@ -47,7 +46,7 @@ struct FaultPlan {
 
   /// Stall this global rank at its `stall_at_collective`-th collective
   /// (1-based): the rank never deposits its contribution, so the whole job
-  /// must be unwound by the deadline watchdog.  -1 = no stall.
+  /// ends as a timeout.  -1 = no stall.
   int stall_rank = -1;
   std::int64_t stall_at_collective = 1;
 
@@ -67,15 +66,14 @@ class InjectedFault : public rt::SimulatedFault {
 };
 
 /// Per-job chaos state: one engine per World, created from the launch
-/// spec's FaultPlan.  All decision functions are thread-safe and
-/// deterministic per rank.
+/// spec's FaultPlan.  All decision functions are deterministic per rank.
 class ChaosEngine {
  public:
   ChaosEngine(const FaultPlan& plan, int nprocs);
 
   /// Called at every MPI entry point of `global_rank`.  May throw
-  /// InjectedFault (crash) or block until the job dies (collective stall —
-  /// exits via JobAborted from World::check_alive).
+  /// InjectedFault (crash) or park the rank until the job dies (collective
+  /// stall — exits via JobAborted from World::check_alive).
   void on_mpi_call(World& world, int global_rank, bool collective);
 
   /// Whether the next outgoing message of `src_global` is dropped.
@@ -91,9 +89,9 @@ class ChaosEngine {
   [[nodiscard]] double hash01(std::uint64_t stream, std::uint64_t n) const;
 
   FaultPlan plan_;
-  std::vector<std::atomic<std::int64_t>> calls_;
-  std::vector<std::atomic<std::int64_t>> collectives_;
-  std::vector<std::atomic<std::int64_t>> sends_;
+  std::vector<std::int64_t> calls_;
+  std::vector<std::int64_t> collectives_;
+  std::vector<std::int64_t> sends_;
 };
 
 }  // namespace compi::minimpi

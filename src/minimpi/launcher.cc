@@ -1,8 +1,8 @@
 #include "minimpi/launcher.h"
 
 #include <sstream>
-#include <thread>
 
+#include "minimpi/fiber.h"
 #include "minimpi/match_scheduler.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -83,8 +83,6 @@ RunResult launch(const LaunchSpec& spec, const rt::BranchTable& table) {
       ctx.finish(rt::Outcome::kMpiError, e.what());
       world.abort();
     }
-    // A finishing rank can complete a deadlock for the ranks still blocked
-    // on it, so the scheduler re-checks on every transition to done.
     if (MatchScheduler* sched = world.match_scheduler()) {
       sched->mark_done(rank);
     }
@@ -93,13 +91,16 @@ RunResult launch(const LaunchSpec& spec, const rt::BranchTable& table) {
     out.message = out.log.outcome_message;
   };
 
-  {
-    std::vector<std::jthread> threads;
-    threads.reserve(spec.nprocs);
-    for (int rank = 0; rank < spec.nprocs; ++rank) {
-      threads.emplace_back(rank_body, rank);
-    }
-  }  // join
+  FiberScheduler::Body body = rank_body;
+  FiberScheduler fibers(spec.nprocs, body);
+  world.bind_fibers(&fibers);
+  // No rank can run: the match scheduler proves a deadlock (or drops a dead
+  // prescription); otherwise nothing but the deadline could end the wait,
+  // so the job ends now with the deadline's verdict.
+  fibers.run(world.deadline(), [&world] {
+    MatchScheduler* sched = world.match_scheduler();
+    if (sched == nullptr || !sched->resolve_stuck()) world.expire();
+  });
 
   if (MatchScheduler* sched = world.match_scheduler()) {
     result.match_trace = sched->take_trace();

@@ -5,8 +5,9 @@
 // heavily instrumented binary while the rest run the lightly instrumented
 // one.  Here the two binaries are the two RuntimeContext modes, and the
 // launch spec's (nprocs, focus) plays the (s, i) role.  Each rank is a
-// thread; target faults become per-rank outcomes; a faulting rank aborts
-// the job, unwinding peers blocked in MPI calls (as mpiexec kills them).
+// fiber on the calling thread (fiber.h); target faults become per-rank
+// outcomes; a faulting rank aborts the job, unwinding peers blocked in MPI
+// calls (as mpiexec kills them).
 #pragma once
 
 #include <chrono>
@@ -85,9 +86,11 @@ struct RunResult {
   [[nodiscard]] rt::CoverageBitmap merged_coverage() const;
 };
 
-/// Runs one test: nprocs rank-threads executing spec.program to completion
-/// (or fault / abort / timeout).  Never throws target faults — they are
-/// captured per rank.
+/// Runs one test: nprocs rank fibers, scheduled on the calling thread,
+/// executing spec.program to completion (or fault / abort / timeout).  A
+/// job in which no rank can ever run again ends at once: as a deadlock
+/// under the match scheduler, else as the deadline's timeout.  Never
+/// throws target faults — they are captured per rank.
 [[nodiscard]] RunResult launch(const LaunchSpec& spec,
                                const rt::BranchTable& table);
 

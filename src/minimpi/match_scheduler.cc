@@ -11,18 +11,6 @@ namespace compi::minimpi {
 
 namespace {
 
-/// How long the wait loops sleep between liveness checks (the same quantum
-/// CollectiveSlot uses: abort() notifications can race a waiter going to
-/// sleep, so nothing parks for longer than this).
-constexpr std::chrono::milliseconds kWaitQuantum{20};
-
-/// How long an all-blocked condition involving collective waiters must hold
-/// before it is declared a deadlock.  Receive-blocked ranks are exact (the
-/// checker re-scans their mailboxes), but a rank woken out of a finished
-/// collective round stays marked blocked for up to one wake latency, so the
-/// condition is confirmed across a window instead of declared instantly.
-constexpr std::chrono::milliseconds kCollectiveConfirmWindow{60};
-
 obs::Counter& match_counter() {
   static obs::Counter& c = obs::registry().counter(
       "compi_match_choices_total", "Wildcard-receive match decisions taken");
@@ -60,7 +48,6 @@ std::optional<int> MatchScheduler::planned_choice(int rank, int seq) const {
 Message MatchScheduler::recv(int dest_global, int src_local, int src_global,
                              std::int64_t comm_uid, int tag,
                              int reserved_seq) {
-  std::unique_lock lock(mu_);
   RankState& rs = ranks_[dest_global];
   rs.src_local = src_local;
   rs.src_global = src_global;
@@ -72,18 +59,14 @@ Message MatchScheduler::recv(int dest_global, int src_local, int src_global,
     if (seq < 0) seq = next_seq_[dest_global]++;
     rs.forced = planned_choice(dest_global, seq);
   }
-  bool blocked = false;
+  Mailbox& mb = world_.mailbox(dest_global);
   for (;;) {
-    Mailbox& mb = world_.mailbox(dest_global);
     if (src_local != kAnySource) {
       if (auto msg = mb.try_pop(src_local, comm_uid, tag)) {
         rs.state = State::kRunning;
-        ++epoch_;
         return std::move(*msg);
       }
     } else {
-      // One thread per rank and every receive funnels through mu_, so this
-      // scan-then-pop over the rank's own mailbox cannot lose a race.
       const std::vector<int> feasible = mb.feasible_sources(comm_uid, tag);
       int choice = -1;
       if (rs.forced) {
@@ -100,17 +83,16 @@ Message MatchScheduler::recv(int dest_global, int src_local, int src_global,
         match_counter().inc();
         obs::instant(obs::Cat::kMatch, "match_choice", "src", choice);
         rs.state = State::kRunning;
-        ++epoch_;
         return std::move(*msg);
       }
     }
-    if (!blocked) {
-      rs.state = State::kBlockedRecv;
-      ++epoch_;
-      blocked = true;
-      check_deadlock_locked();
-    }
-    wait_step(lock, dest_global);
+    rs.state = State::kBlockedRecv;
+    world_.check_alive();
+    // A prescribed receive wakes only for its prescribed sender; dropping a
+    // dead prescription (resolve_stuck) wakes it explicitly.
+    mb.await(world_, rs.forced ? *rs.forced : src_local, comm_uid, tag);
+    check_victim(dest_global);
+    world_.check_alive();
   }
 }
 
@@ -118,7 +100,6 @@ std::optional<Message> MatchScheduler::post_irecv(int dest_global,
                                                   int src_local,
                                                   std::int64_t comm_uid,
                                                   int tag, int& reserved_seq) {
-  std::unique_lock lock(mu_);
   reserved_seq = -1;
   Mailbox& mb = world_.mailbox(dest_global);
   if (src_local != kAnySource) {
@@ -149,126 +130,57 @@ std::optional<Message> MatchScheduler::post_irecv(int dest_global,
 }
 
 void MatchScheduler::block_collective(int global_rank) {
-  std::unique_lock lock(mu_);
   ranks_[global_rank].state = State::kBlockedCollective;
-  ++epoch_;
-  check_deadlock_locked();
-  if (victim_ == global_rank) throw rt::DeadlockDetected(deadlock_msg_);
 }
 
 void MatchScheduler::unblock_collective(int global_rank) {
-  std::scoped_lock lock(mu_);
   if (ranks_[global_rank].state == State::kBlockedCollective) {
     ranks_[global_rank].state = State::kRunning;
-    ++epoch_;
   }
 }
 
-void MatchScheduler::poll(int global_rank) {
-  std::unique_lock lock(mu_);
-  if (pending_) check_deadlock_locked();
+void MatchScheduler::check_victim(int global_rank) const {
   if (victim_ == global_rank) throw rt::DeadlockDetected(deadlock_msg_);
 }
 
 void MatchScheduler::mark_done(int global_rank) {
-  std::scoped_lock lock(mu_);
   ranks_[global_rank].state = State::kDone;
-  ++epoch_;
-  check_deadlock_locked();
-  cv_.notify_all();
-}
-
-void MatchScheduler::on_message() {
-  std::scoped_lock lock(mu_);
-  cv_.notify_all();
-}
-
-void MatchScheduler::notify_abort() {
-  std::scoped_lock lock(mu_);
-  cv_.notify_all();
 }
 
 std::vector<MatchRecord> MatchScheduler::take_trace() {
-  std::scoped_lock lock(mu_);
   return std::move(trace_);
 }
 
-bool MatchScheduler::diverged() const {
-  std::scoped_lock lock(mu_);
-  return diverged_;
-}
+bool MatchScheduler::diverged() const { return diverged_; }
 
-bool MatchScheduler::recv_feasible(int rank, const RankState& rs,
-                                   bool honor_forced) {
-  Mailbox& mb = world_.mailbox(rank);
-  if (rs.src_local != kAnySource) {
-    return mb.has_matching(rs.src_local, rs.comm_uid, rs.tag);
-  }
-  if (honor_forced && rs.forced) {
-    return mb.has_matching(*rs.forced, rs.comm_uid, rs.tag);
-  }
-  return mb.has_matching(kAnySource, rs.comm_uid, rs.tag);
-}
-
-void MatchScheduler::check_deadlock_locked() {
-  if (victim_ >= 0 || world_.aborted()) return;
+bool MatchScheduler::resolve_stuck() {
+  if (victim_ >= 0 || world_.aborted()) return false;
   const int n = static_cast<int>(ranks_.size());
-  bool any_blocked = false;
-  bool any_collective = false;
-  for (const RankState& rs : ranks_) {
-    if (rs.state == State::kRunning) {
-      pending_ = false;
-      return;
-    }
-    if (rs.state == State::kBlockedCollective) any_collective = true;
-    if (rs.state != State::kDone) any_blocked = true;
-  }
-  if (!any_blocked) {
-    pending_ = false;
-    return;
-  }
-  for (int r = 0; r < n; ++r) {
-    if (ranks_[r].state == State::kBlockedRecv &&
-        recv_feasible(r, ranks_[r], /*honor_forced=*/true)) {
-      pending_ = false;
-      return;  // that rank will match on its next rescan
-    }
-  }
-  // Replay divergence: a prescribed source can no longer arrive (everyone
-  // is blocked), but other messages are feasible — drop the prescription
-  // and let the receive take the default instead of false-deadlocking.
+  // Every parked receive was woken by any message matching it, so no rank
+  // can make progress under the plan.  Replay divergence: a prescribed
+  // source can no longer arrive, but other messages are feasible — drop the
+  // prescription and let the receive take the default instead of
+  // false-deadlocking.
   for (int r = 0; r < n; ++r) {
     RankState& rs = ranks_[r];
     if (rs.state == State::kBlockedRecv && rs.forced &&
-        recv_feasible(r, rs, /*honor_forced=*/false)) {
+        world_.mailbox(r).has_matching(kAnySource, rs.comm_uid, rs.tag)) {
       rs.forced.reset();
       diverged_ = true;
       divergence_counter().inc();
-      pending_ = false;
-      cv_.notify_all();
-      return;
+      world_.unpark(r);
+      return true;
     }
   }
-  if (!any_collective) {
-    declare_deadlock_locked();
-    return;
+  for (const RankState& rs : ranks_) {
+    if (rs.state == State::kRunning) return false;
   }
-  // Collective waiters involved: confirm across a window (see header).
-  const auto now = std::chrono::steady_clock::now();
-  if (pending_ && pending_epoch_ == epoch_ && now >= pending_confirm_at_) {
-    declare_deadlock_locked();
-    return;
-  }
-  if (!pending_ || pending_epoch_ != epoch_) {
-    pending_ = true;
-    pending_epoch_ = epoch_;
-    pending_confirm_at_ = now + kCollectiveConfirmWindow;
-    cv_.notify_all();  // keep at least the recv waiters re-checking
-  }
+  declare_deadlock();
+  return true;
 }
 
-void MatchScheduler::declare_deadlock_locked() {
-  deadlock_msg_ = describe_deadlock_locked();
+void MatchScheduler::declare_deadlock() {
+  deadlock_msg_ = describe_deadlock();
   victim_ = -1;
   for (int r = 0; r < static_cast<int>(ranks_.size()); ++r) {
     if (ranks_[r].state == State::kBlockedRecv) {
@@ -284,13 +196,12 @@ void MatchScheduler::declare_deadlock_locked() {
       }
     }
   }
-  pending_ = false;
   deadlock_counter().inc();
   obs::instant(obs::Cat::kMatch, "deadlock", "victim", victim_);
-  cv_.notify_all();
+  world_.unpark(victim_);
 }
 
-std::string MatchScheduler::describe_deadlock_locked() {
+std::string MatchScheduler::describe_deadlock() const {
   const int n = static_cast<int>(ranks_.size());
   std::ostringstream os;
   os << "deadlock:";
@@ -350,17 +261,6 @@ std::string MatchScheduler::describe_deadlock_locked() {
     }
   }
   return os.str();
-}
-
-void MatchScheduler::wait_step(std::unique_lock<std::mutex>& lock,
-                               int global_rank) {
-  if (victim_ == global_rank) throw rt::DeadlockDetected(deadlock_msg_);
-  if (pending_) check_deadlock_locked();
-  if (victim_ == global_rank) throw rt::DeadlockDetected(deadlock_msg_);
-  world_.check_alive();
-  const auto quantum = std::chrono::steady_clock::now() + kWaitQuantum;
-  cv_.wait_until(lock, std::min(quantum, world_.deadline()));
-  world_.check_alive();
 }
 
 }  // namespace compi::minimpi

@@ -10,26 +10,17 @@
 // any interleaving the driver wants to explore is a deterministic,
 // replayable plan (MPISE-style on-the-fly matching; see PAPERS.md).
 //
-// Because the scheduler sees every rank's blocking state, it also detects
-// deadlock *exactly*: when all non-finished ranks are blocked and no blocked
-// receive has a feasible message, the job can never progress, and one rank
-// throws DeadlockDetected with the wait-for cycle — instantly, instead of
-// burning the wall-clock watchdog (`--hang-timeout-ms`), which remains as
-// the fallback for uninstrumented infinite loops that never block in MPI.
-// At finalize the launcher asks for unreceived messages (orphans), the other
-// silent matching bug.
-//
-// Memory-ordering note for the no-false-deadlock argument: a sender posts
-// its message under the destination mailbox mutex *before* it can block
-// under the scheduler mutex, so a checker that (holding the scheduler
-// mutex) observes every rank blocked will also observe every message those
-// ranks posted when it scans the mailboxes.
+// Because every rank is a fiber parked at a known point, the scheduler also
+// detects deadlock *exactly*: when no rank can run (the fiber scheduler's
+// run queue is empty) and no blocked receive has a feasible message, the
+// job can never progress, and one rank throws DeadlockDetected with the
+// wait-for cycle — instantly, instead of burning the wall-clock watchdog
+// (`--hang-timeout-ms`), which remains as the fallback for uninstrumented
+// infinite loops that never block in MPI.  At finalize the launcher asks
+// for unreceived messages (orphans), the other silent matching bug.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -64,25 +55,24 @@ class MatchScheduler {
                                     std::int64_t comm_uid, int tag,
                                     int& reserved_seq);
 
-  /// Blocked-state bracketing for collective waits (CollectiveSlot).  May
-  /// run the deadlock check; block_collective throws on the calling rank
-  /// when blocking it completes a deadlock.
+  /// Blocked-state bracketing for collective waits (CollectiveSlot): the
+  /// victim rule and the deadlock text read it.
   void block_collective(int global_rank);
   void unblock_collective(int global_rank);
 
-  /// Throws DeadlockDetected when `global_rank` was chosen as the victim by
-  /// a check run on another rank's transition.  Cheap; called from wait
-  /// loops that sleep on foreign condition variables.
-  void poll(int global_rank);
+  /// Throws DeadlockDetected when `global_rank` is the elected victim
+  /// (called by a parked rank when it is woken).
+  void check_victim(int global_rank) const;
 
-  /// Rank finished (cleanly or not).  A finishing rank can complete a
-  /// deadlock for the ranks still blocked on it.
+  /// Rank finished (cleanly or not).
   void mark_done(int global_rank);
 
-  /// A message was delivered somewhere: wake blocked receivers to rescan.
-  void on_message();
-  /// The job is aborting: wake everything parked on the scheduler.
-  void notify_abort();
+  /// Called when no rank can run.  Resolves replay divergence (drops a
+  /// prescription whose message can no longer arrive) or declares the
+  /// deadlock and wakes its victim.  Returns false — leaving the verdict to
+  /// the wall-clock rule — when a rank is parked outside a receive or
+  /// collective (a chaos stall or a delay running into the deadline).
+  bool resolve_stuck();
 
   /// The run's decision vector, in global match order.
   [[nodiscard]] std::vector<MatchRecord> take_trace();
@@ -110,40 +100,17 @@ class MatchScheduler {
 
   /// Looks up a prescribed choice for (rank, seq).
   [[nodiscard]] std::optional<int> planned_choice(int rank, int seq) const;
-  /// True when the blocked receive described by `rs` has a feasible message
-  /// (honoring a prescription when `honor_forced`).
-  [[nodiscard]] bool recv_feasible(int rank, const RankState& rs,
-                                   bool honor_forced);
-  /// The all-blocked/no-feasible check.  Runs under mu_; resolves replay
-  /// divergence by dropping a dead prescription, else declares deadlock by
-  /// choosing a victim and waking everyone.  When collective-blocked ranks
-  /// are involved the declaration is deferred (see pending_confirm_at_): a
-  /// rank woken out of a finished collective round can be marked blocked
-  /// for one wake latency after its wait predicate turned true, so the
-  /// condition must hold across a confirmation window to be sound.
-  void check_deadlock_locked();
-  void declare_deadlock_locked();
-  [[nodiscard]] std::string describe_deadlock_locked();
-  /// Common wait-loop step for blocked receives: victim check, pending
-  /// re-check, liveness check, timed sleep.
-  void wait_step(std::unique_lock<std::mutex>& lock, int global_rank);
+  void declare_deadlock();
+  [[nodiscard]] std::string describe_deadlock() const;
 
   World& world_;
   MatchPlan plan_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::vector<RankState> ranks_;
   std::vector<int> next_seq_;  // per-rank ANY_SOURCE ordinal source
   std::vector<MatchRecord> trace_;
   int victim_ = -1;            // rank elected to throw DeadlockDetected
   std::string deadlock_msg_;
   bool diverged_ = false;
-  /// Bumped on every rank state transition; a pending (deferred) deadlock
-  /// is confirmed only if no transition happened across the window.
-  std::uint64_t epoch_ = 0;
-  std::uint64_t pending_epoch_ = 0;
-  std::chrono::steady_clock::time_point pending_confirm_at_{};
-  bool pending_ = false;
 };
 
 }  // namespace compi::minimpi

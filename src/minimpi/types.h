@@ -1,7 +1,8 @@
 // Common MiniMPI types.
 //
 // MiniMPI is the MPI substrate of this reproduction: a deterministic,
-// in-process MPI-1 subset where every rank is a thread.  It provides what
+// in-process MPI-1 subset where every rank is a fiber on the launching
+// thread, switched by a FIFO scheduler (fiber.h).  It provides what
 // COMPI consumes from a real MPI — ranks, communicator sizes, Comm_split
 // with local->global rank mappings, point-to-point and the MPI-1
 // collectives — plus job-abort semantics: when one rank faults, blocked
@@ -25,7 +26,7 @@ inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
 
 /// Thrown inside ranks blocked in MPI calls when the job aborts (a peer
-/// faulted or the wall-clock deadline passed).  Not a target fault: the
+/// faulted, the wall-clock deadline passed, or no rank can run).  Not a target fault: the
 /// launcher maps it to the "aborted with the job" rank status.
 struct JobAborted {};
 

@@ -1,9 +1,9 @@
 #include "minimpi/world.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
+#include "minimpi/fiber.h"
 #include "minimpi/match_scheduler.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -25,11 +25,9 @@ obs::Counter& delays_counter() {
 
 World::World(int size, std::chrono::steady_clock::duration deadline,
              const FaultPlan& chaos)
-    : size_(size), deadline_(std::chrono::steady_clock::now() + deadline) {
-  mailboxes_.reserve(size);
-  for (int i = 0; i < size; ++i) {
-    mailboxes_.push_back(std::make_unique<Mailbox>());
-  }
+    : size_(size),
+      mailboxes_(static_cast<std::size_t>(size)),
+      deadline_(std::chrono::steady_clock::now() + deadline) {
   if (chaos.enabled()) chaos_ = std::make_unique<ChaosEngine>(chaos, size);
 }
 
@@ -72,61 +70,72 @@ void World::post(int src_global, int dest_global, Message msg) {
       delays_counter().inc();
       obs::ObsSpan span(obs::Cat::kChaos, "chaos_delay", "ms",
                         delay.count());
-      // Bounded by the job deadline so a delayed sender can never outlive
-      // the watchdog.
-      const auto wake = std::min(std::chrono::steady_clock::now() + delay,
-                                 deadline_);
-      std::this_thread::sleep_until(wake);
+      // The sender parks until the delay ends, bounded by the job deadline
+      // so a delayed sender can never outlive the watchdog.
+      park_until(std::min(std::chrono::steady_clock::now() + delay,
+                          deadline_));
       check_alive();
     }
   }
-  mailbox(dest_global).push(std::move(msg));
-  // The sender posted under the mailbox mutex *before* this notification,
-  // so a scheduler checker that saw every rank blocked also sees this
-  // message when it scans (the no-false-deadlock argument).
-  if (scheduler_) scheduler_->on_message();
+  if (mailbox(dest_global).push(std::move(msg))) unpark(dest_global);
 }
 
 void World::abort() {
-  aborted_.store(true, std::memory_order_release);
-  for (auto& mb : mailboxes_) {
-    std::scoped_lock lock(mb->mu_);
-    mb->cv_.notify_all();
-  }
-  if (scheduler_) scheduler_->notify_abort();
+  aborted_ = true;
+  if (fibers_ != nullptr) fibers_->unpark_all();
+}
+
+void World::expire() {
+  expired_ = true;
+  if (fibers_ != nullptr) fibers_->unpark_all();
 }
 
 void World::check_alive() const {
   if (aborted() || past_deadline()) throw JobAborted{};
 }
 
-void Mailbox::push(Message msg) {
-  {
-    std::scoped_lock lock(mu_);
-    queue_.push_back(std::move(msg));
-  }
-  cv_.notify_all();
+void World::park() {
+  // Outside a launch nothing else can run, so the wait can never end.
+  if (fibers_ == nullptr || fibers_->self() < 0) throw JobAborted{};
+  fibers_->park();
+}
+
+void World::park_until(std::chrono::steady_clock::time_point wake) {
+  if (fibers_ == nullptr || fibers_->self() < 0) throw JobAborted{};
+  fibers_->park_until(wake);
+}
+
+void World::unpark(int global_rank) {
+  if (fibers_ != nullptr) fibers_->unpark(global_rank);
+}
+
+bool Mailbox::push(Message msg) {
+  const bool wakes = wanted_ && matches(msg, wanted_->src, wanted_->comm_uid,
+                                        wanted_->tag);
+  queue_.push_back(std::move(msg));
+  return wakes;
+}
+
+void Mailbox::await(World& world, int src, std::int64_t comm_uid, int tag) {
+  wanted_ = Wanted{src, comm_uid, tag};
+  struct Clear {
+    std::optional<Wanted>& w;
+    ~Clear() { w.reset(); }
+  } clear{wanted_};
+  world.park();
 }
 
 Message Mailbox::pop_matching(World& world, int src, std::int64_t comm_uid,
                               int tag) {
-  std::unique_lock lock(mu_);
   for (;;) {
     world.check_alive();
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (matches(*it, src, comm_uid, tag)) {
-        Message out = std::move(*it);
-        queue_.erase(it);
-        return out;
-      }
-    }
-    cv_.wait_until(lock, world.deadline());
+    if (auto msg = try_pop(src, comm_uid, tag)) return std::move(*msg);
+    await(world, src, comm_uid, tag);
   }
 }
 
 std::optional<Message> Mailbox::try_pop(int src, std::int64_t comm_uid,
                                         int tag) {
-  std::scoped_lock lock(mu_);
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     if (matches(*it, src, comm_uid, tag)) {
       Message out = std::move(*it);
@@ -138,7 +147,6 @@ std::optional<Message> Mailbox::try_pop(int src, std::int64_t comm_uid,
 }
 
 bool Mailbox::has_matching(int src, std::int64_t comm_uid, int tag) {
-  std::scoped_lock lock(mu_);
   for (const Message& m : queue_) {
     if (matches(m, src, comm_uid, tag)) return true;
   }
@@ -147,11 +155,8 @@ bool Mailbox::has_matching(int src, std::int64_t comm_uid, int tag) {
 
 std::vector<int> Mailbox::feasible_sources(std::int64_t comm_uid, int tag) {
   std::vector<int> out;
-  {
-    std::scoped_lock lock(mu_);
-    for (const Message& m : queue_) {
-      if (matches(m, kAnySource, comm_uid, tag)) out.push_back(m.src);
-    }
+  for (const Message& m : queue_) {
+    if (matches(m, kAnySource, comm_uid, tag)) out.push_back(m.src);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -159,7 +164,6 @@ std::vector<int> Mailbox::feasible_sources(std::int64_t comm_uid, int tag) {
 }
 
 std::deque<Message> Mailbox::drain() {
-  std::scoped_lock lock(mu_);
   return std::exchange(queue_, {});
 }
 

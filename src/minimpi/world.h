@@ -1,14 +1,15 @@
 // The shared state of one MiniMPI job: mailboxes, abort flag, deadline,
 // and the (optional) chaos layer injecting environment-level faults.
+//
+// Every rank of a job is a fiber on one thread (fiber.h), so this state is
+// touched by one rank at a time and needs no lock: a rank that must wait
+// parks its fiber, and whoever makes progress possible unparks it.
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -29,15 +30,23 @@ struct Message {
 
 class World;
 class MatchScheduler;
+class FiberScheduler;
 
-/// Per-rank incoming message queue with (source, tag) matching.
+/// Per-rank incoming message queue with (source, tag) matching.  Only the
+/// owning rank receives from it, so at most one receive waits on it.
 class Mailbox {
  public:
-  void push(Message msg);
+  /// Queues `msg`; true when it matches the receive the owner is parked in
+  /// (the caller then unparks the owner).
+  bool push(Message msg);
   /// Blocks until a matching message arrives (src/tag may be kAnySource /
   /// kAnyTag; comm_uid always matches exactly).  Raises JobAborted when the
-  /// job aborts or its wall-clock deadline passes.
+  /// job aborts, its wall-clock deadline passes, or no rank can run.
   Message pop_matching(World& world, int src, std::int64_t comm_uid, int tag);
+  /// Parks the calling rank (this mailbox's owner) until a message matching
+  /// (src, comm_uid, tag) is pushed or something else unparks it.  Does not
+  /// consume the message; callers rescan.
+  void await(World& world, int src, std::int64_t comm_uid, int tag);
 
   // ---- non-blocking views (the match scheduler's matching primitives) ----
   /// Removes and returns the first matching message, if any.
@@ -54,7 +63,6 @@ class Mailbox {
   [[nodiscard]] std::deque<Message> drain();
 
  private:
-  friend class World;
   [[nodiscard]] static bool matches(const Message& m, int src,
                                     std::int64_t comm_uid, int tag) {
     const bool src_ok = src == kAnySource || m.src == src;
@@ -62,9 +70,14 @@ class Mailbox {
     return m.comm_uid == comm_uid && src_ok && tag_ok;
   }
 
-  std::mutex mu_;
-  std::condition_variable cv_;
+  struct Wanted {
+    int src;
+    std::int64_t comm_uid;
+    int tag;
+  };
+
   std::deque<Message> queue_;
+  std::optional<Wanted> wanted_;  // criteria of the owner's parked receive
 };
 
 /// Job-wide shared state.  One World per launched test.
@@ -77,7 +90,7 @@ class World {
   ~World();  // out of line: MatchScheduler is forward-declared here
 
   [[nodiscard]] int size() const { return size_; }
-  [[nodiscard]] Mailbox& mailbox(int rank) { return *mailboxes_[rank]; }
+  [[nodiscard]] Mailbox& mailbox(int rank) { return mailboxes_[rank]; }
 
   /// Installs the match scheduler (wildcard decision recording / replay,
   /// exact deadlock detection).  Launcher-only: call before any rank runs.
@@ -104,19 +117,20 @@ class World {
   }
 
   /// Delivers a point-to-point message, applying the chaos layer's drop /
-  /// delay decisions (drops are silent — the watchdog catches the blocked
-  /// receiver, as a real lost message would surface).
+  /// delay decisions (drops are silent — the blocked receiver surfaces as a
+  /// timeout, as a real lost message would).
   void post(int src_global, int dest_global, Message msg);
 
   /// Called when a rank faults: wakes every blocked rank so the job
   /// unwinds, as mpiexec kills sibling processes of a crashed rank.
   void abort();
-  [[nodiscard]] bool aborted() const {
-    return aborted_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] bool aborted() const { return aborted_; }
+  /// Ends the job as if its deadline had passed: every parked rank wakes
+  /// and unwinds (the launcher's verdict when no rank can ever run again).
+  void expire();
   /// True once the wall-clock deadline passed (simulated hang detection).
   [[nodiscard]] bool past_deadline() const {
-    return std::chrono::steady_clock::now() > deadline_;
+    return expired_ || std::chrono::steady_clock::now() > deadline_;
   }
   [[nodiscard]] std::chrono::steady_clock::time_point deadline() const {
     return deadline_;
@@ -124,17 +138,29 @@ class World {
   /// Raises JobAborted when the job is aborted or past its deadline.
   void check_alive() const;
 
+  /// The fibers the ranks run on (launcher-only: set before any rank runs).
+  /// Without them a wait can never be satisfied and raises JobAborted.
+  void bind_fibers(FiberScheduler* fibers) { fibers_ = fibers; }
+  /// Parks the calling rank until unpark(rank) (or abort / expiry).
+  void park();
+  /// Parks the calling rank until `wake`, or earlier when unparked.
+  void park_until(std::chrono::steady_clock::time_point wake);
+  /// Makes a parked rank runnable again.
+  void unpark(int global_rank);
+
   /// Monotonic id source for communicators (tag-space qualification).
   [[nodiscard]] std::int64_t next_comm_uid() { return ++comm_uid_; }
 
  private:
   int size_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  std::atomic<bool> aborted_{false};
-  std::atomic<std::int64_t> comm_uid_{0};
+  std::vector<Mailbox> mailboxes_;
+  bool aborted_ = false;
+  bool expired_ = false;
+  std::int64_t comm_uid_ = 0;
   std::chrono::steady_clock::time_point deadline_;
   std::unique_ptr<ChaosEngine> chaos_;
   std::unique_ptr<MatchScheduler> scheduler_;
+  FiberScheduler* fibers_ = nullptr;
 };
 
 }  // namespace compi::minimpi

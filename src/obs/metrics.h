@@ -6,7 +6,7 @@
 // the engine needs counters it can afford to bump on hot paths.  Handles
 // are registered once (find-or-create under a mutex) and held by the
 // instrumented code; after that every update is a single relaxed atomic
-// op, safe from any rank thread.  Values are process-global and cumulative,
+// op, safe from any thread.  Values are process-global and cumulative,
 // exactly like Prometheus counters: the dump written at checkpoint time and
 // campaign end (`metrics.prom`) is a scrape, not a per-campaign report.
 #pragma once

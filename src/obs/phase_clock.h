@@ -9,8 +9,8 @@
 // the scheduler interleaved the workers (and it excludes retry-backoff
 // sleeps, which wall clocks silently inflate).  The driver uses it for
 // the solve phase, which runs entirely on the worker's own thread; the
-// execute phase fans out to rank threads (or a forked child), so its
-// per-worker cost stays a wall-clock reading — see DESIGN.md "Timing
+// execute phase may run in a forked child (--isolate), so its per-worker
+// cost stays a wall-clock reading — see DESIGN.md "Timing
 // semantics" for the full contract.
 #pragma once
 

@@ -4,6 +4,7 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <utility>
 
 namespace compi::obs {
 
@@ -164,10 +165,16 @@ void Tracer::write_chrome_json(std::ostream& os) const {
 
 namespace {
 thread_local int g_thread_track = 0;
+thread_local int* g_track_slot = nullptr;  // a fiber's slot, when bound
+
+int& track_slot() {
+  return g_track_slot != nullptr ? *g_track_slot : g_thread_track;
+}
 }  // namespace
 
-void set_thread_track(int tid) { g_thread_track = tid; }
-int thread_track() { return g_thread_track; }
+void set_thread_track(int tid) { track_slot() = tid; }
+int thread_track() { return track_slot(); }
+int* bind_track_slot(int* slot) { return std::exchange(g_track_slot, slot); }
 
 void ObsSpan::begin(Cat cat, const char* name) {
   Tracer& t = tracer();

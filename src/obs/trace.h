@@ -6,7 +6,7 @@
 // one slot, so the oldest events are overwritten when a campaign outlives
 // the buffer (`--trace-buffer-kb`).  Every event carries a track id: track
 // 0 is the campaign driver, track r+1 is MiniMPI rank r (published
-// thread-locally by the launcher), which is what turns the dump into the
+// fiber-locally by the launcher), which is what turns the dump into the
 // paper-style timeline — a solver span on the driver track sitting next to
 // the stalled collective on the victim rank's track.
 //
@@ -114,6 +114,7 @@ class Tracer {
 
 inline void set_thread_track(int) {}
 [[nodiscard]] inline int thread_track() { return 0; }
+inline int* bind_track_slot(int*) { return nullptr; }
 
 class ScopedTrack {
  public:
@@ -133,13 +134,18 @@ inline void instant(Cat, const char*, const char* = nullptr,
 
 #else  // tracing compiled in
 
-/// Publishes the current thread's track id (0 = driver; the launcher sets
-/// rank r's thread to r+1).
+/// Publishes the current track id (0 = driver; the launcher sets rank r's
+/// fiber to r+1).
 void set_thread_track(int tid);
 [[nodiscard]] int thread_track();
 
+/// Rebinds where the current track id lives and returns the previous slot
+/// (nullptr = the thread's own).  MiniMPI's fiber scheduler binds each rank
+/// fiber's slot while that fiber runs, which makes the track fiber-local.
+int* bind_track_slot(int* slot);
+
 /// RAII track override, restoring the previous track on scope exit (the
-/// launcher's rank threads; nested for MPMD relaunches on a pool thread).
+/// launcher's rank fibers; nested for MPMD relaunches on a pool thread).
 class ScopedTrack {
  public:
   explicit ScopedTrack(int tid) : prev_(thread_track()) {

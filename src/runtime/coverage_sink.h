@@ -11,7 +11,7 @@
 //
 // Cost discipline: without an installed sink (the default, and always in
 // the parent) the hot-path hook is one relaxed load and a branch.  Marks
-// are racy single-byte stores from any rank thread — benign, and made
+// are racy single-byte stores from any worker's ranks — benign, and made
 // formally so with std::atomic_ref.
 //
 // Each mark stamps the marking rank (rank + 1, saturated at

@@ -61,8 +61,8 @@ struct ForkServerStats {
 };
 
 /// One warm-snapshot execution engine.  NOT thread-safe: the parallel
-/// driver gives each worker its own instance (each server child is forked
-/// from — and serves — exactly one worker thread).
+/// driver gives each worker its own instance (each server child serves
+/// exactly one worker thread).
 class ForkServer {
  public:
   ForkServer(const rt::BranchTable& table, ForkServerOptions options);
@@ -91,8 +91,15 @@ class ForkServer {
   /// server mid-campaign to exercise the fallback ladder.
   [[nodiscard]] long server_pid() const { return started_ ? server_pid_ : -1; }
 
- private:
+  /// Forks the server child now, with `prototype` as the snapshot
+  /// prototype (run() does this lazily on its first call otherwise).  A
+  /// fork hands the child every lock another thread holds at that instant
+  /// — the sanitizer allocators' included — so a multi-threaded driver
+  /// starts its servers before its other threads exist.  False on failure
+  /// (run() then retries).
   bool start(const minimpi::LaunchSpec& prototype);
+
+ private:
   void note_server_death();
   void shutdown();
 

@@ -188,8 +188,7 @@ TEST(MatchScheduler, RecvFromFinishedRankIsDeadlock) {
 
 TEST(MatchScheduler, RecvAgainstCollectiveIsDeadlock) {
   // Rank 0 blocks in a receive while rank 1 enters a barrier rank 0 will
-  // never reach: mixed recv/collective deadlock, confirmed across the
-  // scheduler's collective confirmation window.
+  // never reach: mixed recv/collective deadlock.
   const RunResult run = run_scheduled(
       2, [](rt::RuntimeContext&, Comm& world) {
         if (world.raw_rank() == 0) {
@@ -203,9 +202,8 @@ TEST(MatchScheduler, RecvAgainstCollectiveIsDeadlock) {
 }
 
 TEST(MatchScheduler, CollectiveLoopsDoNotFalseDeadlock) {
-  // Ranks cycling through collectives are momentarily "all blocked" at
-  // every rendezvous; the confirmation window must keep the detector
-  // quiet for the entire run.
+  // Ranks cycling through collectives all wait at every rendezvous but the
+  // last arriver's; the detector must stay quiet for the entire run.
   const RunResult run = run_scheduled(
       4, [](rt::RuntimeContext&, Comm& world) {
         std::vector<long> acc(1, world.raw_rank());

@@ -2,8 +2,7 @@
 // abort semantics.
 #include <gtest/gtest.h>
 
-#include <thread>
-
+#include "minimpi/fiber.h"
 #include "minimpi/world.h"
 
 namespace compi::minimpi {
@@ -62,19 +61,30 @@ TEST(Mailbox, WildcardsMatchAnything) {
 }
 
 TEST(Mailbox, AbortWakesBlockedReceiver) {
+  // Rank 0 parks in a receive nobody will satisfy; rank 1 aborts the job,
+  // which must wake rank 0 and unwind it.
   World world(2, std::chrono::seconds(30));
-  std::atomic<bool> unwound{false};
-  std::jthread receiver([&] {
+  bool unwound = false;
+  const FiberScheduler::Body body = [&](int rank) {
+    if (rank == 1) {
+      world.abort();
+      return;
+    }
     try {
       (void)world.mailbox(0).pop_matching(world, 1, 0, 1);
     } catch (const JobAborted&) {
       unwound = true;
     }
+  };
+  FiberScheduler fibers(2, body);
+  world.bind_fibers(&fibers);
+  bool stuck = false;  // the abort, not the all-blocked rule, must unwind it
+  fibers.run(world.deadline(), [&] {
+    stuck = true;
+    world.expire();
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  world.abort();
-  receiver.join();
   EXPECT_TRUE(unwound);
+  EXPECT_FALSE(stuck);
 }
 
 TEST(World, DeadlineTriggersJobAborted) {
