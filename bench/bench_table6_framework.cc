@@ -126,9 +126,9 @@ int main(int argc, char** argv) {
 
   // ---- worker scaling (the --workers engine) ----
   // Same fixed-time-budget discipline as Table VI: each row is one
-  // campaign on mini-IMB with N workers sharing coverage, ledger, and the
-  // solver cache; throughput is completed iterations per wall-clock
-  // second.  The engine's contract is >= 2x at 4 workers (target
+  // campaign on mini-IMB with N workers merging into one coverage map and
+  // ledger at every epoch barrier, each with its own solver cache;
+  // throughput is completed iterations per wall-clock second.  The engine's contract is >= 2x at 4 workers (target
   // executions dominate, so the execute phase parallelizes cleanly).
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
   std::cout << "\nWorker scaling (mini-IMB-MPI1, fixed "

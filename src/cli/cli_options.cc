@@ -433,12 +433,13 @@ std::string usage() {
         "  --keep-rank-logs=N|all  per-rank logs kept in the session: each\n"
         "                       bug's first iteration plus the last N\n"
         "                       (default 16; 0 = none, all = every one)\n"
-        "  --workers=N          parallel campaign workers sharing one\n"
-        "                       coverage map and negation frontier\n"
-        "                       (default 1 = the serial campaign, on the\n"
+        "  --workers=N          parallel campaign workers; each runs its\n"
+        "                       share of every epoch, merged in ordinal\n"
+        "                       order (same seed, same session at any N;\n"
+        "                       default 1 = the serial campaign, on the\n"
         "                       calling thread)\n"
         "  --solver-cache=N     memoize definitive solver answers, N entries\n"
-        "                       LRU (0 = off); shared across workers\n"
+        "                       LRU per worker (0 = off)\n"
         "  --explore-matchings  route tests through the match scheduler and\n"
         "                       enumerate alternative wildcard-receive\n"
         "                       matchings (exact deadlock / orphan-message\n"

@@ -60,6 +60,87 @@ bool read_assignment(std::istream& is, solver::Assignment& a) {
   return true;
 }
 
+void write_registry(std::ostream& os,
+                    const std::vector<rt::VarMeta>& registry) {
+  os << "cursor_registry " << registry.size() << '\n';
+  for (const rt::VarMeta& m : registry) {
+    os << "var " << static_cast<int>(m.kind) << ' ' << m.domain.lo << ' '
+       << m.domain.hi << ' ';
+    if (m.cap) {
+      os << *m.cap;
+    } else {
+      os << "none";
+    }
+    os << ' ' << m.comm_index << ' ' << escape(m.key) << '\n';
+  }
+}
+
+bool read_registry(std::istream& is, std::vector<rt::VarMeta>& registry) {
+  std::size_t n = 0;
+  if (!expect(is, "cursor_registry") || !(is >> n)) return false;
+  registry.reserve(std::min(n, kMaxSaneReserve));
+  for (std::size_t i = 0; i < n; ++i) {
+    rt::VarMeta m;
+    int kind = 0;
+    std::string cap;
+    if (!expect(is, "var") ||
+        !(is >> kind >> m.domain.lo >> m.domain.hi >> cap >> m.comm_index)) {
+      return false;
+    }
+    m.kind = static_cast<rt::VarKind>(kind);
+    if (cap != "none") {
+      std::int64_t value = 0;
+      const auto [ptr, ec] =
+          std::from_chars(cap.data(), cap.data() + cap.size(), value);
+      if (ec != std::errc{} || ptr != cap.data() + cap.size()) return false;
+      m.cap = value;
+    }
+    m.key = unescape(read_tail(is));
+    registry.push_back(std::move(m));
+  }
+  return true;
+}
+
+void write_pending(std::ostream& os, const WorkerCursor& w) {
+  os << "cursor_pending " << w.pending_interleavings.size() << ' '
+     << w.next_interleaving_id << '\n';
+  for (const PendingInterleaving& p : w.pending_interleavings) {
+    os << "pend " << p.id << ' ' << p.nprocs << ' ' << p.focus << ' '
+       << p.plan.size();
+    for (const minimpi::MatchDecision& d : p.plan) {
+      os << ' ' << d.rank << ' ' << d.seq << ' ' << d.src;
+    }
+    os << ' ';
+    write_assignment(os, p.inputs);
+    os << '\n';
+  }
+}
+
+bool read_pending(std::istream& is, WorkerCursor& w) {
+  std::size_t n = 0;
+  if (!expect(is, "cursor_pending") || !(is >> n >> w.next_interleaving_id)) {
+    return false;
+  }
+  w.pending_interleavings.reserve(std::min(n, kMaxSaneReserve));
+  for (std::size_t i = 0; i < n; ++i) {
+    PendingInterleaving p;
+    std::size_t plan_size = 0;
+    if (!expect(is, "pend") ||
+        !(is >> p.id >> p.nprocs >> p.focus >> plan_size)) {
+      return false;
+    }
+    p.plan.reserve(std::min(plan_size, kMaxSaneReserve));
+    for (std::size_t j = 0; j < plan_size; ++j) {
+      minimpi::MatchDecision d;
+      if (!(is >> d.rank >> d.seq >> d.src)) return false;
+      p.plan.push_back(d);
+    }
+    if (!read_assignment(is, p.inputs)) return false;
+    w.pending_interleavings.push_back(std::move(p));
+  }
+  return true;
+}
+
 }  // namespace
 
 void write_blob(std::ostream& os, std::string_view tag,
@@ -157,18 +238,6 @@ void CampaignCheckpoint::write(std::ostream& os) const {
   for (sym::BranchId b : covered) os << ' ' << b;
   os << '\n';
 
-  os << "registry " << registry.size() << '\n';
-  for (const rt::VarMeta& m : registry) {
-    os << "var " << static_cast<int>(m.kind) << ' ' << m.domain.lo << ' '
-       << m.domain.hi << ' ';
-    if (m.cap) {
-      os << *m.cap;
-    } else {
-      os << "none";
-    }
-    os << ' ' << m.comm_index << ' ' << escape(m.key) << '\n';
-  }
-
   os << "hangs " << known_hang_signatures.size() << '\n';
   for (const std::string& sig : known_hang_signatures) {
     os << escape(sig) << '\n';
@@ -176,21 +245,10 @@ void CampaignCheckpoint::write(std::ostream& os) const {
 
   os << "match_frontier " << interleavings_enqueued << ' '
      << interleavings_run << ' ' << interleavings_pruned << ' '
-     << interleavings_capped << ' ' << next_interleaving_id << '\n';
+     << interleavings_capped << '\n';
   os << "match_seen " << interleaving_seen.size();
   for (std::uint64_t h : interleaving_seen) os << ' ' << h;
   os << '\n';
-  os << "pending_interleavings " << pending_interleavings.size() << '\n';
-  for (const PendingInterleaving& p : pending_interleavings) {
-    os << "pend " << p.id << ' ' << p.nprocs << ' ' << p.focus << ' '
-       << p.plan.size();
-    for (const minimpi::MatchDecision& d : p.plan) {
-      os << ' ' << d.rank << ' ' << d.seq << ' ' << d.src;
-    }
-    os << ' ';
-    write_assignment(os, p.inputs);
-    os << '\n';
-  }
 
   // Opaque blobs are embedded verbatim, prefixed with their line count.
   write_blob(os, "ledger_lines", ledger_state);
@@ -205,11 +263,13 @@ void CampaignCheckpoint::write(std::ostream& os) const {
       os << "none";
     }
     os << ' ' << w.failures << ' ' << w.consecutive_replans << ' '
-       << (w.bounded_phase ? 1 : 0) << ' ';
+       << (w.bounded_phase ? 1 : 0) << ' ' << w.depth_bound << ' ';
     write_assignment(os, w.plan_inputs);
     os << '\n';
     os << "cursor_strategy " << escape(w.strategy_name) << '\n';
     write_blob(os, "cursor_state_lines", w.strategy_state);
+    write_registry(os, w.registry);
+    write_pending(os, w);
   }
 
   os << "coord " << (is_coordinator ? 1 : 0) << '\n';
@@ -281,30 +341,6 @@ std::optional<CampaignCheckpoint> CampaignCheckpoint::read(std::istream& is) {
     c.covered.push_back(b);
   }
 
-  if (!expect(is, "registry") || !(is >> n)) return std::nullopt;
-  c.registry.reserve(std::min(n, kMaxSaneReserve));
-  for (std::size_t i = 0; i < n; ++i) {
-    rt::VarMeta m;
-    int kind = 0;
-    std::string cap;
-    if (!expect(is, "var") ||
-        !(is >> kind >> m.domain.lo >> m.domain.hi >> cap >> m.comm_index)) {
-      return std::nullopt;
-    }
-    m.kind = static_cast<rt::VarKind>(kind);
-    if (cap != "none") {
-      std::int64_t value = 0;
-      const auto [ptr, ec] =
-          std::from_chars(cap.data(), cap.data() + cap.size(), value);
-      if (ec != std::errc{} || ptr != cap.data() + cap.size()) {
-        return std::nullopt;
-      }
-      m.cap = value;
-    }
-    m.key = unescape(read_tail(is));
-    c.registry.push_back(std::move(m));
-  }
-
   if (!expect(is, "hangs") || !(is >> n)) return std::nullopt;
   is.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
   for (std::size_t i = 0; i < n; ++i) {
@@ -315,8 +351,7 @@ std::optional<CampaignCheckpoint> CampaignCheckpoint::read(std::istream& is) {
 
   if (!expect(is, "match_frontier") ||
       !(is >> c.interleavings_enqueued >> c.interleavings_run >>
-        c.interleavings_pruned >> c.interleavings_capped >>
-        c.next_interleaving_id)) {
+        c.interleavings_pruned >> c.interleavings_capped)) {
     return std::nullopt;
   }
   if (!expect(is, "match_seen") || !(is >> n)) return std::nullopt;
@@ -326,25 +361,6 @@ std::optional<CampaignCheckpoint> CampaignCheckpoint::read(std::istream& is) {
     if (!(is >> h)) return std::nullopt;
     c.interleaving_seen.push_back(h);
   }
-  if (!expect(is, "pending_interleavings") || !(is >> n)) return std::nullopt;
-  c.pending_interleavings.reserve(std::min(n, kMaxSaneReserve));
-  for (std::size_t i = 0; i < n; ++i) {
-    PendingInterleaving p;
-    std::size_t plan_size = 0;
-    if (!expect(is, "pend") ||
-        !(is >> p.id >> p.nprocs >> p.focus >> plan_size)) {
-      return std::nullopt;
-    }
-    p.plan.reserve(std::min(plan_size, kMaxSaneReserve));
-    for (std::size_t j = 0; j < plan_size; ++j) {
-      minimpi::MatchDecision d;
-      if (!(is >> d.rank >> d.seq >> d.src)) return std::nullopt;
-      p.plan.push_back(d);
-    }
-    if (!read_assignment(is, p.inputs)) return std::nullopt;
-    c.pending_interleavings.push_back(std::move(p));
-  }
-
   if (!read_blob(is, "ledger_lines", c.ledger_state)) return std::nullopt;
 
   if (!expect(is, "cursors") || !(is >> n)) return std::nullopt;
@@ -370,14 +386,16 @@ std::optional<CampaignCheckpoint> CampaignCheckpoint::read(std::istream& is) {
       }
       w.pending_depth = depth;
     }
-    if (!(is >> w.failures >> w.consecutive_replans >> flag)) {
+    if (!(is >> w.failures >> w.consecutive_replans >> flag >>
+          w.depth_bound)) {
       return std::nullopt;
     }
     w.bounded_phase = flag != 0;
     if (!read_assignment(is, w.plan_inputs)) return std::nullopt;
     if (!expect(is, "cursor_strategy")) return std::nullopt;
     w.strategy_name = unescape(read_tail(is));
-    if (!read_blob(is, "cursor_state_lines", w.strategy_state)) {
+    if (!read_blob(is, "cursor_state_lines", w.strategy_state) ||
+        !read_registry(is, w.registry) || !read_pending(is, w)) {
       return std::nullopt;
     }
     c.worker_cursors.push_back(std::move(w));

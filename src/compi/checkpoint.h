@@ -67,10 +67,10 @@ void write_bug(std::ostream& os, const BugRecord& b);
 // ---- the campaign snapshot ----
 
 /// One campaign worker's private loop state: everything a worker needs to
-/// continue its in-flight search line after a kill — the already-planned
-/// next test, backtracking flags, and the worker's own strategy snapshot
-/// (each worker runs an independent strategy instance over the shared
-/// coverage).  A serial campaign is one worker, hence one cursor.
+/// continue its search line after a kill — the already-planned next test,
+/// backtracking flags, the worker's own strategy snapshot, its variable
+/// registry, and its interleaving queue.  A serial campaign is one worker,
+/// hence one cursor.
 struct WorkerCursor {
   solver::Assignment plan_inputs;
   int plan_nprocs = 1;
@@ -80,8 +80,17 @@ struct WorkerCursor {
   int failures = 0;
   int consecutive_replans = 0;
   bool bounded_phase = false;
+  /// The worker's BoundedDFS bound (each worker derives its own).
+  std::size_t depth_bound = 0;
   std::string strategy_name;
   std::string strategy_state;
+  /// The worker's variable metadata in id order (re-interned verbatim on
+  /// resume so its solver variable ids stay stable across the kill).
+  std::vector<rt::VarMeta> registry;
+  /// Reordered matchings this worker forked and has not replayed yet
+  /// (--explore-matchings), and the id its next fork gets.
+  std::vector<PendingInterleaving> pending_interleavings;
+  std::int64_t next_interleaving_id = 1;
 };
 
 /// One outstanding coordinator lease: quota not yet reported back by the
@@ -106,44 +115,32 @@ struct CoordShardCursor {
   std::size_t covered_cursor = 0;
 };
 
-struct CampaignCheckpoint {
-  // v10: the iteration history moves out to iterations.csv — the
+/// The accumulated counters are the inherited CampaignCounters (the
+/// `counters`, `sandbox`, v8 `sandbox2` and `match_frontier` lines).
+struct CampaignCheckpoint : CampaignCounters {
+  // v11: the variable registry, the pending interleavings and the next
+  // interleaving id move into the worker cursors — each worker owns its
+  // own (`cursor_registry`, `cursor_pending` sections) — and each cursor
+  // carries its worker's depth bound.
+  // (v10 moved the iteration history out to iterations.csv — the
   // `iterations N F` line keeps only the row count and the finished flag,
-  // with no `iter` lines.
-  // (v9 moved the driver loop state into the worker cursors — a serial
-  // campaign writes one — instead of top-level plan/strategy lines; v8
-  // added the `sandbox2` line with the fork-server engine counters; v7 the
-  // optional coordinator section (`coord 1`) — global budget/completed
-  // counters, outstanding leases, and per-shard merge cursors; v6
+  // with no `iter` lines; v9 moved the driver loop state into the worker
+  // cursors — a serial campaign writes one — instead of top-level
+  // plan/strategy lines; v8 added the `sandbox2` line with the fork-server
+  // engine counters; v7 the optional coordinator section (`coord 1`) —
+  // global budget/completed counters, outstanding leases, and per-shard
+  // merge cursors; v6
   // interleaving ids/decision vectors and the interleaving frontier; v5
   // worker ordinals and per-worker cursors; v4 the coverage-attribution
   // ledger snapshot; v3 the sandbox accounting line; v2 solver_nodes and
   // retries on iter lines.)  Older snapshots are rejected and the campaign
   // falls back to a fresh start, by design.
-  static constexpr int kVersion = 10;
+  static constexpr int kVersion = 11;
 
   /// Campaign seed the snapshot was taken under (resume sanity check).
   std::uint64_t seed = 0;
   /// First iteration the resumed campaign should execute.
   int next_iteration = 0;
-
-  // Accumulated results.
-  std::size_t restarts = 0;
-  std::size_t max_constraint_set = 0;
-  std::size_t depth_bound_used = 0;
-  std::size_t transient_retries = 0;
-  std::size_t focus_replans = 0;
-  // Sandbox (--isolate) accounting, preserved so hang/crash totals survive
-  // a kill + resume.
-  std::size_t sandbox_runs = 0;
-  std::size_t sandbox_signal_kills = 0;
-  std::size_t sandbox_hang_kills = 0;
-  std::size_t sandbox_harvest_bytes = 0;
-  // Fork-server engine accounting (the v8 `sandbox2` line).
-  std::size_t warm_spawns = 0;
-  std::size_t cold_forks = 0;
-  std::size_t fork_server_restarts = 0;
-  std::size_t batch_runs = 0;
   /// The snapshot's history: the number of iterations.csv rows below
   /// next_iteration, one per ordinal.  A mid-campaign snapshot spans every
   /// ordinal before its resume point, so this equals next_iteration; read()
@@ -159,22 +156,12 @@ struct CampaignCheckpoint {
   std::vector<IterationRecord> iterations;
   std::vector<BugRecord> bugs;
   std::vector<sym::BranchId> covered;
-  /// Variable metadata in id order (re-interned verbatim on resume so
-  /// solver variable ids stay stable across the kill).
-  std::vector<rt::VarMeta> registry;
   /// Fault signatures already classified as genuine hangs (not retried).
   std::vector<std::string> known_hang_signatures;
 
-  // Interleaving frontier (--explore-matchings): not-yet-replayed
-  // reordered matchings plus the sleep set, so exploration continues
-  // exactly where the killed campaign stopped.
-  std::vector<PendingInterleaving> pending_interleavings;
+  /// The interleaving sleep set (--explore-matchings); each worker's
+  /// queue lives in its cursor.
   std::vector<std::uint64_t> interleaving_seen;  // sorted on write
-  std::int64_t next_interleaving_id = 1;
-  std::size_t interleavings_enqueued = 0;
-  std::size_t interleavings_run = 0;
-  std::size_t interleavings_pruned = 0;
-  std::size_t interleavings_capped = 0;
 
   /// Coverage-attribution ledger snapshot (CoverageLedger::write), embedded
   /// as an opaque blob so attribution survives kill + --resume.  Empty when
@@ -184,7 +171,7 @@ struct CampaignCheckpoint {
 
   /// One cursor per campaign worker.  A resume whose --workers disagrees
   /// with the cursor count starts fresh rather than guessing how to remap
-  /// in-flight search lines.  Coordinator snapshots carry none.
+  /// search lines.  Coordinator snapshots carry none.
   std::vector<WorkerCursor> worker_cursors;
 
   /// Coordinator section (v7): present only for `compi coordinate`

@@ -69,17 +69,9 @@ struct BugRecord {
   minimpi::MatchPlan decisions;
 };
 
-struct CampaignResult {
-  std::vector<IterationRecord> iterations;
-  std::vector<BugRecord> bugs;
-  /// Where the uncovered branches live (function-level breakdown).
-  std::vector<FunctionCoverage> function_coverage;
-
-  std::size_t covered_branches = 0;
-  std::size_t reachable_branches = 0;
-  std::size_t total_branches = 0;
-  double coverage_rate = 0.0;
-
+/// The campaign's running counters: a checkpoint carries them across a
+/// kill + resume as they are.
+struct CampaignCounters {
   std::size_t max_constraint_set = 0;
   std::size_t depth_bound_used = 0;
   std::size_t restarts = 0;
@@ -107,18 +99,6 @@ struct CampaignResult {
   std::size_t cold_forks = 0;
   std::size_t fork_server_restarts = 0;
   std::size_t batch_runs = 0;
-  /// True when the campaign continued a checkpointed session.
-  bool resumed = false;
-  /// Parallel-engine accounting (--workers > 1; all zero on the serial
-  /// path).  Dedup skips are candidates not solved because their untaken
-  /// arm was claimed by another worker; stale drops are candidates whose
-  /// arm was covered by another worker between dequeue and solve.
-  std::size_t workers_used = 1;
-  std::size_t frontier_dedup_skips = 0;
-  std::size_t stale_candidate_drops = 0;
-  /// Solver memoization totals (zero when the cache is disabled).
-  std::size_t solver_cache_hits = 0;
-  std::size_t solver_cache_misses = 0;
   /// Wildcard-matching exploration accounting (--explore-matchings; all
   /// zero when exploration is off).  Pruned counts alternatives dropped by
   /// the sleep-set dedup; capped counts those dropped by
@@ -127,6 +107,30 @@ struct CampaignResult {
   std::size_t interleavings_run = 0;
   std::size_t interleavings_pruned = 0;
   std::size_t interleavings_capped = 0;
+};
+
+struct CampaignResult : CampaignCounters {
+  std::vector<IterationRecord> iterations;
+  std::vector<BugRecord> bugs;
+  /// Where the uncovered branches live (function-level breakdown).
+  std::vector<FunctionCoverage> function_coverage;
+
+  std::size_t covered_branches = 0;
+  std::size_t reachable_branches = 0;
+  std::size_t total_branches = 0;
+  double coverage_rate = 0.0;
+
+  /// True when the campaign continued a checkpointed session.
+  bool resumed = false;
+  std::size_t workers_used = 1;
+  /// Always zero: epochs give workers no shared frontier to claim arms
+  /// from or to drop stale candidates against.  Kept for perfbench, which
+  /// still reads them.
+  std::size_t frontier_dedup_skips = 0;
+  std::size_t stale_candidate_drops = 0;
+  /// Solver memoization totals (zero when the cache is disabled).
+  std::size_t solver_cache_hits = 0;
+  std::size_t solver_cache_misses = 0;
   /// Exact matching-bug verdicts observed across iterations.
   std::size_t deadlocks_found = 0;
   std::size_t orphan_messages_found = 0;
@@ -151,8 +155,9 @@ class Campaign {
   Campaign(const TargetInfo& target, CampaignOptions options);
 
   /// Runs the full campaign to its iteration/time budget: `workers`
-  /// execute->solve loops over shared coverage, ledger, and candidate
-  /// frontier.  One worker (the default) runs on the calling thread.
+  /// execute->solve loops in bulk-synchronous epochs whose results one
+  /// thread merges in ordinal order.  One worker (the default) runs on the
+  /// calling thread.
   [[nodiscard]] CampaignResult run();
 
  private:

@@ -42,13 +42,16 @@ struct PendingInterleaving {
 };
 
 /// Pending interleavings plus the sleep set of decision-prefix hashes
-/// already enqueued (shared across workers under the campaign mutex).
+/// already enqueued.  Each campaign worker owns one: its queue and id
+/// space persist, while its sleep set and `enqueued` count are reset to
+/// the campaign's at every epoch (driver.cc).  Ids step by `id_stride`, so
+/// N workers starting at 1..N never hand out the same id.
 struct InterleavingFrontier {
   std::deque<PendingInterleaving> queue;
   std::unordered_set<std::uint64_t> seen;
   std::int64_t next_id = 1;
+  std::int64_t id_stride = 1;
   std::size_t enqueued = 0;
-  std::size_t run_count = 0;
   std::size_t pruned = 0;  // dropped by the sleep-set dedup
   std::size_t capped = 0;  // dropped by --max-interleavings
 };
@@ -98,7 +101,8 @@ inline std::size_t enqueue_alternatives(
         continue;
       }
       PendingInterleaving p;
-      p.id = frontier.next_id++;
+      p.id = frontier.next_id;
+      frontier.next_id += frontier.id_stride;
       p.plan = std::move(plan);
       p.inputs = inputs;
       p.nprocs = nprocs;

@@ -59,19 +59,18 @@ struct CampaignOptions {
   bool conflict_resolution = true;
 
   // ---- parallelism (the --workers engine) ----
-  /// Concurrent campaign workers.  1 (the default) runs the single worker
-  /// on the calling thread: the serial campaign, searching with `seed`
-  /// itself.  N > 1 runs N worker threads that each execute->solve
-  /// independently while sharing one coverage map, attribution ledger, and
-  /// deduplicated negation frontier (two workers never chase the same
-  /// untaken arm concurrently; a candidate whose arm another worker covered
-  /// between dequeue and solve is dropped before solving).
+  /// Campaign workers.  1 (the default) runs the single worker on the
+  /// calling thread: the serial campaign, searching with `seed` itself.
+  /// N > 1 runs bulk-synchronous epochs: each worker runs its ordinals of
+  /// the epoch against the campaign as of the epoch's start plus its own
+  /// finds, and one thread merges their results in ordinal order at the
+  /// barrier, so the session depends only on the seed and options.
   int workers = 1;
   /// Solver memoization capacity in entries (solver/cache.h): definitive
   /// incremental-solve answers keyed on the normalized dependency slice,
-  /// shared across workers and restarts.  0 disables the cache (the
-  /// default, keeping single-worker sessions bit-identical in their
-  /// solver_nodes accounting).
+  /// one cache per worker, kept across restarts.  0 disables the cache
+  /// (the default, keeping sessions bit-identical in their solver_nodes
+  /// accounting).
   int solver_cache_entries = 0;
 
   // ---- wildcard-matching exploration (match_scheduler.h) ----

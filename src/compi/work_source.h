@@ -2,19 +2,22 @@
 // coordinator protocol, abstracted).
 //
 // A WorkSource decides whether the next iteration may run and absorbs the
-// results of completed ones.  Every campaign worker (driver.cc) consults
-// it when CampaignOptions::work_source is set; a null pointer (the
-// default) leaves the engine byte-identical to its standalone behaviour.
+// results of completed ones.  When CampaignOptions::work_source is set,
+// every campaign worker (driver.cc) calls acquire() once per ordinal, and
+// the epoch's apply step reports each applied iteration and drains the
+// remote coverage; a null pointer (the default) leaves the engine
+// byte-identical to its standalone behaviour.
 //
 // The contract is built for idempotent re-execution: report() always
 // carries the shard's FULL covered set, FULL bug list, and CUMULATIVE
 // iteration count, so a delta replayed after a reconnect (or a lease
 // reclaimed from a dead shard and re-granted elsewhere) merges to the same
 // global state.  Coverage learned from other shards flows back through
-// take_remote_coverage()/take_remote_interleavings(); merging it into the
-// local CoverageTracker lets the existing strategy dedup and stale-drop
-// machinery prune candidates the fleet already covered — that is how the
-// frontier is partitioned without any per-candidate ownership protocol.
+// take_remote_coverage()/take_remote_interleavings(); merged into the
+// campaign's CoverageTracker, it reaches every worker's view at the next
+// epoch, so strategies steer away from branches the fleet already covered
+// — that is how the frontier is partitioned without any per-candidate
+// ownership protocol.
 #pragma once
 
 #include <cstdint>

@@ -87,8 +87,21 @@ ckpt::CampaignCheckpoint sample_checkpoint() {
   cur.failures = 3;
   cur.consecutive_replans = 1;
   cur.bounded_phase = true;
+  cur.depth_bound = 37;
   cur.strategy_name = "BoundedDFS";
   cur.strategy_state = "stats 4 1\nframes 0\n";
+  rt::VarMeta meta;
+  meta.key = "x";
+  meta.kind = rt::VarKind::kRegular;
+  meta.domain = {0, 500};
+  meta.cap = 500;
+  cur.registry.push_back(meta);
+  rt::VarMeta rank_meta;
+  rank_meta.key = "rc:0";
+  rank_meta.kind = rt::VarKind::kRankLocal;
+  rank_meta.domain = {0, 15};
+  rank_meta.comm_index = 0;
+  cur.registry.push_back(rank_meta);
   c.worker_cursors.push_back(cur);
   c.restarts = 2;
   c.max_constraint_set = 9;
@@ -127,18 +140,6 @@ ckpt::CampaignCheckpoint sample_checkpoint() {
   bug.flaky = true;
   c.bugs.push_back(bug);
   c.covered = {0, 3, 5, 12};
-  rt::VarMeta meta;
-  meta.key = "x";
-  meta.kind = rt::VarKind::kRegular;
-  meta.domain = {0, 500};
-  meta.cap = 500;
-  c.registry.push_back(meta);
-  rt::VarMeta rank_meta;
-  rank_meta.key = "rc:0";
-  rank_meta.kind = rt::VarKind::kRankLocal;
-  rank_meta.domain = {0, 15};
-  rank_meta.comm_index = 0;
-  c.registry.push_back(rank_meta);
   c.known_hang_signatures = {"test wall-clock timeout", "hang\nwith newline"};
   return c;
 }
@@ -166,6 +167,7 @@ TEST(Ckpt, CampaignCheckpointRoundTrips) {
   EXPECT_EQ(cur.failures, want.failures);
   EXPECT_EQ(cur.consecutive_replans, want.consecutive_replans);
   EXPECT_EQ(cur.bounded_phase, want.bounded_phase);
+  EXPECT_EQ(cur.depth_bound, want.depth_bound);
   EXPECT_EQ(cur.strategy_name, want.strategy_name);
   EXPECT_EQ(cur.strategy_state, want.strategy_state);
   EXPECT_EQ(back->restarts, c.restarts);
@@ -188,11 +190,11 @@ TEST(Ckpt, CampaignCheckpointRoundTrips) {
   EXPECT_EQ(back->bugs[0].named_inputs, c.bugs[0].named_inputs);
   EXPECT_EQ(back->bugs[0].flaky, true);
   EXPECT_EQ(back->covered, c.covered);
-  ASSERT_EQ(back->registry.size(), 2u);
-  EXPECT_EQ(back->registry[0].key, "x");
-  EXPECT_EQ(back->registry[0].cap, c.registry[0].cap);
-  EXPECT_EQ(back->registry[1].kind, rt::VarKind::kRankLocal);
-  EXPECT_EQ(back->registry[1].comm_index, 0);
+  ASSERT_EQ(cur.registry.size(), 2u);
+  EXPECT_EQ(cur.registry[0].key, "x");
+  EXPECT_EQ(cur.registry[0].cap, want.registry[0].cap);
+  EXPECT_EQ(cur.registry[1].kind, rt::VarKind::kRankLocal);
+  EXPECT_EQ(cur.registry[1].comm_index, 0);
   EXPECT_EQ(back->known_hang_signatures, c.known_hang_signatures);
 }
 

@@ -7,14 +7,24 @@
 // a function of the program alone, so two runs with the same seed — and an
 // in-process run and a fork-server run — write byte-identical sessions
 // (iterations.csv without its two timing columns, bugs.txt, ledger.csv).
+//
+// --workers=N keeps that: each epoch deals its ordinals to the workers by
+// a deterministic rule, they run against the campaign as of the epoch's
+// start, and one thread applies their results in ordinal order, so thread
+// timing — a CPU hog next to one run of a pair included — cannot reach the
+// session.  A halt at a barrier plus --resume is byte-identical to the
+// uninterrupted campaign.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "compi/driver.h"
@@ -96,6 +106,123 @@ TEST(Determinism, SusyForkServerRunMatchesInProcess) {
   (void)Campaign(target, susy_options(inproc.path, false)).run();
   (void)Campaign(target, susy_options(isolated.path, true)).run();
   expect_identical_sessions(inproc.path, isolated.path);
+}
+
+/// Every session file the campaign's results live in, byte for byte:
+/// iterations.csv without its timing columns, bugs.txt, ledger.csv,
+/// coverage_timeline.csv and the final checkpoint.txt.
+void expect_identical_files(const fs::path& a, const fs::path& b) {
+  const std::vector<std::string> rows =
+      rows_without_timings(a / "iterations.csv");
+  const std::vector<std::string> other =
+      rows_without_timings(b / "iterations.csv");
+  EXPECT_GT(rows.size(), 1u);
+  ASSERT_EQ(rows.size(), other.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(rows[i], other[i]) << "first differing row " << i;
+  }
+  for (const char* file : {"bugs.txt", "ledger.csv", "coverage_timeline.csv",
+                           "checkpoint.txt"}) {
+    EXPECT_TRUE(fs::exists(a / file)) << file;
+    EXPECT_EQ(slurp(a / file), slurp(b / file)) << file;
+  }
+}
+
+/// Busy threads, one per core, for as long as the hog lives.
+class CpuHog {
+ public:
+  CpuHog() {
+    const unsigned n = std::max(1u, std::thread::hardware_concurrency());
+    for (unsigned i = 0; i < n; ++i) {
+      threads_.emplace_back([this] {
+        volatile std::uint64_t x = 0;
+        while (!done_.load(std::memory_order_relaxed)) x = x + 1;
+      });
+    }
+  }
+  ~CpuHog() {
+    done_.store(true);
+    for (std::thread& t : threads_) t.join();
+  }
+
+ private:
+  std::atomic<bool> done_{false};
+  std::vector<std::thread> threads_;
+};
+
+CampaignOptions four_worker_options(const fs::path& dir, int iterations) {
+  CampaignOptions opts;
+  opts.seed = 1;
+  opts.iterations = iterations;
+  opts.workers = 4;
+  opts.log_dir = dir.string();
+  return opts;
+}
+
+TEST(Determinism, ImbFourWorkersAreByteIdenticalNextToACpuHog) {
+  // Snapshots every 2048 ordinals leave full-length epochs (4 workers x
+  // 256), so later epochs are dealt by earlier ones' path lengths.
+  const TargetInfo target = targets::make_mini_imb_target();
+  TempDir quiet, loaded;
+  CampaignOptions opts = four_worker_options(quiet.path, 4000);
+  opts.checkpoint_interval = 2048;
+  (void)Campaign(target, opts).run();
+  {
+    CpuHog hog;
+    opts.log_dir = loaded.path.string();
+    (void)Campaign(target, opts).run();
+  }
+  expect_identical_files(quiet.path, loaded.path);
+}
+
+TEST(Determinism, SusyFourWorkersAreByteIdenticalNextToACpuHog) {
+  const TargetInfo target = targets::make_mini_susy_target();
+  TempDir quiet, loaded;
+  const CampaignResult a =
+      Campaign(target, four_worker_options(quiet.path, 600)).run();
+  {
+    CpuHog hog;
+    (void)Campaign(target, four_worker_options(loaded.path, 600)).run();
+  }
+  EXPECT_FALSE(a.bugs.empty());
+  expect_identical_files(quiet.path, loaded.path);
+}
+
+TEST(Determinism, SolverCacheTwoWorkersAreByteIdentical) {
+  // Each worker owns its cache, so hits — and the solver_nodes column they
+  // zero — depend only on the worker's own queries.
+  const TargetInfo target = targets::make_mini_susy_target();
+  TempDir first, second;
+  CampaignOptions opts = four_worker_options(first.path, 600);
+  opts.workers = 2;
+  opts.solver_cache_entries = 4096;
+  const CampaignResult a = Campaign(target, opts).run();
+  opts.log_dir = second.path.string();
+  const CampaignResult b = Campaign(target, opts).run();
+  EXPECT_GT(a.solver_cache_hits, 0u);
+  EXPECT_EQ(a.solver_cache_hits, b.solver_cache_hits);
+  expect_identical_files(first.path, second.path);
+}
+
+TEST(Determinism, HaltAndResumeAtThreeWorkersMatchesAnUninterruptedRun) {
+  // A halt lands on a barrier, where no ordinal is in flight: the resumed
+  // campaign continues every worker's search line exactly.
+  const TargetInfo target = targets::make_mini_susy_target();
+  TempDir whole, resumed;
+  CampaignOptions opts = four_worker_options(whole.path, 600);
+  opts.workers = 3;
+  (void)Campaign(target, opts).run();
+
+  opts.log_dir = resumed.path.string();
+  opts.halt_after_iterations = 250;
+  const CampaignResult partial = Campaign(target, opts).run();
+  ASSERT_EQ(partial.iterations.size(), 250u);
+  ASSERT_FALSE(fs::exists(resumed.path / "summary.txt"));
+  opts.halt_after_iterations = 0;
+  opts.resume = true;
+  const CampaignResult rest = Campaign(target, opts).run();
+  EXPECT_TRUE(rest.resumed);
+  expect_identical_files(whole.path, resumed.path);
 }
 
 }  // namespace

@@ -174,9 +174,13 @@ TEST(MatchOutcomes, CheckpointV6RoundTripsInterleavingState) {
   pend.inputs = {{0, 42}, {2, -1}};
   pend.nprocs = 3;
   pend.focus = 1;
-  c.pending_interleavings.push_back(pend);
+  // Pending matchings belong to the worker that forked them.
+  ckpt::WorkerCursor cur;
+  cur.strategy_name = "DFS";
+  cur.pending_interleavings.push_back(pend);
+  cur.next_interleaving_id = 8;
+  c.worker_cursors.push_back(cur);
   c.interleaving_seen = {11, 42, 99};
-  c.next_interleaving_id = 8;
   c.interleavings_enqueued = 7;
   c.interleavings_run = 6;
   c.interleavings_pruned = 5;
@@ -200,14 +204,17 @@ TEST(MatchOutcomes, CheckpointV6RoundTripsInterleavingState) {
   ASSERT_EQ(back->bugs.size(), 1u);
   EXPECT_EQ(back->bugs[0].outcome, rt::Outcome::kOrphanMessage);
   EXPECT_EQ(back->bugs[0].decisions, c.bugs[0].decisions);
-  ASSERT_EQ(back->pending_interleavings.size(), 1u);
-  EXPECT_EQ(back->pending_interleavings[0].id, 7);
-  EXPECT_EQ(back->pending_interleavings[0].plan, pend.plan);
-  EXPECT_EQ(back->pending_interleavings[0].inputs, pend.inputs);
-  EXPECT_EQ(back->pending_interleavings[0].nprocs, 3);
-  EXPECT_EQ(back->pending_interleavings[0].focus, 1);
+  ASSERT_EQ(back->worker_cursors.size(), 1u);
+  const std::vector<PendingInterleaving>& pending =
+      back->worker_cursors[0].pending_interleavings;
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending[0].id, 7);
+  EXPECT_EQ(pending[0].plan, pend.plan);
+  EXPECT_EQ(pending[0].inputs, pend.inputs);
+  EXPECT_EQ(pending[0].nprocs, 3);
+  EXPECT_EQ(pending[0].focus, 1);
   EXPECT_EQ(back->interleaving_seen, c.interleaving_seen);
-  EXPECT_EQ(back->next_interleaving_id, 8);
+  EXPECT_EQ(back->worker_cursors[0].next_interleaving_id, 8);
   EXPECT_EQ(back->interleavings_enqueued, 7u);
   EXPECT_EQ(back->interleavings_run, 6u);
   EXPECT_EQ(back->interleavings_pruned, 5u);
@@ -428,9 +435,10 @@ TEST(MatchExploration, IsolatedRunsReportDeadlockNotTimeout) {
 }
 
 TEST(MatchExploration, ParallelWorkersShareTheInterleavingFrontier) {
-  // Four workers, one shared frontier: forks enqueued by any worker's run
-  // are replayed by whichever worker dequeues them next, and the ordering
-  // deadlock is still found.  (CI also runs this under ThreadSanitizer.)
+  // Four workers, one sleep set: each worker replays the forks of its own
+  // runs, the campaign's sleep set merges at every epoch barrier, and the
+  // ordering deadlock is still found.  (CI also runs this under
+  // ThreadSanitizer.)
   TempDir dir;
   CampaignOptions opts = wc_opts(dir.path);
   opts.explore_matchings = true;

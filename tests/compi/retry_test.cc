@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "compi/session.h"
+#include "obs/journal.h"
 #include "solver/solver.h"
 #include "targets/target_common.h"
 #include "tests/compi/fig2_target.h"
@@ -195,6 +196,38 @@ TEST(Campaign, DeadFocusTriggersFocusReplan) {
   EXPECT_EQ(result.iterations[0].focus, 0);
   EXPECT_EQ(result.iterations[1].focus, 1);
   EXPECT_EQ(result.iterations[2].focus, 2);
+}
+
+TEST(Campaign, BugBudgetHitOnAFocusReplanIsJournaled) {
+  // The crashed focus is both the budget's one bug and a re-plan
+  // iteration; the stop must be journaled like any other bug-budget stop.
+  TempDir dir;
+  CampaignOptions opts;
+  opts.seed = 2;
+  opts.iterations = 8;
+  opts.initial_nprocs = 4;
+  opts.initial_focus = 0;
+  opts.max_procs = 8;
+  opts.confirm_bugs = false;
+  opts.chaos.crash_rank = 0;
+  opts.chaos.crash_at_call = 1;
+  opts.max_bugs = 1;
+  opts.journal = true;
+  opts.log_dir = dir.path.string();
+
+  const CampaignResult result = Campaign(replan_target(), opts).run();
+  ASSERT_EQ(result.bugs.size(), 1u);
+  ASSERT_EQ(result.iterations.size(), 1u);
+  EXPECT_EQ(result.focus_replans, 1u);
+  int budget_events = 0;
+  for (const obs::ParsedEvent& ev :
+       obs::read_journal(dir.path / "journal.jsonl")) {
+    if (ev.type != "bug_budget_exhausted") continue;
+    ++budget_events;
+    EXPECT_EQ(ev.iter(), 0);
+    EXPECT_EQ(ev.num("bugs"), 1);
+  }
+  EXPECT_EQ(budget_events, 1);
 }
 
 // ---------------------------------------------------------------------------
