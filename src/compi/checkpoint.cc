@@ -255,7 +255,7 @@ void CampaignCheckpoint::write(std::ostream& os) const {
 
   os << "cursors " << worker_cursors.size() << '\n';
   for (const WorkerCursor& w : worker_cursors) {
-    os << "cursor " << w.plan_nprocs << ' ' << w.plan_focus << ' '
+    os << "cursor " << w.plan.nprocs << ' ' << w.plan.focus << ' '
        << (w.next_is_restart ? 1 : 0) << ' ';
     if (w.pending_depth) {
       os << *w.pending_depth;
@@ -264,7 +264,7 @@ void CampaignCheckpoint::write(std::ostream& os) const {
     }
     os << ' ' << w.failures << ' ' << w.consecutive_replans << ' '
        << (w.bounded_phase ? 1 : 0) << ' ' << w.depth_bound << ' ';
-    write_assignment(os, w.plan_inputs);
+    write_assignment(os, w.plan.inputs);
     os << '\n';
     os << "cursor_strategy " << escape(w.strategy_name) << '\n';
     write_blob(os, "cursor_state_lines", w.strategy_state);
@@ -371,7 +371,7 @@ std::optional<CampaignCheckpoint> CampaignCheckpoint::read(std::istream& is) {
   for (std::size_t i = 0; i < n; ++i) {
     WorkerCursor w;
     std::string tok;
-    if (!expect(is, "cursor") || !(is >> w.plan_nprocs >> w.plan_focus >>
+    if (!expect(is, "cursor") || !(is >> w.plan.nprocs >> w.plan.focus >>
                                    flag)) {
       return std::nullopt;
     }
@@ -391,7 +391,7 @@ std::optional<CampaignCheckpoint> CampaignCheckpoint::read(std::istream& is) {
       return std::nullopt;
     }
     w.bounded_phase = flag != 0;
-    if (!read_assignment(is, w.plan_inputs)) return std::nullopt;
+    if (!read_assignment(is, w.plan.inputs)) return std::nullopt;
     if (!expect(is, "cursor_strategy")) return std::nullopt;
     w.strategy_name = unescape(read_tail(is));
     if (!read_blob(is, "cursor_state_lines", w.strategy_state) ||

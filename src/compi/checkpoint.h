@@ -66,20 +66,23 @@ void write_bug(std::ostream& os, const BugRecord& b);
 
 // ---- the campaign snapshot ----
 
-/// One campaign worker's private loop state: everything a worker needs to
-/// continue its search line after a kill — the already-planned next test,
-/// backtracking flags, the worker's own strategy snapshot, its variable
-/// registry, and its interleaving queue.  A serial campaign is one worker,
-/// hence one cursor.
-struct WorkerCursor {
-  solver::Assignment plan_inputs;
-  int plan_nprocs = 1;
-  int plan_focus = 0;
-  bool next_is_restart = false;
+/// A worker's search line between iterations: the already-planned next
+/// test and the backtracking flags.  The live worker (driver.cc) and its
+/// WorkerCursor share it.
+struct SearchLine {
+  TestPlan plan;
+  bool next_is_restart = true;
   std::optional<std::size_t> pending_depth;
   int failures = 0;
   int consecutive_replans = 0;
   bool bounded_phase = false;
+};
+
+/// One campaign worker's private loop state: everything a worker needs to
+/// continue after a kill — its search line, its own strategy snapshot, its
+/// variable registry, and its interleaving queue.  A serial campaign is one
+/// worker, hence one cursor.
+struct WorkerCursor : SearchLine {
   /// The worker's BoundedDFS bound (each worker derives its own).
   std::size_t depth_bound = 0;
   std::string strategy_name;

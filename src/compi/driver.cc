@@ -7,27 +7,14 @@
 // plan, solver, solver cache, Framework, Executor, variable registry and
 // interleaving queue — so its runs depend only on what it is shown.
 //
-// Bulk-synchronous epochs: an epoch covers ordinals [b, b+E), dealt to the
-// workers by a deterministic rule (plan_epoch).  During the epoch each
-// worker runs its ordinals against a private view — the campaign at the
-// start of the epoch plus its own finds (coverage, bug signatures, known
-// hangs, the longest constraint set, the interleaving sleep set) — writes
-// no shared state, and records one Outcome per ordinal.  At the barrier
-// one thread applies the outcomes in ordinal order: coverage, ledger, bugs
-// and their rank logs, CSV rows, the journal events the workers buffered,
-// the bug budget, snapshots, and the work source.  Then every view is
-// reset to the merged campaign.  So a campaign depends only on its seed
-// and options, never on thread timing.
-// The serial campaign (N = 1, the default) is the same loop with one
-// worker on the calling thread.
-//
-// E is N * kSliceOrdinals, cut short at the budget, the halt point and —
-// when a session writes checkpoints — the next checkpoint multiple, so
-// snapshots are taken at barriers.  A lone worker's epochs are one ordinal:
-// batching buys it nothing, and an outcome held to the barrier is memory
-// the run would otherwise have freed.  With a work source an epoch is one
-// ordinal too: a worker may block in acquire() until the coordinator hears
-// about completed work, which is only reported at a barrier.
+// Bulk-synchronous epochs (DESIGN.md §4.4.1): an epoch's ordinals are
+// dealt to the workers (plan_epoch); each runs its share against a private
+// view — the campaign at the epoch's start plus its own finds — writes no
+// shared state and records one Outcome per ordinal; at the barrier one
+// thread applies the outcomes in ordinal order.  So a campaign depends
+// only on its seed and options, never on thread timing.  The serial
+// campaign (N = 1, the default) is the same loop with one worker on the
+// calling thread, one ordinal per epoch.
 //
 // Timing: exec_seconds is each worker's launch-phase wall clock;
 // solve_seconds is the worker's THREAD CPU time, which sums correctly
@@ -52,6 +39,7 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <unordered_set>
 
 #include "compi/checkpoint.h"
@@ -82,15 +70,13 @@ namespace {
 
 /// Ordinals each worker runs per epoch (L).  Longer slices keep workers
 /// busy through uneven iteration costs; shorter ones show each worker the
-/// others' finds sooner.  Chosen from the sweep in EXPERIMENTS.md.
+/// others' finds sooner.  Chosen from the sweeps in EXPERIMENTS.md.
 constexpr int kSliceOrdinals = 256;
 
 /// What one ordinal did, recorded by its worker for the apply step.
 struct Outcome {
   int worker = 0;  // dealt by the epoch plan
   bool ran = false;
-  /// The work source refused this ordinal's lease: the campaign ends.
-  bool denied = false;
   IterationRecord rec;  // covered_branches is filled in by the apply step
   minimpi::RunResult run;
   /// Coverage this run contributes (all recorders, or the focus's only).
@@ -101,15 +87,35 @@ struct Outcome {
   /// A fault whose signature the worker had not seen: the bug record, to
   /// be kept unless an earlier ordinal landed the same signature.
   std::optional<BugRecord> bug;
-  /// Everything else the run does to the campaign — counters, journal
-  /// events, known hangs, ledger misses — in the order the worker did it,
-  /// for the apply step to run.
-  std::vector<std::function<void()>> effects;
+  /// What the run adds to the campaign's counters (add_counts).
+  CampaignCounters counts;
+  /// Its solver outcome mix, and the frontier depth it leaves (-1: none).
+  std::int64_t sat = 0, unsat = 0, budget = 0, frontier = -1;
+  std::optional<std::string> hang;  // a signature it proved to hang
+  std::vector<std::uint64_t> seen;  // sleep-set hashes it inserted
+  /// Failed negations for the ledger: target, constraint, budget hit.
+  std::vector<std::tuple<sym::BranchId, std::string, bool>> misses;
+  std::vector<std::string> events;  // its journal lines, in order
 };
+
+/// Adds one outcome's counts; a depth bound it set replaces the campaign's.
+void add_counts(CampaignCounters& to, const CampaignCounters& d) {
+  using C = CampaignCounters;
+  for (std::size_t C::*f :
+       {&C::restarts, &C::transient_retries, &C::focus_replans,
+        &C::sandbox_runs, &C::sandbox_signal_kills, &C::sandbox_hang_kills,
+        &C::sandbox_harvest_bytes, &C::warm_spawns, &C::cold_forks,
+        &C::fork_server_restarts, &C::batch_runs, &C::interleavings_enqueued,
+        &C::interleavings_run, &C::interleavings_pruned,
+        &C::interleavings_capped}) {
+    to.*f += d.*f;
+  }
+  if (d.depth_bound_used > 0) to.depth_bound_used = d.depth_bound_used;
+}
 
 /// One worker: its search line, which persists across epochs, plus its
 /// private view of the campaign, which the apply step resets each epoch.
-struct Worker {
+struct Worker : ckpt::SearchLine {
   Worker(const rt::BranchTable& table, const CampaignOptions& options)
       : framework(registry, options.max_procs, options.framework,
                   options.conflict_resolution),
@@ -121,15 +127,9 @@ struct Worker {
     }
   }
 
-  // ---- the search line (checkpointed in its WorkerCursor) ----
-  TestPlan plan;
+  // ---- the rest of the search line (checkpointed in its WorkerCursor) ----
   std::unique_ptr<SearchStrategy> strategy;
   StrategyConfig scfg;
-  std::optional<std::size_t> pending_depth;
-  bool next_is_restart = true;
-  bool bounded_phase = false;
-  int failures = 0;
-  int consecutive_replans = 0;
   rt::VarRegistry registry;
   /// Its queue and id space persist; `seen` and `enqueued` are the view.
   InterleavingFrontier interleavings;
@@ -154,14 +154,7 @@ struct Worker {
 
 ckpt::WorkerCursor cursor_of(const Worker& wk) {
   ckpt::WorkerCursor cur;
-  cur.plan_inputs = wk.plan.inputs;
-  cur.plan_nprocs = wk.plan.nprocs;
-  cur.plan_focus = wk.plan.focus;
-  cur.next_is_restart = wk.next_is_restart;
-  cur.pending_depth = wk.pending_depth;
-  cur.failures = wk.failures;
-  cur.consecutive_replans = wk.consecutive_replans;
-  cur.bounded_phase = wk.bounded_phase;
+  static_cast<ckpt::SearchLine&>(cur) = wk;
   cur.depth_bound = wk.scfg.bound;
   cur.strategy_name = wk.strategy->name();
   std::ostringstream blob;
@@ -432,17 +425,11 @@ CampaignResult Campaign::run() {
         const ckpt::WorkerCursor& cur =
             c->worker_cursors[static_cast<std::size_t>(w)];
         Worker& wk = *pool[static_cast<std::size_t>(w)];
+        static_cast<ckpt::SearchLine&>(wk) = cur;
         set_strategy(wk, w, two_phase && cur.bounded_phase, cur.depth_bound);
         std::istringstream blob(cur.strategy_state);
         loaded = cur.strategy_name == wk.strategy->name() &&
                  wk.strategy->load_state(blob);
-        wk.plan.inputs = cur.plan_inputs;
-        wk.plan.nprocs = cur.plan_nprocs;
-        wk.plan.focus = cur.plan_focus;
-        wk.next_is_restart = cur.next_is_restart;
-        wk.pending_depth = cur.pending_depth;
-        wk.failures = cur.failures;
-        wk.consecutive_replans = cur.consecutive_replans;
         for (const rt::VarMeta& meta : cur.registry) {
           wk.registry.intern(meta.key, meta.kind, meta.domain, meta.cap,
                              meta.comm_index);
@@ -657,7 +644,7 @@ CampaignResult Campaign::run() {
         static_cast<std::int64_t>(elapsed()));
   };
 
-  // Distributed intake: one report per applied iteration, carrying FULL
+  // Distributed intake: one report per applied epoch, carrying FULL
   // local state and a CUMULATIVE count (see work_source.h) so replays after
   // reconnects or reclaimed leases are idempotent.  The ledger blob is
   // rendered lazily — the work source only pays for it when it actually
@@ -695,41 +682,42 @@ CampaignResult Campaign::run() {
     options_.work_source->report(d);
   };
 
-  // Campaign-wide accounting of one Executor::run (journal events name the
-  // iteration and worker); an effect of runs that forked or batch-ran.
-  const auto account = [&](const ExecReport& x, int iter, int w) {
+  // Campaign-wide accounting of one Executor::run, on its worker's thread:
+  // live metrics now, counters and journal events into the outcome.
+  const auto account = [&](const ExecReport& x, Outcome& o, int iter, int w) {
+    CampaignCounters& n = o.counts;
     if (x.batch) {
-      ++result.batch_runs;
+      ++n.batch_runs;
       m_batch_runs.inc();
     }
     if (x.server_deaths > 0) {
-      result.fork_server_restarts += x.server_deaths;
+      n.fork_server_restarts += x.server_deaths;
       m_server_restarts.inc(static_cast<std::int64_t>(x.server_deaths));
       obs::instant(obs::Cat::kSandbox, "server_restart");
-      obs::JournalEvent(journal, "fork_server_restart", iter)
+      obs::JournalEvent(journal, "fork_server_restart", iter, &o.events)
           .num("restarts", static_cast<std::int64_t>(x.server_restarts))
           .boolean("degraded", x.server_degraded)
           .num("worker", w);
     }
     if (x.warm) {
-      ++result.warm_spawns;
+      ++n.warm_spawns;
       m_warm_spawns.inc();
       m_spawn_us.observe(static_cast<std::int64_t>(x.spawn_seconds * 1e6));
     } else if (x.cold) {
-      ++result.cold_forks;
+      ++n.cold_forks;
       m_cold_forks.inc();
     }
     const sandbox::SandboxStats& st = x.sandbox;
     if (!st.forked) return;
-    ++result.sandbox_runs;
-    result.sandbox_harvest_bytes += st.harvest_bytes;
+    ++n.sandbox_runs;
+    n.sandbox_harvest_bytes += st.harvest_bytes;
     m_sandbox_harvest_bytes.inc(static_cast<std::int64_t>(st.harvest_bytes));
     if (st.signal_kill) {
-      ++result.sandbox_signal_kills;
+      ++n.sandbox_signal_kills;
       m_sandbox_signal_kills.inc();
       obs::instant(obs::Cat::kSandbox, "signal_kill", "signal",
                    st.term_signal);
-      obs::JournalEvent(journal, "sandbox_kill", iter)
+      obs::JournalEvent(journal, "sandbox_kill", iter, &o.events)
           .str("kind", "signal")
           .num("signal", st.term_signal)
           .num("worker", w)
@@ -737,10 +725,10 @@ CampaignResult Campaign::run() {
                static_cast<std::int64_t>(st.harvested.size()));
     }
     if (st.hang_kill) {
-      ++result.sandbox_hang_kills;
+      ++n.sandbox_hang_kills;
       m_sandbox_hang_kills.inc();
       obs::instant(obs::Cat::kSandbox, "hang_kill");
-      obs::JournalEvent(journal, "sandbox_kill", iter)
+      obs::JournalEvent(journal, "sandbox_kill", iter, &o.events)
           .str("kind", "hang")
           .num("worker", w)
           .num("harvested_branches",
@@ -750,8 +738,7 @@ CampaignResult Campaign::run() {
 
   // ---- one ordinal, on its worker's thread ----
   // Reads only the worker's own state and view; everything the campaign
-  // learns from the run goes into `o` for the apply step.  Effects capture
-  // this lambda's locals by value: they run after it has returned.
+  // learns from the run goes into `o` for the apply step.
   const auto run_ordinal = [&](Worker& wk, int w, int iter, Outcome& o) {
     const int track_base = w * (options_.max_procs + 1);
     obs::ObsSpan iter_span(obs::Cat::kDriver, "iteration", "iter", iter);
@@ -761,15 +748,14 @@ CampaignResult Campaign::run() {
     if (board != nullptr) {
       board->worker_phase(w, iter, obs::WorkerPhase::kExecute);
     }
-    const auto defer = [&](std::function<void()> effect) {
-      o.effects.push_back(std::move(effect));
+    // A journal event held in the outcome, for the apply step to commit.
+    const auto event = [&](std::string_view type) {
+      return obs::JournalEvent(journal, type, iter, &o.events);
     };
     const auto execute = [&](const minimpi::LaunchSpec& s) {
       ExecReport x;
       minimpi::RunResult r = wk.executor.run(s, x);
-      if (x.batch || x.sandbox.forked || x.server_deaths > 0) {
-        defer([&, x, iter, w] { account(x, iter, w); });
-      }
+      account(x, o, iter, w);
       o.harvested = std::move(x.sandbox.harvested);
       return r;
     };
@@ -783,17 +769,13 @@ CampaignResult Campaign::run() {
       pending = std::move(wk.interleavings.queue.front());
       wk.interleavings.queue.pop_front();
       m_interleavings.inc();
-      defer([&, iter, w, id = pending->id,
-             plan_size = static_cast<std::int64_t>(pending->plan.size()),
-             nprocs = pending->nprocs, focus = pending->focus] {
-        ++result.interleavings_run;
-        obs::JournalEvent(journal, "interleaving", iter)
-            .num("id", id)
-            .num("plan_size", plan_size)
-            .num("nprocs", nprocs)
-            .num("focus", focus)
-            .num("worker", w);
-      });
+      ++o.counts.interleavings_run;
+      event("interleaving")
+          .num("id", pending->id)
+          .num("plan_size", static_cast<std::int64_t>(pending->plan.size()))
+          .num("nprocs", pending->nprocs)
+          .num("focus", pending->focus)
+          .num("worker", w);
     }
     const solver::Assignment* run_inputs =
         pending ? &pending->inputs : &wk.plan.inputs;
@@ -830,13 +812,10 @@ CampaignResult Campaign::run() {
             mix_seed(options_.chaos.seed,
                      static_cast<std::uint64_t>(iter) * 64 +
                          static_cast<std::uint64_t>(attempt));
-        defer([&, iter, w, attempt,
-               seed = static_cast<std::int64_t>(spec.chaos.seed)] {
-          obs::JournalEvent(journal, "chaos_armed", iter)
-              .num("attempt", attempt)
-              .num("worker", w)
-              .num("seed", seed);
-        });
+        event("chaos_armed")
+            .num("attempt", attempt)
+            .num("worker", w)
+            .num("seed", static_cast<std::int64_t>(spec.chaos.seed));
       }
       spec.timeout = options_.test_timeout * (1 << attempt);
       spec.step_budget = options_.step_budget << attempt;
@@ -848,24 +827,17 @@ CampaignResult Campaign::run() {
                              sig) != wk.known_hangs.end();
       if (!known && attempt >= options_.retry_max) {
         wk.known_hangs.push_back(sig);
-        defer([&, sig] {
-          if (std::find(known_hangs.begin(), known_hangs.end(), sig) ==
-              known_hangs.end()) {
-            known_hangs.push_back(sig);
-          }
-        });
+        o.hang = sig;
         known = true;
       }
       if (known) break;
       obs::instant(obs::Cat::kChaosRetry, "timeout_retry", "attempt",
                    attempt);
-      defer([&, iter, w, attempt] {
-        ++result.transient_retries;
-        obs::JournalEvent(journal, "retry", iter)
-            .str("kind", "timeout")
-            .num("worker", w)
-            .num("attempt", attempt);
-      });
+      ++o.counts.transient_retries;
+      event("retry")
+          .str("kind", "timeout")
+          .num("worker", w)
+          .num("attempt", attempt);
       m_retries.inc();
       backoff(attempt);
       ++iter_retries;
@@ -906,37 +878,34 @@ CampaignResult Campaign::run() {
       // an interleaving replays at a different iteration (different RNG
       // stream), so the planned assignment alone would re-roll any value
       // the parent drew randomly.
-      const InterleavingFrontier& fr = wk.interleavings;
-      const std::size_t pruned = fr.pruned, capped = fr.capped;
+      InterleavingFrontier& fr = wk.interleavings;
+      fr.pruned = fr.capped = 0;
       const std::size_t added = enqueue_alternatives(
-          wk.interleavings, run.match_trace,
+          fr, run.match_trace,
           !focus_log.inputs_used.empty() ? focus_log.inputs_used
                                          : *run_inputs,
           run_nprocs, run_focus, options_.max_interleavings);
-      defer([&, added, pruned = fr.pruned - pruned,
-             capped = fr.capped - capped] {
-        result.interleavings_enqueued += added;
-        result.interleavings_pruned += pruned;
-        result.interleavings_capped += capped;
-      });
+      o.counts.interleavings_enqueued = added;
+      o.counts.interleavings_pruned = fr.pruned;
+      o.counts.interleavings_capped = fr.capped;
+      for (auto p = fr.queue.end() - static_cast<std::ptrdiff_t>(added);
+           p != fr.queue.end(); ++p) {
+        o.seen.push_back(plan_hash(p->plan));
+      }
 
       // ---- wildcard matchings: journal the decisions ----
       for (const minimpi::MatchRecord& mr : run.match_trace) {
-        defer([&, iter, mr, id = rec.interleaving] {
-          obs::JournalEvent(journal, "match_choice", iter)
-              .num("rank", mr.rank)
-              .num("seq", mr.seq)
-              .num("src", mr.chosen_src)
-              .num("feasible", static_cast<std::int64_t>(mr.feasible.size()))
-              .num("interleaving", id);
-        });
+        event("match_choice")
+            .num("rank", mr.rank)
+            .num("seq", mr.seq)
+            .num("src", mr.chosen_src)
+            .num("feasible", static_cast<std::int64_t>(mr.feasible.size()))
+            .num("interleaving", rec.interleaving);
       }
       if (rec.outcome == rt::Outcome::kDeadlock) {
-        defer([&, iter, cycle = run.job_message(), id = rec.interleaving] {
-          obs::JournalEvent(journal, "deadlock", iter)
-              .str("cycle", cycle)
-              .num("interleaving", id);
-        });
+        event("deadlock")
+            .str("cycle", run.job_message())
+            .num("interleaving", rec.interleaving);
       }
     }
 
@@ -1022,7 +991,7 @@ CampaignResult Campaign::run() {
         wk.consecutive_replans < wk.plan.nprocs - 1) {
       wk.plan.focus = (wk.plan.focus + 1) % wk.plan.nprocs;
       ++wk.consecutive_replans;
-      defer([&] { ++result.focus_replans; });
+      ++o.counts.focus_replans;
       return finish();
     }
     wk.consecutive_replans = 0;
@@ -1037,7 +1006,7 @@ CampaignResult Campaign::run() {
                     static_cast<double>(wk.max_constraint_set) *
                         options_.bound_slack +
                     10);
-      defer([&, bound] { result.depth_bound_used = bound; });
+      o.counts.depth_bound_used = bound;
       set_strategy(wk, w, true, bound);
       wk.pending_depth.reset();  // root the new strategy at this path
     }
@@ -1085,14 +1054,12 @@ CampaignResult Campaign::run() {
            ++attempt) {
         obs::instant(obs::Cat::kChaosRetry, "solver_retry", "attempt",
                      attempt);
-        defer([&, iter, w, attempt, target = cand->target] {
-          ++result.transient_retries;
-          obs::JournalEvent(journal, "retry", iter)
-              .str("kind", "solver")
-              .num("attempt", attempt)
-              .num("worker", w)
-              .num("target", target);
-        });
+        ++o.counts.transient_retries;
+        event("retry")
+            .str("kind", "solver")
+            .num("attempt", attempt)
+            .num("worker", w)
+            .num("target", cand->target);
         m_retries.inc();
         backoff(attempt);
         ++iter_retries;
@@ -1102,21 +1069,17 @@ CampaignResult Campaign::run() {
         rec.solver_nodes += solved.nodes_searched;
       }
 
-      defer([&, iter, w, depth = static_cast<std::int64_t>(cand->depth),
-             target = cand->target, sat = solved.sat,
-             budget = solved.budget_exhausted,
-             nodes = rec.solver_nodes - nodes_before,
-             slice = static_cast<std::int64_t>(solved.slice_size)] {
-        ++(sat ? tele_sat : budget ? tele_budget : tele_unsat);
-        obs::JournalEvent(journal, "solve", iter)
-            .num("depth", depth)
-            .num("target", target)
-            .num("worker", w)
-            .boolean("sat", sat)
-            .boolean("budget_exhausted", budget)
-            .num("nodes", nodes)
-            .num("slice_size", slice);
-      });
+      ++(solved.sat                ? o.sat
+         : solved.budget_exhausted ? o.budget
+                                   : o.unsat);
+      event("solve")
+          .num("depth", static_cast<std::int64_t>(cand->depth))
+          .num("target", cand->target)
+          .num("worker", w)
+          .boolean("sat", solved.sat)
+          .boolean("budget_exhausted", solved.budget_exhausted)
+          .num("nodes", rec.solver_nodes - nodes_before)
+          .num("slice_size", static_cast<std::int64_t>(solved.slice_size));
       if (solved.sat) {
         wk.plan = wk.framework.plan_next_test(solved, focus_log, wk.plan);
         wk.strategy->accepted(*cand);
@@ -1129,10 +1092,8 @@ CampaignResult Campaign::run() {
       // was steering toward (UNSAT keeps the rendered constraint around
       // for --explain's never-taken report).
       if (cand->target >= 0) {
-        defer([&, iter, target = cand->target, text = negated.to_string(),
-               budget = solved.budget_exhausted] {
-          ledger.record_solve_failure(target, iter, text, budget);
-        });
+        o.misses.emplace_back(cand->target, negated.to_string(),
+                              solved.budget_exhausted);
       }
       if (++wk.failures >= options_.restart_after_failures) break;
     }
@@ -1140,12 +1101,11 @@ CampaignResult Campaign::run() {
     rec.retries = iter_retries;
     m_solve_us.observe(static_cast<std::int64_t>(rec.solve_seconds * 1e6));
     m_solver_nodes.observe(rec.solver_nodes);
-    defer([&, depth = planned ? static_cast<std::int64_t>(
-                                    rec.constraint_set_size)
-                              : 0] { tele_frontier = depth; });
+    o.frontier =
+        planned ? static_cast<std::int64_t>(rec.constraint_set_size) : 0;
     if (!planned) {
       // Strategy exhausted or solver stuck: restart with random inputs.
-      defer([&] { ++result.restarts; });
+      ++o.counts.restarts;
       m_restarts.inc();
       wk.plan.inputs.clear();
       wk.plan.nprocs = options_.initial_nprocs;
@@ -1160,34 +1120,33 @@ CampaignResult Campaign::run() {
   int epoch_begin = start_iter;
   std::vector<Outcome> outcomes;  // one per ordinal of the current epoch
   std::exception_ptr apply_error;
+  // A lone worker's view is the campaign itself once set: the apply step
+  // adds exactly its finds.  N workers' views, and any view the fleet's
+  // coverage reached, are reset at the barrier.
+  bool views_stale = true;
 
   // Dealing: a worker's share of an epoch is inversely proportional to the
   // mean path length (+1) of its rows among the last N * kSliceOrdinals —
   // a stand-in for its iteration cost that depends only on the search,
-  // since running and solving a test both scale with its path.  A worker
-  // deep in long paths thus gets fewer ordinals, and the others wait less
-  // at the barrier.  Smooth weighted round-robin interleaves the shares;
-  // ties go to the worker next in turn from epoch_begin.
+  // since running and solving a test both scale with its path — with one
+  // pseudo-row at the window's mean, so a worker without rows gets the
+  // average.  A worker deep in long paths thus gets fewer ordinals, and
+  // the others wait less at the barrier.  Smooth weighted round-robin
+  // interleaves the shares; ties go to the next in turn from epoch_begin.
   const auto deal = [&] {
-    const auto n = static_cast<std::size_t>(workers);
-    std::vector<double> cost(n, 0.0), rows(n, 0.0), share(n), credit(n, 0.0);
-    const std::size_t history = result.iterations.size();
-    const std::size_t window = std::min(history, n * kSliceOrdinals);
-    double cost_sum = 1.0, row_sum = 1.0;
-    for (std::size_t i = history - window; i < history; ++i) {
+    const std::size_t n = pool.size(), rows = result.iterations.size();
+    std::vector<double> cost(n, 0.0), share(n, 1.0), credit(n, 0.0);
+    double cost_sum = 1.0, row_sum = 1.0, total = 0.0;
+    for (std::size_t i = rows - std::min(rows, n * kSliceOrdinals); i < rows;
+         ++i) {
       const IterationRecord& r = result.iterations[i];
-      const auto c = static_cast<double>(r.constraint_set_size + 1);
-      cost[static_cast<std::size_t>(r.worker)] += c;
-      rows[static_cast<std::size_t>(r.worker)] += 1.0;
-      cost_sum += c;
+      cost[static_cast<std::size_t>(r.worker)] += r.constraint_set_size + 1.0;
+      share[static_cast<std::size_t>(r.worker)] += 1.0;
+      cost_sum += r.constraint_set_size + 1.0;
       row_sum += 1.0;
     }
-    double total = 0.0;
     for (std::size_t w = 0; w < n; ++w) {
-      // One pseudo-row at the window's mean cost: a worker without rows
-      // gets the average speed.
-      share[w] = (rows[w] + 1.0) / (cost[w] + cost_sum / row_sum);
-      total += share[w];
+      total += share[w] /= cost[w] + cost_sum / row_sum;
     }
     for (Outcome& o : outcomes) {
       std::size_t best = n;
@@ -1201,18 +1160,20 @@ CampaignResult Campaign::run() {
     }
   };
 
-  // A lone worker has no one to wait for, so it applies every ordinal as
-  // it completes; a work source needs each ordinal reported before the
-  // next lease (see the file comment).
-  const int epoch_cap = workers == 1 || options_.work_source != nullptr
-                            ? 1
-                            : workers * kSliceOrdinals;
-
-  // Sizes the epoch starting at epoch_begin (0 ends the campaign), deals
-  // its ordinals, and shows every worker the merged campaign.
+  // Sizes the epoch starting at epoch_begin: N * kSliceOrdinals (one for a
+  // lone worker, whom batching only costs memory), cut short at the budget,
+  // the halt point and — when a session writes checkpoints — the next
+  // checkpoint multiple, so snapshots fall on barriers.  Then leases it
+  // from the work source, which may grant fewer (none ends the campaign),
+  // deals it, and shows stale views the merged campaign — each gets an
+  // equal share of the --max-interleavings headroom, so together they
+  // cannot pass the cap.
   const auto plan_epoch = [&] {
-    int end = stop ? epoch_begin : options_.iterations;
-    end = std::min(end, epoch_begin + epoch_cap);
+    int end = stop ? epoch_begin
+                   : std::min(options_.iterations,
+                              epoch_begin + (workers == 1
+                                                 ? 1
+                                                 : workers * kSliceOrdinals));
     const int interval = options_.checkpoint_interval;
     if (session && interval > 0) {
       end = std::min(end, (epoch_begin / interval + 1) * interval);
@@ -1221,50 +1182,35 @@ CampaignResult Campaign::run() {
     if (options_.halt_after_iterations > 0 && halt_at > epoch_begin) {
       end = std::min(end, halt_at);
     }
+    if (end > epoch_begin && options_.work_source != nullptr) {
+      end = epoch_begin +
+            std::max(options_.work_source->acquire(end - epoch_begin), 0);
+      if (end == epoch_begin) {
+        obs::JournalEvent(journal, "work_source_stop", epoch_begin);
+        stop = true;
+      }
+    }
     outcomes.clear();
     outcomes.resize(static_cast<std::size_t>(std::max(end - epoch_begin, 0)));
     if (workers > 1) deal();
-    for (const auto& wk : pool) {
-      wk->coverage = coverage;
-      wk->known_hangs = known_hangs;
-      wk->bug_signatures.clear();
+    const auto cap =
+        static_cast<std::size_t>(std::max(options_.max_interleavings, 0));
+    const std::size_t spare =
+        cap - std::min(cap, result.interleavings_enqueued);
+    for (std::size_t w = 0; views_stale && w < pool.size(); ++w) {
+      Worker& wk = *pool[w];
+      wk.coverage = coverage;
+      wk.known_hangs = known_hangs;
+      wk.bug_signatures.clear();
       for (const BugRecord& b : result.bugs) {
-        wk->bug_signatures.insert(bug_signature(b.message));
+        wk.bug_signatures.insert(bug_signature(b.message));
       }
-      wk->max_constraint_set = result.max_constraint_set;
-      wk->interleavings.seen = interleaving_seen;
-      wk->interleavings.enqueued = result.interleavings_enqueued;
+      wk.max_constraint_set = result.max_constraint_set;
+      wk.interleavings.seen = interleaving_seen;
+      wk.interleavings.enqueued = cap - spare / pool.size() -
+                                  (w < spare % pool.size() ? 1 : 0);
     }
-  };
-
-  // Worker w's share of the epoch, in ordinal order.  It stops early when
-  // the time budget runs out, when its own view already holds the bug
-  // budget, or when the work source refuses a lease.
-  const auto run_slice = [&](int w) {
-    Worker& wk = *pool[static_cast<std::size_t>(w)];
-    try {
-      for (std::size_t k = 0; k < outcomes.size(); ++k) {
-        Outcome& o = outcomes[k];
-        if (o.worker != w) continue;
-        if (options_.time_budget_seconds > 0 &&
-            elapsed() >= options_.time_budget_seconds) {
-          break;
-        }
-        if (options_.max_bugs > 0 &&
-            wk.bug_signatures.size() >=
-                static_cast<std::size_t>(options_.max_bugs)) {
-          break;
-        }
-        if (options_.work_source != nullptr &&
-            !options_.work_source->acquire()) {
-          o.denied = true;
-          break;
-        }
-        run_ordinal(wk, w, epoch_begin + static_cast<int>(k), o);
-      }
-    } catch (...) {
-      wk.error = std::current_exception();
-    }
+    views_stale = workers > 1;
   };
 
   // The apply step, on one thread while every worker waits at the
@@ -1274,21 +1220,12 @@ CampaignResult Campaign::run() {
     for (const auto& wk : pool) {
       if (wk->error) std::rethrow_exception(wk->error);
     }
-    bool complete = true;
-    bool bug_budget_hit = false;
     {
       std::lock_guard<std::mutex> lock(mu);
       for (Outcome& o : outcomes) {
+        // A worker stops early only at a budget the campaign stops at too.
+        if (!o.ran) continue;
         const int iter = epoch_begin + static_cast<int>(&o - outcomes.data());
-        if (!o.ran) {
-          complete = false;
-          if (o.denied) {
-            obs::JournalEvent(journal, "work_source_stop", iter)
-                .num("worker", o.worker);
-            stop = true;
-          }
-          continue;
-        }
         IterationRecord& rec = o.rec;
 
         // ---- record coverage and attribute the run (ledger) ----
@@ -1324,7 +1261,22 @@ CampaignResult Campaign::run() {
             if (session) session->write_iteration(iter, o.run);
           }
         }
-        for (const auto& effect : o.effects) effect();
+
+        // ---- what else the run did: counters, hangs, misses, events ----
+        add_counts(result, o.counts);
+        if (o.hang && std::find(known_hangs.begin(), known_hangs.end(),
+                                *o.hang) == known_hangs.end()) {
+          known_hangs.push_back(*o.hang);
+        }
+        interleaving_seen.insert(o.seen.begin(), o.seen.end());
+        for (const auto& [target, text, budget] : o.misses) {
+          ledger.record_solve_failure(target, iter, text, budget);
+        }
+        journal.commit_held(o.events);
+        tele_sat += o.sat;
+        tele_unsat += o.unsat;
+        tele_budget += o.budget;
+        if (o.frontier >= 0) tele_frontier = o.frontier;
         tele_exec_us += static_cast<std::int64_t>(rec.exec_seconds * 1e6);
         tele_solve_us += static_cast<std::int64_t>(rec.solve_seconds * 1e6);
 
@@ -1344,19 +1296,18 @@ CampaignResult Campaign::run() {
             result.bugs.size() >= static_cast<std::size_t>(options_.max_bugs)) {
           obs::JournalEvent(journal, "bug_budget_exhausted", iter)
               .num("bugs", static_cast<std::int64_t>(result.bugs.size()));
-          bug_budget_hit = true;
           stop = true;
           break;
         }
-        report_work(/*final_report=*/false);
       }
+      report_work(/*final_report=*/false);
       if (options_.time_budget_seconds > 0 &&
           elapsed() >= options_.time_budget_seconds) {
         stop = true;
       }
 
       // ---- absorb the fleet's coverage (distributed intake) ----
-      // Remote coverage merges before the views are reset, so each
+      // Remote coverage reaches every view before the next epoch, so each
       // worker's strategy skips branches other shards already covered —
       // that is the frontier partition.
       if (options_.work_source != nullptr) {
@@ -1370,6 +1321,7 @@ CampaignResult Campaign::run() {
           coverage.merge(fleet);
         }
         interleaving_seen.insert(fleet_iseen.begin(), fleet_iseen.end());
+        views_stale |= !fleet_covered.empty() || !fleet_iseen.empty();
       }
     }
     journal.flush();
@@ -1379,8 +1331,9 @@ CampaignResult Campaign::run() {
     }
 
     // ---- periodic checkpoint and halt hook, at the boundary ----
+    // A stopped campaign skips them: its final snapshot follows.
     epoch_begin += static_cast<int>(outcomes.size());
-    if (complete && !bug_budget_hit) {
+    if (!stop) {
       const bool periodic =
           options_.checkpoint_interval > 0 &&
           result.iterations.size() %
@@ -1407,15 +1360,31 @@ CampaignResult Campaign::run() {
       outcomes.clear();
     }
   });
+  // Worker w runs the ordinals dealt to it, in order.  It stops early when
+  // the time budget runs out or when its own view already holds the bug
+  // budget.
   const auto worker_loop = [&](int w) {
     obs::set_thread_track(w * (options_.max_procs + 1));
-    while (!outcomes.empty()) {
-      run_slice(w);
-      sync.arrive_and_wait();
+    Worker& wk = *pool[static_cast<std::size_t>(w)];
+    for (; !outcomes.empty(); sync.arrive_and_wait()) {
+      try {
+        for (std::size_t k = 0; k < outcomes.size(); ++k) {
+          if (outcomes[k].worker != w) continue;
+          if ((options_.time_budget_seconds > 0 &&
+               elapsed() >= options_.time_budget_seconds) ||
+              (options_.max_bugs > 0 &&
+               wk.bug_signatures.size() >=
+                   static_cast<std::size_t>(options_.max_bugs))) {
+            break;
+          }
+          run_ordinal(wk, w, epoch_begin + static_cast<int>(k), outcomes[k]);
+        }
+      } catch (...) {
+        wk.error = std::current_exception();
+      }
     }
     if (board != nullptr) {
-      board->worker_phase(w, pool[static_cast<std::size_t>(w)]->last_iter,
-                          obs::WorkerPhase::kDone);
+      board->worker_phase(w, wk.last_iter, obs::WorkerPhase::kDone);
     }
   };
   plan_epoch();

@@ -43,9 +43,9 @@ struct PendingInterleaving {
 
 /// Pending interleavings plus the sleep set of decision-prefix hashes
 /// already enqueued.  Each campaign worker owns one: its queue and id
-/// space persist, while its sleep set and `enqueued` count are reset to
-/// the campaign's at every epoch (driver.cc).  Ids step by `id_stride`, so
-/// N workers starting at 1..N never hand out the same id.
+/// space persist, while its sleep set and `enqueued` count are its view of
+/// the campaign's (driver.cc).  Ids step by `id_stride`, so N workers
+/// starting at 1..N never hand out the same id.
 struct InterleavingFrontier {
   std::deque<PendingInterleaving> queue;
   std::unordered_set<std::uint64_t> seen;

@@ -75,10 +75,6 @@ struct ShardLink::Impl {
   /// Iterations of granted lease quota not yet consumed by acquire().
   int leased = 0;
 
-  [[nodiscard]] int lease_remaining() const { return leased; }
-  void consume_lease() { --leased; }
-  void grant_lease(int quota) { leased = quota; }
-
   std::vector<sym::BranchId> remote_covered;
   std::vector<std::uint64_t> remote_iseen;
 
@@ -312,17 +308,18 @@ void ShardLink::finish() {
   }
 }
 
-bool ShardLink::acquire() {
+int ShardLink::acquire(int wanted) {
   Impl& im = *impl_;
   std::unique_lock<std::mutex> lock(im.mu);
   for (;;) {
-    if (im.shutting_down || im.stop_campaign) return false;
-    if (im.lease_remaining() > 0) {
-      im.consume_lease();
-      return true;
+    if (im.shutting_down || im.stop_campaign) return 0;
+    if (im.leased > 0) {
+      const int n = std::min(wanted, im.leased);
+      im.leased -= n;
+      return n;
     }
     if (!im.connected_flag) {
-      if (im.degraded) return true;  // standalone: local budget governs
+      if (im.degraded) return wanted;  // standalone: local budget governs
       im.cv.wait_for(lock, std::chrono::milliseconds(
                                std::max(10, im.opts.lease_wait_poll_ms)));
       continue;
@@ -351,10 +348,10 @@ bool ShardLink::acquire() {
     if (g.stop) {
       im.stop_campaign = true;
       im.cv.notify_all();
-      return false;
+      return 0;
     }
     if (g.quota > 0) {
-      im.grant_lease(g.quota);
+      im.leased = g.quota;
       continue;  // consumed on the next pass
     }
     im.cv.wait_for(lock,
@@ -400,7 +397,7 @@ void ShardLink::report(const WorkDelta& delta) {
   if (im.connected_flag &&
       (delta.final_report || coverage_changed || bugs_changed ||
        im.unreported >= std::max(1, im.opts.report_every) ||
-       im.lease_remaining() == 0)) {
+       im.leased == 0)) {
     (void)im.transmit_locked();
   }
 }
@@ -445,7 +442,7 @@ ShardLink::ShardLink(ShardLinkOptions options)
 ShardLink::~ShardLink() = default;
 bool ShardLink::start() { return false; }
 void ShardLink::finish() {}
-bool ShardLink::acquire() { return true; }
+int ShardLink::acquire(int wanted) { return wanted; }
 void ShardLink::report(const WorkDelta&) {}
 std::vector<sym::BranchId> ShardLink::take_remote_coverage() { return {}; }
 std::vector<std::uint64_t> ShardLink::take_remote_interleavings() {

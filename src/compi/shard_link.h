@@ -2,7 +2,7 @@
 //
 // A ShardLink connects a campaign engine (--connect=HOST:PORT) to a
 // `compi coordinate` process.  acquire() pulls time-bounded leases and
-// hands the engine one iteration of quota at a time; report() uploads
+// hands the engine up to the quota it asks for; report() uploads
 // full-state deltas (coverage, bugs, ledger) on a batched cadence; a
 // background thread heartbeats to keep leases alive and pulls the
 // coordinator's coverage broadcast back for take_remote_coverage().
@@ -10,7 +10,7 @@
 // Failure behaviour (the whole point): every socket error marks the link
 // disconnected and schedules a reconnect with exponential backoff plus
 // deterministic jitter.  After `standalone_after_failures` consecutive
-// failures the link DEGRADES: acquire() returns true unconditionally and
+// failures the link DEGRADES: acquire() grants whatever is asked and
 // the campaign continues standalone — local frontier, local checkpoint —
 // while the background thread keeps retrying forever.  When the
 // coordinator returns, the link re-handshakes and reconciles by uploading
@@ -20,8 +20,7 @@
 // Thread model: one mutex guards everything, including socket I/O (the
 // socket is strictly request/response, so a transaction is atomic under
 // the lock).  acquire() releases the lock while waiting; the heartbeat
-// thread wakes every ~50ms.  Safe for concurrent calls from parallel
-// campaign workers.
+// thread wakes every ~50ms.  Safe for concurrent calls.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +71,7 @@ class ShardLink final : public WorkSource {
   void finish();
 
   // ---- WorkSource ----
-  [[nodiscard]] bool acquire() override;
+  [[nodiscard]] int acquire(int wanted) override;
   void report(const WorkDelta& delta) override;
   [[nodiscard]] std::vector<sym::BranchId> take_remote_coverage() override;
   [[nodiscard]] std::vector<std::uint64_t> take_remote_interleavings()

@@ -1,11 +1,11 @@
 // Distributed work intake for campaign engines (the shard side of the
 // coordinator protocol, abstracted).
 //
-// A WorkSource decides whether the next iteration may run and absorbs the
-// results of completed ones.  When CampaignOptions::work_source is set,
-// every campaign worker (driver.cc) calls acquire() once per ordinal, and
-// the epoch's apply step reports each applied iteration and drains the
-// remote coverage; a null pointer (the default) leaves the engine
+// A WorkSource decides how many of the next iterations may run and absorbs
+// the results of completed ones.  When CampaignOptions::work_source is
+// set, the campaign (driver.cc) leases each epoch's ordinals with one
+// acquire() before dealing them, reports once per applied epoch and drains
+// the remote coverage; a null pointer (the default) leaves the engine
 // byte-identical to its standalone behaviour.
 //
 // The contract is built for idempotent re-execution: report() always
@@ -13,11 +13,10 @@
 // iteration count, so a delta replayed after a reconnect (or a lease
 // reclaimed from a dead shard and re-granted elsewhere) merges to the same
 // global state.  Coverage learned from other shards flows back through
-// take_remote_coverage()/take_remote_interleavings(); merged into the
-// campaign's CoverageTracker, it reaches every worker's view at the next
-// epoch, so strategies steer away from branches the fleet already covered
-// — that is how the frontier is partitioned without any per-candidate
-// ownership protocol.
+// take_remote_coverage()/take_remote_interleavings(); merged into every
+// worker's view before the next epoch, it steers strategies away from
+// branches the fleet already covered — that is how the frontier is
+// partitioned without any per-candidate ownership protocol.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +30,10 @@ namespace compi {
 
 struct BugRecord;
 
-/// One end-of-iteration report.  Vectors are FULL local state, not
-/// increments (see file comment); `ledger_blob` is evaluated lazily so the
-/// transport only pays for a CoverageLedger::write when it actually
-/// transmits.
+/// One report of the iterations applied so far.  Vectors are FULL local
+/// state, not increments (see file comment); `ledger_blob` is evaluated
+/// lazily so the transport only pays for a CoverageLedger::write when it
+/// actually transmits.
 struct WorkDelta {
   /// Cumulative local iterations completed (not an increment).
   std::int64_t iterations_completed = 0;
@@ -68,14 +67,14 @@ class WorkSource {
  public:
   virtual ~WorkSource() = default;
 
-  /// Permission to run one more iteration.  May block (waiting for a lease
-  /// or backing off a reconnect); returns false when the global budget is
-  /// exhausted — the engine then winds down exactly as if its local
-  /// iteration budget ran out.  Thread-safe (parallel workers call
-  /// concurrently).
-  [[nodiscard]] virtual bool acquire() = 0;
+  /// Permission to run up to `wanted` more iterations: returns how many
+  /// (at least one), blocking while it can grant none (waiting for a lease
+  /// or backing off a reconnect); 0 when the global budget is exhausted —
+  /// the engine then winds down exactly as if its local iteration budget
+  /// ran out.  Thread-safe.
+  [[nodiscard]] virtual int acquire(int wanted) = 0;
 
-  /// Absorbs one completed iteration's results (see WorkDelta).  The
+  /// Absorbs the results of the iterations applied so far (WorkDelta).  The
   /// implementation decides when to actually transmit.  Thread-safe.
   virtual void report(const WorkDelta& delta) = 0;
 

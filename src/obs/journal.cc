@@ -100,9 +100,10 @@ void JsonWriter::finish() {
 // ---- JournalEvent ----
 
 JournalEvent::JournalEvent(Journal& journal, std::string_view type,
-                           int iteration) {
+                           int iteration, std::vector<std::string>* held) {
   if (!journal.enabled()) return;
   journal_ = &journal;
+  held_ = held;
   line_.reserve(160);
   writer_.emplace(line_);
   writer_->field("type", type);
@@ -112,7 +113,11 @@ JournalEvent::JournalEvent(Journal& journal, std::string_view type,
 JournalEvent::~JournalEvent() {
   if (journal_ == nullptr) return;
   writer_->finish();
-  journal_->commit(std::move(line_));
+  if (held_ != nullptr) {
+    held_->push_back(std::move(line_));
+  } else {
+    journal_->commit(std::move(line_));
+  }
 }
 
 JournalEvent& JournalEvent::num(std::string_view key, std::int64_t v) {
@@ -212,6 +217,11 @@ void Journal::close() {
   if (!out_.is_open()) return;
   out_.close();
   buffer_.clear();
+}
+
+void Journal::commit_held(std::vector<std::string>& held) {
+  for (std::string& line : held) commit(std::move(line));
+  held.clear();
 }
 
 void Journal::commit(std::string&& line) {

@@ -74,10 +74,14 @@ class Journal;
 /// journal's buffer, commits it on destruction.  Every event carries a
 /// "type" and an "iter" field — the iteration ordinal is what open_resume
 /// keys its truncation on.  Constructing an event on a disabled journal is
-/// a no-op (all field calls become cheap branches).
+/// a no-op (all field calls become cheap branches).  With `held`, the
+/// finished line goes there instead of into the journal, for a later
+/// Journal::commit_held: events built on several threads can then land in
+/// an order one thread chooses.
 class JournalEvent {
  public:
-  JournalEvent(Journal& journal, std::string_view type, int iteration);
+  JournalEvent(Journal& journal, std::string_view type, int iteration,
+               std::vector<std::string>* held = nullptr);
   ~JournalEvent();
   JournalEvent(const JournalEvent&) = delete;
   JournalEvent& operator=(const JournalEvent&) = delete;
@@ -91,6 +95,7 @@ class JournalEvent {
 
  private:
   Journal* journal_ = nullptr;  // null when the journal is disabled
+  std::vector<std::string>* held_ = nullptr;
   std::string line_;
   std::optional<JsonWriter> writer_;  // points into line_
 };
@@ -130,6 +135,9 @@ class Journal {
   /// the retained window skips ahead — the subscriber missed events.
   std::uint64_t tap_since(std::uint64_t cursor,
                           std::vector<std::string>& out) const;
+
+  /// Commits lines JournalEvent held, in order, and empties `held`.
+  void commit_held(std::vector<std::string>& held);
 
   /// Flushes buffered events through to the OS.  Called by the driver at
   /// iteration boundaries and checkpoints; cheap when the buffer is empty.

@@ -79,9 +79,9 @@ ckpt::CampaignCheckpoint sample_checkpoint() {
   c.seed = 77;
   c.next_iteration = 12;
   ckpt::WorkerCursor cur;
-  cur.plan_inputs = {{0, 5}, {1, -3}};
-  cur.plan_nprocs = 6;
-  cur.plan_focus = 2;
+  cur.plan.inputs = {{0, 5}, {1, -3}};
+  cur.plan.nprocs = 6;
+  cur.plan.focus = 2;
   cur.next_is_restart = true;
   cur.pending_depth = 4;
   cur.failures = 3;
@@ -159,9 +159,9 @@ TEST(Ckpt, CampaignCheckpointRoundTrips) {
   ASSERT_EQ(back->worker_cursors.size(), 1u);
   const ckpt::WorkerCursor& cur = back->worker_cursors[0];
   const ckpt::WorkerCursor& want = c.worker_cursors[0];
-  EXPECT_EQ(cur.plan_inputs, want.plan_inputs);
-  EXPECT_EQ(cur.plan_nprocs, want.plan_nprocs);
-  EXPECT_EQ(cur.plan_focus, want.plan_focus);
+  EXPECT_EQ(cur.plan.inputs, want.plan.inputs);
+  EXPECT_EQ(cur.plan.nprocs, want.plan.nprocs);
+  EXPECT_EQ(cur.plan.focus, want.plan.focus);
   EXPECT_EQ(cur.next_is_restart, want.next_is_restart);
   EXPECT_EQ(cur.pending_depth, want.pending_depth);
   EXPECT_EQ(cur.failures, want.failures);

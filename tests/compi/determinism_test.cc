@@ -161,7 +161,7 @@ CampaignOptions four_worker_options(const fs::path& dir, int iterations) {
 
 TEST(Determinism, ImbFourWorkersAreByteIdenticalNextToACpuHog) {
   // Snapshots every 2048 ordinals leave full-length epochs (4 workers x
-  // 256), so later epochs are dealt by earlier ones' path lengths.
+  // 256), so each worker runs long slices against a stale view.
   const TargetInfo target = targets::make_mini_imb_target();
   TempDir quiet, loaded;
   CampaignOptions opts = four_worker_options(quiet.path, 4000);

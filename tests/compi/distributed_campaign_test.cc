@@ -146,6 +146,40 @@ TEST(DistributedCampaign, UninterruptedShardsMatchSerialCoverageAndBugs) {
   EXPECT_EQ(coord.shards_lost(), 0u);
 }
 
+TEST(DistributedCampaign, TwoWorkerShardCompletesTheFleetBudget) {
+  // A shard with --workers=2 leases each epoch's ordinals before dealing
+  // them to both workers, and still converges with the fleet.
+  const CampaignResult& serial = fig2_serial_baseline();
+
+  CoordinatorOptions co;
+  co.budget = 120;
+  co.lease_quota = 8;
+  co.lease_ttl_ms = 2000;
+  co.tick_ms = 10;
+  Coordinator coord(fig2_target(true), co);
+  ASSERT_TRUE(coord.start());
+
+  ShardLink link(link_opts(coord.port(), 0));
+  (void)link.start();
+  CampaignOptions opts = shard_campaign_opts(0, 120);
+  opts.workers = 2;
+  opts.work_source = &link;
+  const CampaignResult result = Campaign(fig2_target(true), opts).run();
+  link.finish();
+  EXPECT_TRUE(coord.done());
+  EXPECT_GE(coord.completed(), co.budget);
+  coord.stop();
+
+  ASSERT_EQ(result.iterations.size(), 120u);
+  std::set<int> workers;
+  for (const IterationRecord& rec : result.iterations) {
+    workers.insert(rec.worker);
+  }
+  EXPECT_EQ(workers.size(), 2u);
+  EXPECT_EQ(coord.covered_ids().size(), serial.covered_branches);
+  EXPECT_EQ(bug_messages(coord.bugs()), bug_messages(serial.bugs));
+}
+
 TEST(DistributedCampaign, KillingOneShardMidCampaignStillConverges) {
   const CampaignResult& serial = fig2_serial_baseline();
 

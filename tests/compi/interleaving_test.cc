@@ -462,6 +462,21 @@ TEST(MatchExploration, ParallelWorkersShareTheInterleavingFrontier) {
   EXPECT_FALSE(deadlock_bug->decisions.empty());
 }
 
+TEST(MatchExploration, ParallelWorkersShareTheInterleavingCap) {
+  // Each worker's view gets an equal share of the cap's headroom, so four
+  // workers in one epoch cannot enqueue four forks under a cap of one.
+  TempDir dir;
+  CampaignOptions opts = wc_opts(dir.path);
+  opts.explore_matchings = true;
+  opts.workers = 4;
+  opts.iterations = 16;
+  opts.max_interleavings = 1;
+  const CampaignResult result =
+      Campaign(wildcard_relay_target(), opts).run();
+  EXPECT_EQ(result.interleavings_enqueued, 1u);
+  EXPECT_GT(result.interleavings_capped, 0u);
+}
+
 TEST(MatchExploration, ExplorationIsDeterministicAcrossRuns) {
   const auto run_once = [](const fs::path& dir) {
     CampaignOptions opts = wc_opts(dir);
@@ -483,6 +498,33 @@ TEST(MatchExploration, ExplorationIsDeterministicAcrossRuns) {
   for (std::size_t i = 0; i < ra.bugs.size(); ++i) {
     EXPECT_EQ(ra.bugs[i].decisions, rb.bugs[i].decisions);
   }
+}
+
+TEST(MatchExploration, SerialSleepSetPrunesAcrossIterations) {
+  // The relay's only multi-feasible decision is rank 0's wildcard receive
+  // (seq 0, senders 1 and 2), so there are two decision prefixes to fork:
+  // [0/0->2] from the input-driven runs, and [0/0->1] from the replay of
+  // [0/0->2].  The sleep set carries over from iteration to iteration, so
+  // the replay of [0/0->1] re-forks nothing and every later fork is
+  // pruned — well below the cap — and the final snapshot keeps the set.
+  TempDir dir;
+  CampaignOptions opts = wc_opts(dir.path);
+  opts.explore_matchings = true;
+  opts.iterations = 40;
+  opts.checkpoint_interval = 10;
+  const CampaignResult result =
+      Campaign(wildcard_relay_target(), opts).run();
+  EXPECT_GT(result.interleavings_pruned, 0u);
+  EXPECT_EQ(result.interleavings_capped, 0u);
+  EXPECT_EQ(result.interleavings_enqueued, 2u);
+  EXPECT_EQ(result.interleavings_run, 2u);
+  EXPECT_GE(result.deadlocks_found, 1u);
+
+  const std::optional<ckpt::CampaignCheckpoint> c =
+      read_checkpoint(dir.path.string());
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(c->interleaving_seen.size(), 2u);
+  EXPECT_EQ(c->interleavings_pruned, result.interleavings_pruned);
 }
 
 TEST(MatchExploration, ExplorationOffKeepsSessionsByteIdentical) {

@@ -24,6 +24,7 @@
 
 #include "compi/driver.h"
 #include "compi/session.h"
+#include "compi/work_source.h"
 #include "targets/targets.h"
 #include "tests/compi/fig2_target.h"
 
@@ -291,6 +292,54 @@ TEST(ParallelCampaign, SerialResumeRejectsParallelSnapshot) {
   EXPECT_EQ(fresh.iterations.size(), 80u);
   EXPECT_GT(fresh.covered_branches, 0u);
   (void)parallel;
+}
+
+/// Grants at most `quota` ordinals per acquire() until `budget` is spent,
+/// recording what each call asked for.
+struct LeaseCounter : WorkSource {
+  int budget = 0;
+  int quota = 0;
+  std::vector<int> wanted;
+  std::int64_t last_report = -1;
+  int acquire(int n) override {
+    wanted.push_back(n);
+    const int granted = std::min({n, quota, budget});
+    budget -= granted;
+    return granted;
+  }
+  void report(const WorkDelta& d) override {
+    last_report = d.iterations_completed;
+  }
+  std::vector<sym::BranchId> take_remote_coverage() override { return {}; }
+  std::vector<std::uint64_t> take_remote_interleavings() override {
+    return {};
+  }
+};
+
+TEST(ParallelCampaign, WorkersLeaseWholeEpochsFromAWorkSource) {
+  // The apply thread leases each epoch with one acquire() and shrinks it
+  // to the grant, so two workers share every lease; a refusal ends the
+  // campaign with the ordinals granted so far.
+  TempDir dir;
+  CampaignOptions opts = base_opts(dir.path);
+  opts.workers = 2;
+  opts.iterations = 40;
+  LeaseCounter source;
+  source.budget = 24;
+  source.quota = 8;
+  opts.work_source = &source;
+  const CampaignResult result = Campaign(fig2_target(), opts).run();
+  EXPECT_EQ(source.wanted, (std::vector<int>{40, 32, 24, 16}));
+  ASSERT_EQ(result.iterations.size(), 24u);
+  EXPECT_EQ(source.last_report, 24);
+  for (std::size_t lease = 0; lease < 3; ++lease) {
+    std::set<int> workers;
+    for (std::size_t i = lease * 8; i < lease * 8 + 8; ++i) {
+      EXPECT_EQ(result.iterations[i].iteration, static_cast<int>(i));
+      workers.insert(result.iterations[i].worker);
+    }
+    EXPECT_EQ(workers.size(), 2u) << "lease " << lease;
+  }
 }
 
 }  // namespace
