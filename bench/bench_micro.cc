@@ -535,8 +535,9 @@ BENCHMARK(BM_WireEncodeDecode);
 // Cold fork vs warm spawn vs batch reset, measured the way a campaign
 // experiences them: the cold fork copies the CAMPAIGN process (here padded
 // with a dirty heap standing in for solver caches, ledger, and journal
-// buffers accumulated mid-campaign), while the fork server's grandchildren
-// fork from the lean snapshot taken before that heap existed.
+// buffers accumulated mid-campaign), while the fork server's executor was
+// forked from the lean snapshot taken before that heap existed and runs
+// every clean iteration without forking.
 
 double seconds_per_run(int runs, const std::function<void()>& body) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -557,8 +558,8 @@ void write_spawn_sidecar(const compi::bench::BenchArgs& args) {
   const solver::Assignment inputs;
   const minimpi::LaunchSpec spec = sandbox_bench_spec(registry, inputs);
 
-  // Snapshot the server FIRST, then dirty a campaign-sized heap: grandchild
-  // forks keep paying for the lean snapshot, cold forks pay for the heap.
+  // Snapshot the server FIRST, then dirty a campaign-sized heap: the
+  // executor keeps the lean snapshot, cold forks pay for the heap.
   sandbox::ForkServer server(sandbox_bench_table(), {});
   bool warm = false;
   (void)server.run(spec, nullptr, &warm);

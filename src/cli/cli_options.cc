@@ -447,11 +447,13 @@ std::string usage() {
         "                       campaign iteration)\n"
         "  --max-interleavings=N  cap on enqueued reorderings (default 64,\n"
         "                       0 = unlimited)\n"
-        "  --isolate            run each test in a fork()ed child: real\n"
-        "                       crashes/hangs are contained and recorded\n"
-        "  --fork-server=on|off warm-snapshot spawns for --isolate (default\n"
-        "                       on): fork each iteration from a long-lived\n"
-        "                       server child instead of re-forking the tester\n"
+        "  --isolate            run each test outside the tester's process:\n"
+        "                       real crashes/hangs are contained and recorded\n"
+        "  --fork-server=on|off warm-snapshot executor for --isolate (default\n"
+        "                       on): one process forked from a long-lived\n"
+        "                       server child runs the iterations and is\n"
+        "                       replaced after each fault; off forks the\n"
+        "                       tester once per iteration\n"
         "  --fork-server-restarts=N\n"
         "                       server deaths absorbed before degrading to\n"
         "                       cold per-iteration fork (default 3)\n"

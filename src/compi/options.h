@@ -131,8 +131,9 @@ struct CampaignOptions {
   /// limit.  Ignored in ASan builds (the shadow needs the address space).
   int child_mem_mb = 0;
   /// Warm-snapshot execution for `--isolate` (sandbox/fork_server.h): a
-  /// long-lived server child is forked once and every iteration forks from
-  /// its warm snapshot instead of re-forking the whole tester.  On by
+  /// long-lived server child is forked once, and an executor forked from
+  /// its warm snapshot runs the iterations, replaced after each fault,
+  /// instead of re-forking the whole tester per iteration.  On by
   /// default; `--fork-server=off` (or a dead server past its restart
   /// budget) degrades to the classic per-iteration fork.
   bool fork_server = true;

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "runtime/coverage_sink.h"
 
@@ -15,8 +16,12 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/mman.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 #endif
 
 namespace compi::sandbox {
@@ -29,6 +34,12 @@ minimpi::RunResult run_batch_reset(const minimpi::LaunchSpec& spec,
   return minimpi::launch(spec, table);
 }
 
+minimpi::RunResult ForkServer::cold_fork(const minimpi::LaunchSpec& spec,
+                                         SandboxStats* stats) {
+  ++stats_.cold_forks;
+  return run_sandboxed(spec, table_, options_.sandbox, stats);
+}
+
 #ifndef COMPI_SANDBOX_POSIX
 
 ForkServer::ForkServer(const rt::BranchTable& table, ForkServerOptions options)
@@ -39,26 +50,35 @@ ForkServer::~ForkServer() = default;
 minimpi::RunResult ForkServer::run(const minimpi::LaunchSpec& spec,
                                    SandboxStats* stats, bool* warm) {
   if (warm != nullptr) *warm = false;
-  ++stats_.cold_forks;
-  return run_sandboxed(spec, table_, options_.sandbox, stats);
+  return cold_fork(spec, stats);
 }
 bool ForkServer::start(const minimpi::LaunchSpec&) { return false; }
 void ForkServer::note_server_death() {}
 void ForkServer::shutdown() {}
+void ForkServer::executor_ended() {}
 
 #else  // COMPI_SANDBOX_POSIX
 
 namespace {
 
 using std::chrono::duration;
-using std::chrono::duration_cast;
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
 /// Extra wall-clock the parent grants the server to report "reaped" after
-/// the grandchild's own hang deadline passed (the server's waitpid returns
-/// promptly once the parent SIGKILLs the grandchild).
+/// the executor's own hang deadline passed (the server's waitpid returns
+/// promptly once the parent SIGKILLs the executor).
 constexpr milliseconds kReapGrace{5000};
+
+/// How long shutdown() lets an idle executor and its server stop on
+/// their own before it SIGKILLs them.
+constexpr milliseconds kStopGrace{1000};
+
+/// Executor exit codes.  kExecutorStop (ctl closed or corrupt) stops the
+/// server too; any other end — kExecutorRecycle after a faulting run, a
+/// real signal, a hang kill — makes the server fork a replacement.
+constexpr int kExecutorStop = 0;
+constexpr int kExecutorRecycle = 3;
 
 /// The server writes to st/res pipes whose read ends live in the parent;
 /// if the parent dies first those writes must error, not kill the server
@@ -84,51 +104,49 @@ void send_status(int fd, const std::string& text) {
   detail::write_all(fd, out);
 }
 
-/// The long-lived server child: applies registry suffixes, forks one
-/// grandchild per kSpawn, and reports lifecycle over st.  Exits when the
-/// parent closes the ctl pipe (or the stream goes corrupt).
-[[noreturn]] void server_main(const minimpi::LaunchSpec& prototype,
-                              const rt::BranchTable& table,
-                              const SandboxOptions& sandbox, int ctl_rd,
-                              int st_wr, int res_wr, unsigned char* map,
-                              std::size_t map_size) {
-  // The server's own registry, reconstructed purely from suffix frames:
-  // forking the parent's mutex-guarded registry from a worker thread could
-  // snapshot a locked mutex.  Replaying interns in order reproduces the
-  // parent's dense ids exactly.
+/// The persistent executor: applies registry suffixes and runs each kSpawn
+/// in-process, answering on res with R/E, the interned-variable suffix and
+/// kDone.  Exits after a faulting run (recycle) or when ctl closes (stop).
+[[noreturn]] void executor_main(const minimpi::LaunchSpec& prototype,
+                                const rt::BranchTable& table,
+                                const SandboxOptions& sandbox, pid_t server,
+                                int ctl_rd, int res_wr, unsigned char* map,
+                                std::size_t map_size) {
+#ifdef __linux__
+  (void)prctl(PR_SET_PDEATHSIG, SIGKILL);
+  if (getppid() != server) _exit(kExecutorStop);  // the server died already
+#else
+  (void)server;
+#endif
+  detail::arm_child(sandbox, res_wr, map, map_size);
   rt::VarRegistry registry;
   minimpi::LaunchSpec base = prototype;
   base.registry = &registry;
   base.inputs = nullptr;
 
-  std::string hello;
-  append_frame(hello, FrameType::kHello,
-               "compi-fork-server 1 " + std::to_string(getpid()));
-  detail::write_all(st_wr, hello);
-
   FrameReader ctl;
+  bool poisoned = false;  // a registry suffix failed to apply
   char buf[65536];
   for (;;) {
     const ssize_t n = read(ctl_rd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (n == 0) break;  // parent closed the ctl pipe: campaign over
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) _exit(kExecutorStop);  // parent closed ctl: campaign over
     ctl.feed(buf, static_cast<std::size_t>(n));
     while (std::optional<Frame> f = ctl.next()) {
       if (f->type == FrameType::kRegistry) {
-        if (!apply_registry(f->payload, registry)) {
-          send_status(st_wr, "reject registry");
-        }
+        poisoned = poisoned || !apply_registry(f->payload, registry);
         continue;
       }
       if (f->type != FrameType::kSpawn) continue;
+      std::string out;
       SpawnRequest req;
-      if (!decode_spawn_request(f->payload, req)) {
-        send_status(st_wr, "reject decode");
-        continue;
+      if (poisoned || !decode_spawn_request(f->payload, req)) {
+        append_frame(out, FrameType::kDone,
+                     poisoned ? "reject registry" : "reject decode");
+        detail::write_all(res_wr, out);
+        _exit(kExecutorRecycle);
       }
+      map[map_size] = 1;  // started: this executor took the spawn
       minimpi::LaunchSpec spec = base;
       spec.nprocs = req.nprocs;
       spec.focus = req.focus;
@@ -144,28 +162,80 @@ void send_status(int fd, const std::string& text) {
       spec.match_schedule = req.match_schedule;
       spec.match_plan = req.match_plan;
 
-      std::fflush(stdout);
-      std::fflush(stderr);
-      const pid_t pid = fork();
-      if (pid < 0) {
-        send_status(st_wr, "reject fork");
-        continue;
+      detail::fence_cpu(sandbox, milliseconds(req.hang_ms));
+      const std::size_t known = registry.size();
+      const bool clean = detail::launch_frames(spec, table, out);
+      if (registry.size() > known) {
+        append_frame(out, FrameType::kRegistry,
+                     encode_registry_suffix(registry, known));
       }
-      if (pid == 0) {
-        close(ctl_rd);
-        close(st_wr);
-        // read_fd -1: the grandchild has no supervisor-side pipe end to
-        // shed — the res write end IS its result channel.
-        detail::child_main(spec, table, sandbox, milliseconds(req.hang_ms),
-                           -1, res_wr, map, map_size);
-      }
-      send_status(st_wr, "spawned " + std::to_string(pid));
-      int status = 0;
-      while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-      }
-      send_status(st_wr, "reaped " + std::to_string(status));
+      append_frame(out, FrameType::kDone, clean ? "next" : "exit");
+      detail::write_all(res_wr, out);
+      if (!clean) _exit(kExecutorRecycle);
     }
-    if (ctl.corrupt()) break;  // poisoned control stream: let parent restart
+    if (ctl.corrupt()) _exit(kExecutorStop);  // let the parent restart us
+  }
+}
+
+/// The long-lived server child: forks the executor, reports its lifecycle
+/// over st, answers each of the parent's ping bytes with "alive", and
+/// forks a replacement whenever an executor ends short of a stop.
+[[noreturn]] void server_main(const minimpi::LaunchSpec& prototype,
+                              const rt::BranchTable& table,
+                              const SandboxOptions& sandbox, int ctl_rd,
+                              int st_fd, int res_wr, unsigned char* map,
+                              std::size_t map_size) {
+  std::string hello;
+  append_frame(hello, FrameType::kHello,
+               "compi-fork-server 2 " + std::to_string(getpid()));
+  detail::write_all(st_fd, hello);
+
+  const pid_t self = getpid();
+  for (;;) {
+    // The executor holds the only write end of `life`: its death, however
+    // it comes, hangs the pipe up.
+    int life[2];
+    if (pipe(life) != 0) _exit(1);  // the parent sees a dead server
+    std::fflush(stdout);
+    std::fflush(stderr);
+    const pid_t pid = fork();
+    if (pid < 0) _exit(1);
+    if (pid == 0) {
+      close(st_fd);
+      close(life[0]);
+      executor_main(prototype, table, sandbox, self, ctl_rd, res_wr, map,
+                    map_size);
+    }
+    close(life[1]);
+    send_status(st_fd, "spawned " + std::to_string(pid));
+    for (;;) {
+      struct pollfd pfds[2] = {};
+      pfds[0].fd = st_fd;
+      pfds[0].events = POLLIN;
+      pfds[1].fd = life[0];
+      pfds[1].events = POLLIN;
+      if (poll(pfds, 2, -1) < 0) {
+        if (errno == EINTR) continue;
+        _exit(1);
+      }
+      if (pfds[0].revents != 0) {
+        char pings[256];
+        const ssize_t n = read(st_fd, pings, sizeof(pings));
+        if (n == 0 || (n < 0 && errno != EINTR)) _exit(0);  // parent gone
+        std::string out;
+        for (ssize_t i = 0; i < n; ++i) {
+          append_frame(out, FrameType::kStatus, "alive");
+        }
+        detail::write_all(st_fd, out);
+      }
+      if (pfds[1].revents != 0) break;  // the executor ended
+    }
+    close(life[0]);
+    int status = 0;
+    while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+    }
+    send_status(st_fd, "reaped " + std::to_string(status));
+    if (WIFEXITED(status) && WEXITSTATUS(status) == kExecutorStop) break;
   }
   _exit(0);
 }
@@ -204,19 +274,18 @@ ForkServer::~ForkServer() { shutdown(); }
 bool ForkServer::start(const minimpi::LaunchSpec& prototype) {
   ignore_sigpipe_once();
   map_size_ = table_.num_branches();
-  map_bytes_ = std::max<std::size_t>(map_size_, 1);
-  void* map = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+  void* map = mmap(nullptr, map_size_ + 1, PROT_READ | PROT_WRITE,
                    MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (map == MAP_FAILED) return false;
   int ctl[2], st[2], res[2];
   if (pipe(ctl) != 0) {
-    munmap(map, map_bytes_);
+    munmap(map, map_size_ + 1);
     return false;
   }
-  if (pipe(st) != 0) {
+  if (socketpair(AF_UNIX, SOCK_STREAM, 0, st) != 0) {
     close(ctl[0]);
     close(ctl[1]);
-    munmap(map, map_bytes_);
+    munmap(map, map_size_ + 1);
     return false;
   }
   if (pipe(res) != 0) {
@@ -224,7 +293,7 @@ bool ForkServer::start(const minimpi::LaunchSpec& prototype) {
     close(ctl[1]);
     close(st[0]);
     close(st[1]);
-    munmap(map, map_bytes_);
+    munmap(map, map_size_ + 1);
     return false;
   }
 
@@ -233,7 +302,7 @@ bool ForkServer::start(const minimpi::LaunchSpec& prototype) {
   const pid_t pid = fork();
   if (pid < 0) {
     for (int fd : {ctl[0], ctl[1], st[0], st[1], res[0], res[1]}) close(fd);
-    munmap(map, map_bytes_);
+    munmap(map, map_size_ + 1);
     return false;
   }
   if (pid == 0) {
@@ -249,6 +318,9 @@ bool ForkServer::start(const minimpi::LaunchSpec& prototype) {
   (void)fcntl(res[0], F_SETFL, O_NONBLOCK);
 
   server_pid_ = pid;
+  executor_pid_ = -1;
+  retiring_ = false;
+  unanswered_pings_ = 0;
   ctl_fd_ = ctl[1];
   st_fd_ = st[0];
   res_fd_ = res[0];
@@ -260,31 +332,51 @@ bool ForkServer::start(const minimpi::LaunchSpec& prototype) {
 }
 
 void ForkServer::shutdown() {
-  if (!started_) {
-    if (map_ != nullptr) {
-      munmap(map_, map_bytes_);
-      map_ = nullptr;
+  if (started_) {
+    // Closing ctl stops an idle executor (it exits 0), and the server reaps
+    // it and exits in turn, which closes st: the executor's CPU is counted
+    // to the server and no orphan is left.  A pair that has not gone by
+    // the grace is SIGKILLed, the executor first while its server still
+    // holds its pid (it would also die with the server through
+    // PR_SET_PDEATHSIG).  Reap the server so no zombie outlives us.
+    close(ctl_fd_);
+    if (server_pid_ > 0) {
+      const auto give_up = steady_clock::now() + kStopGrace;
+      bool stopped = false;
+      char buf[4096];
+      while (!stopped && steady_clock::now() < give_up) {
+        struct pollfd pfd {};
+        pfd.fd = st_fd_;
+        pfd.events = POLLIN;
+        if (poll(&pfd, 1, 10) < 0 && errno != EINTR) break;
+        // Drop lifecycle frames; EOF means the server is gone.
+        ssize_t n = 1;
+        while (n > 0 && (pfd.revents & (POLLIN | POLLHUP)) != 0) {
+          n = recv(st_fd_, buf, sizeof(buf), MSG_DONTWAIT);
+          stopped = n == 0;
+        }
+      }
+      if (!stopped) {
+        if (executor_pid_ > 0) {
+          (void)kill(static_cast<pid_t>(executor_pid_), SIGKILL);
+        }
+        (void)kill(static_cast<pid_t>(server_pid_), SIGKILL);
+      }
+      int status = 0;
+      while (waitpid(static_cast<pid_t>(server_pid_), &status, 0) < 0 &&
+             errno == EINTR) {
+      }
     }
-    return;
-  }
-  // Closing ctl is the shutdown signal; reap so no zombie outlives us.
-  close(ctl_fd_);
-  close(st_fd_);
-  close(res_fd_);
-  ctl_fd_ = st_fd_ = res_fd_ = -1;
-  if (server_pid_ > 0) {
-    (void)kill(static_cast<pid_t>(server_pid_), SIGKILL);
-    int status = 0;
-    while (waitpid(static_cast<pid_t>(server_pid_), &status, 0) < 0 &&
-           errno == EINTR) {
-    }
-    server_pid_ = -1;
+    close(st_fd_);
+    close(res_fd_);
+    ctl_fd_ = st_fd_ = res_fd_ = -1;
+    server_pid_ = executor_pid_ = -1;
+    started_ = false;
   }
   if (map_ != nullptr) {
-    munmap(map_, map_bytes_);
+    munmap(map_, map_size_ + 1);
     map_ = nullptr;
   }
-  started_ = false;
 }
 
 void ForkServer::note_server_death() {
@@ -296,13 +388,24 @@ void ForkServer::note_server_death() {
   }
 }
 
+void ForkServer::executor_ended() {
+  executor_pid_ = -1;
+  synced_vars_ = 0;
+}
+
 minimpi::RunResult ForkServer::run(const minimpi::LaunchSpec& spec,
                                    SandboxStats* stats, bool* warm) {
   if (warm != nullptr) *warm = false;
   if (stats_.degraded || (!started_ && !start(spec))) {
     if (!stats_.degraded) note_server_death();
-    ++stats_.cold_forks;
-    return run_sandboxed(spec, table_, options_.sandbox, stats);
+    return cold_fork(spec, stats);
+  }
+  // A dead server's executor must not take this spawn: check before
+  // shipping.  The reaped server's pid is forgotten, not killed again.
+  if (waitpid(static_cast<pid_t>(server_pid_), nullptr, WNOHANG) != 0) {
+    server_pid_ = -1;
+    note_server_death();
+    return cold_fork(spec, stats);
   }
 
   SandboxStats local;
@@ -310,18 +413,13 @@ minimpi::RunResult ForkServer::run(const minimpi::LaunchSpec& spec,
   st = SandboxStats{};
 
   const milliseconds hang = detail::derive_hang(options_.sandbox, spec);
-  std::memset(map_, 0, map_bytes_);
+  std::memset(map_, 0, map_size_ + 1);  // coverage and the started flag
 
-  // Ship the registry suffix the server hasn't seen, then the spawn.
+  // Ship the registry suffix the executor hasn't seen, then the spawn.
   std::string out;
-  std::size_t new_synced = synced_vars_;
-  if (spec.registry != nullptr) {
-    const std::size_t total = spec.registry->size();
-    if (total > synced_vars_) {
-      append_frame(out, FrameType::kRegistry,
-                   encode_registry_suffix(*spec.registry, synced_vars_));
-    }
-    new_synced = total;
+  if (spec.registry != nullptr && spec.registry->size() > synced_vars_) {
+    append_frame(out, FrameType::kRegistry,
+                 encode_registry_suffix(*spec.registry, synced_vars_));
   }
   SpawnRequest req;
   req.nprocs = spec.nprocs;
@@ -348,21 +446,25 @@ minimpi::RunResult ForkServer::run(const minimpi::LaunchSpec& spec,
       const ssize_t n = write(ctl_fd_, out.data() + off, out.size() - off);
       if (n < 0) {
         if (errno == EINTR) continue;
-        write_failed = true;  // EPIPE: the server is gone
+        write_failed = true;  // EPIPE: server and executor are gone
         break;
       }
       off += static_cast<std::size_t>(n);
     }
   }
-  if (write_failed) {
+  // Ping the server: a run counts only once the server answered "alive"
+  // after it was shipped, so a server killed before this call can never
+  // vouch for it, however fast its executor is.
+  if (write_failed || write(st_fd_, "p", 1) != 1) {
     note_server_death();
-    ++stats_.cold_forks;
-    return run_sandboxed(spec, table_, options_.sandbox, stats);
+    return cold_fork(spec, stats);
   }
-  synced_vars_ = new_synced;
+  ++unanswered_pings_;
 
-  // ---- wait for spawned / reaped, enforcing the hang deadline ----
+  // ---- wait for the end of the run, enforcing the hang deadline ----
   FrameReader res_reader;
+  std::vector<Frame> frames;
+  std::optional<std::string> done;  // the kDone payload
   char buf[65536];
   const auto drain_res = [&] {
     for (;;) {
@@ -374,24 +476,38 @@ minimpi::RunResult ForkServer::run(const minimpi::LaunchSpec& spec,
       if (n < 0 && errno == EINTR) continue;
       break;  // EAGAIN (drained) or EOF/error (nothing more to read)
     }
+    while (std::optional<Frame> f = res_reader.next()) {
+      if (f->type == FrameType::kDone) {
+        done = std::move(f->payload);
+      } else {
+        frames.push_back(std::move(*f));
+      }
+    }
   };
 
-  long grandchild = -1;
   std::optional<long> reaped;
   bool timed_out = false;
-  bool rejected = false;
   bool server_dead = false;
   const auto deadline = t0 + hang;
   const auto grace_end = deadline + kReapGrace;
-  while (!reaped.has_value() && !rejected && !server_dead) {
+  // The run ends at its kDone frame once the server answered "alive" and
+  // the executor's "spawned" was read, or at the "reaped" frame of an
+  // executor that died running it.  A hang kill waits for "reaped" even if
+  // kDone slipped in: the kill decides the run, as for a one-shot child.
+  const auto delivered = [&] { return done.has_value() && !timed_out; };
+  bool done_reaped = false;  // this run's executor ended after its kDone
+  while (!(delivered() && unanswered_pings_ == 0 &&
+           (executor_pid_ > 0 || done_reaped)) &&
+         !reaped.has_value()) {
     if (waitpid(static_cast<pid_t>(server_pid_), nullptr, WNOHANG) != 0) {
+      server_pid_ = -1;
       server_dead = true;
       break;
     }
     const auto now = steady_clock::now();
     if (!timed_out && now >= deadline) {
-      if (grandchild > 0) {
-        (void)kill(static_cast<pid_t>(grandchild), SIGKILL);
+      if (executor_pid_ > 0) {
+        (void)kill(static_cast<pid_t>(executor_pid_), SIGKILL);
       }
       timed_out = true;
     }
@@ -426,38 +542,65 @@ minimpi::RunResult ForkServer::run(const minimpi::LaunchSpec& spec,
     }
     while (std::optional<Frame> f = st_reader_.next()) {
       if (f->type != FrameType::kStatus) continue;  // tolerate late kHello
-      if (const auto pid = status_arg(f->payload, "spawned")) {
-        grandchild = *pid;
+      if (f->payload == "alive") {
+        if (unanswered_pings_ > 0) --unanswered_pings_;
+      } else if (const auto pid = status_arg(f->payload, "spawned")) {
+        executor_pid_ = *pid;
+        ++stats_.executor_forks;
       } else if (const auto status = status_arg(f->payload, "reaped")) {
-        reaped = *status;
-      } else {
-        rejected = true;  // "reject <reason>": this spawn never happened
+        if (retiring_) {
+          retiring_ = false;  // the previous run's executor, as announced
+        } else if (delivered()) {
+          done_reaped = true;  // this run's executor, after its kDone
+          executor_ended();    // before its replacement's "spawned"
+          break;
+        } else {
+          reaped = *status;  // the executor running this spawn ended
+          executor_ended();
+          break;  // later frames belong to its replacement
+        }
       }
     }
   }
 
+  if (server_dead) {
+    note_server_death();
+    // The iteration is NEVER lost: re-run it cold.  Discarding the partial
+    // frames is safe because the cold re-run re-interns any new variables
+    // identically.
+    return cold_fork(spec, stats);
+  }
   if (reaped.has_value()) {
-    drain_res();  // the grandchild finished writing before it was reaped
-    st.forked = true;
-    const double wall = duration<double>(steady_clock::now() - t0).count();
-    minimpi::RunResult result = detail::interpret_child_exit(
-        spec, table_, res_reader, map_, map_size_, timed_out,
-        static_cast<int>(*reaped), wall, hang, st);
-    ++stats_.warm_spawns;
-    stats_.last_spawn_seconds = wall;
-    if (warm != nullptr) *warm = true;
-    return result;
+    drain_res();  // the executor finished writing before it was reaped
+    if (map_[map_size_] == 0) {
+      // It died before taking the spawn, which is still waiting in ctl for
+      // a replacement that knows no registry: restart everything.
+      note_server_death();
+      return cold_fork(spec, stats);
+    }
+  } else if (*done != "next") {
+    // "exit"/"reject": a replacement comes; its "reaped" may still be due.
+    if (!done_reaped) {
+      retiring_ = true;
+      executor_ended();
+    }
+    if (*done != "exit") return cold_fork(spec, stats);
   }
 
-  if (server_dead) {
-    if (grandchild > 0) (void)kill(static_cast<pid_t>(grandchild), SIGKILL);
-    note_server_death();
+  st.forked = true;
+  const double wall = duration<double>(steady_clock::now() - t0).count();
+  minimpi::RunResult result = detail::interpret_child_exit(
+      spec, table_, frames, res_reader.bytes_fed(), map_, map_size_,
+      timed_out, static_cast<int>(reaped.value_or(0)), wall, hang, st);
+  const bool lives = !reaped.has_value() && *done == "next" && !done_reaped;
+  if (lives && spec.registry != nullptr) {
+    // The executor knows what the run's registry suffix added.
+    synced_vars_ = spec.registry->size();
   }
-  // Rejected or dead either way: the iteration is NEVER lost — re-run it
-  // cold.  Discarding the partial frames is safe because the cold re-run
-  // re-interns any new variables identically.
-  ++stats_.cold_forks;
-  return run_sandboxed(spec, table_, options_.sandbox, stats);
+  ++stats_.warm_spawns;
+  stats_.last_spawn_seconds = wall;
+  if (warm != nullptr) *warm = true;
+  return result;
 }
 
 #endif  // COMPI_SANDBOX_POSIX

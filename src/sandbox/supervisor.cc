@@ -166,8 +166,12 @@ void install_fatal_handlers() {
   }
 }
 
-void apply_rlimits(const SandboxOptions& options, int nprocs,
-                   std::chrono::milliseconds hang) {
+}  // namespace
+
+void arm_child(const SandboxOptions& options, int signal_fd,
+               unsigned char* map, std::size_t map_size) {
+  g_signal_fd = signal_fd;
+  install_fatal_handlers();
 #ifndef COMPI_SANDBOX_ASAN
   if (options.child_mem_mb > 0) {
     struct rlimit mem {};
@@ -175,21 +179,50 @@ void apply_rlimits(const SandboxOptions& options, int nprocs,
         static_cast<rlim_t>(options.child_mem_mb) * 1024 * 1024;
     (void)setrlimit(RLIMIT_AS, &mem);
   }
+#else
+  (void)options;
 #endif
-  // CPU backstop: generous enough that a legitimate job (nprocs busy
-  // threads up to the hang deadline) never trips it, but a runaway child
-  // dies even if the parent's wall-clock watchdog is starved.
-  long long cpu_s = options.child_cpu_s;
-  if (cpu_s <= 0) {
-    cpu_s = (hang.count() * std::max(nprocs, 2)) / 1000 + 2;
-  }
+  rt::install_coverage_sink(map, map_size);
+}
+
+void fence_cpu(const SandboxOptions& options, std::chrono::milliseconds hang) {
+  // CPU backstop: one thread busy up to the hang deadline (every rank is a
+  // fiber on the launching thread) never trips it, but a runaway child
+  // dies even if the parent's wall-clock watchdog is starved.  The limit
+  // counts the process's whole life, so a long-lived executor moves it to
+  // the CPU it has used so far plus one run's budget before every run.
+  // RLIMIT_CPU has whole-second resolution; rounding `used` up grants at
+  // least the full budget.  Only the soft limit moves: an unprivileged
+  // process can never raise a hard limit again once it lowered it.
+  long long budget_s = options.child_cpu_s;
+  if (budget_s <= 0) budget_s = hang.count() / 1000 + 2;
+  struct rusage usage {};
+  (void)getrusage(RUSAGE_SELF, &usage);
+  const long long used_us =
+      (static_cast<long long>(usage.ru_utime.tv_sec) +
+       usage.ru_stime.tv_sec) * 1'000'000 +
+      usage.ru_utime.tv_usec + usage.ru_stime.tv_usec;
   struct rlimit cpu {};
-  cpu.rlim_cur = static_cast<rlim_t>(cpu_s);
-  cpu.rlim_max = static_cast<rlim_t>(cpu_s) + 2;
+  if (getrlimit(RLIMIT_CPU, &cpu) != 0) return;
+  rlim_t soft = static_cast<rlim_t>((used_us + 999'999) / 1'000'000 + budget_s);
+  if (cpu.rlim_max != RLIM_INFINITY) soft = std::min(soft, cpu.rlim_max);
+  cpu.rlim_cur = soft;
   (void)setrlimit(RLIMIT_CPU, &cpu);
 }
 
-}  // namespace
+bool launch_frames(const minimpi::LaunchSpec& spec,
+                   const rt::BranchTable& table, std::string& out) {
+  try {
+    const minimpi::RunResult run = minimpi::launch(spec, table);
+    append_frame(out, FrameType::kResult, encode_run_result(run));
+    return run.job_outcome() == rt::Outcome::kOk;
+  } catch (const std::exception& e) {
+    append_frame(out, FrameType::kError, e.what());
+  } catch (...) {
+    append_frame(out, FrameType::kError, "unknown launcher failure");
+  }
+  return false;
+}
 
 void write_all(int fd, const std::string& bytes) {
   std::size_t off = 0;
@@ -210,21 +243,10 @@ void write_all(int fd, const std::string& bytes) {
                              int write_fd, unsigned char* map,
                              std::size_t map_size) {
   close(read_fd);
-  g_signal_fd = write_fd;
-  install_fatal_handlers();
-  apply_rlimits(options, spec.nprocs, hang);
-  rt::install_coverage_sink(map, map_size);
+  arm_child(options, write_fd, map, map_size);
+  fence_cpu(options, hang);
   std::string out;
-  try {
-    const minimpi::RunResult run = minimpi::launch(spec, table);
-    append_frame(out, FrameType::kResult, encode_run_result(run));
-  } catch (const std::exception& e) {
-    out.clear();
-    append_frame(out, FrameType::kError, e.what());
-  } catch (...) {
-    out.clear();
-    append_frame(out, FrameType::kError, "unknown launcher failure");
-  }
+  (void)launch_frames(spec, table, out);
   // New input variables were interned into THIS process's fork-copied
   // registry; ship them back or the parent's planner dereferences unknown
   // variable ids on the next iteration.
@@ -237,25 +259,26 @@ void write_all(int fd, const std::string& bytes) {
 
 minimpi::RunResult interpret_child_exit(
     const minimpi::LaunchSpec& spec, const rt::BranchTable& table,
-    FrameReader& reader, const unsigned char* map, std::size_t map_size,
-    bool timed_out, int status, double wall, std::chrono::milliseconds hang,
+    std::vector<Frame>& frames, std::size_t stream_bytes,
+    const unsigned char* map, std::size_t map_size, bool timed_out,
+    int status, double wall, std::chrono::milliseconds hang,
     SandboxStats& st) {
   std::optional<minimpi::RunResult> decoded;
   std::optional<int> signal_frame;
   std::optional<std::string> error_frame;
-  while (std::optional<Frame> f = reader.next()) {
-    switch (f->type) {
+  for (Frame& f : frames) {
+    switch (f.type) {
       case FrameType::kResult: {
         minimpi::RunResult run;
-        if (decode_run_result(f->payload, run)) decoded = std::move(run);
+        if (decode_run_result(f.payload, run)) decoded = std::move(run);
         break;
       }
       case FrameType::kError:
-        error_frame = std::move(f->payload);
+        error_frame = std::move(f.payload);
         break;
       case FrameType::kSignal: {
         int sig = 0;
-        for (char c : f->payload) {
+        for (char c : f.payload) {
           if (c < '0' || c > '9') break;
           sig = sig * 10 + (c - '0');
         }
@@ -264,14 +287,14 @@ minimpi::RunResult interpret_child_exit(
       }
       case FrameType::kRegistry:
         if (spec.registry != nullptr) {
-          (void)apply_registry(f->payload, *spec.registry);
+          (void)apply_registry(f.payload, *spec.registry);
         }
         break;
       default:
         break;  // server-side frames never appear on a result pipe
     }
   }
-  st.harvest_bytes = reader.bytes_fed();
+  st.harvest_bytes = stream_bytes;
   std::vector<sym::BranchId> harvested_ids;
   for (std::size_t i = 0; map != nullptr && i < map_size; ++i) {
     if (map[i] != 0) harvested_ids.push_back(static_cast<sym::BranchId>(i));
@@ -442,9 +465,12 @@ minimpi::RunResult run_sandboxed(const minimpi::LaunchSpec& spec,
   }
   const double wall = duration<double>(steady_clock::now() - t0).count();
 
+  std::vector<Frame> frames;
+  while (std::optional<Frame> f = reader.next()) frames.push_back(std::move(*f));
   minimpi::RunResult result = detail::interpret_child_exit(
-      spec, table, reader, static_cast<const unsigned char*>(map), map_size,
-      timed_out, status, wall, hang, st);
+      spec, table, frames, reader.bytes_fed(),
+      static_cast<const unsigned char*>(map), map_size, timed_out, status,
+      wall, hang, st);
   munmap(map, map_bytes);
   return result;
 #endif  // COMPI_SANDBOX_POSIX

@@ -2,15 +2,17 @@
 //
 // The paper's artifact launches targets as separate OS processes under
 // `mpiexec`, so a segfaulting or wedged target can never take the tester
-// down with it.  MiniMPI runs every rank as a thread in the tester's own
-// address space; a *genuine* SIGSEGV, heap smash, or uninstrumented
-// infinite loop (one that executes no branch events, evading both the step
-// budget and the cooperative world deadline) would kill or hang the whole
-// campaign.  run_sandboxed() restores the paper's process boundary per
-// iteration: fork() the whole MiniMPI world into a child, run the launcher
-// there, and stream the results back over a pipe (wire.h).  The parent
-//  * enforces a wall-clock hang timeout (SIGKILL on expiry) and optional
-//    CPU / address-space rlimits on the child,
+// down with it.  MiniMPI runs every rank as a fiber on the launching
+// thread, in the tester's own address space; a *genuine* SIGSEGV, heap
+// smash, or uninstrumented infinite loop (one that executes no branch
+// events, evading both the step budget and the cooperative world deadline)
+// would kill or hang the whole campaign.  run_sandboxed() restores the
+// paper's process boundary per iteration: fork() the whole MiniMPI world
+// into a child, run the launcher there, and stream the results back over a
+// pipe (wire.h).  The fork server (fork_server.h) keeps the same boundary
+// but reuses one child across clean runs.  The parent
+//  * enforces a wall-clock hang timeout (SIGKILL on expiry) and a CPU
+//    rlimit (plus an optional address-space rlimit) on the child,
 //  * maps real termination signals onto the existing rt::Outcome taxonomy
 //    (SIGSEGV/SIGBUS -> kSegfault, SIGFPE -> kFpe, SIGABRT -> kAssert,
 //    SIGKILL/SIGXCPU -> kTimeout),
@@ -38,7 +40,7 @@
 
 namespace compi::sandbox {
 
-class FrameReader;
+struct Frame;
 
 struct SandboxOptions {
   /// Wall-clock budget for the whole child process; past it the child is
@@ -49,9 +51,10 @@ struct SandboxOptions {
   /// RLIMIT_AS for the child in MiB; 0 = inherit.  Ignored under ASan
   /// (the shadow mapping needs terabytes of address space).
   int child_mem_mb = 0;
-  /// RLIMIT_CPU for the child in whole seconds; 0 derives it from the
-  /// hang timeout (2x + 2 s) as a backstop against scheduler starvation
-  /// of the parent's wall-clock watchdog.
+  /// CPU budget of one run in whole seconds, enforced through RLIMIT_CPU
+  /// (SIGXCPU, reported as kTimeout); 0 derives it from the hang timeout
+  /// (+ 2 s) as a backstop against scheduler starvation of the parent's
+  /// wall-clock watchdog.
   int child_cpu_s = 0;
 };
 
@@ -89,10 +92,11 @@ struct SandboxStats {
     const SandboxOptions& options, SandboxStats* stats = nullptr);
 
 // Shared machinery between the per-iteration supervisor (run_sandboxed) and
-// the fork server (fork_server.h).  Both spawn a child that runs
-// child_main, watch it against the same hang deadline, and interpret the
-// frame stream plus wait status through interpret_child_exit so a
-// grandchild crash is reported identically either way.
+// the fork server (fork_server.h).  Both arm a child the same way, run the
+// launcher through launch_frames, watch it against the same hang deadline,
+// and interpret the frame stream plus wait status through
+// interpret_child_exit, so a crash in the fork server's executor is
+// reported exactly like a crash in a cold child.
 namespace detail {
 
 /// Human-readable name for the signals the sandbox maps (SIGSEGV, ...).
@@ -116,9 +120,24 @@ namespace detail {
 /// Full write() loop; gives up silently once the reader is gone.
 void write_all(int fd, const std::string& bytes);
 
-/// Body of a sandboxed child: installs the fatal-signal reporter, rlimit
-/// fences, and shared coverage sink, runs the launcher, streams the
-/// R/E + V frames to write_fd, and _exit()s.  Never returns.
+/// Arms a freshly forked child: the fatal-signal reporter (a kSignal frame
+/// to `signal_fd`), the address-space rlimit and the shared coverage sink.
+void arm_child(const SandboxOptions& options, int signal_fd,
+               unsigned char* map, std::size_t map_size);
+
+/// Sets the soft RLIMIT_CPU to the CPU this process has used so far plus
+/// one run's budget (SandboxOptions::child_cpu_s, or the hang deadline
+/// + 2 s), rounded up to whole seconds.  Called before every run.
+void fence_cpu(const SandboxOptions& options, std::chrono::milliseconds hang);
+
+/// Runs the launcher and appends its kResult frame (or a kError frame if
+/// it threw) to `out`.  True when the job outcome is kOk.
+bool launch_frames(const minimpi::LaunchSpec& spec,
+                   const rt::BranchTable& table, std::string& out);
+
+/// Body of a cold sandboxed child: arms it, fences its CPU, runs the
+/// launcher, streams the R/E + V frames to write_fd, and _exit()s.  Never
+/// returns.
 [[noreturn]] void child_main(const minimpi::LaunchSpec& spec,
                              const rt::BranchTable& table,
                              const SandboxOptions& options,
@@ -126,14 +145,16 @@ void write_all(int fd, const std::string& bytes);
                              int write_fd, unsigned char* map,
                              std::size_t map_size);
 
-/// Turns a finished child's frame stream + wait status into the campaign's
-/// RunResult, updating `st` (signal/hang kills, harvest accounting).
-/// Precedence: hang kill > real signal > decoded result > error frame >
-/// exit-without-result.  `status` is the raw waitpid status.
+/// Turns a finished run's frames (`stream_bytes` long on the wire) + wait
+/// status into the campaign's RunResult, updating `st` (signal/hang kills,
+/// harvest accounting).  Precedence: hang kill > real signal > decoded
+/// result > error frame > exit-without-result.  `status` is the raw
+/// waitpid status; 0 for a run whose process lives on.
 [[nodiscard]] minimpi::RunResult interpret_child_exit(
     const minimpi::LaunchSpec& spec, const rt::BranchTable& table,
-    FrameReader& reader, const unsigned char* map, std::size_t map_size,
-    bool timed_out, int status, double wall, std::chrono::milliseconds hang,
+    std::vector<Frame>& frames, std::size_t stream_bytes,
+    const unsigned char* map, std::size_t map_size, bool timed_out,
+    int status, double wall, std::chrono::milliseconds hang,
     SandboxStats& st);
 
 #endif  // COMPI_SANDBOX_POSIX

@@ -40,7 +40,8 @@ bool known_type(char t) {
          t == static_cast<char>(FrameType::kRegistry) ||
          t == static_cast<char>(FrameType::kSpawn) ||
          t == static_cast<char>(FrameType::kHello) ||
-         t == static_cast<char>(FrameType::kStatus);
+         t == static_cast<char>(FrameType::kStatus) ||
+         t == static_cast<char>(FrameType::kDone);
 }
 
 /// Expects the next token to equal `tag`; poisons the stream otherwise.

@@ -13,9 +13,11 @@
 // The fork server (fork_server.h) speaks the same framing on two more
 // pipes: the supervisor sends kRegistry sync frames plus one kSpawn frame
 // per iteration down the control pipe, and the server answers with one
-// kHello at startup and kStatus lifecycle frames ("spawned <pid>",
-// "reaped <wait-status>") per spawn.  Grandchild results still travel as
-// the classic kResult/kError/kSignal/kRegistry stream.
+// kHello at startup and kStatus lifecycle frames for its executor process
+// ("spawned <pid>", "reaped <wait-status>").  The executor answers each
+// kSpawn on the result pipe with the classic kResult/kError (plus kSignal
+// if it dies) frames, a kRegistry frame with the variables the run
+// interned, and one kDone end-of-run frame.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +37,9 @@ enum class FrameType : char {
   kRegistry = 'V',  // payload: encode_registry() text (child's var interns)
   kSpawn = 'W',     // payload: encode_spawn_request() text (ctl pipe)
   kHello = 'H',     // payload: "compi-fork-server <version> <pid>"
-  kStatus = 'T',    // payload: "spawned <pid>" | "reaped <status>" |
-                    //          "reject <reason>"
+  kStatus = 'T',    // payload: "spawned <pid>" | "reaped <status>"
+  kDone = 'D',      // payload: "next" | "exit" | "reject <reason>"
+                    //          (the executor's end of one run)
 };
 
 struct Frame {
@@ -108,7 +111,7 @@ void write_test_log(std::ostream& os, const rt::TestLog& log);
 /// server captured the target program, branch table, and sandbox options
 /// when it forked; a kSpawn frame carries only the per-iteration launch
 /// parameters (including the chaos plan and any prescribed wildcard
-/// decisions) plus the supervisor-derived hang deadline the grandchild's
+/// decisions) plus the supervisor-derived hang deadline the executor's
 /// rlimit fence is sized from.
 struct SpawnRequest {
   int nprocs = 1;

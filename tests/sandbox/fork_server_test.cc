@@ -1,14 +1,20 @@
-// Crash-path regression tests for the fork-server execution engine: a
-// grandchild that REALLY segfaults or wedges must map onto the same
+// Crash-path regression tests for the fork-server execution engine: an
+// executor that REALLY segfaults or wedges must map onto the same
 // Outcome/harvest the cold sandbox produces — and must leave the server
-// alive for the next warm spawn.  Killing the server itself mid-stream
-// must cold-fork the in-flight iteration (never lose it), then restart.
+// alive to fork a replacement for the next warm run.  Killing the server
+// itself mid-stream must cold-fork the in-flight iteration (never lose
+// it), then restart.  The lifecycle tests pin when executors are forked:
+// once for a run of clean iterations, once more after each fault.
 #include "sandbox/fork_server.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <csignal>
+#include <ctime>
+#include <fstream>
+#include <string>
+#include <thread>
 
 #include "minimpi/launcher.h"
 #include "sandbox/supervisor.h"
@@ -43,6 +49,25 @@ void expect_same_logs(const minimpi::RunResult& a,
     EXPECT_EQ(a.ranks[r].outcome, b.ranks[r].outcome) << "rank " << r;
     EXPECT_EQ(a.ranks[r].log.serialize(), b.ranks[r].log.serialize())
         << "rank " << r;
+  }
+}
+
+/// expect_same_logs for runs whose logs crossed the wire with several
+/// inputs: `inputs_used` is an unordered map, so its serialized order is
+/// not part of a run's identity and is compared as a map instead.
+void expect_same_runs(const minimpi::RunResult& a,
+                      const minimpi::RunResult& b) {
+  EXPECT_EQ(a.job_outcome(), b.job_outcome());
+  ASSERT_EQ(a.ranks.size(), b.ranks.size());
+  for (std::size_t r = 0; r < a.ranks.size(); ++r) {
+    EXPECT_EQ(a.ranks[r].outcome, b.ranks[r].outcome) << "rank " << r;
+    EXPECT_EQ(a.ranks[r].log.inputs_used, b.ranks[r].log.inputs_used)
+        << "rank " << r;
+    rt::TestLog la = a.ranks[r].log;
+    rt::TestLog lb = b.ranks[r].log;
+    la.inputs_used.clear();
+    lb.inputs_used.clear();
+    EXPECT_EQ(la.serialize(), lb.serialize()) << "rank " << r;
   }
 }
 
@@ -89,6 +114,127 @@ TargetInfo hang_on_250_target() {
   return info;
 }
 
+/// Every rank interns "x", then "z" only when x == 7, then "y", and
+/// branches on y, so a run's path names y's variable id: an executor that
+/// missed the earlier "z" gives y the wrong id.  Rank 0 raises a REAL
+/// SIGSEGV when x == 33 and fails a simulated assertion when x == 44.
+TargetInfo registry_probe_target() {
+  TargetInfo info = fig2_target();
+  info.name = "fig2_registry_probe";
+  info.program = [](rt::RuntimeContext& ctx, minimpi::Comm& world) {
+    using targets::br;
+    using sym::SymInt;
+    const SymInt x = ctx.input_int_capped("x", 500);
+    if (br(ctx, Fig2Site::kXLow, x == SymInt(7))) {
+      (void)ctx.input_int_capped("z", 500);
+    }
+    const SymInt y = ctx.input_int_capped("y", 500);
+    if (br(ctx, Fig2Site::kYLow, y == SymInt(5))) {
+      world.barrier();
+    }
+    const SymInt rank = world.comm_rank(ctx);
+    if (br(ctx, Fig2Site::kRankZero, rank == SymInt(0))) {
+      if (br(ctx, Fig2Site::kMagic, x == SymInt(33))) {
+        (void)std::raise(SIGSEGV);
+      }
+      ctx.check(x.value() != 44, "simulated fault: x == 44 on the master");
+    }
+    world.barrier();
+  };
+  return info;
+}
+
+/// Rank 0 burns x * 10 ms of process CPU time.
+TargetInfo cpu_burn_target() {
+  TargetInfo info = fig2_target();
+  info.name = "fig2_cpu_burn";
+  info.program = [](rt::RuntimeContext& ctx, minimpi::Comm& world) {
+    using targets::br;
+    using sym::SymInt;
+    const SymInt x = ctx.input_int_capped("x", 500);
+    const SymInt rank = world.comm_rank(ctx);
+    if (br(ctx, Fig2Site::kRankZero, rank == SymInt(0))) {
+      const auto cpu_ns = [] {
+        timespec t{};
+        clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &t);
+        return static_cast<long long>(t.tv_sec) * 1'000'000'000 + t.tv_nsec;
+      };
+      const long long until = cpu_ns() + x.value() * 10'000'000LL;
+      while (cpu_ns() < until) {
+      }
+    }
+    world.barrier();
+  };
+  return info;
+}
+
+/// A fault on one executor, then a clean run on its replacement: the
+/// replacement must know "z" (interned by the first executor) and match
+/// the in-process launch, and exactly one replacement was forked.
+void expect_replacement_after_fault(int fault_x, rt::Outcome expected) {
+  const TargetInfo target = registry_probe_target();
+  ForkServer server(*target.table, ForkServerOptions{});
+  rt::VarRegistry registry;
+  rt::VarRegistry in_proc_registry;
+  solver::Assignment with_z;
+  with_z[0] = 7;
+  bool warm = false;
+  const minimpi::RunResult first =
+      server.run(make_spec(target, registry, with_z, 2), nullptr, &warm);
+  ASSERT_TRUE(warm);
+  ASSERT_EQ(first.job_outcome(), rt::Outcome::kOk) << first.job_message();
+  expect_same_runs(minimpi::launch(make_spec(target, in_proc_registry, with_z,
+                                             2),
+                                   *target.table),
+                   first);
+  ASSERT_GE(registry.size(), 3u) << "x, z, y came back from the executor";
+  const long first_executor = server.executor_pid();
+
+  solver::Assignment fault;
+  fault[0] = fault_x;
+  SandboxStats st;
+  const minimpi::RunResult faulted =
+      server.run(make_spec(target, registry, fault, 2), &st, &warm);
+  EXPECT_TRUE(warm);
+  EXPECT_EQ(faulted.job_outcome(), expected) << faulted.job_message();
+  EXPECT_EQ(st.signal_kill, expected == rt::Outcome::kSegfault);
+
+  solver::Assignment clean;
+  clean[0] = 1;
+  clean[2] = 5;  // y, by the id the first run gave it
+  const minimpi::RunResult replaced =
+      server.run(make_spec(target, registry, clean, 2), nullptr, &warm);
+  EXPECT_TRUE(warm) << "the replacement executor runs warm";
+  expect_same_runs(minimpi::launch(make_spec(target, in_proc_registry, clean,
+                                             2),
+                                   *target.table),
+                   replaced);
+  EXPECT_EQ(server.stats().executor_forks, 2u);
+  EXPECT_NE(server.executor_pid(), first_executor);
+  EXPECT_EQ(server.stats().restarts, 0u);
+  EXPECT_EQ(server.stats().cold_forks, 0u);
+}
+
+#ifdef __linux__
+/// True once `pid` is no longer a running process (gone or a zombie),
+/// polled for up to five seconds.
+bool process_ends(long pid) {
+  for (int i = 0; i < 500; ++i) {
+    std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+    std::string line;
+    if (!std::getline(stat, line)) return true;
+    const std::size_t name_end = line.rfind(')');
+    if (name_end == std::string::npos || name_end + 2 >= line.size()) {
+      return true;
+    }
+    const char state = line[name_end + 2];
+    if (state == 'Z' || state == 'X') return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+#endif
+
 TEST(ForkServer, WarmSpawnReproducesTheInProcessRun) {
   if (!sandbox_supported()) GTEST_SKIP() << "no fork()";
   const TargetInfo target = fig2_target();
@@ -112,7 +258,7 @@ TEST(ForkServer, WarmSpawnReproducesTheInProcessRun) {
   EXPECT_EQ(server.stats().cold_forks, 0u);
   EXPECT_GT(server.stats().last_spawn_seconds, 0.0);
 
-  // Per-iteration parameters must reach the grandchild through the spawn
+  // Per-iteration parameters must reach the executor through the spawn
   // frame, not the stale snapshot: a different seed changes the run.
   rt::VarRegistry reseeded_registry;
   minimpi::LaunchSpec reseeded =
@@ -149,7 +295,7 @@ TEST(ForkServer, GrandchildSegfaultMapsOutcomeAndServerSurvives) {
   EXPECT_NE(crashed.job_message().find("SIGSEGV"), std::string::npos)
       << crashed.job_message();
   // The branches rank 0 executed on its way to the crash were flushed to
-  // the MAP_SHARED mirror and harvested from the dead grandchild.
+  // the MAP_SHARED mirror and harvested from the dead executor.
   EXPECT_FALSE(st.harvested.empty());
   EXPECT_GT(st.harvest_bytes, 0u);
 
@@ -159,7 +305,7 @@ TEST(ForkServer, GrandchildSegfaultMapsOutcomeAndServerSurvives) {
   SandboxStats st2;
   const minimpi::RunResult clean =
       server.run(make_spec(target, registry, clean_inputs, 2), &st2, &warm);
-  EXPECT_TRUE(warm) << "a grandchild crash must not take the server down";
+  EXPECT_TRUE(warm) << "an executor crash must not take the server down";
   EXPECT_FALSE(st2.signal_kill);
   EXPECT_EQ(clean.job_outcome(), rt::Outcome::kOk) << clean.job_message();
   EXPECT_EQ(server.stats().restarts, 0u);
@@ -211,7 +357,7 @@ TEST(ForkServer, GrandchildHangIsKilledAndServerSurvives) {
   spec.timeout = std::chrono::milliseconds(100);
   const minimpi::RunResult hung = server.run(spec, &st, &warm);
   EXPECT_TRUE(warm);
-  EXPECT_TRUE(st.hang_kill) << "the watchdog must SIGKILL the grandchild";
+  EXPECT_TRUE(st.hang_kill) << "the watchdog must SIGKILL the executor";
   EXPECT_FALSE(st.signal_kill);
   EXPECT_EQ(hung.job_outcome(), rt::Outcome::kTimeout) << hung.job_message();
 
@@ -296,6 +442,151 @@ TEST(ForkServer, DegradesToColdForksOnceRestartBudgetIsSpent) {
   EXPECT_EQ(server.stats().cold_forks, 2u);
   EXPECT_EQ(server.stats().restarts, 1u);
 }
+
+TEST(ForkServer, FiftyCleanRunsForkOneExecutor) {
+  if (!sandbox_supported()) GTEST_SKIP() << "no fork()";
+  const TargetInfo target = fig2_target();
+  ForkServer server(*target.table, ForkServerOptions{});
+  rt::VarRegistry registry;
+  rt::VarRegistry in_proc_registry;
+  for (int i = 0; i < 50; ++i) {
+    solver::Assignment inputs;
+    inputs[0] = 1 + i;
+    inputs[1] = 2 + i % 7;
+    bool warm = false;
+    const minimpi::RunResult got =
+        server.run(make_spec(target, registry, inputs, 3), nullptr, &warm);
+    ASSERT_TRUE(warm) << "run " << i;
+    expect_same_runs(minimpi::launch(
+                         make_spec(target, in_proc_registry, inputs, 3),
+                         *target.table),
+                     got);
+  }
+  EXPECT_EQ(server.stats().warm_spawns, 50u);
+  EXPECT_EQ(server.stats().executor_forks, 1u)
+      << "clean iterations fork no process";
+}
+
+TEST(ForkServer, RealSegfaultIsFollowedByAReplacementThatKnowsTheRegistry) {
+  if (!sandbox_supported()) GTEST_SKIP() << "no fork()";
+  expect_replacement_after_fault(33, rt::Outcome::kSegfault);
+}
+
+TEST(ForkServer, SimulatedFaultIsFollowedByAReplacementThatKnowsTheRegistry) {
+  if (!sandbox_supported()) GTEST_SKIP() << "no fork()";
+  expect_replacement_after_fault(44, rt::Outcome::kAssert);
+}
+
+TEST(ForkServer, FaultStreaksRecycleWithoutRestartingTheServer) {
+  if (!sandbox_supported()) GTEST_SKIP() << "no fork()";
+  // Back-to-back faults: each executor delivers one run and exits, so the
+  // lifecycle frames of one executor and the next interleave with the
+  // server's answers to the parent's pings.  A bookkeeping slip shows up
+  // as a run that waits out its hang deadline and restarts the server.
+  const TargetInfo target = registry_probe_target();
+  ForkServerOptions options;
+  options.sandbox.hang_timeout = std::chrono::milliseconds(3000);
+  ForkServer server(*target.table, options);
+  rt::VarRegistry registry;
+  solver::Assignment fault;
+  fault[0] = 44;
+  solver::Assignment clean;
+  clean[0] = 1;
+  constexpr int kFaults = 40;
+  for (int i = 0; i < kFaults; ++i) {
+    bool warm = false;
+    const minimpi::LaunchSpec spec =
+        make_spec(target, registry, i % 4 == 3 ? clean : fault, 2);
+    const minimpi::RunResult got = server.run(spec, nullptr, &warm);
+    ASSERT_TRUE(warm) << "run " << i;
+    ASSERT_EQ(got.job_outcome(),
+              i % 4 == 3 ? rt::Outcome::kOk : rt::Outcome::kAssert)
+        << "run " << i;
+  }
+  bool warm = false;
+  (void)server.run(make_spec(target, registry, clean, 2), nullptr, &warm);
+  EXPECT_TRUE(warm);
+  EXPECT_EQ(server.stats().restarts, 0u);
+  EXPECT_EQ(server.stats().cold_forks, 0u);
+  EXPECT_EQ(server.stats().executor_forks, 1u + kFaults - kFaults / 4);
+}
+
+TEST(ForkServer, CpuFenceIsPerIterationInALongLivedExecutor) {
+  if (!sandbox_supported()) GTEST_SKIP() << "no fork()";
+  const TargetInfo target = cpu_burn_target();
+  ForkServerOptions options;
+  options.sandbox.child_cpu_s = 1;
+  options.sandbox.hang_timeout = std::chrono::milliseconds(10'000);
+  ForkServer server(*target.table, options);
+  rt::VarRegistry registry;
+
+  // 1.8 s of CPU in one executor: a one-time 1 s limit would kill the
+  // second run.
+  solver::Assignment busy;
+  busy[0] = 60;  // 0.6 s
+  for (int i = 0; i < 3; ++i) {
+    SandboxStats st;
+    bool warm = false;
+    const minimpi::RunResult got =
+        server.run(make_spec(target, registry, busy, 1), &st, &warm);
+    EXPECT_TRUE(warm);
+    EXPECT_FALSE(st.signal_kill) << "run " << i << " signal " << st.term_signal;
+    EXPECT_EQ(got.job_outcome(), rt::Outcome::kOk)
+        << "run " << i << ": " << got.job_message();
+  }
+  EXPECT_EQ(server.stats().executor_forks, 1u);
+
+  solver::Assignment runaway;
+  runaway[0] = 150;  // 1.5 s, past the one-second budget
+  SandboxStats st;
+  const minimpi::RunResult got =
+      server.run(make_spec(target, registry, runaway, 1), &st);
+  EXPECT_TRUE(st.signal_kill);
+  EXPECT_EQ(st.term_signal, SIGXCPU);
+  EXPECT_FALSE(st.hang_kill) << "the CPU fence, not the wall clock, ends it";
+  EXPECT_EQ(got.job_outcome(), rt::Outcome::kTimeout) << got.job_message();
+}
+
+#ifdef __linux__
+TEST(ForkServer, KilledServerLeavesNoExecutorBehind) {
+  if (!sandbox_supported()) GTEST_SKIP() << "no fork()";
+  const TargetInfo target = fig2_target();
+  ForkServer server(*target.table, ForkServerOptions{});
+  rt::VarRegistry registry;
+  const solver::Assignment inputs;
+  bool warm = false;
+  (void)server.run(make_spec(target, registry, inputs, 2), nullptr, &warm);
+  ASSERT_TRUE(warm);
+  const long executor = server.executor_pid();
+  ASSERT_GT(executor, 0);
+  ASSERT_EQ(::kill(static_cast<pid_t>(server.server_pid()), SIGKILL), 0);
+  EXPECT_TRUE(process_ends(executor))
+      << "the executor must not outlive its server";
+
+  const minimpi::RunResult fallback =
+      server.run(make_spec(target, registry, inputs, 2), nullptr, &warm);
+  EXPECT_FALSE(warm);
+  EXPECT_EQ(fallback.job_outcome(), rt::Outcome::kOk);
+  EXPECT_EQ(server.stats().restarts, 1u);
+}
+
+TEST(ForkServer, DestructorLeavesNoExecutorBehind) {
+  if (!sandbox_supported()) GTEST_SKIP() << "no fork()";
+  const TargetInfo target = fig2_target();
+  long executor = -1;
+  {
+    ForkServer server(*target.table, ForkServerOptions{});
+    rt::VarRegistry registry;
+    const solver::Assignment inputs;
+    bool warm = false;
+    (void)server.run(make_spec(target, registry, inputs, 2), nullptr, &warm);
+    ASSERT_TRUE(warm);
+    executor = server.executor_pid();
+    ASSERT_GT(executor, 0);
+  }
+  EXPECT_TRUE(process_ends(executor));
+}
+#endif
 
 TEST(ForkServer, BatchGateEarnsInProcessAfterWarmupAndDemotesOnFault) {
   BatchGate gate(3);

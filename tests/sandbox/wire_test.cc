@@ -304,15 +304,17 @@ TEST(SandboxWire, ForkServerFrameTagsAreKnownToTheReader) {
   append_frame(stream, FrameType::kSpawn, encode_spawn_request(SpawnRequest{}));
   append_frame(stream, FrameType::kStatus, "spawned 4321");
   append_frame(stream, FrameType::kStatus, "reaped 0");
+  append_frame(stream, FrameType::kDone, "next");
   FrameReader reader;
   reader.feed(stream.data(), stream.size());
   std::vector<Frame> frames;
   while (auto f = reader.next()) frames.push_back(std::move(*f));
-  ASSERT_EQ(frames.size(), 4u);
+  ASSERT_EQ(frames.size(), 5u);
   EXPECT_EQ(frames[0].type, FrameType::kHello);
   EXPECT_EQ(frames[1].type, FrameType::kSpawn);
   EXPECT_EQ(frames[2].type, FrameType::kStatus);
   EXPECT_EQ(frames[3].payload, "reaped 0");
+  EXPECT_EQ(frames[4].type, FrameType::kDone);
   EXPECT_FALSE(reader.corrupt());
 }
 
