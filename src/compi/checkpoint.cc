@@ -9,22 +9,6 @@
 
 namespace compi::ckpt {
 
-std::string read_tail(std::istream& is) {
-  std::string line;
-  if (is.peek() == ' ') is.get();
-  std::getline(is, line);
-  return line;
-}
-
-bool expect(std::istream& is, std::string_view tag) {
-  std::string tok;
-  if (!(is >> tok) || tok != tag) {
-    is.setstate(std::ios::failbit);
-    return false;
-  }
-  return true;
-}
-
 namespace {
 
 std::optional<rt::Outcome> read_outcome(std::istream& is) {
@@ -33,32 +17,10 @@ std::optional<rt::Outcome> read_outcome(std::istream& is) {
   return rt::outcome_from_string(tok);
 }
 
-void write_assignment(std::ostream& os, const solver::Assignment& a) {
-  os << a.size();
-  // Sorted by variable id for a canonical (diff-able) file.
-  std::vector<std::pair<solver::Var, std::int64_t>> entries(a.begin(), a.end());
-  std::sort(entries.begin(), entries.end());
-  for (const auto& [v, value] : entries) os << ' ' << v << ' ' << value;
-}
-
 /// Reserve clamp for counts read from disk: a corrupted (bit-flipped)
 /// count must fail at parse time, not drive a multi-gigabyte allocation.
 /// The read loops themselves stop at EOF, so only reserve() needs guarding.
 constexpr std::size_t kMaxSaneReserve = 1 << 20;
-
-bool read_assignment(std::istream& is, solver::Assignment& a) {
-  std::size_t n = 0;
-  if (!(is >> n)) return false;
-  a.clear();
-  a.reserve(std::min(n, kMaxSaneReserve));
-  for (std::size_t i = 0; i < n; ++i) {
-    solver::Var v = 0;
-    std::int64_t value = 0;
-    if (!(is >> v >> value)) return false;
-    a[v] = value;
-  }
-  return true;
-}
 
 void write_registry(std::ostream& os,
                     const std::vector<rt::VarMeta>& registry) {

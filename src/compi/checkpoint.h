@@ -37,10 +37,14 @@ namespace compi::ckpt {
 // sandbox wire format) can share the exact same dialect; these aliases
 // keep the historical ckpt:: spellings working.
 using serial::escape;
+using serial::expect;
 using serial::format_double;
+using serial::read_assignment;
 using serial::read_path;
 using serial::read_predicate;
+using serial::read_tail;
 using serial::unescape;
+using serial::write_assignment;
 using serial::write_path;
 using serial::write_predicate;
 
@@ -49,11 +53,6 @@ using serial::write_predicate;
 // (coord_protocol.cc), which speaks the same dialect so bug records and
 // opaque blobs round-trip identically over TCP and through snapshots.
 
-/// Expects the next whitespace-delimited token to equal `tag`; poisons the
-/// stream otherwise.
-bool expect(std::istream& is, std::string_view tag);
-/// Reads the rest of the line (after one separating space) as a string.
-std::string read_tail(std::istream& is);
 /// Embeds an opaque multi-line blob, prefixed with its line count.
 void write_blob(std::ostream& os, std::string_view tag,
                 const std::string& blob);

@@ -134,12 +134,33 @@ class BoundedDfsStrategy final : public SearchStrategy {
 };
 
 // ---------------------------------------------------------------------------
-// Random branch search: negate one uniformly random branch of the last
-// path.  Gives up (=> driver restart) after too many UNSAT picks.
+// Random searches: negate one randomly drawn branch of the last path, and
+// give up (=> driver restart) after too many UNSAT picks.  The two CREST
+// variants differ only in the draw:
+//   * RandomBranch  — a uniformly random depth;
+//   * UniformRandom — walk the path from the start, flipping a fair coin at
+//                     every constraint; the first head is negated (CREST's
+//                     uniform random path sampling).
 // ---------------------------------------------------------------------------
-class RandomBranchStrategy final : public SearchStrategy {
+using DepthDraw = std::size_t (*)(std::mt19937_64& rng, std::size_t size);
+
+std::size_t draw_uniform_depth(std::mt19937_64& rng, std::size_t size) {
+  std::uniform_int_distribution<std::size_t> dist(0, size - 1);
+  return dist(rng);
+}
+
+std::size_t draw_first_head(std::mt19937_64& rng, std::size_t size) {
+  std::bernoulli_distribution coin(0.5);
+  for (std::size_t i = 0; i < size; ++i) {
+    if (coin(rng)) return i;
+  }
+  return size - 1;
+}
+
+class RandomDepthStrategy final : public SearchStrategy {
  public:
-  explicit RandomBranchStrategy(std::uint64_t seed) : rng_(seed) {}
+  RandomDepthStrategy(std::uint64_t seed, const char* name, DepthDraw draw)
+      : rng_(seed), name_(name), draw_(draw) {}
 
   void observe(const sym::Path& path, std::optional<std::size_t>) override {
     path_ = path;
@@ -149,8 +170,7 @@ class RandomBranchStrategy final : public SearchStrategy {
   std::optional<Candidate> next() override {
     if (path_.empty() || attempts_ > path_.size() * 2) return std::nullopt;
     ++attempts_;
-    std::uniform_int_distribution<std::size_t> dist(0, path_.size() - 1);
-    const std::size_t depth = dist(rng_);
+    const std::size_t depth = draw_(rng_, path_.size());
     ++stats_.candidates_issued;
     note_candidate_issued();
     return Candidate{path_.constraints_negating(depth), depth,
@@ -159,7 +179,7 @@ class RandomBranchStrategy final : public SearchStrategy {
 
   void accepted(const Candidate&) override { attempts_ = 0; }
 
-  [[nodiscard]] const char* name() const override { return "RandomBranch"; }
+  [[nodiscard]] const char* name() const override { return name_; }
 
   void save_state(std::ostream& os) const override {
     SearchStrategy::save_state(os);
@@ -178,62 +198,8 @@ class RandomBranchStrategy final : public SearchStrategy {
 
  private:
   std::mt19937_64 rng_;
-  sym::Path path_;
-  std::size_t attempts_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Uniform random search: walk the path from the start, flipping a fair coin
-// at every constraint; the first head is negated (CREST's uniform random
-// path sampling).
-// ---------------------------------------------------------------------------
-class UniformRandomStrategy final : public SearchStrategy {
- public:
-  explicit UniformRandomStrategy(std::uint64_t seed) : rng_(seed) {}
-
-  void observe(const sym::Path& path, std::optional<std::size_t>) override {
-    path_ = path;
-    attempts_ = 0;
-  }
-
-  std::optional<Candidate> next() override {
-    if (path_.empty() || attempts_ > path_.size() * 2) return std::nullopt;
-    ++attempts_;
-    std::bernoulli_distribution coin(0.5);
-    std::size_t depth = path_.size() - 1;
-    for (std::size_t i = 0; i < path_.size(); ++i) {
-      if (coin(rng_)) {
-        depth = i;
-        break;
-      }
-    }
-    ++stats_.candidates_issued;
-    note_candidate_issued();
-    return Candidate{path_.constraints_negating(depth), depth,
-                     flip_target(path_, depth)};
-  }
-
-  void accepted(const Candidate&) override { attempts_ = 0; }
-
-  [[nodiscard]] const char* name() const override { return "UniformRandom"; }
-
-  void save_state(std::ostream& os) const override {
-    SearchStrategy::save_state(os);
-    os << "rng " << rng_ << '\n';
-    os << "attempts " << attempts_ << '\n';
-    os << "path ";
-    ckpt::write_path(os, path_);
-  }
-
-  bool load_state(std::istream& is) override {
-    if (!SearchStrategy::load_state(is)) return false;
-    if (!expect_tag(is, "rng") || !(is >> rng_)) return false;
-    if (!expect_tag(is, "attempts") || !(is >> attempts_)) return false;
-    return expect_tag(is, "path") && ckpt::read_path(is, path_);
-  }
-
- private:
-  std::mt19937_64 rng_;
+  const char* name_;
+  DepthDraw draw_;
   sym::Path path_;
   std::size_t attempts_ = 0;
 };
@@ -476,9 +442,11 @@ std::unique_ptr<SearchStrategy> make_strategy(const StrategyConfig& config) {
     case SearchKind::kBoundedDfs:
       return std::make_unique<BoundedDfsStrategy>(config.bound);
     case SearchKind::kRandomBranch:
-      return std::make_unique<RandomBranchStrategy>(config.seed);
+      return std::make_unique<RandomDepthStrategy>(
+          config.seed, "RandomBranch", draw_uniform_depth);
     case SearchKind::kUniformRandom:
-      return std::make_unique<UniformRandomStrategy>(config.seed);
+      return std::make_unique<RandomDepthStrategy>(
+          config.seed, "UniformRandom", draw_first_head);
     case SearchKind::kCfg:
       return std::make_unique<CfgStrategy>(config.seed, *config.table,
                                            *config.coverage);

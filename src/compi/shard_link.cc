@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
 #include <thread>
 
@@ -125,20 +124,15 @@ struct ShardLink::Impl {
       note_failure_locked();
       return false;
     }
-    const std::size_t len =
-        static_cast<std::size_t>(static_cast<unsigned char>(hdr[0])) |
-        static_cast<std::size_t>(static_cast<unsigned char>(hdr[1])) << 8 |
-        static_cast<std::size_t>(static_cast<unsigned char>(hdr[2])) << 16 |
-        static_cast<std::size_t>(static_cast<unsigned char>(hdr[3])) << 24;
-    const char t = hdr[4];
-    if (std::strchr(coord::kShardAccepts, t) == nullptr ||
-        len > serve::kMaxWireFramePayload) {
+    const std::optional<std::size_t> len = serve::decode_wire_header(
+        hdr, coord::kShardAccepts, serve::kMaxWireFramePayload);
+    if (!len) {
       note_failure_locked();
       return false;
     }
-    reply.type = t;
-    reply.payload.resize(len);
-    if (len > 0 && !serve::net::recv_all(fd, reply.payload.data(), len)) {
+    reply.type = hdr[4];
+    reply.payload.resize(*len);
+    if (*len > 0 && !serve::net::recv_all(fd, reply.payload.data(), *len)) {
       note_failure_locked();
       return false;
     }

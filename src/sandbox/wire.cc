@@ -14,53 +14,26 @@ namespace compi::sandbox {
 
 namespace {
 
+using serial::expect;
+using serial::read_assignment;
+using serial::read_tail;
+using serial::write_assignment;
+
 /// Ceiling on a single frame payload; anything larger is a corrupt header
 /// (a torn write interleaved into the stream), not a real frame.
-constexpr std::uint32_t kMaxFramePayload = 256u * 1024 * 1024;
+constexpr std::size_t kMaxFramePayload = 256u * 1024 * 1024;
 
-void put_u32_le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-std::uint32_t get_u32_le(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(b[0]) |
-         (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) |
-         (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
-bool known_type(char t) {
-  return t == static_cast<char>(FrameType::kResult) ||
-         t == static_cast<char>(FrameType::kError) ||
-         t == static_cast<char>(FrameType::kSignal) ||
-         t == static_cast<char>(FrameType::kRegistry) ||
-         t == static_cast<char>(FrameType::kSpawn) ||
-         t == static_cast<char>(FrameType::kHello) ||
-         t == static_cast<char>(FrameType::kStatus) ||
-         t == static_cast<char>(FrameType::kDone);
-}
-
-/// Expects the next token to equal `tag`; poisons the stream otherwise.
-bool expect(std::istream& is, std::string_view tag) {
-  std::string tok;
-  if (!(is >> tok) || tok != tag) {
-    is.setstate(std::ios::failbit);
-    return false;
-  }
-  return true;
-}
-
-/// Reads the rest of the line (after one separating space) as a string.
-std::string read_tail(std::istream& is) {
-  std::string line;
-  if (is.peek() == ' ') is.get();
-  std::getline(is, line);
-  return line;
-}
+/// Every FrameType tag: the reader's valid set.
+constexpr char kFrameTags[] = {
+    static_cast<char>(FrameType::kResult),
+    static_cast<char>(FrameType::kError),
+    static_cast<char>(FrameType::kSignal),
+    static_cast<char>(FrameType::kRegistry),
+    static_cast<char>(FrameType::kSpawn),
+    static_cast<char>(FrameType::kHello),
+    static_cast<char>(FrameType::kStatus),
+    static_cast<char>(FrameType::kDone),
+    '\0'};
 
 std::optional<rt::Outcome> read_outcome(std::istream& is) {
   std::string tok;
@@ -68,57 +41,19 @@ std::optional<rt::Outcome> read_outcome(std::istream& is) {
   return rt::outcome_from_string(tok);
 }
 
-void write_assignment(std::ostream& os, const solver::Assignment& a) {
-  os << a.size();
-  std::vector<std::pair<solver::Var, std::int64_t>> entries(a.begin(),
-                                                            a.end());
-  std::sort(entries.begin(), entries.end());
-  for (const auto& [v, value] : entries) os << ' ' << v << ' ' << value;
-}
-
-bool read_assignment(std::istream& is, solver::Assignment& a) {
-  std::size_t n = 0;
-  if (!(is >> n)) return false;
-  a.clear();
-  a.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    solver::Var v = 0;
-    std::int64_t value = 0;
-    if (!(is >> v >> value)) return false;
-    a[v] = value;
-  }
-  return true;
-}
-
 }  // namespace
 
 void append_frame(std::string& out, FrameType type,
                   std::string_view payload) {
-  put_u32_le(out, static_cast<std::uint32_t>(payload.size()));
-  out.push_back(static_cast<char>(type));
-  out.append(payload);
+  serve::append_wire_frame(out, static_cast<char>(type), payload);
 }
 
-void FrameReader::feed(const char* data, std::size_t n) {
-  buf_.append(data, n);
-  fed_ += n;
-}
+FrameReader::FrameReader() : reader_(kFrameTags, kMaxFramePayload) {}
 
 std::optional<Frame> FrameReader::next() {
-  if (corrupt_) return std::nullopt;
-  if (buf_.size() - pos_ < kFrameHeaderBytes) return std::nullopt;
-  const std::uint32_t len = get_u32_le(buf_.data() + pos_);
-  const char type = buf_[pos_ + 4];
-  if (len > kMaxFramePayload || !known_type(type)) {
-    corrupt_ = true;
-    return std::nullopt;
-  }
-  if (buf_.size() - pos_ - kFrameHeaderBytes < len) return std::nullopt;
-  Frame frame;
-  frame.type = static_cast<FrameType>(type);
-  frame.payload = buf_.substr(pos_ + kFrameHeaderBytes, len);
-  pos_ += kFrameHeaderBytes + len;
-  return frame;
+  std::optional<serve::WireFrame> f = reader_.next();
+  if (!f) return std::nullopt;
+  return Frame{static_cast<FrameType>(f->type), std::move(f->payload)};
 }
 
 void write_test_log(std::ostream& os, const rt::TestLog& log) {

@@ -1,12 +1,15 @@
-// Supervisor <-> child wire format: length-prefixed frames over a pipe.
+// Supervisor <-> child wire format: framed messages over pipes.
 //
-// A sandboxed child streams its results back to the supervisor as frames:
-// a 4-byte little-endian payload length, a 1-byte type tag, then the
-// payload.  A cleanly finishing child writes one kResult frame holding the
-// full RunResult (every rank's TestLog, serialized with the same text
-// helpers the checkpoint format uses); a child whose launcher threw writes
-// a kError frame; a fatal-signal handler squeezes out a kSignal frame
-// (just the signal number) before re-raising.  The reader consumes the raw
+// The framing is the shared codec in serve/frame.h (4-byte little-endian
+// payload length, 1-byte type tag, payload); this header fixes the
+// sandbox's tag set (FrameType) and its 256 MiB payload ceiling, and adds
+// the payload codecs.  A sandboxed child streams its results back to the
+// supervisor as frames: a cleanly finishing child writes one kResult frame
+// holding the full RunResult (every rank's TestLog, serialized with the
+// same text helpers the checkpoint format uses); a child whose launcher
+// threw writes a kError frame; a fatal-signal handler squeezes out a
+// kSignal frame (just the signal number, written by hand because the
+// handler cannot allocate) before re-raising.  The reader consumes the raw
 // byte stream incrementally and simply stops at a trailing partial or
 // malformed frame — exactly the residue a dying child leaves behind.
 //
@@ -17,7 +20,9 @@
 // ("spawned <pid>", "reaped <wait-status>").  The executor answers each
 // kSpawn on the result pipe with the classic kResult/kError (plus kSignal
 // if it dies) frames, a kRegistry frame with the variables the run
-// interned, and one kDone end-of-run frame.
+// interned, and one kDone end-of-run frame.  Both the executor's control
+// reader and the supervisor's status reader live for a whole campaign;
+// the shared reader drops the bytes it has consumed, so neither grows.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +32,7 @@
 
 #include "minimpi/launcher.h"
 #include "runtime/var_registry.h"
+#include "serve/frame.h"
 
 namespace compi::sandbox {
 
@@ -48,7 +54,7 @@ struct Frame {
 };
 
 /// Bytes of framing overhead per frame (length prefix + type tag).
-inline constexpr std::size_t kFrameHeaderBytes = 5;
+inline constexpr std::size_t kFrameHeaderBytes = serve::kWireFrameHeaderBytes;
 
 /// Appends one frame (header + payload) to `out`.
 void append_frame(std::string& out, FrameType type, std::string_view payload);
@@ -58,22 +64,21 @@ void append_frame(std::string& out, FrameType type, std::string_view payload);
 /// buffered bytes no longer start with a complete well-formed frame.
 class FrameReader {
  public:
-  void feed(const char* data, std::size_t n);
+  FrameReader();
+
+  void feed(const char* data, std::size_t n) { reader_.feed(data, n); }
 
   /// The next complete frame, or nullopt (partial tail, corrupt tail, or
   /// nothing buffered).
   [[nodiscard]] std::optional<Frame> next();
 
   /// True once a malformed header was seen; everything after it is ignored.
-  [[nodiscard]] bool corrupt() const { return corrupt_; }
+  [[nodiscard]] bool corrupt() const { return reader_.corrupt(); }
   /// Total bytes fed so far (the supervisor's harvest accounting).
-  [[nodiscard]] std::size_t bytes_fed() const { return fed_; }
+  [[nodiscard]] std::size_t bytes_fed() const { return reader_.bytes_fed(); }
 
  private:
-  std::string buf_;
-  std::size_t pos_ = 0;
-  std::size_t fed_ = 0;
-  bool corrupt_ = false;
+  serve::WireFrameReader reader_;
 };
 
 /// Serializes a full RunResult — outcome, message, and complete TestLog

@@ -28,29 +28,42 @@ void append_wire_frame(std::string& out, char type,
   out.append(payload);
 }
 
+std::optional<std::size_t> decode_wire_header(const char* header,
+                                              std::string_view valid_types,
+                                              std::size_t max_payload) {
+  const std::size_t len = get_u32_le(header);
+  if (len > max_payload || valid_types.find(header[4]) == std::string::npos) {
+    return std::nullopt;
+  }
+  return len;
+}
+
 void WireFrameReader::feed(const char* data, std::size_t n) {
-  if (corrupt_) return;
-  buf_.append(data, n);
+  fed_ += n;
+  if (!corrupt_) buf_.append(data, n);
 }
 
 std::optional<WireFrame> WireFrameReader::next() {
   if (corrupt_) return std::nullopt;
   if (buf_.size() - pos_ < kWireFrameHeaderBytes) return std::nullopt;
-  const std::uint32_t len = get_u32_le(buf_.data() + pos_);
-  const char type = buf_[pos_ + 4];
-  if (len > kMaxWireFramePayload ||
-      valid_types_.find(type) == std::string::npos) {
+  const std::optional<std::size_t> len =
+      decode_wire_header(buf_.data() + pos_, valid_types_, max_payload_);
+  if (!len) {
     corrupt_ = true;
     return std::nullopt;
   }
-  if (buf_.size() - pos_ - kWireFrameHeaderBytes < len) return std::nullopt;
+  if (buf_.size() - pos_ - kWireFrameHeaderBytes < *len) return std::nullopt;
   WireFrame frame;
-  frame.type = type;
-  frame.payload.assign(buf_, pos_ + kWireFrameHeaderBytes, len);
-  pos_ += kWireFrameHeaderBytes + len;
-  // Compact once the consumed prefix dominates, so a long-lived connection
-  // doesn't grow its buffer without bound.
-  if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
+  frame.type = buf_[pos_ + 4];
+  frame.payload.assign(buf_, pos_ + kWireFrameHeaderBytes, *len);
+  pos_ += kWireFrameHeaderBytes + *len;
+  // Drop consumed bytes: all of them once the buffer is drained, else the
+  // prefix once it dominates, so a long-lived stream keeps only its unread
+  // tail.
+  if (pos_ == buf_.size()) {
+    buf_.clear();
+    pos_ = 0;
+  } else if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
     buf_.erase(0, pos_);
     pos_ = 0;
   }

@@ -2,19 +2,17 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
+#include <cstdlib>
+#include <limits>
 #include <map>
-#include <thread>
-#include <vector>
+#include <unordered_map>
 
+#include "serve/loopback.h"
 // Defines COMPI_SERVE_POSIX and pulls in the EINTR-safe syscall wrappers
-// (net::xpoll/xaccept/xrecv/xsend/...) every loop below goes through: a
-// stray signal must never drop a connection or wedge the serve thread.
+// the client below goes through.
 #include "serve/net_util.h"
 
 namespace compi::serve {
-
-#ifdef COMPI_SERVE_POSIX
 
 namespace {
 
@@ -47,26 +45,14 @@ std::string frame_response(const HttpResponse& r) {
 
 }  // namespace
 
-struct HttpServer::Impl {
+struct HttpServer::Impl final : LoopbackServer::Protocol {
   std::map<std::string, HttpHandler> handlers;
   std::map<std::string, StreamSource> streams;
   int stream_keepalive_ms = 0;
-
-  int listen_fd = -1;
-  int wake_read = -1;
-  int wake_write = -1;
-  int port = -1;
-  std::atomic<bool> running{false};
-  std::atomic<bool> stop_requested{false};
   std::atomic<std::uint64_t> requests{0};
-  std::thread thread;
 
-  struct Conn {
-    int fd = -1;
-    std::string in;
-    std::string out;
-    bool close_after_flush = false;
-    bool is_stream = false;
+  /// An open Server-Sent-Events connection, keyed by connection id.
+  struct Stream {
     const StreamSource* source = nullptr;
     std::uint64_t cursor = 0;
     /// Last time this stream appended output (frames or keepalives); the
@@ -74,52 +60,10 @@ struct HttpServer::Impl {
     std::chrono::steady_clock::time_point last_activity =
         std::chrono::steady_clock::now();
   };
-  std::vector<Conn> conns;
+  std::unordered_map<std::uint64_t, Stream> open_streams;
+  LoopbackServer loop{*this};
 
-  ~Impl() { close_fds(); }
-
-  void close_fds() {
-    for (Conn& c : conns) {
-      if (c.fd >= 0) ::close(c.fd);
-    }
-    conns.clear();
-    if (listen_fd >= 0) ::close(listen_fd);
-    if (wake_read >= 0) ::close(wake_read);
-    if (wake_write >= 0) ::close(wake_write);
-    listen_fd = wake_read = wake_write = -1;
-  }
-
-  bool bind_and_listen(int want_port) {
-    listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd < 0) return false;
-    const int one = 1;
-    (void)::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one,
-                       sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(want_port));
-    if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(listen_fd, 16) != 0 || !net::set_nonblocking(listen_fd)) {
-      return false;
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound),
-                      &len) != 0) {
-      return false;
-    }
-    port = static_cast<int>(ntohs(bound.sin_port));
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0) return false;
-    wake_read = pipe_fds[0];
-    wake_write = pipe_fds[1];
-    (void)net::set_nonblocking(wake_read);
-    return true;
-  }
-
-  void dispatch(Conn& c) {
+  void dispatch(LoopConn& c) {
     // Request line: METHOD SP PATH SP VERSION.  Headers are ignored — the
     // control plane has no use for them.
     HttpRequest req;
@@ -130,9 +74,9 @@ struct HttpServer::Impl {
     const std::size_t sp1 = line.find(' ');
     const std::size_t sp2 =
         sp1 == std::string::npos ? std::string::npos : line.find(' ', sp1 + 1);
+    c.close_after_flush = true;
     if (sp1 == std::string::npos || sp2 == std::string::npos) {
       c.out = frame_response({400, "text/plain", "bad request\n"});
-      c.close_after_flush = true;
       return;
     }
     req.method = line.substr(0, sp1);
@@ -146,19 +90,19 @@ struct HttpServer::Impl {
     requests.fetch_add(1, std::memory_order_relaxed);
     if (req.method != "GET") {
       c.out = frame_response({405, "text/plain", "GET only\n"});
-      c.close_after_flush = true;
       return;
     }
     if (const auto s = streams.find(req.path); s != streams.end()) {
-      c.is_stream = true;
-      c.source = &s->second;
+      c.close_after_flush = false;
+      Stream& st = open_streams[c.id];
+      st.source = &s->second;
       c.out =
           "HTTP/1.1 200 OK\r\n"
           "Content-Type: text/event-stream\r\n"
           "Cache-Control: no-cache\r\n"
           "Connection: close\r\n\r\n"
           ": stream open\n\n";
-      c.source->operator()(c.cursor, c.out);
+      (*st.source)(st.cursor, c.out);
       return;
     }
     if (const auto h = handlers.find(req.path); h != handlers.end()) {
@@ -166,118 +110,42 @@ struct HttpServer::Impl {
     } else {
       c.out = frame_response({404, "text/plain", "not found\n"});
     }
-    c.close_after_flush = true;
   }
 
-  void loop() {
-    std::vector<pollfd> pfds;
-    while (!stop_requested.load(std::memory_order_relaxed)) {
-      pfds.clear();
-      pfds.push_back({wake_read, POLLIN, 0});
-      pfds.push_back({listen_fd, POLLIN, 0});
-      for (const Conn& c : conns) {
-        short events = POLLIN;
-        if (!c.out.empty()) events |= POLLOUT;
-        pfds.push_back({c.fd, events, 0});
-      }
-      (void)net::xpoll(pfds.data(), pfds.size(), kPollTickMs);
-      if ((pfds[0].revents & POLLIN) != 0) {
-        char buf[64];
-        while (net::xread(wake_read, buf, sizeof(buf)) > 0) {
-        }
-      }
-      if ((pfds[1].revents & POLLIN) != 0) {
-        for (;;) {
-          const int fd = net::xaccept(listen_fd);
-          if (fd < 0) break;
-          if (!net::set_nonblocking(fd)) {
-            ::close(fd);
-            continue;
-          }
-          const int one = 1;
-          (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                             sizeof(one));
-          Conn c;
-          c.fd = fd;
-          conns.push_back(std::move(c));
-        }
-      }
-      // Service existing connections.  pfds[i + 2] pairs with the conns
-      // entry i from before the accept loop; fresh conns get polled next
-      // tick.
-      const std::size_t polled = pfds.size() - 2;
-      for (std::size_t i = 0; i < polled && i < conns.size(); ++i) {
-        Conn& c = conns[i];
-        const short re = pfds[i + 2].revents;
-        if ((re & (POLLERR | POLLHUP | POLLNVAL)) != 0 && c.out.empty()) {
-          ::close(c.fd);
-          c.fd = -1;
-          continue;
-        }
-        if ((re & POLLIN) != 0) {
-          char buf[2048];
-          for (;;) {
-            const ssize_t n = net::xrecv(c.fd, buf, sizeof(buf));
-            if (n > 0) {
-              c.in.append(buf, static_cast<std::size_t>(n));
-              continue;
-            }
-            if (n == 0 && c.out.empty() && !c.is_stream) {
-              ::close(c.fd);
-              c.fd = -1;
-            }
-            break;
-          }
-          if (c.fd < 0) continue;
-          if (!c.is_stream && c.out.empty() &&
-              (c.in.find("\r\n\r\n") != std::string::npos ||
-               c.in.find("\n\n") != std::string::npos)) {
-            dispatch(c);
-          } else if (c.in.size() > kMaxRequestBytes) {
-            c.out = frame_response({400, "text/plain", "request too large\n"});
-            c.close_after_flush = true;
-          }
-        }
-        if (c.is_stream && c.source != nullptr &&
-            c.out.size() < kMaxStreamBacklog) {
-          const std::size_t before = c.out.size();
-          c.source->operator()(c.cursor, c.out);
-          const auto now = std::chrono::steady_clock::now();
-          if (c.out.size() != before) {
-            c.last_activity = now;
-          } else if (stream_keepalive_ms > 0 && c.out.empty() &&
-                     now - c.last_activity >=
-                         std::chrono::milliseconds(stream_keepalive_ms)) {
-            c.out += ": keepalive\n\n";
-            c.last_activity = now;
-          }
-        }
-        if (!c.out.empty()) {
-          const ssize_t n =
-              net::xsend(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
-          if (n > 0) {
-            c.out.erase(0, static_cast<std::size_t>(n));
-          } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-            ::close(c.fd);
-            c.fd = -1;
-            continue;
-          }
-        }
-        if (c.is_stream && c.out.size() >= kMaxStreamBacklog) {
-          ::close(c.fd);  // consumer stopped reading
-          c.fd = -1;
-          continue;
-        }
-        if (c.out.empty() && c.close_after_flush) {
-          ::close(c.fd);
-          c.fd = -1;
-        }
-      }
-      conns.erase(std::remove_if(conns.begin(), conns.end(),
-                                 [](const Conn& c) { return c.fd < 0; }),
-                  conns.end());
+  bool on_input(LoopConn& c, bool eof) override {
+    const bool is_stream = open_streams.count(c.id) != 0;
+    if (eof && c.out.empty() && !is_stream) return false;
+    if (!is_stream && c.out.empty() &&
+        (c.in.find("\r\n\r\n") != std::string::npos ||
+         c.in.find("\n\n") != std::string::npos)) {
+      dispatch(c);
+    } else if (c.in.size() > kMaxRequestBytes) {
+      c.out = frame_response({400, "text/plain", "request too large\n"});
+      c.close_after_flush = true;
     }
+    return true;
   }
+
+  bool on_pump(LoopConn& c) override {
+    const auto it = open_streams.find(c.id);
+    if (it == open_streams.end()) return true;
+    Stream& st = it->second;
+    if (c.out.size() >= kMaxStreamBacklog) return false;  // stopped reading
+    const std::size_t before = c.out.size();
+    (*st.source)(st.cursor, c.out);
+    const auto now = std::chrono::steady_clock::now();
+    if (c.out.size() != before) {
+      st.last_activity = now;
+    } else if (stream_keepalive_ms > 0 && c.out.empty() &&
+               now - st.last_activity >=
+                   std::chrono::milliseconds(stream_keepalive_ms)) {
+      c.out += ": keepalive\n\n";
+      st.last_activity = now;
+    }
+    return true;
+  }
+
+  void on_close(const LoopConn& c) override { open_streams.erase(c.id); }
 };
 
 HttpServer::HttpServer() : impl_(std::make_unique<Impl>()) {}
@@ -297,41 +165,30 @@ void HttpServer::set_stream_keepalive(int ms) {
 }
 
 bool HttpServer::start(int port) {
-  if (impl_->running.load()) return false;
-  if (port < 0 || port > 65535) return false;
-  if (!impl_->bind_and_listen(port)) {
-    impl_->close_fds();
-    return false;
-  }
-  impl_->stop_requested.store(false);
-  impl_->running.store(true);
-  impl_->thread = std::thread([impl = impl_.get()] { impl->loop(); });
-  return true;
+  return impl_->loop.start(port, kPollTickMs);
 }
 
-void HttpServer::stop() {
-  if (!impl_->running.load()) return;
-  impl_->stop_requested.store(true);
-  if (impl_->wake_write >= 0) {
-    const char byte = 'x';
-    (void)!::write(impl_->wake_write, &byte, 1);
-  }
-  if (impl_->thread.joinable()) impl_->thread.join();
-  impl_->close_fds();
-  impl_->running.store(false);
-}
+void HttpServer::stop() { impl_->loop.stop(); }
 
-int HttpServer::port() const { return impl_->port; }
+int HttpServer::port() const { return impl_->loop.port(); }
 
-bool HttpServer::running() const { return impl_->running.load(); }
+bool HttpServer::running() const { return impl_->loop.running(); }
 
 std::uint64_t HttpServer::requests_served() const {
   return impl_->requests.load(std::memory_order_relaxed);
 }
 
-std::optional<HttpClientResponse> http_get(const std::string& host_port,
-                                           const std::string& path,
-                                           int timeout_ms) {
+#ifdef COMPI_SERVE_POSIX
+
+namespace {
+
+/// Sends a GET and reads the raw response until the peer closes,
+/// `timeout_ms` passes, or the body holds `max_body` bytes; nullopt on a
+/// connect/send failure or a malformed response.
+std::optional<HttpClientResponse> fetch(const std::string& host_port,
+                                        const std::string& path,
+                                        int timeout_ms,
+                                        std::size_t max_body) {
   const int fd = net::connect_client(host_port, timeout_ms);
   if (fd < 0) return std::nullopt;
   const std::string req = "GET " + path +
@@ -341,14 +198,16 @@ std::optional<HttpClientResponse> http_get(const std::string& host_port,
     ::close(fd);
     return std::nullopt;
   }
-  // Read to EOF under a hard deadline: poll re-derives the remaining wait
-  // across EINTR retries, so SO_RCVTIMEO restarting per recv() cannot turn
-  // the timeout into an unbounded wait under a signal storm.
+  // Read under a hard deadline: poll re-derives the remaining wait across
+  // EINTR retries, so SO_RCVTIMEO restarting per recv() cannot turn the
+  // timeout into an unbounded wait under a signal storm.  A stream never
+  // closes on its own, so for one the deadline or `max_body` is the exit.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   std::string raw;
   char buf[4096];
-  for (;;) {
+  std::size_t header_end = std::string::npos;
+  while (raw.size() < 512 || raw.size() - 512 < max_body) {
     pollfd p{};
     p.fd = fd;
     p.events = POLLIN;
@@ -356,87 +215,53 @@ std::optional<HttpClientResponse> http_get(const std::string& host_port,
     const ssize_t n = net::xrecv(fd, buf, sizeof(buf));
     if (n <= 0) break;  // EOF or error — parse what arrived
     raw.append(buf, static_cast<std::size_t>(n));
+    if (header_end == std::string::npos) header_end = raw.find("\r\n\r\n");
+    if (header_end != std::string::npos &&
+        raw.size() - header_end - 4 >= max_body) {
+      break;
+    }
   }
   ::close(fd);
-  if (raw.rfind("HTTP/1.", 0) != 0) return std::nullopt;
+  if (raw.rfind("HTTP/1.", 0) != 0 || header_end == std::string::npos) {
+    return std::nullopt;
+  }
   HttpClientResponse r;
   r.status = std::atoi(raw.c_str() + 9);
-  const std::size_t header_end = raw.find("\r\n\r\n");
-  if (header_end == std::string::npos) return std::nullopt;
   r.body = raw.substr(header_end + 4);
   return r;
+}
+
+}  // namespace
+
+#else  // !COMPI_SERVE_POSIX — no client on obs-off / non-POSIX builds
+
+namespace {
+
+std::optional<HttpClientResponse> fetch(const std::string&,
+                                        const std::string&, int,
+                                        std::size_t) {
+  return std::nullopt;
+}
+
+}  // namespace
+
+#endif  // COMPI_SERVE_POSIX
+
+std::optional<HttpClientResponse> http_get(const std::string& host_port,
+                                           const std::string& path,
+                                           int timeout_ms) {
+  return fetch(host_port, path, timeout_ms,
+               std::numeric_limits<std::size_t>::max());
 }
 
 std::optional<std::string> http_get_stream(const std::string& host_port,
                                            const std::string& path,
                                            std::size_t max_bytes,
                                            int timeout_ms) {
-  const int fd = net::connect_client(host_port, timeout_ms);
-  if (fd < 0) return std::nullopt;
-  const std::string req = "GET " + path +
-                          " HTTP/1.1\r\nHost: " + host_port +
-                          "\r\nConnection: close\r\n\r\n";
-  if (!net::send_all(fd, req)) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  // The stream never closes on its own, so the deadline is the only exit:
-  // it must hold even when signals interrupt every recv (see http_get).
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  std::string raw;
-  char buf[4096];
-  std::size_t header_end = std::string::npos;
-  while (raw.size() < max_bytes + 512) {
-    pollfd p{};
-    p.fd = fd;
-    p.events = POLLIN;
-    if (net::xpoll_deadline(&p, 1, deadline) <= 0) break;  // done streaming
-    const ssize_t n = net::xrecv(fd, buf, sizeof(buf));
-    if (n <= 0) break;
-    raw.append(buf, static_cast<std::size_t>(n));
-    if (header_end == std::string::npos) {
-      header_end = raw.find("\r\n\r\n");
-    }
-    if (header_end != std::string::npos &&
-        raw.size() - header_end - 4 >= max_bytes) {
-      break;
-    }
-  }
-  ::close(fd);
-  if (header_end == std::string::npos) header_end = raw.find("\r\n\r\n");
-  if (raw.rfind("HTTP/1.", 0) != 0 || header_end == std::string::npos) {
-    return std::nullopt;
-  }
-  return raw.substr(header_end + 4);
+  std::optional<HttpClientResponse> r =
+      fetch(host_port, path, timeout_ms, max_bytes);
+  if (!r) return std::nullopt;
+  return std::move(r->body);
 }
-
-#else  // !COMPI_SERVE_POSIX — inert stubs (obs-off preset / non-POSIX)
-
-struct HttpServer::Impl {};
-
-HttpServer::HttpServer() : impl_(std::make_unique<Impl>()) {}
-HttpServer::~HttpServer() = default;
-void HttpServer::handle(const std::string&, HttpHandler) {}
-void HttpServer::handle_stream(const std::string&, StreamSource) {}
-void HttpServer::set_stream_keepalive(int) {}
-bool HttpServer::start(int) { return false; }
-void HttpServer::stop() {}
-int HttpServer::port() const { return -1; }
-bool HttpServer::running() const { return false; }
-std::uint64_t HttpServer::requests_served() const { return 0; }
-
-std::optional<HttpClientResponse> http_get(const std::string&,
-                                           const std::string&, int) {
-  return std::nullopt;
-}
-
-std::optional<std::string> http_get_stream(const std::string&,
-                                           const std::string&, std::size_t,
-                                           int) {
-  return std::nullopt;
-}
-
-#endif  // COMPI_SERVE_POSIX
 
 }  // namespace compi::serve

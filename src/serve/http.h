@@ -1,9 +1,11 @@
 // A dependency-free embedded HTTP/1.1 server for the campaign control
-// plane: one poll()-driven thread, loopback-only, GET-only.
+// plane: loopback-only, GET-only.
 //
-// Same engineering style as the sandbox pipe supervisor: non-blocking
-// sockets multiplexed by poll(), a self-pipe to wake the loop for stop(),
-// and no third-party networking.  Two endpoint shapes are supported:
+// It runs on the shared loopback poll loop (serve/loopback.h: one thread,
+// non-blocking sockets, a self-pipe to wake the loop for stop(), per-
+// connection buffers drained under POLLOUT), like the coordinator's
+// MsgServer; this class adds only its protocol step, the request parse
+// and the stream pump.  Two endpoint shapes are supported:
 //   * handle(path, fn)        — request/response: fn renders the whole
 //                               body, the loop frames and flushes it.
 //   * handle_stream(path, fn) — Server-Sent-Events: the connection stays
@@ -13,11 +15,11 @@
 // Handlers run ON the server thread, so they must only touch state that
 // is safe to read from a foreign thread (the control plane passes
 // mutex-guarded snapshot closures).  A stalled client can never wedge the
-// loop: writes are buffered per connection and drained under POLLOUT, and
-// a stream whose buffer backs up past the cap is dropped.
+// loop, and a stream whose buffer backs up past the cap is dropped.
 //
-// Compiled to inert stubs (start() returns false) on non-POSIX builds and
-// under COMPI_OBS_DISABLED — the obs-off preset ships without a server.
+// start() and the client calls fail on non-POSIX builds and under
+// COMPI_OBS_DISABLED, where the loop is compiled out — the obs-off preset
+// ships without a server.
 #pragma once
 
 #include <cstdint>

@@ -1,177 +1,39 @@
 #include "serve/msg_server.h"
 
-#include <algorithm>
-#include <atomic>
-#include <thread>
-#include <vector>
+#include <unordered_map>
 
-#include "serve/net_util.h"
+#include "serve/loopback.h"
 
 namespace compi::serve {
 
-#ifdef COMPI_SERVE_POSIX
-
-struct MsgServer::Impl {
+struct MsgServer::Impl final : LoopbackServer::Protocol {
   Callbacks cb;
-
-  int listen_fd = -1;
-  int wake_read = -1;
-  int wake_write = -1;
-  int port = -1;
-  int tick_ms = 50;
   std::string valid_types;
-  std::atomic<bool> running{false};
-  std::atomic<bool> stop_requested{false};
-  std::thread thread;
+  /// One frame reader per open connection, keyed by connection id.
+  std::unordered_map<std::uint64_t, WireFrameReader> readers;
+  LoopbackServer loop{*this};
 
-  struct Conn {
-    int fd = -1;
-    std::uint64_t id = 0;
-    std::unique_ptr<WireFrameReader> reader;
-    std::string out;
-  };
-  std::vector<Conn> conns;
-  std::uint64_t next_conn_id = 1;
-
-  ~Impl() { close_fds(); }
-
-  void close_fds() {
-    for (Conn& c : conns) {
-      if (c.fd >= 0) ::close(c.fd);
+  bool on_input(LoopConn& c, bool eof) override {
+    WireFrameReader& reader =
+        readers.try_emplace(c.id, valid_types).first->second;
+    reader.feed(c.in.data(), c.in.size());
+    c.in.clear();
+    while (auto frame = reader.next()) {
+      if (cb.on_frame) {
+        const WireFrame reply = cb.on_frame(c.id, *frame);
+        append_wire_frame(c.out, reply.type, reply.payload);
+      }
     }
-    conns.clear();
-    if (listen_fd >= 0) ::close(listen_fd);
-    if (wake_read >= 0) ::close(wake_read);
-    if (wake_write >= 0) ::close(wake_write);
-    listen_fd = wake_read = wake_write = -1;
+    return !reader.corrupt() && !(eof && c.out.empty());
   }
 
-  bool bind_and_listen(int want_port) {
-    listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd < 0) return false;
-    const int one = 1;
-    (void)::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one,
-                       sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(want_port));
-    if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(listen_fd, 32) != 0 || !net::set_nonblocking(listen_fd)) {
-      return false;
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound),
-                      &len) != 0) {
-      return false;
-    }
-    port = static_cast<int>(ntohs(bound.sin_port));
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0) return false;
-    wake_read = pipe_fds[0];
-    wake_write = pipe_fds[1];
-    (void)net::set_nonblocking(wake_read);
-    return true;
-  }
-
-  void drop(Conn& c) {
-    ::close(c.fd);
-    c.fd = -1;
+  void on_close(const LoopConn& c) override {
+    readers.erase(c.id);
     if (cb.on_disconnect) cb.on_disconnect(c.id);
   }
 
-  void loop() {
-    std::vector<pollfd> pfds;
-    while (!stop_requested.load(std::memory_order_relaxed)) {
-      pfds.clear();
-      pfds.push_back({wake_read, POLLIN, 0});
-      pfds.push_back({listen_fd, POLLIN, 0});
-      for (const Conn& c : conns) {
-        short events = POLLIN;
-        if (!c.out.empty()) events |= POLLOUT;
-        pfds.push_back({c.fd, events, 0});
-      }
-      (void)net::xpoll(pfds.data(), pfds.size(), tick_ms);
-      if ((pfds[0].revents & POLLIN) != 0) {
-        char buf[64];
-        while (net::xread(wake_read, buf, sizeof(buf)) > 0) {
-        }
-      }
-      if ((pfds[1].revents & POLLIN) != 0) {
-        for (;;) {
-          const int fd = net::xaccept(listen_fd);
-          if (fd < 0) break;
-          if (!net::set_nonblocking(fd)) {
-            ::close(fd);
-            continue;
-          }
-          const int one = 1;
-          (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                             sizeof(one));
-          Conn c;
-          c.fd = fd;
-          c.id = next_conn_id++;
-          c.reader = std::make_unique<WireFrameReader>(valid_types);
-          conns.push_back(std::move(c));
-        }
-      }
-      // pfds[i + 2] pairs with the conns entry i from before the accept
-      // loop; fresh conns get polled next tick.
-      const std::size_t polled = pfds.size() - 2;
-      for (std::size_t i = 0; i < polled && i < conns.size(); ++i) {
-        Conn& c = conns[i];
-        const short re = pfds[i + 2].revents;
-        if ((re & (POLLERR | POLLHUP | POLLNVAL)) != 0 && c.out.empty()) {
-          drop(c);
-          continue;
-        }
-        if ((re & POLLIN) != 0) {
-          char buf[4096];
-          bool eof = false;
-          for (;;) {
-            const ssize_t n = net::xrecv(c.fd, buf, sizeof(buf));
-            if (n > 0) {
-              c.reader->feed(buf, static_cast<std::size_t>(n));
-              continue;
-            }
-            if (n == 0) eof = true;
-            break;
-          }
-          while (auto frame = c.reader->next()) {
-            if (cb.on_frame) {
-              const WireFrame reply = cb.on_frame(c.id, *frame);
-              append_wire_frame(c.out, reply.type, reply.payload);
-            }
-          }
-          if (c.reader->corrupt() || (eof && c.out.empty())) {
-            drop(c);
-            continue;
-          }
-        }
-        if (!c.out.empty()) {
-          const ssize_t n =
-              net::xsend(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
-          if (n > 0) {
-            c.out.erase(0, static_cast<std::size_t>(n));
-          } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-            drop(c);
-            continue;
-          }
-        }
-      }
-      conns.erase(std::remove_if(conns.begin(), conns.end(),
-                                 [](const Conn& c) { return c.fd < 0; }),
-                  conns.end());
-      if (cb.on_tick) cb.on_tick();
-    }
-    // Server stop: every still-open connection gets its on_disconnect so
-    // the coordinator can reclaim leases before the campaign finalizes.
-    for (Conn& c : conns) {
-      if (c.fd >= 0) drop(c);
-    }
-    conns.clear();
+  void on_tick() override {
+    if (cb.on_tick) cb.on_tick();
   }
 };
 
@@ -183,48 +45,15 @@ void MsgServer::set_callbacks(Callbacks cb) { impl_->cb = std::move(cb); }
 
 bool MsgServer::start(int port, const std::string& valid_types,
                       int tick_ms) {
-  if (impl_->running.load()) return false;
-  if (port < 0 || port > 65535) return false;
-  if (!impl_->bind_and_listen(port)) {
-    impl_->close_fds();
-    return false;
-  }
+  if (impl_->loop.running()) return false;
   impl_->valid_types = valid_types;
-  impl_->tick_ms = tick_ms > 0 ? tick_ms : 50;
-  impl_->stop_requested.store(false);
-  impl_->running.store(true);
-  impl_->thread = std::thread([impl = impl_.get()] { impl->loop(); });
-  return true;
+  return impl_->loop.start(port, tick_ms);
 }
 
-void MsgServer::stop() {
-  if (!impl_->running.load()) return;
-  impl_->stop_requested.store(true);
-  if (impl_->wake_write >= 0) {
-    const char byte = 'x';
-    (void)!::write(impl_->wake_write, &byte, 1);
-  }
-  if (impl_->thread.joinable()) impl_->thread.join();
-  impl_->close_fds();
-  impl_->running.store(false);
-}
+void MsgServer::stop() { impl_->loop.stop(); }
 
-int MsgServer::port() const { return impl_->port; }
+int MsgServer::port() const { return impl_->loop.port(); }
 
-bool MsgServer::running() const { return impl_->running.load(); }
-
-#else  // !COMPI_SERVE_POSIX — inert stubs (obs-off preset / non-POSIX)
-
-struct MsgServer::Impl {};
-
-MsgServer::MsgServer() : impl_(std::make_unique<Impl>()) {}
-MsgServer::~MsgServer() = default;
-void MsgServer::set_callbacks(Callbacks) {}
-bool MsgServer::start(int, const std::string&, int) { return false; }
-void MsgServer::stop() {}
-int MsgServer::port() const { return -1; }
-bool MsgServer::running() const { return false; }
-
-#endif  // COMPI_SERVE_POSIX
+bool MsgServer::running() const { return impl_->loop.running(); }
 
 }  // namespace compi::serve

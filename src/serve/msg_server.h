@@ -1,11 +1,12 @@
-// A poll()-driven TCP message server speaking the length-prefixed frame
-// format in serve/frame.h — the transport under the campaign coordinator.
+// A TCP message server speaking the length-prefixed frame format in
+// serve/frame.h — the transport under the campaign coordinator.
 //
-// Same engineering style as the control-plane HTTP server (one thread,
-// loopback-only, non-blocking sockets, self-pipe stop wake), but the unit
-// of exchange is a typed frame instead of an HTTP request, and the
-// protocol is strict request/response: every frame a client sends gets
-// exactly one reply frame.  Callbacks run ON the server thread:
+// It runs on the shared loopback poll loop (serve/loopback.h: one thread,
+// 127.0.0.1 only, non-blocking sockets, self-pipe stop wake), like the
+// control-plane HTTP server; this class adds only its protocol step: a
+// frame reader per connection and strict request/response, where every
+// frame a client sends gets exactly one reply frame.  Callbacks run ON the
+// server thread:
 //   * on_frame(conn, frame) — must return the reply frame.
 //   * on_disconnect(conn)   — the connection closed (peer hangup, corrupt
 //                             stream, or server stop).  Fired at most once
@@ -17,8 +18,8 @@
 // callback holding state keyed by id can't confuse two incarnations of
 // the same shard.
 //
-// Compiled to inert stubs (start() returns false) on non-POSIX builds and
-// under COMPI_OBS_DISABLED, like the HTTP server.
+// start() returns false on non-POSIX builds and under COMPI_OBS_DISABLED,
+// where the loop is compiled out.
 #pragma once
 
 #include <cstdint>

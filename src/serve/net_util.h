@@ -1,5 +1,6 @@
-// EINTR-safe socket helpers shared by the control-plane HTTP server, the
-// campaign coordinator, and the shard link.
+// EINTR-safe socket helpers shared by the loopback server loop (under the
+// control-plane HTTP server and the campaign coordinator), the HTTP
+// client, and the shard link.
 //
 // Every blocking syscall the serve layer issues goes through one of these
 // wrappers: a stray signal (SIGCHLD from the sandbox supervisor, a

@@ -1,8 +1,11 @@
 #include "symbolic/serialize.h"
 
+#include <algorithm>
 #include <charconv>
 #include <istream>
 #include <ostream>
+#include <utility>
+#include <vector>
 
 namespace compi::serial {
 
@@ -87,6 +90,46 @@ bool read_path(std::istream& is, sym::Path& path) {
     solver::Predicate p;
     if (!(is >> site >> taken) || !read_predicate(is, p)) return false;
     path.append(site, taken != 0, std::move(p));
+  }
+  return true;
+}
+
+bool expect(std::istream& is, std::string_view tag) {
+  std::string tok;
+  if (!(is >> tok) || tok != tag) {
+    is.setstate(std::ios::failbit);
+    return false;
+  }
+  return true;
+}
+
+std::string read_tail(std::istream& is) {
+  std::string line;
+  if (is.peek() == ' ') is.get();
+  std::getline(is, line);
+  return line;
+}
+
+void write_assignment(std::ostream& os, const solver::Assignment& a) {
+  os << a.size();
+  std::vector<std::pair<solver::Var, std::int64_t>> entries(a.begin(),
+                                                            a.end());
+  std::sort(entries.begin(), entries.end());
+  for (const auto& [v, value] : entries) os << ' ' << v << ' ' << value;
+}
+
+bool read_assignment(std::istream& is, solver::Assignment& a) {
+  std::size_t n = 0;
+  if (!(is >> n)) return false;
+  a.clear();
+  // A corrupted (bit-flipped) count must fail at parse time, not drive a
+  // multi-gigabyte allocation; the loop itself stops at EOF.
+  a.reserve(std::min<std::size_t>(n, 1u << 20));
+  for (std::size_t i = 0; i < n; ++i) {
+    solver::Var v = 0;
+    std::int64_t value = 0;
+    if (!(is >> v >> value)) return false;
+    a[v] = value;
   }
   return true;
 }

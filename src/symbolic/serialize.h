@@ -13,6 +13,7 @@
 #include <string_view>
 
 #include "solver/predicate.h"
+#include "solver/solver.h"
 #include "symbolic/path.h"
 
 namespace compi::serial {
@@ -29,5 +30,16 @@ void write_predicate(std::ostream& os, const solver::Predicate& p);
 [[nodiscard]] bool read_predicate(std::istream& is, solver::Predicate& p);
 void write_path(std::ostream& os, const sym::Path& path);
 [[nodiscard]] bool read_path(std::istream& is, sym::Path& path);
+
+/// Expects the next whitespace-delimited token to equal `tag`; poisons the
+/// stream otherwise.
+bool expect(std::istream& is, std::string_view tag);
+/// Reads the rest of the line (after one separating space) as a string.
+std::string read_tail(std::istream& is);
+
+/// Input assignment as "<n> <var> <value>...", sorted by variable id so
+/// the text is canonical (diff-able).
+void write_assignment(std::ostream& os, const solver::Assignment& a);
+[[nodiscard]] bool read_assignment(std::istream& is, solver::Assignment& a);
 
 }  // namespace compi::serial

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <string>
@@ -19,6 +20,14 @@
 #include "minimpi/launcher.h"
 #include "sandbox/supervisor.h"
 #include "tests/compi/fig2_target.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define COMPI_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define COMPI_TEST_ASAN 1
+#endif
+#endif
 
 namespace compi::sandbox {
 namespace {
@@ -548,6 +557,48 @@ TEST(ForkServer, CpuFenceIsPerIterationInALongLivedExecutor) {
 }
 
 #ifdef __linux__
+/// VmRSS of `pid` in KiB, or -1 when /proc has no such line.
+long vm_rss_kib(long pid) {
+  std::ifstream status("/proc/" + std::to_string(pid) + "/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::atol(line.c_str() + 6);
+  }
+  return -1;
+}
+
+TEST(ForkServer, LongCleanStreakKeepsTheExecutorMemoryFlat) {
+  if (!sandbox_supported()) GTEST_SKIP() << "no fork()";
+#ifdef COMPI_TEST_ASAN
+  GTEST_SKIP() << "ASan's quarantine keeps freed blocks resident";
+#endif
+  // One executor serves every clean run of a campaign, so anything it
+  // keeps per spawn grows for the whole campaign.  Three hundred inputs
+  // make each spawn frame ~2 KB: keeping the frames would add ~10 MB over
+  // these 5000 runs.
+  const TargetInfo target = fig2_target();
+  ForkServer server(*target.table, ForkServerOptions{});
+  rt::VarRegistry registry;
+  solver::Assignment inputs;
+  for (solver::Var v = 0; v < 300; ++v) inputs[v] = 1 + v % 7;
+  const auto clean_warm_run = [&] {
+    bool warm = false;
+    const minimpi::RunResult got =
+        server.run(make_spec(target, registry, inputs, 2), nullptr, &warm);
+    return warm && got.job_outcome() == rt::Outcome::kOk;
+  };
+  constexpr int kWarmup = 200;
+  constexpr int kRuns = 5000;
+  for (int i = 0; i < kWarmup; ++i) ASSERT_TRUE(clean_warm_run()) << i;
+  const long before = vm_rss_kib(server.executor_pid());
+  ASSERT_GT(before, 0);
+  for (int i = kWarmup; i < kRuns; ++i) ASSERT_TRUE(clean_warm_run()) << i;
+  const long after = vm_rss_kib(server.executor_pid());
+  EXPECT_EQ(server.stats().executor_forks, 1u);
+  EXPECT_LT(after - before, 2048)
+      << "executor VmRSS " << before << " KiB -> " << after << " KiB";
+}
+
 TEST(ForkServer, KilledServerLeavesNoExecutorBehind) {
   if (!sandbox_supported()) GTEST_SKIP() << "no fork()";
   const TargetInfo target = fig2_target();

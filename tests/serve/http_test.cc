@@ -120,6 +120,25 @@ TEST(HttpServerTest, StreamSourceIsPolledUntilClientLimit) {
   EXPECT_GE(polls.load(), 1);
 }
 
+TEST(HttpServerTest, StreamOpeningPastTheBacklogCapStillSendsItsHead) {
+  // A client that connects to a full journal tap gets a first pump larger
+  // than the backlog cap: the head must go out before the cap drops the
+  // stream.
+  HttpServer server;
+  server.handle_stream("/events",
+                       [](std::uint64_t& cursor, std::string& out) {
+                         if (cursor++ == 0) {
+                           out += "data: " + std::string(512 * 1024, 'x') +
+                                  "\n\n";
+                         }
+                       });
+  START_OR_SKIP(server);
+  const auto body = http_get_stream(
+      "127.0.0.1:" + std::to_string(server.port()), "/events", 64, 2000);
+  ASSERT_TRUE(body.has_value());
+  EXPECT_EQ(body->rfind(": stream open", 0), 0u);
+}
+
 TEST(HttpServerTest, EphemeralPortsAreDistinctAcrossServers) {
   HttpServer a, b;
   a.handle("/", [](const HttpRequest&) { return HttpResponse{}; });
