@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
             << TablePrinter::pct(clean.coverage_rate) << "\n";
 
   // Detection under environment noise: the same hunt with injected message
-  // drops.  Retry/backoff absorbs the induced timeouts and the confirmation
+  // drops.  Retries absorb the induced timeouts and the confirmation
   // replay separates real bugs (reproduce without chaos) from flaky ones.
   std::cout << "\ncampaign under injected message-drop noise:\n";
   TablePrinter noise({"drop rate", "bugs", "flaky", "retries", "coverage"});

@@ -316,10 +316,6 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
       const auto v = want_int(0, 10);
       if (!v) return fail("--retry-max needs 0..10");
       cfg.campaign.retry_max = static_cast<int>(*v);
-    } else if (flag == "--retry-backoff-ms") {
-      const auto v = want_int(0, 60'000);
-      if (!v) return fail("--retry-backoff-ms needs 0..60000");
-      cfg.campaign.retry_backoff_ms = static_cast<int>(*v);
     } else if (flag == "--chaos-seed") {
       const auto v = parse_int(value);
       if (!v) return fail("--chaos-seed needs an integer");
@@ -466,7 +462,6 @@ std::string usage() {
         "                       wall clock (0 = 2x test timeout + 2 s)\n"
         "  --child-mem-mb=N     RLIMIT_AS for the child in MiB (0 = inherit)\n"
         "  --retry-max=N        transient-failure retries (default 2)\n"
-        "  --retry-backoff-ms=N initial retry backoff (doubles per attempt)\n"
         "  --chaos-seed=N       fault-injection seed\n"
         "  --chaos-drop-rate=R  P(drop an outgoing message), 0..1\n"
         "  --chaos-crash-rank=N --chaos-crash-at=M\n"

@@ -78,7 +78,6 @@ struct ParseResult {
 ///   --hang-timeout-ms=N  sandbox wall-clock kill timeout (0 = derive)
 ///   --child-mem-mb=N     sandbox child RLIMIT_AS in MiB (0 = inherit)
 ///   --retry-max=N        transient-failure retries (default 2)
-///   --retry-backoff-ms=N initial retry backoff in milliseconds
 ///   --chaos-seed=N       fault-injection seed
 ///   --chaos-drop-rate=R  P(drop an outgoing message), 0..1
 ///   --chaos-crash-rank=N crash this rank ...

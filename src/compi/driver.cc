@@ -557,12 +557,6 @@ CampaignResult Campaign::run() {
     }
   }
 
-  const auto backoff = [&](int attempt) {
-    if (options_.retry_backoff_ms <= 0) return;
-    const int ms = std::min(options_.retry_backoff_ms << attempt, 1000);
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-  };
-
   // Snapshot at a barrier, from the parked workers.  The snapshot holds no
   // history: it spans every iterations.csv row, which the session flushes
   // before it.  The final snapshot, taken after summary.txt, points at the
@@ -802,8 +796,9 @@ CampaignResult Campaign::run() {
     }
 
     // A per-test timeout is transient until proven otherwise: retry with
-    // a relaxed clock/step budget (and a re-mixed chaos seed, so injected
-    // noise is re-rolled) before letting it count as a hang.
+    // a doubled step budget (and a re-mixed chaos seed, so injected noise
+    // is re-rolled) before letting it count as a hang.  The timeout itself
+    // stays: it is virtual job time, which a rerun does not change.
     minimpi::RunResult run;
     for (int attempt = 0;; ++attempt) {
       if (options_.chaos.enabled()) {
@@ -817,7 +812,6 @@ CampaignResult Campaign::run() {
             .num("worker", w)
             .num("seed", static_cast<std::int64_t>(spec.chaos.seed));
       }
-      spec.timeout = options_.test_timeout * (1 << attempt);
       spec.step_budget = options_.step_budget << attempt;
       run = execute(spec);
       if (run.job_outcome() != rt::Outcome::kTimeout) break;
@@ -839,7 +833,6 @@ CampaignResult Campaign::run() {
           .num("worker", w)
           .num("attempt", attempt);
       m_retries.inc();
-      backoff(attempt);
       ++iter_retries;
     }
     m_iterations.inc();
@@ -945,7 +938,6 @@ CampaignResult Campaign::run() {
           confirm.chaos = minimpi::FaultPlan{};
           confirm.inputs = &bug.inputs;
           confirm.match_plan = bug.decisions;
-          confirm.timeout = options_.test_timeout;
           confirm.step_budget = options_.step_budget;
           std::vector<sym::BranchId> harvested = std::move(o.harvested);
           const minimpi::RunResult rerun = execute(confirm);
@@ -1019,8 +1011,8 @@ CampaignResult Campaign::run() {
 
     // ---- pick and solve the next constraint set (§II-A) ----
     // Thread CPU time, not wall clock: the solve phase runs entirely on
-    // this thread, and CPU time neither counts retry-backoff sleeps nor
-    // double-counts when workers overlap (see DESIGN.md).
+    // this thread, and CPU time does not double-count when workers overlap
+    // (see DESIGN.md).
     const double solve_cpu_start = obs::thread_cpu_seconds();
     if (board != nullptr) {
       board->worker_phase(w, iter, obs::WorkerPhase::kSolve);
@@ -1046,9 +1038,8 @@ CampaignResult Campaign::run() {
       solver::SolveResult solved = wk.solver.solve_incremental(
           preds, domains, focus_log.inputs_used, cache);
       rec.solver_nodes += solved.nodes_searched;
-      // Node-budget exhaustion is "unknown", not UNSAT: back off and
-      // retry the same query with a doubled budget before treating it as
-      // failed.
+      // Node-budget exhaustion is "unknown", not UNSAT: retry the same
+      // query with a doubled budget before treating it as failed.
       for (int attempt = 0; !solved.sat && solved.budget_exhausted &&
                             attempt < options_.retry_max;
            ++attempt) {
@@ -1061,7 +1052,6 @@ CampaignResult Campaign::run() {
             .num("worker", w)
             .num("target", cand->target);
         m_retries.inc();
-        backoff(attempt);
         ++iter_retries;
         solver::Solver relaxed({options_.solver_node_budget << (attempt + 1)});
         solved = relaxed.solve_incremental(preds, domains,

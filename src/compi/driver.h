@@ -75,9 +75,8 @@ struct CampaignCounters {
   std::size_t max_constraint_set = 0;
   std::size_t depth_bound_used = 0;
   std::size_t restarts = 0;
-  /// Transient failures absorbed by the retry/backoff policy (solver budget
-  /// exhaustion, per-test wall-clock timeouts) instead of counting toward a
-  /// restart.
+  /// Transient failures absorbed by the retry policy (solver budget
+  /// exhaustion, per-test timeouts) instead of counting toward a restart.
   std::size_t transient_retries = 0;
   /// Iterations salvaged by moving the focus to another rank after the
   /// planned focus died without recording a usable path.

@@ -79,14 +79,16 @@ struct CampaignOptions {
   /// observed decision point with >1 feasible senders forks a replayable
   /// interleaving (prefix choices pinned, one choice flipped), deduplicated
   /// DPOR/sleep-set style.  Also switches hang detection from the
-  /// wall-clock watchdog to the scheduler's exact deadlock / orphan-message
-  /// verdicts.  Off by default: campaigns stay bit-identical.
+  /// deadline's timeout verdict to the scheduler's exact deadlock /
+  /// orphan-message verdicts.  Off by default: campaigns stay
+  /// bit-identical.
   bool explore_matchings = false;
   /// Cap on distinct interleavings enqueued per campaign (0 = unlimited).
   int max_interleavings = 64;
 
   // ---- runtime limits ----
   std::int64_t step_budget = 2'000'000;
+  /// Per-test timeout on the job's virtual clock (minimpi/world.h).
   std::chrono::milliseconds test_timeout{30'000};
   std::int64_t solver_node_budget = 200'000;
 
@@ -100,11 +102,11 @@ struct CampaignOptions {
   /// chaos seed is re-mixed from `chaos.seed` and the iteration number.
   minimpi::FaultPlan chaos;
   /// Transient-failure retries (solver node-budget exhaustion, per-test
-  /// wall-clock timeout) before the failure counts toward
-  /// `restart_after_failures`.  Each retry relaxes the relevant budget and
-  /// backs off exponentially starting at `retry_backoff_ms`.
+  /// timeout) before the failure counts toward `restart_after_failures`.
+  /// A solver retry doubles the node budget; a timeout retry doubles the
+  /// step budget and re-mixes the chaos seed.  None waits: a run depends
+  /// only on its seed and options, so a pause could not change it.
   int retry_max = 2;
-  int retry_backoff_ms = 0;
   /// Re-execute each newly discovered bug once (same inputs, chaos off) and
   /// mark it flaky when the failure does not reproduce.
   bool confirm_bugs = true;

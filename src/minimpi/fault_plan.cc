@@ -33,16 +33,17 @@ double ChaosEngine::hash01(std::uint64_t stream, std::uint64_t n) const {
 }
 
 bool ChaosEngine::should_drop(int src_global) {
-  if (plan_.drop_rate <= 0.0) return false;
+  // Counts every send, drops or not: next_delay draws from the count.
   const std::int64_t n = sends_[static_cast<std::size_t>(src_global)]++;
+  if (plan_.drop_rate <= 0.0) return false;
   return hash01(0xd309 + static_cast<std::uint64_t>(src_global),
                 static_cast<std::uint64_t>(n)) < plan_.drop_rate;
 }
 
 std::chrono::milliseconds ChaosEngine::next_delay(int src_global) {
   if (plan_.delay_rate <= 0.0) return std::chrono::milliseconds{0};
-  // Note: shares the send counter stream logically but must not consume
-  // should_drop's sequence — use the call counter snapshot instead.
+  // Reads the count should_drop just advanced (a separate stream, so the
+  // two decisions for one send are independent).
   const std::int64_t n = sends_[static_cast<std::size_t>(src_global)];
   const bool hit = hash01(0xde1a + static_cast<std::uint64_t>(src_global),
                           static_cast<std::uint64_t>(n)) < plan_.delay_rate;
@@ -72,11 +73,11 @@ void ChaosEngine::on_mpi_call(World& world, int global_rank, bool collective) {
           "compi_chaos_stalls_total", "Stall faults injected by chaos plans");
       stalls.inc();
       obs::instant(obs::Cat::kChaos, "chaos_stall", "collective", coll);
-      // Never arrive: park until the deadline (or a peer's fault) unwinds
+      // Never arrive: park until a peer's fault or the job's end unwinds
       // the job.  check_alive raises JobAborted.
       for (;;) {
         world.check_alive();
-        world.park_until(world.deadline());
+        world.park();
       }
     }
   }

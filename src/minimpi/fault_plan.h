@@ -34,6 +34,8 @@ struct FaultPlan {
   double drop_rate = 0.0;
 
   /// Probability that an outgoing message is delayed by `delay` first.
+  /// The delay is job time (world.h's virtual clock): the sender parks
+  /// until the clock passes it, and no thread sleeps.
   double delay_rate = 0.0;
   std::chrono::milliseconds delay{5};
 
@@ -76,11 +78,12 @@ class ChaosEngine {
   /// stall — exits via JobAborted from World::check_alive).
   void on_mpi_call(World& world, int global_rank, bool collective);
 
-  /// Whether the next outgoing message of `src_global` is dropped.
+  /// Whether the next outgoing message of `src_global` is dropped.  Call
+  /// once per send, whatever the drop rate: it advances the send count.
   [[nodiscard]] bool should_drop(int src_global);
 
-  /// Delay to apply to the next outgoing message of `src_global`
-  /// (zero = deliver immediately).
+  /// Delay to apply to the outgoing message of `src_global` that
+  /// should_drop just counted (zero = deliver immediately).
   [[nodiscard]] std::chrono::milliseconds next_delay(int src_global);
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }

@@ -2,10 +2,9 @@
 
 #include <sys/mman.h>
 #include <sys/resource.h>
-#include <time.h>
 #include <unistd.h>
 
-#include <cerrno>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -128,7 +127,7 @@ void check_switchable() {
 struct FiberScheduler::Fiber {
   std::unique_ptr<Stack> stack;
   State state = State::kRunnable;
-  Clock::time_point wake = Clock::time_point::max();
+  Time wake = Time::max();
   int track = 0;  // this fiber's trace track (fiber-local, see obs/trace.h)
   void* fake_stack = nullptr;
   void* tsan_fiber = nullptr;
@@ -161,7 +160,7 @@ void FiberScheduler::entry() {
   fatal("finished fiber resumed");
 }
 
-void FiberScheduler::run(Clock::time_point horizon,
+void FiberScheduler::run(Time& clock, Time horizon,
                          const std::function<void()>& stuck) {
   FiberScheduler* const outer = t_active;
   t_active = this;
@@ -201,26 +200,19 @@ void FiberScheduler::run(Clock::time_point horizon,
       jump(nullptr, next_runnable(), /*finished=*/false);
       continue;
     }
-    // Timed sleepers that wake before the horizon: let the thread sleep.
-    Clock::time_point earliest = Clock::time_point::max();
+    // Only timed sleepers can run next: jump the clock to the earliest
+    // wake instead of waiting for it.
+    Time earliest = Time::max();
     if (timed_ > 0) {
       for (const Fiber& f : fibers_) {
         if (f.state == State::kParked && f.wake < earliest) earliest = f.wake;
       }
     }
     if (earliest < horizon) {
-      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          earliest.time_since_epoch())
-                          .count();
-      const timespec ts{static_cast<time_t>(ns / 1'000'000'000),
-                        static_cast<long>(ns % 1'000'000'000)};
-      while (clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME, &ts, nullptr) ==
-             EINTR) {
-      }
-      const Clock::time_point now = Clock::now();
+      clock = std::max(clock, earliest);
       for (int id = 0; id < n; ++id) {
         const Fiber& f = fibers_[static_cast<std::size_t>(id)];
-        if (f.state == State::kParked && f.wake <= now) unpark(id);
+        if (f.state == State::kParked && f.wake <= clock) unpark(id);
       }
       continue;
     }
@@ -281,25 +273,25 @@ void FiberScheduler::finish_switch(void* fake_stack) {
 }
 #endif
 
-void FiberScheduler::suspend(Clock::time_point wake) {
+void FiberScheduler::suspend(Time wake) {
   if (current_ < 0) fatal("park outside a fiber");
   Fiber& f = fibers_[static_cast<std::size_t>(current_)];
   f.state = State::kParked;
   f.wake = wake;
-  if (wake != Clock::time_point::max()) ++timed_;
+  if (wake != Time::max()) ++timed_;
   leave(/*finished=*/false);
 }
 
-void FiberScheduler::park() { suspend(Clock::time_point::max()); }
+void FiberScheduler::park() { suspend(Time::max()); }
 
-void FiberScheduler::park_until(Clock::time_point wake) { suspend(wake); }
+void FiberScheduler::park_until(Time wake) { suspend(wake); }
 
 void FiberScheduler::unpark(int id) {
   Fiber& f = fibers_[static_cast<std::size_t>(id)];
   if (f.state != State::kParked) return;
-  if (f.wake != Clock::time_point::max()) {
+  if (f.wake != Time::max()) {
     --timed_;
-    f.wake = Clock::time_point::max();
+    f.wake = Time::max();
   }
   f.state = State::kRunnable;
   runq_.push_back(id);

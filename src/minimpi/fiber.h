@@ -6,7 +6,8 @@
 // rank order.  A fiber runs until it parks (a blocking MPI point: mailbox
 // receive, collective rendezvous, chaos delay or stall) or finishes, and
 // then switches straight to the head of the run queue; parked fibers
-// become runnable again only through unpark().  Because nothing
+// become runnable again only through unpark(), or, for a timed sleeper,
+// when the job's virtual clock reaches its wake time.  Because nothing
 // else runs while a fiber runs, no MiniMPI state needs a lock, and "no
 // fiber can ever run again" is an exact observation: the run queue is
 // empty, fibers are unfinished and no timed sleeper wakes before the
@@ -32,7 +33,8 @@ namespace compi::minimpi {
 
 class FiberScheduler {
  public:
-  using Clock = std::chrono::steady_clock;
+  /// A point on the job's virtual clock (world.h), counted from launch.
+  using Time = std::chrono::nanoseconds;
   using Body = std::function<void(int)>;
 
   /// Prepares `n` fibers; fiber i will run `body(i)`.  `body` must not
@@ -42,19 +44,21 @@ class FiberScheduler {
   FiberScheduler(const FiberScheduler&) = delete;
   FiberScheduler& operator=(const FiberScheduler&) = delete;
 
-  /// Runs every fiber to completion on the calling thread.  Whenever no
+  /// Runs every fiber to completion on the calling thread.  When only
+  /// timed sleepers remain, moves `clock` forward to the earliest wake and
+  /// wakes every sleeper due by then, in fiber-index order.  Whenever no
   /// fiber is runnable and no timed sleeper wakes before `horizon`, calls
-  /// `stuck()`, which must unpark at least one fiber.  When only timed
-  /// sleepers remain, the thread sleeps until the earliest wakes.
-  void run(Clock::time_point horizon, const std::function<void()>& stuck);
+  /// `stuck()`, which must unpark at least one fiber.
+  void run(Time& clock, Time horizon, const std::function<void()>& stuck);
 
   /// Index of the running fiber, or -1 on the scheduler's own context.
   [[nodiscard]] int self() const { return current_; }
 
   /// Suspends the running fiber until unpark(self()).
   void park();
-  /// Suspends the running fiber until `wake` or an earlier unpark().
-  void park_until(Clock::time_point wake);
+  /// Suspends the running fiber until the clock reaches `wake`, or an
+  /// earlier unpark().
+  void park_until(Time wake);
   /// Makes a parked fiber runnable (appended to the run queue); a no-op for
   /// fibers that are running, runnable or finished.
   void unpark(int id);
@@ -76,7 +80,7 @@ class FiberScheduler {
   /// Switches from `from` to `to` (nullptr = run()'s own context).
   void jump(Fiber* from, Fiber* to, bool finished);
   void finish_switch(void* fake_stack);
-  void suspend(Clock::time_point wake);
+  void suspend(Time wake);
 
   const Body& body_;
   std::vector<Fiber> fibers_;

@@ -93,11 +93,10 @@ RunResult launch(const LaunchSpec& spec, const rt::BranchTable& table) {
 
   FiberScheduler::Body body = rank_body;
   FiberScheduler fibers(spec.nprocs, body);
-  world.bind_fibers(&fibers);
   // No rank can run: the match scheduler proves a deadlock (or drops a dead
   // prescription); otherwise nothing but the deadline could end the wait,
   // so the job ends now with the deadline's verdict.
-  fibers.run(world.deadline(), [&world] {
+  world.run(fibers, [&world] {
     MatchScheduler* sched = world.match_scheduler();
     if (sched == nullptr || !sched->resolve_stuck()) world.expire();
   });

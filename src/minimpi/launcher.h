@@ -41,7 +41,9 @@ struct LaunchSpec {
   std::int64_t step_budget = 2'000'000;
   bool reduction = true;
   bool mark_mpi_vars = true;
-  /// Per-test wall-clock timeout (paper §V allows a user-specified timeout).
+  /// Per-test timeout (paper §V allows a user-specified timeout): a budget
+  /// on the job's virtual clock (world.h), which MPI calls and chaos delays
+  /// advance.  A run that uses it up ends as kTimeout.
   std::chrono::milliseconds timeout{30'000};
   /// Environment-level fault injection (disabled by default).
   FaultPlan chaos;

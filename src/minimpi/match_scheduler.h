@@ -14,10 +14,11 @@
 // detects deadlock *exactly*: when no rank can run (the fiber scheduler's
 // run queue is empty) and no blocked receive has a feasible message, the
 // job can never progress, and one rank throws DeadlockDetected with the
-// wait-for cycle — instantly, instead of burning the wall-clock watchdog
-// (`--hang-timeout-ms`), which remains as the fallback for uninstrumented
-// infinite loops that never block in MPI.  At finalize the launcher asks
-// for unreceived messages (orphans), the other silent matching bug.
+// wait-for cycle, where without the scheduler the job would end with the
+// deadline's timeout verdict.  The sandbox's wall-clock watchdog
+// (`--hang-timeout-ms`) remains the fallback for uninstrumented infinite
+// loops that never enter MPI.  At finalize the launcher asks for
+// unreceived messages (orphans), the other silent matching bug.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +71,8 @@ class MatchScheduler {
   /// Called when no rank can run.  Resolves replay divergence (drops a
   /// prescription whose message can no longer arrive) or declares the
   /// deadlock and wakes its victim.  Returns false — leaving the verdict to
-  /// the wall-clock rule — when a rank is parked outside a receive or
-  /// collective (a chaos stall or a delay running into the deadline).
+  /// the deadline — when a rank is parked outside a receive or collective
+  /// (a chaos stall or a delay running into the deadline).
   bool resolve_stuck();
 
   /// The run's decision vector, in global match order.

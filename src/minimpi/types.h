@@ -26,8 +26,9 @@ inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
 
 /// Thrown inside ranks blocked in MPI calls when the job aborts (a peer
-/// faulted, the wall-clock deadline passed, or no rank can run).  Not a target fault: the
-/// launcher maps it to the "aborted with the job" rank status.
+/// faulted, the job's virtual deadline passed, or no rank can run).  Not a
+/// target fault: the launcher maps it to the "aborted with the job" rank
+/// status.
 struct JobAborted {};
 
 // ---- wildcard-receive decision vectors (match_scheduler.h) ----

@@ -23,11 +23,10 @@ obs::Counter& delays_counter() {
 }
 }  // namespace
 
-World::World(int size, std::chrono::steady_clock::duration deadline,
-             const FaultPlan& chaos)
+World::World(int size, Time budget, const FaultPlan& chaos)
     : size_(size),
       mailboxes_(static_cast<std::size_t>(size)),
-      deadline_(std::chrono::steady_clock::now() + deadline) {
+      deadline_(budget) {
   if (chaos.enabled()) chaos_ = std::make_unique<ChaosEngine>(chaos, size);
 }
 
@@ -70,10 +69,9 @@ void World::post(int src_global, int dest_global, Message msg) {
       delays_counter().inc();
       obs::ObsSpan span(obs::Cat::kChaos, "chaos_delay", "ms",
                         delay.count());
-      // The sender parks until the delay ends, bounded by the job deadline
-      // so a delayed sender can never outlive the watchdog.
-      park_until(std::min(std::chrono::steady_clock::now() + delay,
-                          deadline_));
+      // The sender parks until the clock passes the delay; a wake at or
+      // past the deadline is never reached, and the job ends as a timeout.
+      park_until(now_ + delay);
       check_alive();
     }
   }
@@ -86,12 +84,19 @@ void World::abort() {
 }
 
 void World::expire() {
-  expired_ = true;
+  now_ = std::max(now_, deadline_);
   if (fibers_ != nullptr) fibers_->unpark_all();
 }
 
-void World::check_alive() const {
-  if (aborted() || past_deadline()) throw JobAborted{};
+void World::check_alive() {
+  now_ += kCallCost;
+  if (aborted_ || now_ >= deadline_) throw JobAborted{};
+}
+
+void World::run(FiberScheduler& fibers, const std::function<void()>& stuck) {
+  fibers_ = &fibers;
+  fibers.run(now_, deadline_, stuck);
+  fibers_ = nullptr;
 }
 
 void World::park() {
@@ -100,7 +105,7 @@ void World::park() {
   fibers_->park();
 }
 
-void World::park_until(std::chrono::steady_clock::time_point wake) {
+void World::park_until(Time wake) {
   if (fibers_ == nullptr || fibers_->self() < 0) throw JobAborted{};
   fibers_->park_until(wake);
 }

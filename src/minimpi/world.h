@@ -1,14 +1,22 @@
-// The shared state of one MiniMPI job: mailboxes, abort flag, deadline,
-// and the (optional) chaos layer injecting environment-level faults.
+// The shared state of one MiniMPI job: mailboxes, abort flag, the job's
+// virtual clock and deadline, and the (optional) chaos layer injecting
+// environment-level faults.
 //
 // Every rank of a job is a fiber on one thread (fiber.h), so this state is
 // touched by one rank at a time and needs no lock: a rank that must wait
 // parks its fiber, and whoever makes progress possible unparks it.
+//
+// Job time is simulated, as in SMPI: the clock starts at 0, every MPI
+// entry advances it by kCallCost, and a chaos delay parks the sender until
+// the clock reaches its wake time, which the fiber scheduler jumps to
+// when nothing else can run.  Nothing here reads a wall clock or sleeps,
+// so a run's verdict depends on the program and the plan alone.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -41,7 +49,7 @@ class Mailbox {
   bool push(Message msg);
   /// Blocks until a matching message arrives (src/tag may be kAnySource /
   /// kAnyTag; comm_uid always matches exactly).  Raises JobAborted when the
-  /// job aborts, its wall-clock deadline passes, or no rank can run.
+  /// job aborts, its virtual deadline passes, or no rank can run.
   Message pop_matching(World& world, int src, std::int64_t comm_uid, int tag);
   /// Parks the calling rank (this mailbox's owner) until a message matching
   /// (src, comm_uid, tag) is pushed or something else unparks it.  Does not
@@ -83,9 +91,17 @@ class Mailbox {
 /// Job-wide shared state.  One World per launched test.
 class World {
  public:
-  explicit World(int size,
-                 std::chrono::steady_clock::duration deadline =
-                     std::chrono::seconds(30),
+  using Time = std::chrono::nanoseconds;
+
+  /// Virtual time one MPI entry costs.  It bounds a rank that loops on MPI
+  /// calls without an instrumented branch: at about 4 us of wall time per
+  /// rank-level collective, the default 30 s budget runs out after about
+  /// 12 s of wall time, well inside the sandbox watchdog's derived 62 s
+  /// (DESIGN.md §4.4).
+  static constexpr Time kCallCost = std::chrono::microseconds(10);
+
+  /// `budget` is the job's deadline on its virtual clock.
+  explicit World(int size, Time budget = std::chrono::seconds(30),
                  const FaultPlan& chaos = {});
   ~World();  // out of line: MatchScheduler is forward-declared here
 
@@ -125,26 +141,21 @@ class World {
   /// unwinds, as mpiexec kills sibling processes of a crashed rank.
   void abort();
   [[nodiscard]] bool aborted() const { return aborted_; }
-  /// Ends the job as if its deadline had passed: every parked rank wakes
-  /// and unwinds (the launcher's verdict when no rank can ever run again).
+  /// Ends the job as if its deadline had passed: sets the clock to the
+  /// deadline and wakes every parked rank so it unwinds (the launcher's
+  /// verdict when no rank can ever run again).
   void expire();
-  /// True once the wall-clock deadline passed (simulated hang detection).
-  [[nodiscard]] bool past_deadline() const {
-    return expired_ || std::chrono::steady_clock::now() > deadline_;
-  }
-  [[nodiscard]] std::chrono::steady_clock::time_point deadline() const {
-    return deadline_;
-  }
-  /// Raises JobAborted when the job is aborted or past its deadline.
-  void check_alive() const;
+  /// The pass every MPI entry makes: charges kCallCost to the clock, then
+  /// raises JobAborted when the job is aborted or past its deadline.
+  void check_alive();
 
-  /// The fibers the ranks run on (launcher-only: set before any rank runs).
-  /// Without them a wait can never be satisfied and raises JobAborted.
-  void bind_fibers(FiberScheduler* fibers) { fibers_ = fibers; }
-  /// Parks the calling rank until unpark(rank) (or abort / expiry).
+  /// Runs the ranks' fibers to completion on the job's clock.  `stuck` is
+  /// called whenever no rank can run and no timed sleeper wakes before the
+  /// deadline; it must unpark a rank (World::expire() does).
+  void run(FiberScheduler& fibers, const std::function<void()>& stuck);
+  /// Parks the calling rank until unpark(rank) (or abort / expiry).  Raises
+  /// JobAborted outside run(), where no other rank could ever unpark it.
   void park();
-  /// Parks the calling rank until `wake`, or earlier when unparked.
-  void park_until(std::chrono::steady_clock::time_point wake);
   /// Makes a parked rank runnable again.
   void unpark(int global_rank);
 
@@ -152,12 +163,16 @@ class World {
   [[nodiscard]] std::int64_t next_comm_uid() { return ++comm_uid_; }
 
  private:
+  /// Parks the calling rank until the clock reaches `wake`, or earlier when
+  /// unparked (a chaos delay).
+  void park_until(Time wake);
+
   int size_;
   std::vector<Mailbox> mailboxes_;
   bool aborted_ = false;
-  bool expired_ = false;
   std::int64_t comm_uid_ = 0;
-  std::chrono::steady_clock::time_point deadline_;
+  Time now_{0};
+  Time deadline_;
   std::unique_ptr<ChaosEngine> chaos_;
   std::unique_ptr<MatchScheduler> scheduler_;
   FiberScheduler* fibers_ = nullptr;

@@ -6,9 +6,9 @@
 // same wall second would report 2 s).  Thread CPU time does not have that
 // failure mode — it meters the cycles THIS thread actually burned, so
 // per-worker phase costs sum to aggregate CPU spent, regardless of how
-// the scheduler interleaved the workers (and it excludes retry-backoff
-// sleeps, which wall clocks silently inflate).  The driver uses it for
-// the solve phase, which runs entirely on the worker's own thread; the
+// the scheduler interleaved the workers (and it excludes time the thread
+// spent descheduled, which wall clocks silently inflate).  The driver uses
+// it for the solve phase, which runs entirely on the worker's own thread; the
 // execute phase may run in a forked child (--isolate), so its per-worker
 // cost stays a wall-clock reading — see DESIGN.md "Timing
 // semantics" for the full contract.

@@ -22,7 +22,7 @@ enum class Outcome : std::uint8_t {
   kSegfault,    // checked-allocator out-of-bounds access
   kFpe,         // integer division by zero
   kAssert,      // target assertion violated
-  kTimeout,     // step-budget watchdog / wall-clock deadline (simulated hang)
+  kTimeout,     // step budget / virtual job deadline / sandbox watchdog (hang)
   kMpiError,    // MPI substrate usage error
   kAborted,     // unwound because a *peer* faulted (mpiexec kills the job)
   kDeadlock,    // match scheduler proved a wait-for cycle (exact, no timeout)
@@ -84,8 +84,8 @@ class MpiUsageError : public SimulatedFault {
 
 /// Thrown on the rank whose blocking call completed a wait-for cycle: the
 /// match scheduler proved every live rank blocked with no feasible message,
-/// so the job can never progress.  Exact and instant, unlike the wall-clock
-/// watchdog that kTimeout rides on.
+/// so the job can never progress.  Exact, unlike the deadline verdict
+/// (kTimeout) that ends a blocked job without the scheduler.
 class DeadlockDetected : public SimulatedFault {
  public:
   explicit DeadlockDetected(const std::string& what)

@@ -106,12 +106,11 @@ TEST(CliOptions, LogDirAndMetaFlags) {
 
 TEST(CliOptions, ParsesRobustnessFlags) {
   const ParseResult r = parse(
-      {"--retry-max=5", "--retry-backoff-ms=40", "--checkpoint-interval=10",
+      {"--retry-max=5", "--checkpoint-interval=10",
        "--chaos-seed=77", "--chaos-drop-rate=0.25", "--chaos-crash-rank=3",
        "--chaos-crash-at=9", "--no-confirm-bugs"});
   ASSERT_FALSE(r.error.has_value()) << *r.error;
   EXPECT_EQ(r.config.campaign.retry_max, 5);
-  EXPECT_EQ(r.config.campaign.retry_backoff_ms, 40);
   EXPECT_EQ(r.config.campaign.checkpoint_interval, 10);
   EXPECT_EQ(r.config.campaign.chaos.seed, 77u);
   EXPECT_DOUBLE_EQ(r.config.campaign.chaos.drop_rate, 0.25);
@@ -185,7 +184,8 @@ TEST(CliOptions, RejectsBadRobustnessValues) {
   EXPECT_TRUE(parse({"--chaos-drop-rate=abc"}).error.has_value());
   EXPECT_TRUE(parse({"--retry-max=11"}).error.has_value());
   EXPECT_TRUE(parse({"--retry-max=-1"}).error.has_value());
-  EXPECT_TRUE(parse({"--retry-backoff-ms=70000"}).error.has_value());
+  // Retries never pause, so there is no backoff flag to accept.
+  EXPECT_TRUE(parse({"--retry-backoff-ms=40"}).error.has_value());
   EXPECT_TRUE(parse({"--chaos-crash-at=0"}).error.has_value());
   EXPECT_TRUE(parse({"--resume="}).error.has_value());
 }
@@ -334,7 +334,7 @@ TEST(CliOptions, UsageMentionsEveryFlag) {
        {"--iterations", "--strategy", "--cap", "--nprocs", "--max-procs",
         "--seed", "--log-dir", "--no-reduction", "--no-framework",
         "--one-way", "--random", "--list-targets", "--resume",
-        "--checkpoint-interval", "--keep-rank-logs", "--retry-max", "--retry-backoff-ms",
+        "--checkpoint-interval", "--keep-rank-logs", "--retry-max",
         "--chaos-seed", "--chaos-drop-rate", "--chaos-crash-rank",
         "--chaos-crash-at", "--no-confirm-bugs", "--isolate",
         "--hang-timeout-ms", "--child-mem-mb", "--connect", "--shard-name",

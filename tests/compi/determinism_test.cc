@@ -13,7 +13,8 @@
 // start, and one thread applies their results in ordinal order, so thread
 // timing — a CPU hog next to one run of a pair included — cannot reach the
 // session.  A halt at a barrier plus --resume is byte-identical to the
-// uninterrupted campaign.
+// uninterrupted campaign.  Chaos drops and delays keep that too: a delay is
+// job time on the run's virtual clock, not wall time.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -185,6 +186,31 @@ TEST(Determinism, SusyFourWorkersAreByteIdenticalNextToACpuHog) {
     (void)Campaign(target, four_worker_options(loaded.path, 600)).run();
   }
   EXPECT_FALSE(a.bugs.empty());
+  expect_identical_files(quiet.path, loaded.path);
+}
+
+TEST(Determinism, SusyUnderDropsAndDelaysIsByteIdenticalNextToACpuHog) {
+  // Chaos delays are job time on each run's virtual clock, so whether a
+  // delayed run reaches its deadline cannot depend on how busy the host is.
+  const TargetInfo target = targets::make_mini_susy_target();
+  TempDir quiet, loaded;
+  CampaignOptions opts = susy_options(quiet.path, false);
+  opts.chaos.seed = 5;
+  opts.chaos.drop_rate = 0.05;
+  opts.chaos.delay_rate = 0.3;
+  opts.chaos.delay = std::chrono::milliseconds(20);
+  opts.test_timeout = std::chrono::milliseconds(50);
+  const CampaignResult a = Campaign(target, opts).run();
+  {
+    CpuHog hog;
+    opts.log_dir = loaded.path.string();
+    (void)Campaign(target, opts).run();
+  }
+  const auto timeouts = std::count_if(
+      a.iterations.begin(), a.iterations.end(), [](const IterationRecord& r) {
+        return r.outcome == rt::Outcome::kTimeout;
+      });
+  EXPECT_GT(timeouts, 0) << "the plan must push some runs past the deadline";
   expect_identical_files(quiet.path, loaded.path);
 }
 

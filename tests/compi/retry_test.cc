@@ -1,4 +1,4 @@
-// Retry/backoff and graceful degradation: transient solver failures are
+// Retries and graceful degradation: transient solver failures are
 // retried with a relaxed budget, per-test timeouts are retried before they
 // count as hangs, bugs are confirmed (and marked flaky when they don't
 // reproduce), and a dead focus rank triggers a focus re-plan.

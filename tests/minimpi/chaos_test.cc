@@ -1,6 +1,7 @@
 // Fault-injection (chaos) tests: every injection kind must end within the
 // job timeout with the correct per-rank outcomes — the injected outcome on
 // the victim, kAborted (or kTimeout) on the peers — and never deadlock.
+// Delays are job time on the world's virtual clock, never wall time.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -144,6 +145,57 @@ TEST(Chaos, DelayedMessagesStillDeliver) {
   EXPECT_EQ(result.job_outcome(), rt::Outcome::kOk) << result.job_message();
 }
 
+/// Rank 0 sends `messages` ints to rank 1, which counts what it receives
+/// in `*received`.
+Program stream_program(int messages, int* received) {
+  return [messages, received](rt::RuntimeContext&, Comm& world) {
+    const std::vector<int> data{7};
+    std::vector<int> got(1);
+    for (int i = 0; i < messages; ++i) {
+      if (world.raw_rank() == 0) {
+        world.send(std::span<const int>(data), 1, 0);
+      } else {
+        world.recv(std::span<int>(got), 0, 0);
+        ++*received;
+      }
+    }
+  };
+}
+
+TEST(Chaos, DelaysAreJobTimeNotWallTime) {
+  // 200 delays of 10 ms add up to 2 s of job time; no thread sleeps it.
+  FaultPlan plan;
+  plan.seed = 3;
+  plan.delay_rate = 1.0;
+  plan.delay = 10ms;
+  int received = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  const RunResult result =
+      run_chaos(2, stream_program(200, &received), plan, /*timeout=*/30'000ms);
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(result.job_outcome(), rt::Outcome::kOk) << result.job_message();
+  EXPECT_EQ(received, 200);
+  EXPECT_LT(took, 100ms);
+}
+
+TEST(Chaos, DelaysPastTheBudgetTimeOutAtTheSameMessageEveryRun) {
+  // Message k lands at about k x 10 ms of job time, so nine arrive inside
+  // the 100 ms budget and the tenth would land past it: the job ends as a
+  // timeout there, however busy the host is.
+  FaultPlan plan;
+  plan.seed = 3;
+  plan.delay_rate = 1.0;
+  plan.delay = 10ms;
+  for (int run = 0; run < 3; ++run) {
+    int received = 0;
+    const RunResult result =
+        run_chaos(2, stream_program(50, &received), plan, /*timeout=*/100ms);
+    EXPECT_EQ(result.job_outcome(), rt::Outcome::kTimeout) << "run " << run;
+    EXPECT_EQ(result.job_message(), "test wall-clock timeout");
+    EXPECT_EQ(received, 9) << "run " << run;
+  }
+}
+
 TEST(Chaos, StalledCollectiveTimesOutWholeJob) {
   FaultPlan plan;
   plan.stall_rank = 1;
@@ -189,6 +241,23 @@ TEST(Chaos, EngineDecisionsAreDeterministic) {
       EXPECT_EQ(a.next_delay(rank), b.next_delay(rank));
     }
   }
+}
+
+TEST(Chaos, DelaysAreDrawnPerMessageWithoutDrops) {
+  // World::post asks should_drop, then next_delay, once per send.  With no
+  // drop rate the send count must still advance, or one draw would decide
+  // every message of the rank.
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.delay_rate = 0.5;
+  ChaosEngine engine(plan, 1);
+  int delayed = 0;
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_FALSE(engine.should_drop(0));
+    delayed += engine.next_delay(0).count() > 0 ? 1 : 0;
+  }
+  EXPECT_GE(delayed, 400);
+  EXPECT_LE(delayed, 600);
 }
 
 TEST(Chaos, DropRateIsRoughlyHonored) {

@@ -161,6 +161,19 @@ TEST(Fibers, ChaosStallTimesOutAtOnce) {
   }
 }
 
+TEST(Fibers, MpiLoopWithoutBranchesEndsAtTheVirtualDeadline) {
+  // No instrumented branch, so the step budget never fires: only the
+  // per-call cost on the job clock ends this loop.
+  const RunResult result = run(
+      2,
+      [](rt::RuntimeContext&, Comm& world) {
+        for (;;) world.barrier();
+      },
+      1000ms);
+  EXPECT_EQ(result.job_outcome(), rt::Outcome::kTimeout);
+  EXPECT_EQ(result.job_message(), "test wall-clock timeout");
+}
+
 TEST(FibersDeathTest, SwitchInsideACatchHandlerIsRefused) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_DEATH(

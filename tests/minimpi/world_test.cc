@@ -77,9 +77,8 @@ TEST(Mailbox, AbortWakesBlockedReceiver) {
     }
   };
   FiberScheduler fibers(2, body);
-  world.bind_fibers(&fibers);
   bool stuck = false;  // the abort, not the all-blocked rule, must unwind it
-  fibers.run(world.deadline(), [&] {
+  world.run(fibers, [&] {
     stuck = true;
     world.expire();
   });

@@ -206,6 +206,27 @@ TEST(Supervisor, UninstrumentedInfiniteLoopIsHangKilled) {
       sym::branch_id(static_cast<sym::SiteId>(Fig2Site::kYLow), true)));
 }
 
+TEST(Supervisor, MpiLoopEndsAtTheVirtualDeadlineBeforeTheWatchdog) {
+  // A loop of MPI calls with no branch event is ended by the per-call cost
+  // on the job clock: 1 s of job time is 100 000 calls, far less wall time
+  // than the derived watchdog's 2 x 1 s + 2 s.
+  if (!sandbox_supported()) GTEST_SKIP() << "no fork() on this platform";
+  rt::VarRegistry registry;
+  const solver::Assignment inputs;
+  minimpi::LaunchSpec spec = base_spec(registry, inputs, 2);
+  spec.timeout = std::chrono::milliseconds(1000);
+  spec.program = [](rt::RuntimeContext&, minimpi::Comm& world) {
+    for (;;) world.barrier();
+  };
+  SandboxStats stats;
+  const minimpi::RunResult run =
+      run_sandboxed(spec, fig2_table(), SandboxOptions{}, &stats);
+  EXPECT_TRUE(stats.forked);
+  EXPECT_FALSE(stats.hang_kill);
+  EXPECT_EQ(run.job_outcome(), rt::Outcome::kTimeout);
+  EXPECT_EQ(run.job_message(), "test wall-clock timeout");
+}
+
 #ifndef COMPI_TEST_ASAN
 TEST(Supervisor, ChildMemoryLimitContainsRunawayAllocation) {
   if (!sandbox_supported()) GTEST_SKIP() << "no fork() on this platform";
