@@ -383,20 +383,6 @@ void BM_LaunchForkServer(benchmark::State& state) {
 }
 BENCHMARK(BM_LaunchForkServer)->Unit(benchmark::kMillisecond);
 
-void BM_LaunchBatchReset(benchmark::State& state) {
-  // The --batch-reset fast path: in-process execution with a coverage-sink
-  // reset, zero process creation.  Identical work to BM_LaunchInProcess
-  // plus the per-iteration reset the batched campaign pays.
-  rt::VarRegistry registry;
-  const solver::Assignment inputs;
-  const minimpi::LaunchSpec spec = sandbox_bench_spec(registry, inputs);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sandbox::run_batch_reset(spec, sandbox_bench_table()));
-  }
-}
-BENCHMARK(BM_LaunchBatchReset)->Unit(benchmark::kMillisecond);
-
 // ---- match-scheduler (--explore-matchings) overhead ----
 // What routing every receive through the central MatchScheduler costs over
 // the plain mailbox path, on a wildcard fan-in job: per-receive scheduler
@@ -532,7 +518,7 @@ void BM_WireEncodeDecode(benchmark::State& state) {
 BENCHMARK(BM_WireEncodeDecode);
 
 // ---- --json sidecar: the spawn-engine trajectory ----
-// Cold fork vs warm spawn vs batch reset, measured the way a campaign
+// Cold fork vs warm spawn, measured the way a campaign
 // experiences them: the cold fork copies the CAMPAIGN process (here padded
 // with a dirty heap standing in for solver caches, ledger, and journal
 // buffers accumulated mid-campaign), while the fork server's executor was
@@ -587,14 +573,6 @@ void write_spawn_sidecar(const compi::bench::BenchArgs& args) {
                             {"speedup_vs_cold", cold / warm_s},
                             {"degraded", warm ? 0.0 : 1.0}});
   }
-
-  const double batch = seconds_per_run(runs, [&] {
-    benchmark::DoNotOptimize(
-        sandbox::run_batch_reset(spec, sandbox_bench_table()));
-  });
-  json.row("batch_reset", {{"seconds_per_run", batch},
-                           {"runs", static_cast<double>(runs)},
-                           {"speedup_vs_cold", cold / batch}});
 }
 
 }  // namespace

@@ -286,24 +286,6 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
       cfg.campaign.max_interleavings = static_cast<int>(*v);
     } else if (flag == "--isolate") {
       cfg.campaign.isolate = true;
-    } else if (flag == "--fork-server") {
-      if (value == "on") {
-        cfg.campaign.fork_server = true;
-      } else if (value == "off") {
-        cfg.campaign.fork_server = false;
-      } else {
-        return fail("--fork-server needs on|off");
-      }
-    } else if (flag == "--fork-server-restarts") {
-      const auto v = want_int(0, 1000);
-      if (!v) return fail("--fork-server-restarts needs 0..1000");
-      cfg.campaign.fork_server_restarts = static_cast<int>(*v);
-    } else if (flag == "--batch-reset") {
-      cfg.campaign.batch_reset = true;
-    } else if (flag == "--batch-warmup") {
-      const auto v = want_int(1, 1'000'000);
-      if (!v) return fail("--batch-warmup needs 1..1000000");
-      cfg.campaign.batch_warmup = static_cast<int>(*v);
     } else if (flag == "--hang-timeout-ms") {
       const auto v = want_int(0, 86'400'000);
       if (!v) return fail("--hang-timeout-ms needs 0..86400000");
@@ -443,21 +425,10 @@ std::string usage() {
         "                       campaign iteration)\n"
         "  --max-interleavings=N  cap on enqueued reorderings (default 64,\n"
         "                       0 = unlimited)\n"
-        "  --isolate            run each test outside the tester's process:\n"
-        "                       real crashes/hangs are contained and recorded\n"
-        "  --fork-server=on|off warm-snapshot executor for --isolate (default\n"
-        "                       on): one process forked from a long-lived\n"
-        "                       server child runs the iterations and is\n"
-        "                       replaced after each fault; off forks the\n"
-        "                       tester once per iteration\n"
-        "  --fork-server-restarts=N\n"
-        "                       server deaths absorbed before degrading to\n"
-        "                       cold per-iteration fork (default 3)\n"
-        "  --batch-reset        after --batch-warmup clean runs, execute\n"
-        "                       iterations in-process (no fork at all) until\n"
-        "                       a fault demotes back to the sandbox\n"
-        "  --batch-warmup=N     clean runs required to earn the fast path\n"
-        "                       (default 3)\n"
+        "  --isolate            run each test outside the tester's process,\n"
+        "                       in a persistent executor replaced after each\n"
+        "                       fault: real crashes/hangs are contained and\n"
+        "                       recorded\n"
         "  --hang-timeout-ms=N  SIGKILL a sandboxed child after N ms of\n"
         "                       wall clock (0 = 2x test timeout + 2 s)\n"
         "  --child-mem-mb=N     RLIMIT_AS for the child in MiB (0 = inherit)\n"

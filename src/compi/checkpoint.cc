@@ -189,7 +189,7 @@ void CampaignCheckpoint::write(std::ostream& os) const {
   os << "sandbox " << sandbox_runs << ' ' << sandbox_signal_kills << ' '
      << sandbox_hang_kills << ' ' << sandbox_harvest_bytes << '\n';
   os << "sandbox2 " << warm_spawns << ' ' << cold_forks << ' '
-     << fork_server_restarts << ' ' << batch_runs << '\n';
+     << fork_server_restarts << '\n';
 
   os << "iterations " << history_rows << ' ' << (finished ? 1 : 0) << '\n';
 
@@ -276,8 +276,7 @@ std::optional<CampaignCheckpoint> CampaignCheckpoint::read(std::istream& is) {
     return std::nullopt;
   }
   if (!expect(is, "sandbox2") ||
-      !(is >> c.warm_spawns >> c.cold_forks >> c.fork_server_restarts >>
-        c.batch_runs)) {
+      !(is >> c.warm_spawns >> c.cold_forks >> c.fork_server_restarts)) {
     return std::nullopt;
   }
 

@@ -120,11 +120,13 @@ struct CoordShardCursor {
 /// The accumulated counters are the inherited CampaignCounters (the
 /// `counters`, `sandbox`, v8 `sandbox2` and `match_frontier` lines).
 struct CampaignCheckpoint : CampaignCounters {
-  // v11: the variable registry, the pending interleavings and the next
-  // interleaving id move into the worker cursors — each worker owns its
-  // own (`cursor_registry`, `cursor_pending` sections) — and each cursor
-  // carries its worker's depth bound.
-  // (v10 moved the iteration history out to iterations.csv — the
+  // v12: the `sandbox2` line loses its fourth field, the removed batch
+  // fast path's run count.
+  // (v11 moved the variable registry, the pending interleavings and the
+  // next interleaving id into the worker cursors — each worker owns its
+  // own (`cursor_registry`, `cursor_pending` sections) — and gave each
+  // cursor its worker's depth bound; v10 moved the iteration history out
+  // to iterations.csv — the
   // `iterations N F` line keeps only the row count and the finished flag,
   // with no `iter` lines; v9 moved the driver loop state into the worker
   // cursors — a serial campaign writes one — instead of top-level
@@ -137,7 +139,7 @@ struct CampaignCheckpoint : CampaignCounters {
   // ledger snapshot; v3 the sandbox accounting line; v2 solver_nodes and
   // retries on iter lines.)  Older snapshots are rejected and the campaign
   // falls back to a fresh start, by design.
-  static constexpr int kVersion = 11;
+  static constexpr int kVersion = 12;
 
   /// Campaign seed the snapshot was taken under (resume sanity check).
   std::uint64_t seed = 0;

@@ -105,7 +105,7 @@ void add_counts(CampaignCounters& to, const CampaignCounters& d) {
        {&C::restarts, &C::transient_retries, &C::focus_replans,
         &C::sandbox_runs, &C::sandbox_signal_kills, &C::sandbox_hang_kills,
         &C::sandbox_harvest_bytes, &C::warm_spawns, &C::cold_forks,
-        &C::fork_server_restarts, &C::batch_runs, &C::interleavings_enqueued,
+        &C::fork_server_restarts, &C::interleavings_enqueued,
         &C::interleavings_run, &C::interleavings_pruned,
         &C::interleavings_capped}) {
     to.*f += d.*f;
@@ -213,13 +213,10 @@ CampaignResult Campaign::run() {
       "Bytes salvaged from sandboxed children (pipe stream + coverage map)");
   obs::Counter& m_warm_spawns = reg.counter(
       "compi_warm_spawns_total",
-      "Iterations forked from the fork server's warm snapshot");
+      "Iterations run by the fork server's persistent executor");
   obs::Counter& m_cold_forks = reg.counter(
       "compi_cold_forks_total",
       "Iterations that fell back to a cold per-iteration fork");
-  obs::Counter& m_batch_runs = reg.counter(
-      "compi_batch_runs_total",
-      "Iterations executed in-process by the --batch-reset fast path");
   obs::Counter& m_server_restarts = reg.counter(
       "compi_fork_server_restarts_total",
       "Fork-server deaths absorbed by a restart");
@@ -255,6 +252,16 @@ CampaignResult Campaign::run() {
   }
 
   std::vector<std::unique_ptr<Worker>> pool;
+  // Workers go newest first.  Each fork server inherits the ctl write ends
+  // of the servers forked before it, so an older executor sees its ctl
+  // close only once every newer server has exited; in creation order each
+  // older one would wait out ForkServer's stop grace and be SIGKILLed.
+  struct NewestFirst {
+    std::vector<std::unique_ptr<Worker>>& pool;
+    ~NewestFirst() {
+      while (!pool.empty()) pool.pop_back();
+    }
+  } newest_first{pool};
 
   // Solver memoization (--solver-cache=N entries; 0 = off, the default):
   // one cache per worker.  The registry's counters are cumulative across
@@ -680,10 +687,6 @@ CampaignResult Campaign::run() {
   // live metrics now, counters and journal events into the outcome.
   const auto account = [&](const ExecReport& x, Outcome& o, int iter, int w) {
     CampaignCounters& n = o.counts;
-    if (x.batch) {
-      ++n.batch_runs;
-      m_batch_runs.inc();
-    }
     if (x.server_deaths > 0) {
       n.fork_server_restarts += x.server_deaths;
       m_server_restarts.inc(static_cast<std::int64_t>(x.server_deaths));

@@ -81,23 +81,21 @@ struct CampaignCounters {
   /// Iterations salvaged by moving the focus to another rank after the
   /// planned focus died without recording a usable path.
   std::size_t focus_replans = 0;
-  /// Sandbox (--isolate) accounting: tests run in a forked child, children
-  /// killed by a real signal, children SIGKILLed by the hang watchdog, and
-  /// bytes salvaged from dead children (pipe stream + harvested coverage).
+  /// Sandbox (--isolate) accounting: tests run outside the tester's
+  /// process, children killed by a real signal, children SIGKILLed by the
+  /// hang watchdog, and bytes salvaged from dead children (pipe stream +
+  /// harvested coverage).
   std::size_t sandbox_runs = 0;
   std::size_t sandbox_signal_kills = 0;
   std::size_t sandbox_hang_kills = 0;
   std::size_t sandbox_harvest_bytes = 0;
-  /// Fork-server engine accounting (--isolate with --fork-server=on, the
-  /// default): iterations forked warm from the server snapshot, iterations
-  /// that fell back to a cold per-iteration fork, and server deaths
-  /// absorbed by a restart.  batch_runs counts --batch-reset iterations
-  /// executed in-process with zero process creation (NOT included in
-  /// sandbox_runs).
+  /// Fork-server engine accounting (--isolate): iterations run by the
+  /// persistent executor, iterations that fell back to a cold
+  /// per-iteration fork, and server deaths absorbed by a restart.  Every
+  /// sandboxed run is one of the first two.
   std::size_t warm_spawns = 0;
   std::size_t cold_forks = 0;
   std::size_t fork_server_restarts = 0;
-  std::size_t batch_runs = 0;
   /// Wildcard-matching exploration accounting (--explore-matchings; all
   /// zero when exploration is off).  Pruned counts alternatives dropped by
   /// the sleep-set dedup; capped counts those dropped by

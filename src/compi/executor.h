@@ -1,13 +1,12 @@
 // One campaign worker's test-execution engine (the launch step of §III-D).
 //
-// Every test a worker runs funnels through Executor::run, which picks the
-// rung of the execution ladder:
+// Every test a worker runs funnels through Executor::run, which takes one
+// of two paths:
 //   * an in-process MiniMPI launch (the default, no --isolate);
-//   * --batch-reset: in-process again once the target earned it with a
-//     streak of clean sandboxed runs (any fault demotes it);
-//   * the fork server's warm snapshot (--isolate, the default engine);
-//   * a cold per-iteration fork (--fork-server=off, or the in-flight
-//     iteration of a dead fork server, which ForkServer re-runs itself).
+//   * --isolate: the fork server's persistent executor, which keeps the
+//     paper's process boundary.  ForkServer itself cold-forks a run only
+//     as its internal fallback (a dead server, an exhausted restart
+//     budget, or a build without fork()).
 //
 // An Executor belongs to exactly one worker and is NOT thread-safe: its
 // fork server child is forked by start() before the workers start and
@@ -28,9 +27,8 @@ namespace compi {
 
 /// What one Executor::run did.
 struct ExecReport {
-  bool batch = false;  // ran in-process on the --batch-reset fast path
-  bool warm = false;   // forked from the fork server's warm snapshot
-  bool cold = false;   // a configured fork server fell back to a cold fork
+  bool warm = false;  // ran in the fork server's persistent executor
+  bool cold = false;  // the fork server fell back to a cold fork
   /// Fork-server deaths absorbed during this run, and the server's state
   /// afterwards (for the restart journal event).
   std::uint64_t server_deaths = 0;
@@ -47,7 +45,7 @@ class Executor {
  public:
   Executor(const rt::BranchTable& table, const CampaignOptions& options);
 
-  /// Forks the fork server (when one is configured) with `program` as its
+  /// Forks the fork server (under --isolate) with `program` as its
   /// snapshot; call on a thread that is still the process's only one.
   void start(const minimpi::Program& program);
 
@@ -56,11 +54,8 @@ class Executor {
 
  private:
   const rt::BranchTable& table_;
-  bool isolate_;
-  bool batch_reset_;
-  sandbox::SandboxOptions sandbox_options_;
+  /// Engaged exactly under --isolate.
   std::optional<sandbox::ForkServer> fork_server_;
-  sandbox::BatchGate batch_gate_;
 };
 
 }  // namespace compi

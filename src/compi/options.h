@@ -120,9 +120,10 @@ struct CampaignOptions {
   /// (writing a final checkpoint but no summary), simulating a kill.
   /// 0 = run to the configured budget.
   int halt_after_iterations = 0;
-  /// Run every test in a fork()ed child (sandbox/supervisor.h): a target
-  /// that really segfaults or spins in an uninstrumented loop is contained
-  /// and recorded as a bug instead of taking the campaign down.  Falls back
+  /// Run every test outside the tester's process, in the fork server's
+  /// persistent executor (sandbox/fork_server.h): a target that really
+  /// segfaults or spins in an uninstrumented loop is contained and
+  /// recorded as a bug instead of taking the campaign down.  Falls back
   /// to the in-process launcher on non-POSIX builds.
   bool isolate = false;
   /// Wall-clock hang timeout for the sandboxed child in milliseconds;
@@ -132,23 +133,6 @@ struct CampaignOptions {
   /// RLIMIT_AS for the sandboxed child in MiB; 0 = inherit the parent's
   /// limit.  Ignored in ASan builds (the shadow needs the address space).
   int child_mem_mb = 0;
-  /// Warm-snapshot execution for `--isolate` (sandbox/fork_server.h): a
-  /// long-lived server child is forked once, and an executor forked from
-  /// its warm snapshot runs the iterations, replaced after each fault,
-  /// instead of re-forking the whole tester per iteration.  On by
-  /// default; `--fork-server=off` (or a dead server past its restart
-  /// budget) degrades to the classic per-iteration fork.
-  bool fork_server = true;
-  /// Server deaths tolerated before degrading permanently to cold fork.
-  int fork_server_restarts = 3;
-  /// Batched non-isolated fast path: after `batch_warmup` consecutive
-  /// clean sandboxed runs the target earns in-process execution (zero
-  /// process creation); any real signal, hang kill, or non-kOk job outcome
-  /// demotes it back to the sandbox until the streak is re-earned.  Only
-  /// meaningful with `isolate`.
-  bool batch_reset = false;
-  int batch_warmup = 3;
-
   /// Stop the campaign once this many distinct bugs have been recorded
   /// (0 = no budget).  Unlike the halt hook this is a graceful early
   /// termination: summary, ledger, and observability exports all run.

@@ -12,7 +12,10 @@ namespace compi {
 
 PhaseBreakdown compute_phase_breakdown(const CampaignResult& result) {
   PhaseBreakdown b;
-  b.total_seconds = result.total_seconds;
+  // Worker phases are summed over workers, so they are measured against
+  // every worker's wall clock, not the campaign's once.
+  b.total_seconds =
+      static_cast<double>(result.workers_used) * result.total_seconds;
 
   std::vector<double> exec_us;
   std::vector<double> solve_us;
@@ -41,8 +44,9 @@ PhaseBreakdown compute_phase_breakdown(const CampaignResult& result) {
       phase("execute", result.total_exec_seconds, exec_us));
   b.phases.push_back(phase("solve", result.total_solve_seconds, solve_us));
   // Everything the driver does between runs: planning, instrumentation
-  // replay, coverage merging, logging.  Clamped at zero — with sub-ms
-  // iterations the measured phases can overshoot the wall clock slightly.
+  // replay, coverage merging, logging, and under --workers the epoch
+  // barrier's wait.  Clamped at zero — with sub-ms iterations the measured
+  // phases can overshoot the wall clock slightly.
   const double overhead =
       std::max(0.0, b.total_seconds - result.total_exec_seconds -
                         result.total_solve_seconds);
@@ -65,18 +69,14 @@ void print_phase_breakdown(std::ostream& os, const PhaseBreakdown& b) {
 }
 
 void print_sandbox_summary(std::ostream& os, const CampaignResult& result) {
-  if (result.sandbox_runs == 0 && result.batch_runs == 0) return;
-  os << "sandbox           : " << result.sandbox_runs << " forked runs, "
+  if (result.sandbox_runs == 0) return;
+  os << "sandbox           : " << result.sandbox_runs << " sandboxed runs, "
      << result.sandbox_signal_kills << " signal kills, "
      << result.sandbox_hang_kills << " hang kills, "
      << TablePrinter::bytes(result.sandbox_harvest_bytes) << " harvested\n";
-  if (result.warm_spawns == 0 && result.cold_forks == 0 &&
-      result.batch_runs == 0) {
-    return;
-  }
   os << "fork server       : " << result.warm_spawns << " warm spawns, "
      << result.cold_forks << " cold forks, " << result.fork_server_restarts
-     << " restarts, " << result.batch_runs << " batch runs\n";
+     << " restarts\n";
 }
 
 void print_matchings_summary(std::ostream& os, const CampaignResult& result) {

@@ -16,16 +16,18 @@ struct CampaignResult;
 struct PhaseStats {
   std::string name;
   double total_seconds = 0.0;
-  double share = 0.0;  // fraction of campaign wall time, [0, 1]
+  double share = 0.0;  // fraction of PhaseBreakdown::total_seconds, [0, 1]
   double p50_us = -1.0;
   double p95_us = -1.0;
   double max_us = -1.0;
 };
 
-/// Campaign wall time split into execute / solve / overhead (everything
-/// else: instrumentation replay, planning, logging).  Shares sum to ~1.
+/// Worker time split into execute / solve / overhead (everything else:
+/// instrumentation replay, planning, logging, epoch barrier waits).
+/// Shares sum to ~1 at any worker count.
 struct PhaseBreakdown {
   std::vector<PhaseStats> phases;
+  /// Worker-seconds: campaign wall time × workers used.
   double total_seconds = 0.0;
 };
 
@@ -35,9 +37,10 @@ struct PhaseBreakdown {
 /// Renders the breakdown as a TablePrinter table ("Phase profile").
 void print_phase_breakdown(std::ostream& os, const PhaseBreakdown& b);
 
-/// One-line sandbox (--isolate) accounting: forked runs, real-signal and
-/// hang kills, bytes salvaged from dead children.  Prints nothing when the
-/// campaign never forked a child.
+/// Sandbox (--isolate) accounting: sandboxed runs, real-signal and hang
+/// kills, bytes salvaged from dead children, then one fork-server line
+/// (warm spawns, cold forks, restarts).  Prints nothing when the campaign
+/// ran every test in-process.
 void print_sandbox_summary(std::ostream& os, const CampaignResult& result);
 
 /// One-line wildcard-matchings (--explore-matchings) accounting:

@@ -10,8 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "runtime/coverage_sink.h"
-
 #ifdef COMPI_SANDBOX_POSIX
 #include <fcntl.h>
 #include <poll.h>
@@ -25,14 +23,6 @@
 #endif
 
 namespace compi::sandbox {
-
-minimpi::RunResult run_batch_reset(const minimpi::LaunchSpec& spec,
-                                   const rt::BranchTable& table) {
-  // A previous sandboxed iteration never installs a sink in THIS process,
-  // but clearing is cheap and makes the fast path self-contained.
-  rt::clear_coverage_sink();
-  return minimpi::launch(spec, table);
-}
 
 minimpi::RunResult ForkServer::cold_fork(const minimpi::LaunchSpec& spec,
                                          SandboxStats* stats) {

@@ -12,10 +12,9 @@
 // path's.  A clean iteration forks no process at all.
 //
 // Recycle rule: the executor exits after any iteration whose job outcome
-// is not kOk (the fault rule BatchGate uses), and real signals and hang
-// kills end it anyway; the server then forks a replacement from its
-// snapshot.  A faulting run therefore never leaves its half-torn state to
-// the next iteration.
+// is not kOk, and real signals and hang kills end it anyway; the server
+// then forks a replacement from its snapshot.  A faulting run therefore
+// never leaves its half-torn state to the next iteration.
 //
 // Three channels (wire.h framing everywhere):
 //   ctl  parent → executor  kRegistry sync suffixes, then one kSpawn per
@@ -54,11 +53,13 @@
 // spawn is still in ctl, so the parent restarts the whole server rather
 // than let a replacement run it against a stale registry.
 //
-// Fallback ladder: `--fork-server=off` never starts a server; a server
-// death (EPIPE on ctl, waitpid, or an unresponsive run) cold-forks the
-// in-flight iteration via run_sandboxed — the iteration is never lost —
+// Fallback ladder: the cold fork (run_sandboxed) is internal, never a
+// user choice.  A server death (EPIPE on ctl, waitpid, or an unresponsive
+// run) cold-forks the in-flight iteration — the iteration is never lost —
 // and the server is restarted up to ForkServerOptions::max_restarts times
-// before the engine degrades permanently to per-iteration fork.
+// before the engine degrades permanently to per-iteration fork.  Builds
+// without fork() start no server: every run goes to run_sandboxed, which
+// there is the in-process launcher.
 #pragma once
 
 #include <cstdint>
@@ -163,30 +164,5 @@ class ForkServer {
   std::size_t synced_vars_ = 0;
   FrameReader st_reader_;
 };
-
-/// Gate for the `--batch-reset` non-isolated fast path: after `warmup`
-/// consecutive clean runs (no real signal, no hang kill, job outcome kOk)
-/// the target has earned in-process execution; any fault demotes it back
-/// to the sandbox until it re-earns the streak.
-class BatchGate {
- public:
-  explicit BatchGate(int warmup) : warmup_(warmup) {}
-
-  [[nodiscard]] bool ready() const { return streak_ >= warmup_; }
-  void record_clean() {
-    if (streak_ < warmup_) ++streak_;
-  }
-  void record_fault() { streak_ = 0; }
-
- private:
-  int warmup_;
-  int streak_ = 0;
-};
-
-/// The batched fast path itself: clears any leftover coverage sink and
-/// runs the launcher in-process — bit-identical to a non-isolated serial
-/// iteration, with zero process creation.
-[[nodiscard]] minimpi::RunResult run_batch_reset(
-    const minimpi::LaunchSpec& spec, const rt::BranchTable& table);
 
 }  // namespace compi::sandbox

@@ -10,7 +10,8 @@
 // paper's process boundary per iteration: fork() the whole MiniMPI world
 // into a child, run the launcher there, and stream the results back over a
 // pipe (wire.h).  The fork server (fork_server.h) keeps the same boundary
-// but reuses one child across clean runs.  The parent
+// but reuses one child across clean runs; a campaign reaches
+// run_sandboxed only through it, as its cold-fork fallback.  The parent
 //  * enforces a wall-clock hang timeout (SIGKILL on expiry) and a CPU
 //    rlimit (plus an optional address-space rlimit) on the child,
 //  * maps real termination signals onto the existing rt::Outcome taxonomy

@@ -144,38 +144,19 @@ TEST(CliOptions, RejectsBadSandboxValues) {
   EXPECT_TRUE(parse({"--child-mem-mb=1048577"}).error.has_value());
 }
 
-TEST(CliOptions, ParsesForkServerFlags) {
-  const ParseResult r = parse({"--isolate", "--fork-server=off",
-                               "--fork-server-restarts=7", "--batch-reset",
-                               "--batch-warmup=5"});
-  ASSERT_FALSE(r.error.has_value()) << *r.error;
-  EXPECT_FALSE(r.config.campaign.fork_server);
-  EXPECT_EQ(r.config.campaign.fork_server_restarts, 7);
-  EXPECT_TRUE(r.config.campaign.batch_reset);
-  EXPECT_EQ(r.config.campaign.batch_warmup, 5);
-
-  const ParseResult on = parse({"--isolate", "--fork-server=on"});
-  ASSERT_FALSE(on.error.has_value()) << *on.error;
-  EXPECT_TRUE(on.config.campaign.fork_server);
-
-  const ParseResult defaults = parse({});
-  ASSERT_FALSE(defaults.error.has_value());
-  EXPECT_TRUE(defaults.config.campaign.fork_server)
-      << "the warm-spawn engine is the default under --isolate";
-  EXPECT_EQ(defaults.config.campaign.fork_server_restarts, 3);
-  EXPECT_FALSE(defaults.config.campaign.batch_reset)
-      << "batch reset trades isolation for speed; it must be opt-in";
-  EXPECT_EQ(defaults.config.campaign.batch_warmup, 3);
-}
-
+// --isolate has one engine, the fork server's persistent executor; the
+// knobs that picked between engines are gone and must not parse.
 TEST(CliOptions, RejectsBadForkServerValues) {
-  EXPECT_TRUE(parse({"--fork-server=yes"}).error.has_value());
-  EXPECT_TRUE(parse({"--fork-server="}).error.has_value());
-  EXPECT_TRUE(parse({"--fork-server-restarts=-1"}).error.has_value());
-  EXPECT_TRUE(parse({"--fork-server-restarts=1001"}).error.has_value());
-  EXPECT_TRUE(parse({"--fork-server-restarts=abc"}).error.has_value());
-  EXPECT_TRUE(parse({"--batch-warmup=0"}).error.has_value());
-  EXPECT_TRUE(parse({"--batch-warmup=-3"}).error.has_value());
+  for (const char* removed : {"--batch-reset", "--batch-warmup=5",
+                              "--fork-server=off", "--fork-server-restarts=7"}) {
+    const ParseResult r = parse({"--isolate", removed});
+    ASSERT_TRUE(r.error.has_value()) << removed;
+    EXPECT_NE(r.error->find("unknown flag"), std::string::npos) << *r.error;
+  }
+  const std::string u = usage();
+  for (const char* removed : {"--batch-", "--fork-server"}) {
+    EXPECT_EQ(u.find(removed), std::string::npos) << removed;
+  }
 }
 
 TEST(CliOptions, RejectsBadRobustnessValues) {

@@ -15,6 +15,7 @@
 #include "compi/report.h"
 #include "obs/journal.h"
 #include "obs/trace.h"
+#include "targets/targets.h"
 #include "tests/compi/fig2_target.h"
 #include "tests/obs/json_util.h"
 
@@ -77,23 +78,41 @@ TEST(CampaignObs, MetricsPromIsWrittenWithCampaignCounters) {
       << prom;
 }
 
-TEST(CampaignObs, PhaseBreakdownSharesAccountForWallClock) {
-  TempDir tmp;
-  const CampaignResult result = Campaign(fig2_target(), obs_opts(tmp)).run();
-  const PhaseBreakdown breakdown = compute_phase_breakdown(result);
+/// Shares of a phase profile: each in [0, 1], together the whole wall.
+void expect_shares_account_for_wall_clock(const PhaseBreakdown& breakdown) {
   ASSERT_EQ(breakdown.phases.size(), 3u);
   EXPECT_GT(breakdown.total_seconds, 0.0);
   double share_sum = 0.0;
   for (const PhaseStats& phase : breakdown.phases) {
-    EXPECT_GE(phase.share, 0.0);
+    EXPECT_GE(phase.share, 0.0) << phase.name;
+    EXPECT_LE(phase.share, 1.0) << phase.name;
     share_sum += phase.share;
   }
   EXPECT_NEAR(share_sum, 1.0, 0.02);
+}
+
+TEST(CampaignObs, PhaseBreakdownSharesAccountForWallClock) {
+  TempDir tmp;
+  const CampaignResult result = Campaign(fig2_target(), obs_opts(tmp)).run();
+  const PhaseBreakdown breakdown = compute_phase_breakdown(result);
+  expect_shares_account_for_wall_clock(breakdown);
   // Execute and solve carry per-iteration percentiles; overhead has no
   // per-iteration samples and reports n/a.
   EXPECT_GE(breakdown.phases[0].p50_us, 0.0);
   EXPECT_GE(breakdown.phases[0].p95_us, breakdown.phases[0].p50_us);
   EXPECT_LT(breakdown.phases[2].p50_us, 0.0);
+
+  // Four workers sum four threads' execute and solve time, so their shares
+  // are of four wall clocks, not one: IMB's execute and solve time each
+  // outgrow a single wall clock at this worker count.
+  CampaignOptions workers;
+  workers.seed = 1;
+  workers.iterations = 1500;
+  workers.workers = 4;
+  const CampaignResult parallel =
+      Campaign(targets::make_mini_imb_target(), workers).run();
+  ASSERT_EQ(parallel.workers_used, 4u);
+  expect_shares_account_for_wall_clock(compute_phase_breakdown(parallel));
 }
 
 #ifndef COMPI_OBS_DISABLED

@@ -1,13 +1,12 @@
-// Differential equivalence for the fork-server execution engine.
+// Differential equivalence for the --isolate execution engine.
 //
 // The contract locking the engine down: the fork server is an execution
-// MECHANISM, never a search change.  A campaign run with --fork-server=on
-// must be row-for-row identical to the same campaign with the engine off —
-// same iterations.csv (timing columns excluded), same covered set, same
-// bugs.txt — on both the fig2 target and the message-heavy mini-IMB
-// suite.  The --batch-reset fast path must likewise be bit-identical to a
-// plain non-isolated serial session, and the checkpoint must carry the
-// engine counters across a resume.
+// MECHANISM, never a search change.  A campaign run with --isolate must be
+// row-for-row identical to the same campaign run in-process — same
+// iterations.csv (timing columns excluded), same covered set, same
+// bugs.txt — on the fig2 target, on the message-heavy mini-IMB suite and
+// under four workers, and the checkpoint must carry the engine counters
+// across a resume.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -115,97 +114,78 @@ void expect_identical_sessions(const fs::path& a, const fs::path& b) {
   EXPECT_EQ(slurp(a / "bugs.txt"), slurp(b / "bugs.txt"));
 }
 
-TEST(ForkServerEquivalence, OnMatchesOffOnFig2) {
+TEST(ForkServerEquivalence, IsolateMatchesInProcessOnFig2) {
   if (!sandbox::sandbox_supported()) GTEST_SKIP() << "no fork()";
-  TempDir off_dir, on_dir;
-
-  CampaignOptions off = isolated_opts(off_dir.path);
-  off.fork_server = false;
-  const CampaignResult off_result = Campaign(fig2_target(), off).run();
-  EXPECT_EQ(off_result.warm_spawns, 0u);
-  EXPECT_EQ(off_result.cold_forks, 0u);
-
-  CampaignOptions on = isolated_opts(on_dir.path);
-  on.fork_server = true;
-  const CampaignResult on_result = Campaign(fig2_target(), on).run();
-  EXPECT_GT(on_result.warm_spawns, 0u)
-      << "the engine must actually be exercised, not silently degraded";
-  EXPECT_EQ(on_result.fork_server_restarts, 0u);
-
-  EXPECT_EQ(off_result.covered_branches, on_result.covered_branches);
-  EXPECT_EQ(off_result.bugs.size(), on_result.bugs.size());
-  EXPECT_EQ(off_result.sandbox_runs, on_result.sandbox_runs)
-      << "warm spawns are still sandboxed runs; accounting must not drift";
-  expect_identical_sessions(off_dir.path, on_dir.path);
-}
-
-TEST(ForkServerEquivalence, OnMatchesOffOnMiniImb) {
-  if (!sandbox::sandbox_supported()) GTEST_SKIP() << "no fork()";
-  const TargetInfo target = targets::make_mini_imb_target(4);
-  TempDir off_dir, on_dir;
-
-  CampaignOptions off = isolated_opts(off_dir.path);
-  off.seed = 3;
-  off.iterations = 60;
-  off.initial_nprocs = 2;
-  off.max_procs = 2;
-  off.fork_server = false;
-  const CampaignResult off_result = Campaign(target, off).run();
-
-  CampaignOptions on = off;
-  on.log_dir = on_dir.path.string();
-  on.fork_server = true;
-  const CampaignResult on_result = Campaign(target, on).run();
-  EXPECT_GT(on_result.warm_spawns, 0u);
-
-  EXPECT_EQ(off_result.covered_branches, on_result.covered_branches);
-  expect_identical_sessions(off_dir.path, on_dir.path);
-}
-
-TEST(ForkServerEquivalence, BatchResetMatchesPlainSerialNonIsolated) {
-  if (!sandbox::sandbox_supported()) GTEST_SKIP() << "no fork()";
-  TempDir serial_dir, batch_dir;
+  TempDir in_proc_dir, isolated_dir;
 
   // The reference: a plain in-process serial session, no sandbox at all.
-  CampaignOptions serial = isolated_opts(serial_dir.path);
-  serial.isolate = false;
-  const CampaignResult serial_result = Campaign(fig2_target(), serial).run();
+  CampaignOptions in_proc = isolated_opts(in_proc_dir.path);
+  in_proc.isolate = false;
+  const CampaignResult in_proc_result = Campaign(fig2_target(), in_proc).run();
+  EXPECT_EQ(in_proc_result.sandbox_runs, 0u);
+  EXPECT_EQ(in_proc_result.warm_spawns, 0u);
 
-  // Batch reset: sandboxed until the warmup streak, in-process afterwards.
-  // The results must be bit-identical either way — the sandbox and the
-  // batch path are both execution mechanisms over the same search.
-  CampaignOptions batch = isolated_opts(batch_dir.path);
-  batch.batch_reset = true;
-  batch.batch_warmup = 3;
-  const CampaignResult batch_result = Campaign(fig2_target(), batch).run();
-  EXPECT_GT(batch_result.batch_runs, 0u)
-      << "a crash-free target must earn the in-process fast path";
-  EXPECT_LT(batch_result.sandbox_runs, batch_result.iterations.size())
-      << "batch runs must not be double-counted as sandboxed runs";
+  CampaignOptions isolated = isolated_opts(isolated_dir.path);
+  const CampaignResult isolated_result =
+      Campaign(fig2_target(), isolated).run();
+  EXPECT_GT(isolated_result.warm_spawns, 0u)
+      << "the engine must actually be exercised, not silently degraded";
+  EXPECT_EQ(isolated_result.fork_server_restarts, 0u);
+  EXPECT_EQ(isolated_result.cold_forks, 0u);
+  EXPECT_EQ(isolated_result.sandbox_runs, isolated_result.iterations.size())
+      << "every iteration is one sandboxed run, warm or cold";
 
-  EXPECT_EQ(serial_result.covered_branches, batch_result.covered_branches);
-  EXPECT_EQ(serial_result.bugs.size(), batch_result.bugs.size());
-  expect_identical_sessions(serial_dir.path, batch_dir.path);
+  EXPECT_EQ(in_proc_result.covered_branches, isolated_result.covered_branches);
+  EXPECT_EQ(in_proc_result.bugs.size(), isolated_result.bugs.size());
+  expect_identical_sessions(in_proc_dir.path, isolated_dir.path);
+}
+
+TEST(ForkServerEquivalence, IsolateMatchesInProcessOnMiniImb) {
+  if (!sandbox::sandbox_supported()) GTEST_SKIP() << "no fork()";
+  const TargetInfo target = targets::make_mini_imb_target(4);
+  TempDir in_proc_dir, isolated_dir;
+
+  CampaignOptions in_proc = isolated_opts(in_proc_dir.path);
+  in_proc.seed = 3;
+  in_proc.iterations = 60;
+  in_proc.initial_nprocs = 2;
+  in_proc.max_procs = 2;
+  in_proc.isolate = false;
+  const CampaignResult in_proc_result = Campaign(target, in_proc).run();
+
+  CampaignOptions isolated = in_proc;
+  isolated.log_dir = isolated_dir.path.string();
+  isolated.isolate = true;
+  const CampaignResult isolated_result = Campaign(target, isolated).run();
+  EXPECT_GT(isolated_result.warm_spawns, 0u);
+
+  EXPECT_EQ(in_proc_result.covered_branches, isolated_result.covered_branches);
+  expect_identical_sessions(in_proc_dir.path, isolated_dir.path);
 }
 
 // The tsan leg of CI runs this whole binary; this test is the one that
-// drives the batched in-process fast path concurrently from four workers.
-TEST(ForkServerEquivalence, BatchResetUnderFourWorkersStaysCoherent) {
+// drives four workers' fork servers concurrently.
+TEST(ForkServerEquivalence, IsolateUnderFourWorkersMatchesInProcess) {
   if (!sandbox::sandbox_supported()) GTEST_SKIP() << "no fork()";
-  TempDir dir;
-  CampaignOptions opts = isolated_opts(dir.path);
-  opts.workers = 4;
-  opts.iterations = 120;
-  opts.batch_reset = true;
-  opts.batch_warmup = 2;
-  const CampaignResult result = Campaign(fig2_target(), opts).run();
+  TempDir in_proc_dir, isolated_dir;
+
+  CampaignOptions in_proc = isolated_opts(in_proc_dir.path);
+  in_proc.workers = 4;
+  in_proc.isolate = false;
+  const CampaignResult in_proc_result = Campaign(fig2_target(), in_proc).run();
+
+  CampaignOptions isolated = in_proc;
+  isolated.log_dir = isolated_dir.path.string();
+  isolated.isolate = true;
+  const CampaignResult result = Campaign(fig2_target(), isolated).run();
 
   EXPECT_EQ(result.iterations.size(), 120u);
-  EXPECT_GT(result.batch_runs, 0u)
-      << "every worker's gate should open on a crash-free target";
+  EXPECT_EQ(result.sandbox_runs, 120u)
+      << "each worker's iterations all run in its own fork server";
+  EXPECT_EQ(result.warm_spawns + result.cold_forks, result.sandbox_runs);
   EXPECT_GT(result.covered_branches, 0u);
-  EXPECT_EQ(result.batch_runs + result.sandbox_runs, 120u)
-      << "each iteration is exactly one batch run or one sandboxed run";
+  EXPECT_EQ(in_proc_result.covered_branches, result.covered_branches);
+  expect_identical_sessions(in_proc_dir.path, isolated_dir.path);
 }
 
 TEST(ForkServerEquivalence, CheckpointResumeCarriesEngineCounters) {
@@ -228,7 +208,6 @@ TEST(ForkServerEquivalence, CheckpointResumeCarriesEngineCounters) {
   ASSERT_TRUE(snapshot.has_value());
   EXPECT_EQ(snapshot->warm_spawns, partial_warm)
       << "the checkpoint must persist the engine accounting";
-  EXPECT_EQ(snapshot->batch_runs, 0u);
 
   CampaignOptions resumed = opts;
   resumed.resume = true;

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
@@ -639,36 +640,56 @@ TEST(ForkServer, DestructorLeavesNoExecutorBehind) {
 }
 #endif
 
-TEST(ForkServer, BatchGateEarnsInProcessAfterWarmupAndDemotesOnFault) {
-  BatchGate gate(3);
-  EXPECT_FALSE(gate.ready());
-  gate.record_clean();
-  gate.record_clean();
-  EXPECT_FALSE(gate.ready()) << "two of three clean runs is not a streak";
-  gate.record_clean();
-  EXPECT_TRUE(gate.ready());
-  gate.record_clean();  // saturates, never overflows
-  EXPECT_TRUE(gate.ready());
-  gate.record_fault();
-  EXPECT_FALSE(gate.ready()) << "any fault demotes back to the sandbox";
-  gate.record_clean();
-  gate.record_clean();
-  gate.record_clean();
-  EXPECT_TRUE(gate.ready()) << "the streak can be re-earned";
-}
-
-TEST(ForkServer, RunBatchResetMatchesTheInProcessLauncher) {
-  const TargetInfo target = fig2_target();
-  rt::VarRegistry registry_a;
-  const solver::Assignment inputs;
-  const minimpi::RunResult in_proc = minimpi::launch(
-      make_spec(target, registry_a, inputs, 4), *target.table);
-
-  rt::VarRegistry registry_b;
-  const minimpi::RunResult batched = run_batch_reset(
-      make_spec(target, registry_b, inputs, 4), *target.table);
-  expect_same_logs(in_proc, batched);
-  EXPECT_GT(batched.wall_seconds, 0.0);
+// The run-level half of the isolation contract: the in-process launcher,
+// a cold sandboxed fork and the fork server's persistent executor turn the
+// same specs into the same runs — clean ones, a simulated fault on the
+// master (which recycles the executor), several world sizes, seeds and
+// foci.  The campaign-level equivalence suite compares --isolate with
+// in-process only, so this is where the cold fallback meets a warm run.
+TEST(ForkServer, ColdForkAndWarmSpawnMatchTheInProcessLauncher) {
+  if (!sandbox_supported()) GTEST_SKIP() << "no fork()";
+  const TargetInfo target = fig2_target(/*with_bug=*/true);
+  ForkServer server(*target.table, ForkServerOptions{});
+  rt::VarRegistry in_proc_registry, cold_registry, warm_registry;
+  struct Case {
+    std::int64_t x, y;
+    int nprocs, focus;
+    std::uint64_t seed;
+  };
+  const Case cases[] = {{5, 3, 3, 0, 42},   {40, 77, 4, 0, 7},
+                        {2, 150, 4, 2, 9},  {0, 1, 2, 0, 42},
+                        {8, 77, 2, 1, 13},  {3, 20, 3, 1, 99}};
+  bool saw_fault = false;
+  for (const Case& c : cases) {
+    solver::Assignment inputs;
+    inputs[0] = c.x;
+    inputs[1] = c.y;
+    const auto spec_for = [&](rt::VarRegistry& registry) {
+      minimpi::LaunchSpec spec = make_spec(target, registry, inputs, c.nprocs);
+      spec.focus = c.focus;
+      spec.rng_seed = c.seed;
+      return spec;
+    };
+    const minimpi::RunResult in_proc =
+        minimpi::launch(spec_for(in_proc_registry), *target.table);
+    SandboxStats cold_st;
+    const minimpi::RunResult cold = run_sandboxed(
+        spec_for(cold_registry), *target.table, SandboxOptions{}, &cold_st);
+    bool warm = false;
+    const minimpi::RunResult warm_run =
+        server.run(spec_for(warm_registry), nullptr, &warm);
+    SCOPED_TRACE("x=" + std::to_string(c.x) + " y=" + std::to_string(c.y));
+    EXPECT_TRUE(cold_st.forked);
+    EXPECT_TRUE(warm);
+    expect_same_runs(in_proc, cold);
+    expect_same_runs(in_proc, warm_run);
+    saw_fault = saw_fault || in_proc.job_outcome() != rt::Outcome::kOk;
+  }
+  EXPECT_TRUE(saw_fault) << "the seeded y == 77 bug must fire on a master";
+  EXPECT_EQ(in_proc_registry.size(), cold_registry.size());
+  EXPECT_EQ(in_proc_registry.size(), warm_registry.size());
+  EXPECT_EQ(server.stats().cold_forks, 0u);
+  EXPECT_EQ(server.stats().restarts, 0u);
 }
 
 }  // namespace
