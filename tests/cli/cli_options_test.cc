@@ -144,18 +144,32 @@ TEST(CliOptions, RejectsBadSandboxValues) {
   EXPECT_TRUE(parse({"--child-mem-mb=1048577"}).error.has_value());
 }
 
-// --isolate has one engine, the fork server's persistent executor; the
-// knobs that picked between engines are gone and must not parse.
+// --isolate has one engine, the fork server's persistent executor: the
+// flag alone selects it, with or without workers, and the usage text
+// names no knob that picks between engines.
+TEST(CliOptions, ParsesForkServerFlags) {
+  const ParseResult r = parse({"--isolate", "--workers=4"});
+  ASSERT_FALSE(r.error.has_value()) << *r.error;
+  EXPECT_TRUE(r.config.campaign.isolate);
+  EXPECT_EQ(r.config.campaign.workers, 4);
+
+  const std::string u = usage();
+  EXPECT_NE(u.find("--isolate"), std::string::npos);
+  EXPECT_NE(u.find("persistent executor"), std::string::npos);
+  for (const char* removed : {"--batch-", "--fork-server"}) {
+    EXPECT_EQ(u.find(removed), std::string::npos) << removed;
+  }
+}
+
+// The knobs that picked between engines are gone and must not parse, with
+// any value.
 TEST(CliOptions, RejectsBadForkServerValues) {
-  for (const char* removed : {"--batch-reset", "--batch-warmup=5",
-                              "--fork-server=off", "--fork-server-restarts=7"}) {
+  for (const char* removed :
+       {"--batch-reset", "--batch-warmup=5", "--fork-server=off",
+        "--fork-server=yes", "--fork-server-restarts=7"}) {
     const ParseResult r = parse({"--isolate", removed});
     ASSERT_TRUE(r.error.has_value()) << removed;
     EXPECT_NE(r.error->find("unknown flag"), std::string::npos) << *r.error;
-  }
-  const std::string u = usage();
-  for (const char* removed : {"--batch-", "--fork-server"}) {
-    EXPECT_EQ(u.find(removed), std::string::npos) << removed;
   }
 }
 

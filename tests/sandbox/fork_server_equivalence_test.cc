@@ -1,12 +1,12 @@
 // Differential equivalence for the --isolate execution engine.
 //
 // The contract locking the engine down: the fork server is an execution
-// MECHANISM, never a search change.  A campaign run with --isolate must be
-// row-for-row identical to the same campaign run in-process — same
-// iterations.csv (timing columns excluded), same covered set, same
-// bugs.txt — on the fig2 target, on the message-heavy mini-IMB suite and
-// under four workers, and the checkpoint must carry the engine counters
-// across a resume.
+// MECHANISM, never a search change.  A campaign run with --isolate on must
+// be row-for-row identical to the same campaign with it off (in-process) —
+// same iterations.csv (timing columns excluded), same covered set, same
+// bugs.txt — on the fig2 target, on the message-heavy mini-IMB suite,
+// under four workers and across a resume that switches engines, and the
+// checkpoint must carry the engine counters across a resume.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -114,7 +114,7 @@ void expect_identical_sessions(const fs::path& a, const fs::path& b) {
   EXPECT_EQ(slurp(a / "bugs.txt"), slurp(b / "bugs.txt"));
 }
 
-TEST(ForkServerEquivalence, IsolateMatchesInProcessOnFig2) {
+TEST(ForkServerEquivalence, OnMatchesOffOnFig2) {
   if (!sandbox::sandbox_supported()) GTEST_SKIP() << "no fork()";
   TempDir in_proc_dir, isolated_dir;
 
@@ -140,7 +140,7 @@ TEST(ForkServerEquivalence, IsolateMatchesInProcessOnFig2) {
   expect_identical_sessions(in_proc_dir.path, isolated_dir.path);
 }
 
-TEST(ForkServerEquivalence, IsolateMatchesInProcessOnMiniImb) {
+TEST(ForkServerEquivalence, OnMatchesOffOnMiniImb) {
   if (!sandbox::sandbox_supported()) GTEST_SKIP() << "no fork()";
   const TargetInfo target = targets::make_mini_imb_target(4);
   TempDir in_proc_dir, isolated_dir;
@@ -161,6 +161,45 @@ TEST(ForkServerEquivalence, IsolateMatchesInProcessOnMiniImb) {
 
   EXPECT_EQ(in_proc_result.covered_branches, isolated_result.covered_branches);
   expect_identical_sessions(in_proc_dir.path, isolated_dir.path);
+}
+
+// Batch reset by hand: the first half of the session runs sandboxed in the
+// fork server, a resume runs the rest in-process.  Switching engines at a
+// checkpoint must leave the session bit-identical to a plain serial
+// non-isolated one, and the resumed in-process tail adds no sandboxed runs.
+TEST(ForkServerEquivalence, BatchResetMatchesPlainSerialNonIsolated) {
+  if (!sandbox::sandbox_supported()) GTEST_SKIP() << "no fork()";
+  TempDir serial_dir, switched_dir;
+
+  CampaignOptions serial = isolated_opts(serial_dir.path);
+  serial.checkpoint_interval = 10;
+  serial.isolate = false;
+  const CampaignResult serial_result = Campaign(fig2_target(), serial).run();
+
+  CampaignOptions switched = serial;
+  switched.log_dir = switched_dir.path.string();
+  std::size_t sandboxed_half = 0;
+  {
+    CampaignOptions first_half = switched;
+    first_half.isolate = true;
+    first_half.halt_after_iterations = 60;
+    const CampaignResult partial = Campaign(fig2_target(), first_half).run();
+    ASSERT_EQ(partial.iterations.size(), 60u);
+    EXPECT_GT(partial.warm_spawns, 0u);
+    sandboxed_half = partial.sandbox_runs;
+    EXPECT_EQ(sandboxed_half, 60u);
+  }
+  switched.resume = true;
+  const CampaignResult switched_result =
+      Campaign(fig2_target(), switched).run();
+  EXPECT_TRUE(switched_result.resumed);
+  EXPECT_EQ(switched_result.iterations.size(), 120u);
+  EXPECT_EQ(switched_result.sandbox_runs, sandboxed_half)
+      << "the in-process tail must not be counted as sandboxed runs";
+
+  EXPECT_EQ(serial_result.covered_branches, switched_result.covered_branches);
+  EXPECT_EQ(serial_result.bugs.size(), switched_result.bugs.size());
+  expect_identical_sessions(serial_dir.path, switched_dir.path);
 }
 
 // The tsan leg of CI runs this whole binary; this test is the one that
