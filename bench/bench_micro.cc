@@ -383,15 +383,15 @@ void BM_LaunchForkServer(benchmark::State& state) {
 }
 BENCHMARK(BM_LaunchForkServer)->Unit(benchmark::kMillisecond);
 
-// ---- match-scheduler (--explore-matchings) overhead ----
-// What routing every receive through the central MatchScheduler costs over
-// the plain mailbox path, on a wildcard fan-in job: per-receive scheduler
-// bookkeeping plus the decision-trace records.
+// ---- wildcard matching ----
+// A wildcard fan-in job: every receive is an ANY_SOURCE decision, so this
+// prices the receive path's per-receive bookkeeping plus the
+// decision-trace records.
 
-minimpi::LaunchSpec matching_bench_spec(rt::VarRegistry& registry,
-                                        int fanin) {
+void BM_LaunchWildcardFanIn(benchmark::State& state) {
+  rt::VarRegistry registry;
   minimpi::LaunchSpec spec;
-  spec.nprocs = fanin + 1;
+  spec.nprocs = static_cast<int>(state.range(0)) + 1;
   spec.focus = 0;
   spec.registry = &registry;
   spec.rng_seed = 42;
@@ -413,30 +413,11 @@ minimpi::LaunchSpec matching_bench_spec(rt::VarRegistry& registry,
     }
     world.barrier();
   };
-  return spec;
-}
-
-void BM_LaunchPlainMatching(benchmark::State& state) {
-  rt::VarRegistry registry;
-  const minimpi::LaunchSpec spec =
-      matching_bench_spec(registry, static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(minimpi::launch(spec, sandbox_bench_table()));
   }
 }
-BENCHMARK(BM_LaunchPlainMatching)->Arg(3)->Arg(7)->Unit(
-    benchmark::kMillisecond);
-
-void BM_LaunchMatchScheduled(benchmark::State& state) {
-  rt::VarRegistry registry;
-  minimpi::LaunchSpec spec =
-      matching_bench_spec(registry, static_cast<int>(state.range(0)));
-  spec.match_schedule = true;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(minimpi::launch(spec, sandbox_bench_table()));
-  }
-}
-BENCHMARK(BM_LaunchMatchScheduled)->Arg(3)->Arg(7)->Unit(
+BENCHMARK(BM_LaunchWildcardFanIn)->Arg(3)->Arg(7)->Unit(
     benchmark::kMillisecond);
 
 // ---- control plane (--serve) overhead ----

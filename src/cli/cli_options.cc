@@ -418,10 +418,8 @@ std::string usage() {
         "                       calling thread)\n"
         "  --solver-cache=N     memoize definitive solver answers, N entries\n"
         "                       LRU per worker (0 = off)\n"
-        "  --explore-matchings  route tests through the match scheduler and\n"
-        "                       enumerate alternative wildcard-receive\n"
-        "                       matchings (exact deadlock / orphan-message\n"
-        "                       detection; each reordering is a replayable\n"
+        "  --explore-matchings  enumerate alternative wildcard-receive\n"
+        "                       matchings (each reordering is a replayable\n"
         "                       campaign iteration)\n"
         "  --max-interleavings=N  cap on enqueued reorderings (default 64,\n"
         "                       0 = unlimited)\n"

@@ -793,10 +793,7 @@ CampaignResult Campaign::run() {
     spec.mark_mpi_vars = options_.framework;
     spec.timeout = options_.test_timeout;
     spec.track_base = track_base;
-    if (options_.explore_matchings) {
-      spec.match_schedule = true;
-      if (pending) spec.match_plan = pending->plan;
-    }
+    if (pending) spec.match_plan = pending->plan;
 
     // A per-test timeout is transient until proven otherwise: retry with
     // a doubled step budget (and a re-mixed chaos seed, so injected noise
@@ -869,7 +866,7 @@ CampaignResult Campaign::run() {
     wk.coverage.merge(o.covered);
     wk.max_constraint_set =
         std::max(wk.max_constraint_set, focus_log.path.size());
-    if (spec.match_schedule) {
+    if (options_.explore_matchings) {
       // Fork from the actually-used inputs when the focus recorded them:
       // an interleaving replays at a different iteration (different RNG
       // stream), so the planned assignment alone would re-roll any value
@@ -898,11 +895,11 @@ CampaignResult Campaign::run() {
             .num("feasible", static_cast<std::int64_t>(mr.feasible.size()))
             .num("interleaving", rec.interleaving);
       }
-      if (rec.outcome == rt::Outcome::kDeadlock) {
-        event("deadlock")
-            .str("cycle", run.job_message())
-            .num("interleaving", rec.interleaving);
-      }
+    }
+    if (rec.outcome == rt::Outcome::kDeadlock) {
+      event("deadlock")
+          .str("cycle", run.job_message())
+          .num("interleaving", rec.interleaving);
     }
 
     // ---- log error-inducing inputs (§V) ----
@@ -924,13 +921,11 @@ CampaignResult Campaign::run() {
         }
         bug.nprocs = run_nprocs;
         bug.focus = run_focus;
-        if (spec.match_schedule) {
-          // The full decision vector — not just the forced prefix — so
-          // the replay pins EVERY wildcard choice of the failing run.
-          bug.decisions.reserve(run.match_trace.size());
-          for (const minimpi::MatchRecord& mr : run.match_trace) {
-            bug.decisions.push_back({mr.rank, mr.seq, mr.chosen_src});
-          }
+        // The full decision vector — not just the forced prefix — so the
+        // replay pins EVERY wildcard choice of the failing run.
+        bug.decisions.reserve(run.match_trace.size());
+        for (const minimpi::MatchRecord& mr : run.match_trace) {
+          bug.decisions.push_back({mr.rank, mr.seq, mr.chosen_src});
         }
         if (options_.confirm_bugs) {
           // Replay once with the same inputs and NO injected noise; a bug

@@ -287,7 +287,8 @@ void print_matchings(std::ostream& os, const std::vector<IterRow>& iters,
       }
     }
   }
-  // Sessions that never ran the match scheduler get no section at all.
+  // Sessions with no wildcard decision, replay, deadlock or orphan get no
+  // section at all.
   if (replays + deadlocks + orphans + interleaving_firsts == 0 &&
       choices == 0) {
     return;

@@ -73,15 +73,15 @@ struct CampaignOptions {
   /// accounting).
   int solver_cache_entries = 0;
 
-  // ---- wildcard-matching exploration (match_scheduler.h) ----
-  /// Route every test through the match scheduler and enumerate alternative
-  /// wildcard-receive matchings as a second frontier dimension: each
-  /// observed decision point with >1 feasible senders forks a replayable
-  /// interleaving (prefix choices pinned, one choice flipped), deduplicated
-  /// DPOR/sleep-set style.  Also switches hang detection from the
-  /// deadline's timeout verdict to the scheduler's exact deadlock /
-  /// orphan-message verdicts.  Off by default: campaigns stay
-  /// bit-identical.
+  // ---- wildcard-matching exploration (minimpi/world.h) ----
+  /// Enumerate alternative wildcard-receive matchings as a second frontier
+  /// dimension: each observed decision point with >1 feasible senders
+  /// forks a replayable interleaving (prefix choices pinned, one choice
+  /// flipped), deduplicated DPOR/sleep-set style.  Every test records its
+  /// decisions and gets MiniMPI's exact deadlock / orphan-message verdicts
+  /// either way; this only decides whether alternatives are enqueued.  Off
+  /// by default: a target without alternative matchings gives the same
+  /// session with it on or off.
   bool explore_matchings = false;
   /// Cap on distinct interleavings enqueued per campaign (0 = unlimited).
   int max_interleavings = 64;

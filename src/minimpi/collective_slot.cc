@@ -2,32 +2,22 @@
 
 #include <algorithm>
 
-#include "minimpi/match_scheduler.h"
 #include "obs/metrics.h"
 
 namespace compi::minimpi {
 
 std::any CollectiveSlot::wait(World& world, Waiter& me) {
-  MatchScheduler* sched = world.match_scheduler();
   waiters_.push_back(&me);
-  if (sched != nullptr) sched->block_collective(me.global_rank);
   // Leaving early (abort, deadline, deadlock victim) withdraws the waiter,
   // so a later round never writes into a dead frame.
   struct Leave {
     CollectiveSlot& slot;
-    MatchScheduler* sched;
     Waiter& me;
     ~Leave() {
       if (!me.done) std::erase(slot.waiters_, &me);
-      if (sched != nullptr) sched->unblock_collective(me.global_rank);
     }
-  } leave{*this, sched, me};
-  while (!me.done) {
-    world.park();
-    if (me.done) break;
-    if (sched != nullptr) sched->check_victim(me.global_rank);
-    world.check_alive();
-  }
+  } leave{*this, me};
+  world.await_collective(me.global_rank, me.done);
   return std::move(me.result);
 }
 

@@ -26,8 +26,8 @@ class CollectiveSlot {
   /// runs `combine` over all contributions (indexed by local rank); every
   /// member receives a copy of the combined std::any.  Raises JobAborted on
   /// job abort / deadline.  `global_rank` identifies the caller to the
-  /// fiber scheduler and the match scheduler (blocked-state bookkeeping for
-  /// exact deadlock detection); a waiter elected deadlock victim raises
+  /// fiber scheduler and to World's blocked-state bookkeeping (exact
+  /// deadlock detection); a waiter elected deadlock victim raises
   /// DeadlockDetected.
   std::any run(World& world, int local_rank, int global_rank,
                std::any contribution, const Combine& combine);

@@ -113,10 +113,10 @@ class Comm {
   }
 
   /// MPI_Irecv: posted at call time — an already-delivered message is
-  /// consumed immediately, and under the match scheduler the receive's
-  /// wildcard decision ordinal is reserved here, so matching honors
-  /// posting order (MPI semantics) rather than wait() order.  The caller
-  /// must keep `out` alive until the request completes.
+  /// consumed immediately, and a wildcard receive's decision ordinal is
+  /// reserved here, so matching honors posting order (MPI semantics)
+  /// rather than wait() order.  The caller must keep `out` alive until the
+  /// request completes.
   template <typename T>
   [[nodiscard]] Request irecv(std::span<T> out, int src, int tag) const {
     shared_->world->check_alive();

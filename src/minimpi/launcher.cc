@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "minimpi/fiber.h"
-#include "minimpi/match_scheduler.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -35,8 +34,7 @@ RunResult launch(const LaunchSpec& spec, const rt::BranchTable& table) {
   obs::ObsSpan launch_span(obs::Cat::kLaunch, "launch", "nprocs",
                            spec.nprocs);
   const auto t0 = std::chrono::steady_clock::now();
-  World world(spec.nprocs, spec.timeout, spec.chaos);
-  if (spec.match_schedule) world.enable_match_scheduler(spec.match_plan);
+  World world(spec.nprocs, spec.timeout, spec.chaos, spec.match_plan);
   auto world_shared = make_world_shared(world);
 
   RunResult result;
@@ -83,9 +81,7 @@ RunResult launch(const LaunchSpec& spec, const rt::BranchTable& table) {
       ctx.finish(rt::Outcome::kMpiError, e.what());
       world.abort();
     }
-    if (MatchScheduler* sched = world.match_scheduler()) {
-      sched->mark_done(rank);
-    }
+    world.mark_done(rank);
     out.log = ctx.take_log();
     out.outcome = out.log.outcome;
     out.message = out.log.outcome_message;
@@ -93,39 +89,31 @@ RunResult launch(const LaunchSpec& spec, const rt::BranchTable& table) {
 
   FiberScheduler::Body body = rank_body;
   FiberScheduler fibers(spec.nprocs, body);
-  // No rank can run: the match scheduler proves a deadlock (or drops a dead
-  // prescription); otherwise nothing but the deadline could end the wait,
-  // so the job ends now with the deadline's verdict.
-  world.run(fibers, [&world] {
-    MatchScheduler* sched = world.match_scheduler();
-    if (sched == nullptr || !sched->resolve_stuck()) world.expire();
-  });
+  world.run(fibers);
 
-  if (MatchScheduler* sched = world.match_scheduler()) {
-    result.match_trace = sched->take_trace();
-    result.match_diverged = sched->diverged();
-    // Orphan-message check: a job that finished without faulting but left
-    // sent messages unreceived has the other silent matching bug.  Faulted
-    // jobs are skipped — their leftovers are unwind collateral.
-    bool any_fault = false;
-    for (const RankResult& r : result.ranks) {
-      if (rt::is_fault(r.outcome)) any_fault = true;
-    }
-    if (!any_fault && !world.aborted()) {
-      static obs::Counter& orphans = obs::registry().counter(
-          "compi_orphans_total",
-          "Jobs finalized with unreceived (orphan) messages");
-      for (int r = 0; r < spec.nprocs; ++r) {
-        const std::deque<Message> leftover = world.mailbox(r).drain();
-        if (leftover.empty()) continue;
-        orphans.inc();
-        std::ostringstream os;
-        os << leftover.size() << " message(s) unreceived at finalize (first:"
-           << " src=" << leftover.front().src
-           << " tag=" << leftover.front().tag << ")";
-        result.ranks[r].outcome = rt::Outcome::kOrphanMessage;
-        result.ranks[r].message = os.str();
-      }
+  result.match_trace = world.take_trace();
+  result.match_diverged = world.diverged();
+  // Orphan-message check: a job that finished without faulting but left
+  // sent messages unreceived has the other silent matching bug.  Faulted
+  // jobs are skipped — their leftovers are unwind collateral.
+  bool any_fault = false;
+  for (const RankResult& r : result.ranks) {
+    if (rt::is_fault(r.outcome)) any_fault = true;
+  }
+  if (!any_fault && !world.aborted()) {
+    static obs::Counter& orphans = obs::registry().counter(
+        "compi_orphans_total",
+        "Jobs finalized with unreceived (orphan) messages");
+    for (int r = 0; r < spec.nprocs; ++r) {
+      const std::deque<Message>& leftover = world.mailbox(r).queued();
+      if (leftover.empty()) continue;
+      orphans.inc();
+      std::ostringstream os;
+      os << leftover.size() << " message(s) unreceived at finalize (first:"
+         << " src=" << leftover.front().src
+         << " tag=" << leftover.front().tag << ")";
+      result.ranks[r].outcome = rt::Outcome::kOrphanMessage;
+      result.ranks[r].message = os.str();
     }
   }
 

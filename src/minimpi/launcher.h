@@ -52,12 +52,8 @@ struct LaunchSpec {
   /// campaign workers use disjoint bases so concurrent jobs don't
   /// interleave on the same trace rows.
   int track_base = 0;
-  /// Routes every receive through the match scheduler: wildcard decisions
-  /// are recorded (RunResult::match_trace), `match_plan` choices are
-  /// replayed, and deadlock / orphan-message detection become exact.  Off
-  /// by default so the default pipeline's behavior is byte-identical.
-  bool match_schedule = false;
-  /// Prescribed wildcard choices to replay (used when match_schedule).
+  /// Prescribed wildcard choices to replay (world.h); empty, every
+  /// wildcard receive takes its lowest feasible source.
   MatchPlan match_plan;
 };
 
@@ -71,8 +67,7 @@ struct RunResult {
   std::vector<RankResult> ranks;
   int focus = 0;
   double wall_seconds = 0.0;
-  /// Wildcard decisions taken this run, in global match order (only when
-  /// the spec enabled match_schedule).
+  /// Wildcard decisions taken this run, in global match order.
   std::vector<MatchRecord> match_trace;
   /// True when a prescribed match choice had to be abandoned mid-replay
   /// (the observed prefix diverged from the plan's source run).
@@ -91,8 +86,10 @@ struct RunResult {
 /// Runs one test: nprocs rank fibers, scheduled on the calling thread,
 /// executing spec.program to completion (or fault / abort / timeout).  A
 /// job in which no rank can ever run again ends at once: as a deadlock
-/// under the match scheduler, else as the deadline's timeout.  Never
-/// throws target faults — they are captured per rank.
+/// when every unfinished rank is blocked in a receive or collective and no
+/// message was lost, else as the deadline's timeout.  A clean job that
+/// leaves messages unreceived reports kOrphanMessage on their receivers.
+/// Never throws target faults — they are captured per rank.
 [[nodiscard]] RunResult launch(const LaunchSpec& spec,
                                const rt::BranchTable& table);
 

@@ -31,9 +31,7 @@ inline constexpr int kAnyTag = -1;
 /// status.
 struct JobAborted {};
 
-// ---- wildcard-receive decision vectors (match_scheduler.h) ----
-// Defined here, next to kAnySource, so World can accept a plan without
-// depending on the scheduler header.
+// ---- wildcard-receive decision vectors (world.h) ----
 
 /// One prescribed wildcard choice: the `seq`-th ANY_SOURCE receive posted
 /// by (global) `rank` must consume a message from communicator-local

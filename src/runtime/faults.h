@@ -25,7 +25,7 @@ enum class Outcome : std::uint8_t {
   kTimeout,     // step budget / virtual job deadline / sandbox watchdog (hang)
   kMpiError,    // MPI substrate usage error
   kAborted,     // unwound because a *peer* faulted (mpiexec kills the job)
-  kDeadlock,    // match scheduler proved a wait-for cycle (exact, no timeout)
+  kDeadlock,    // MiniMPI proved every live rank blocked (exact, no timeout)
   kOrphanMessage,  // sent messages never received by finalize
 };
 
@@ -82,10 +82,10 @@ class MpiUsageError : public SimulatedFault {
       : SimulatedFault(Outcome::kMpiError, what) {}
 };
 
-/// Thrown on the rank whose blocking call completed a wait-for cycle: the
-/// match scheduler proved every live rank blocked with no feasible message,
-/// so the job can never progress.  Exact, unlike the deadline verdict
-/// (kTimeout) that ends a blocked job without the scheduler.
+/// Thrown on the rank elected deadlock victim: MiniMPI proved every live
+/// rank blocked in a receive or collective with no feasible message, so
+/// the job can never progress.  Exact, unlike the deadline verdict
+/// (kTimeout) that ends a job which lost a message or stalled.
 class DeadlockDetected : public SimulatedFault {
  public:
   explicit DeadlockDetected(const std::string& what)

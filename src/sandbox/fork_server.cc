@@ -149,7 +149,6 @@ void send_status(int fd, const std::string& text) {
       spec.timeout = milliseconds(req.timeout_ms);
       spec.chaos = req.chaos;
       spec.track_base = req.track_base;
-      spec.match_schedule = req.match_schedule;
       spec.match_plan = req.match_plan;
 
       detail::fence_cpu(sandbox, milliseconds(req.hang_ms));
@@ -423,7 +422,6 @@ minimpi::RunResult ForkServer::run(const minimpi::LaunchSpec& spec,
   req.timeout_ms = spec.timeout.count();
   req.hang_ms = hang.count();
   req.track_base = spec.track_base;
-  req.match_schedule = spec.match_schedule;
   req.match_plan = spec.match_plan;
   req.chaos = spec.chaos;
   append_frame(out, FrameType::kSpawn, encode_spawn_request(req));

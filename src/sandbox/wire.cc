@@ -1,6 +1,7 @@
 #include "sandbox/wire.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <istream>
 #include <ostream>
@@ -143,8 +144,17 @@ bool read_test_log(std::istream& is, rt::TestLog& log) {
 }
 
 std::string encode_run_result(const minimpi::RunResult& run) {
+  // The measured wall time goes out at a fixed width (17 significant
+  // digits, an exact round trip), so the frame's length, which the
+  // campaign sums into sandbox_harvest_bytes, does not follow the host's
+  // timing.
+  char wall[32];
+  const char* wall_end =
+      std::to_chars(wall, wall + sizeof wall, run.wall_seconds,
+                    std::chars_format::scientific, 16)
+          .ptr;
   std::ostringstream os;
-  os << "run " << run.focus << ' ' << serial::format_double(run.wall_seconds)
+  os << "run " << run.focus << ' ' << std::string_view(wall, wall_end - wall)
      << ' ' << run.ranks.size() << '\n';
   for (std::size_t r = 0; r < run.ranks.size(); ++r) {
     const minimpi::RankResult& rank = run.ranks[r];
@@ -152,7 +162,7 @@ std::string encode_run_result(const minimpi::RunResult& run) {
     os << "rmsg " << serial::escape(rank.message) << '\n';
     write_test_log(os, rank.log);
   }
-  // Wildcard decision trace (match-scheduled runs; empty otherwise).  Both
+  // Wildcard decision trace (empty when no wildcard receive matched).  Both
   // sides of the pipe are the same binary, so growing the format needs no
   // compatibility shim.
   os << "matches " << run.match_trace.size() << ' '
@@ -280,8 +290,7 @@ std::string encode_spawn_request(const SpawnRequest& req) {
      << (req.one_way ? 1 : 0) << ' ' << req.rng_seed << ' '
      << req.step_budget << ' ' << (req.reduction ? 1 : 0) << ' '
      << (req.mark_mpi_vars ? 1 : 0) << ' ' << req.timeout_ms << ' '
-     << req.hang_ms << ' ' << req.track_base << ' '
-     << (req.match_schedule ? 1 : 0) << '\n';
+     << req.hang_ms << ' ' << req.track_base << '\n';
   os << "inputs ";
   write_assignment(os, req.inputs);
   os << '\n';
@@ -302,17 +311,16 @@ std::string encode_spawn_request(const SpawnRequest& req) {
 
 bool decode_spawn_request(std::string_view payload, SpawnRequest& out) {
   std::istringstream is{std::string(payload)};
-  int one_way = 0, reduction = 0, mark = 0, match_schedule = 0;
+  int one_way = 0, reduction = 0, mark = 0;
   if (!expect(is, "spawn") ||
       !(is >> out.nprocs >> out.focus >> one_way >> out.rng_seed >>
         out.step_budget >> reduction >> mark >> out.timeout_ms >>
-        out.hang_ms >> out.track_base >> match_schedule)) {
+        out.hang_ms >> out.track_base)) {
     return false;
   }
   out.one_way = one_way != 0;
   out.reduction = reduction != 0;
   out.mark_mpi_vars = mark != 0;
-  out.match_schedule = match_schedule != 0;
   if (!expect(is, "inputs") || !read_assignment(is, out.inputs)) return false;
 
   std::string drop, delay_rate;

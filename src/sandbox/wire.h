@@ -130,7 +130,6 @@ struct SpawnRequest {
   std::int64_t timeout_ms = 30'000;
   std::int64_t hang_ms = 62'000;
   int track_base = 0;
-  bool match_schedule = false;
   minimpi::MatchPlan match_plan;
   minimpi::FaultPlan chaos;
 };

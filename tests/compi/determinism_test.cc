@@ -14,7 +14,9 @@
 // timing — a CPU hog next to one run of a pair included — cannot reach the
 // session.  A halt at a barrier plus --resume is byte-identical to the
 // uninterrupted campaign.  Chaos drops and delays keep that too: a delay is
-// job time on the run's virtual clock, not wall time.
+// job time on the run's virtual clock, not wall time.  Two --isolate runs
+// write the same checkpoint too: no wall-clock reading changes the length
+// of a sandbox frame.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -127,6 +129,24 @@ void expect_identical_files(const fs::path& a, const fs::path& b) {
     EXPECT_TRUE(fs::exists(a / file)) << file;
     EXPECT_EQ(slurp(a / file), slurp(b / file)) << file;
   }
+}
+
+TEST(Determinism, IsolatedRunsWriteByteIdenticalCheckpoints) {
+  // The checkpoint's sandbox line sums the result-frame bytes of every
+  // run, and each frame carries that run's measured wall time: only a
+  // fixed-width encoding keeps the sum independent of the host's timing.
+  // (summary.txt also reports total_seconds, so the checkpoint is the
+  // whole-session file that can match byte for byte.)
+  if (!sandbox::sandbox_supported()) GTEST_SKIP() << "no fork()";
+  const TargetInfo target = targets::make_mini_susy_target();
+  TempDir first, second;
+  const CampaignResult a =
+      Campaign(target, susy_options(first.path, true)).run();
+  const CampaignResult b =
+      Campaign(target, susy_options(second.path, true)).run();
+  EXPECT_GT(a.sandbox_harvest_bytes, 0u);
+  EXPECT_EQ(a.sandbox_harvest_bytes, b.sandbox_harvest_bytes);
+  expect_identical_files(first.path, second.path);
 }
 
 /// Busy threads, one per core, for as long as the hog lives.

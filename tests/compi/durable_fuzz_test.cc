@@ -277,7 +277,6 @@ TEST(DurableFuzz, ForkServerWireFramesTolerateAnyCorruption) {
   req.focus = 2;
   req.inputs[0] = 77;
   req.inputs[1] = 33;
-  req.match_schedule = true;
   req.match_plan = {{0, 0, 2}, {1, 1, 0}};
   req.chaos.crash_rank = 1;
 

@@ -6,7 +6,10 @@
 //     deadlock that input-only search can never hit is found by exploration,
 //     reported as kDeadlock (never kTimeout) with a replayable decision
 //     vector, in-process and under --isolate,
-//   * serial campaigns with exploration off stay deterministic.
+//   * serial campaigns with exploration off stay deterministic, still
+//     report input-dependent deadlocks exactly, and match exploration-on
+//     sessions under chaos drops (a lost message is a timeout, never a
+//     deadlock).
 #include "compi/interleaving.h"
 
 #include <gtest/gtest.h>
@@ -309,6 +312,38 @@ TargetInfo wildcard_relay_target() {
   return info;
 }
 
+/// Ranks 1.. each send one message to rank 0, which receives them by
+/// specific source: no wildcard, so there is no alternative matching.
+/// When `hang_on_big` and the input x is above 50, rank 0 first waits for
+/// a message nobody sends — a deadlock for those inputs only.
+TargetInfo gather_target(bool hang_on_big) {
+  TargetInfo info;
+  info.name = "gather";
+  info.table = &wc_table();
+  info.program = [hang_on_big](rt::RuntimeContext& ctx,
+                               minimpi::Comm& world) {
+    using targets::br;
+    using sym::SymInt;
+    const SymInt x = ctx.input_int_capped("x", 100);
+    const bool big = br(ctx, WcSite::kBig, x > SymInt(50));
+    const int me = world.raw_rank();
+    std::vector<int> got(1, -1);
+    if (me != 0) {
+      const std::vector<int> mine{me};
+      world.send(std::span<const int>(mine), 0, 7);
+      return;
+    }
+    if (hang_on_big && big && world.raw_size() > 1) {
+      world.recv(std::span<int>(got), 1, 8);
+    }
+    for (int src = 1; src < world.raw_size(); ++src) {
+      world.recv(std::span<int>(got), src, 7);
+    }
+  };
+  info.sloc = 20;
+  return info;
+}
+
 CampaignOptions wc_opts(const fs::path& dir) {
   CampaignOptions opts;
   opts.seed = 3;
@@ -558,6 +593,95 @@ TEST(MatchExploration, ExplorationOffKeepsSessionsByteIdentical) {
             stable_csv(b.path / "iterations.csv"));
   EXPECT_EQ(slurp(a.path / "ledger.csv"), slurp(b.path / "ledger.csv"));
   EXPECT_EQ(slurp(a.path / "bugs.txt"), slurp(b.path / "bugs.txt"));
+}
+
+TEST(MatchExploration, ChaosDropsEndAtTheDeadlineNotAsDeadlocks) {
+  // A message lost to chaos leaves its receiver blocked exactly as a
+  // program deadlock would, but it is the environment's fault: those runs
+  // end with the deadline's verdict whether exploration is on or off, and
+  // the two sessions are the same.
+  const auto slurp = [](const fs::path& file) {
+    std::ifstream in(file);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  };
+  const auto run_once = [](const fs::path& dir, bool explore) {
+    CampaignOptions opts = wc_opts(dir);
+    opts.explore_matchings = explore;
+    opts.chaos.seed = 11;
+    opts.chaos.drop_rate = 0.5;
+    return Campaign(gather_target(/*hang_on_big=*/false), opts).run();
+  };
+  TempDir off, on;
+  const CampaignResult plain = run_once(off.path, false);
+  const CampaignResult explored = run_once(on.path, true);
+  std::size_t timeouts = 0;
+  for (const CampaignResult* result : {&plain, &explored}) {
+    EXPECT_EQ(result->deadlocks_found, 0u);
+    for (const IterationRecord& rec : result->iterations) {
+      EXPECT_NE(rec.outcome, rt::Outcome::kDeadlock) << rec.iteration;
+      if (rec.outcome == rt::Outcome::kTimeout) ++timeouts;
+    }
+    for (const BugRecord& bug : result->bugs) {
+      EXPECT_NE(bug.outcome, rt::Outcome::kDeadlock) << bug.message;
+    }
+  }
+  EXPECT_GT(timeouts, 0u) << "the drop rate must lose some message";
+  EXPECT_EQ(plain.transient_retries, explored.transient_retries);
+  // iterations.csv carries timing columns; its other cells are these.
+  ASSERT_EQ(plain.iterations.size(), explored.iterations.size());
+  for (std::size_t i = 0; i < plain.iterations.size(); ++i) {
+    const IterationRecord& a = plain.iterations[i];
+    const IterationRecord& b = explored.iterations[i];
+    EXPECT_EQ(a.outcome, b.outcome) << i;
+    EXPECT_EQ(a.retries, b.retries) << i;
+    EXPECT_EQ(a.interleaving, b.interleaving) << i;
+    EXPECT_EQ(a.covered_branches, b.covered_branches) << i;
+    EXPECT_EQ(a.solver_nodes, b.solver_nodes) << i;
+  }
+  EXPECT_EQ(slurp(off.path / "bugs.txt"), slurp(on.path / "bugs.txt"));
+  EXPECT_EQ(slurp(off.path / "ledger.csv"), slurp(on.path / "ledger.csv"));
+}
+
+TEST(MatchExploration, ExplorationOffReportsInputDependentDeadlocks) {
+  // A deadlock that some inputs reach is the program's bug whether or not
+  // matchings are explored: it is recorded at once as kDeadlock, with its
+  // wait-for text, and never retried as a transient timeout.
+  TempDir dir;
+  CampaignOptions opts = wc_opts(dir.path);  // exploration off
+  opts.journal = true;
+  const CampaignResult result =
+      Campaign(gather_target(/*hang_on_big=*/true), opts).run();
+  EXPECT_GE(result.deadlocks_found, 1u);
+  EXPECT_EQ(result.transient_retries, 0u);
+  bool saw_deadlock = false;
+  for (const IterationRecord& rec : result.iterations) {
+    EXPECT_NE(rec.outcome, rt::Outcome::kTimeout) << rec.iteration;
+    EXPECT_EQ(rec.retries, 0) << rec.iteration;
+    if (rec.outcome == rt::Outcome::kDeadlock) saw_deadlock = true;
+  }
+  EXPECT_TRUE(saw_deadlock);
+  const BugRecord* deadlock_bug = nullptr;
+  for (const BugRecord& bug : result.bugs) {
+    if (bug.outcome == rt::Outcome::kDeadlock) deadlock_bug = &bug;
+  }
+  ASSERT_NE(deadlock_bug, nullptr);
+  EXPECT_NE(deadlock_bug->message.find("rank 0 waits recv(src=1, tag=8)"),
+            std::string::npos)
+      << deadlock_bug->message;
+  EXPECT_FALSE(deadlock_bug->flaky);
+  EXPECT_GT(deadlock_bug->named_inputs.at("x"), 50);
+
+  // The journal carries the deadlock event with its wait-for text.
+  std::size_t malformed = 0;
+  bool saw_event = false;
+  for (const obs::ParsedEvent& ev :
+       obs::read_journal(dir.path / "journal.jsonl", &malformed)) {
+    if (ev.type == "deadlock") saw_event = true;
+  }
+  EXPECT_EQ(malformed, 0u);
+  EXPECT_TRUE(saw_event);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Fault-injection (chaos) tests: every injection kind must end within the
 // job timeout with the correct per-rank outcomes — the injected outcome on
-// the victim, kAborted (or kTimeout) on the peers — and never deadlock.
+// the victim, kAborted (or kTimeout) on the peers — and never hang or be
+// reported as the program's deadlock.
 // Delays are job time on the world's virtual clock, never wall time.
 #include <gtest/gtest.h>
 
@@ -122,6 +123,36 @@ TEST(Chaos, DroppedMessageTripsTheWatchdog) {
       plan, /*timeout=*/300ms);
   EXPECT_EQ(result.job_outcome(), rt::Outcome::kTimeout);
   EXPECT_EQ(result.ranks[1].outcome, rt::Outcome::kTimeout);
+}
+
+TEST(Chaos, LostMessageEndsAtTheDeadlineNotAsDeadlock) {
+  // Rank 1 ends up blocked in the same receive whether rank 0 never sent
+  // the message (the program's deadlock) or sent it and chaos dropped it.
+  // Only the first is the program's fault: a job that lost a message ends
+  // with the deadline's verdict, as a real lost message would.
+  const auto program = [](bool send) -> Program {
+    return [send](rt::RuntimeContext&, Comm& world) {
+      if (world.raw_rank() == 0) {
+        const std::vector<int> data{42};
+        if (send) world.send(std::span<const int>(data), 1, 0);
+      } else {
+        std::vector<int> got(1);
+        world.recv(std::span<int>(got), 0, 0);
+      }
+    };
+  };
+  FaultPlan drops;
+  drops.seed = 7;
+  drops.drop_rate = 1.0;
+  const RunResult lost = run_chaos(2, program(true), drops, 300ms);
+  EXPECT_EQ(lost.job_outcome(), rt::Outcome::kTimeout) << lost.job_message();
+  EXPECT_EQ(lost.ranks[0].outcome, rt::Outcome::kOk);
+  EXPECT_EQ(lost.ranks[1].outcome, rt::Outcome::kTimeout);
+
+  const RunResult never_sent = run_chaos(2, program(false), {}, 300ms);
+  EXPECT_EQ(never_sent.job_outcome(), rt::Outcome::kDeadlock)
+      << never_sent.job_message();
+  EXPECT_EQ(never_sent.ranks[1].outcome, rt::Outcome::kDeadlock);
 }
 
 TEST(Chaos, DelayedMessagesStillDeliver) {

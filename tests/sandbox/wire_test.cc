@@ -230,7 +230,6 @@ SpawnRequest full_spawn_request() {
   req.timeout_ms = 1'500;
   req.hang_ms = 5'000;
   req.track_base = 42;
-  req.match_schedule = true;
   req.match_plan = {{0, 0, 2}, {1, 3, 0}};
   req.chaos.seed = 9;
   req.chaos.drop_rate = 0.25;
@@ -259,7 +258,6 @@ TEST(SandboxWire, SpawnRequestRoundTripsLosslessly) {
   EXPECT_EQ(got.timeout_ms, req.timeout_ms);
   EXPECT_EQ(got.hang_ms, req.hang_ms);
   EXPECT_EQ(got.track_base, req.track_base);
-  EXPECT_EQ(got.match_schedule, req.match_schedule);
   EXPECT_EQ(got.match_plan, req.match_plan);
   EXPECT_EQ(got.chaos.seed, req.chaos.seed);
   EXPECT_DOUBLE_EQ(got.chaos.drop_rate, req.chaos.drop_rate);
