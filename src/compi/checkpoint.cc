@@ -192,6 +192,8 @@ void CampaignCheckpoint::write(std::ostream& os) const {
      << fork_server_restarts << '\n';
 
   os << "iterations " << history_rows << ' ' << (finished ? 1 : 0) << '\n';
+  os << "streams " << streams.csv_bytes << ' ' << streams.journal_bytes
+     << '\n';
 
   os << "bugs " << bugs.size() << '\n';
   for (const BugRecord& b : bugs) write_bug(os, b);
@@ -285,6 +287,10 @@ std::optional<CampaignCheckpoint> CampaignCheckpoint::read(std::istream& is) {
     return std::nullopt;
   }
   c.finished = flag != 0;
+  if (!expect(is, "streams") ||
+      !(is >> c.streams.csv_bytes >> c.streams.journal_bytes)) {
+    return std::nullopt;
+  }
 
   if (!expect(is, "bugs") || !(is >> n)) return std::nullopt;
   c.bugs.reserve(std::min(n, kMaxSaneReserve));

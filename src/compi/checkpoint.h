@@ -9,8 +9,11 @@
 //
 // The snapshot holds state, not history: its size does not grow with the
 // iteration count.  The per-iteration records live in the append-only
-// <dir>/iterations.csv; the snapshot only says how many of its rows it
-// spans, and read_checkpoint (session.h) rebuilds them from the CSV.
+// <dir>/iterations.csv, the events in <dir>/journal.jsonl.  A snapshot is
+// the commit point of both streams: it records how many bytes of each it
+// covers and how many CSV rows those bytes hold.  read_checkpoint
+// (session.h) rebuilds the history from exactly that CSV prefix, and a
+// resume cuts both files back to their committed lengths.
 //
 // The format is line-oriented text.  Strings are escaped (\n, \r, \\) so
 // multi-line fault messages round-trip; doubles use shortest-round-trip
@@ -117,14 +120,24 @@ struct CoordShardCursor {
   std::size_t covered_cursor = 0;
 };
 
+/// How far a snapshot commits the session's append-only streams: the byte
+/// lengths of iterations.csv and journal.jsonl when it was taken.  0 for a
+/// stream the session does not keep.
+struct StreamLengths {
+  std::uint64_t csv_bytes = 0;
+  std::uint64_t journal_bytes = 0;
+};
+
 /// The accumulated counters are the inherited CampaignCounters (the
 /// `counters`, `sandbox`, v8 `sandbox2` and `match_frontier` lines).
 struct CampaignCheckpoint : CampaignCounters {
-  // v12: the `sandbox2` line loses its fourth field, the removed batch
-  // fast path's run count.
-  // (v11 moved the variable registry, the pending interleavings and the
-  // next interleaving id into the worker cursors — each worker owns its
-  // own (`cursor_registry`, `cursor_pending` sections) — and gave each
+  // v13: the `streams` line commits the byte lengths of iterations.csv and
+  // journal.jsonl.
+  // (v12 dropped the `sandbox2` line's fourth field, the removed batch
+  // fast path's run count; v11 moved the variable registry, the pending
+  // interleavings and the next interleaving id into the worker cursors —
+  // each worker owns its own (`cursor_registry`, `cursor_pending`
+  // sections) — and gave each
   // cursor its worker's depth bound; v10 moved the iteration history out
   // to iterations.csv — the
   // `iterations N F` line keeps only the row count and the finished flag,
@@ -139,7 +152,7 @@ struct CampaignCheckpoint : CampaignCounters {
   // ledger snapshot; v3 the sandbox accounting line; v2 solver_nodes and
   // retries on iter lines.)  Older snapshots are rejected and the campaign
   // falls back to a fresh start, by design.
-  static constexpr int kVersion = 12;
+  static constexpr int kVersion = 13;
 
   /// Campaign seed the snapshot was taken under (resume sanity check).
   std::uint64_t seed = 0;
@@ -148,15 +161,19 @@ struct CampaignCheckpoint : CampaignCounters {
   /// The snapshot's history: the number of iterations.csv rows below
   /// next_iteration, one per ordinal.  A mid-campaign snapshot spans every
   /// ordinal before its resume point, so this equals next_iteration; read()
-  /// rejects anything else.  Coordinator snapshots have no CSV and span 0.
+  /// rejects anything else.  Coordinator snapshots span 0.
   std::size_t history_rows = 0;
+  /// The stream lengths this snapshot commits.  history_rows rows fill
+  /// exactly the first streams.csv_bytes bytes of iterations.csv, after its
+  /// header.
+  StreamLengths streams;
   /// Set on the end-of-campaign snapshot only.  A campaign stopped early
   /// (bug or time budget) points next_iteration at the budget so a resume
   /// runs nothing, and its history may then span fewer rows than that.
   bool finished = false;
   /// Those rows, in iteration order.  Not part of the snapshot text:
   /// read() leaves this empty and write() ignores it; read_checkpoint
-  /// fills it from the session's iterations.csv.
+  /// fills it from the committed prefix of the session's iterations.csv.
   std::vector<IterationRecord> iterations;
   std::vector<BugRecord> bugs;
   std::vector<sym::BranchId> covered;

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -709,9 +710,11 @@ struct Coordinator::Impl {
     dirty = false;
   }
 
-  bool restore_locked() {
+  /// Restores the snapshot's state; its commit point, or nullopt when
+  /// there is no coordinator snapshot to continue from.
+  std::optional<ckpt::StreamLengths> restore_locked() {
     const auto c = read_checkpoint(opts.log_dir);
-    if (!c || !c->is_coordinator) return false;
+    if (!c || !c->is_coordinator) return std::nullopt;
     completed = c->coord_completed;
     m_completed.set(completed);
     next_lease_id = c->coord_next_lease_id;
@@ -751,7 +754,7 @@ struct Coordinator::Impl {
       reclaim_lease_locked(l.id, "coordinator_restart");
     }
     dirty = true;
-    return true;
+    return c->streams;
   }
 
   void finalize() {
@@ -798,25 +801,16 @@ bool Coordinator::start() {
   }
   if (!im.opts.log_dir.empty()) {
     im.session = std::make_unique<SessionWriter>(im.opts.log_dir, 0);
+    std::optional<ckpt::StreamLengths> restored;
     if (im.opts.resume) {
       std::lock_guard<std::mutex> lock(im.mu);
-      (void)im.restore_locked();
+      restored = im.restore_locked();
     }
-    if (im.opts.journal) {
-      const auto path =
-          std::filesystem::path(im.opts.log_dir) / "journal.jsonl";
-      std::int64_t boundary = 0;
-      {
-        std::lock_guard<std::mutex> lock(im.mu);
-        boundary = im.completed;
-      }
-      if (im.opts.resume) {
-        (void)im.journal.open_resume(
-            path,
-            static_cast<int>(std::min<std::int64_t>(boundary, INT32_MAX)));
-      } else {
-        (void)im.journal.open(path);
-      }
+    obs::Journal* const journal = im.opts.journal ? &im.journal : nullptr;
+    if (restored) {
+      im.session->resume_iterations(*restored, {}, journal);
+    } else {
+      im.session->begin_iterations({}, journal);
     }
   }
 

@@ -21,7 +21,9 @@
 // Durability: the coordinator embeds its state in a v7 campaign checkpoint
 // (coord section: budget/completed counters, outstanding leases, per-shard
 // merge cursors) written through the same tmp+rename SessionWriter path as
-// campaign snapshots.  A kill -9'd coordinator restarted with resume=true
+// campaign snapshots, which also commits the journal's length, so a
+// restarted coordinator's journal is cut back to its snapshot the way a
+// campaign's is.  A kill -9'd coordinator restarted with resume=true
 // reclaims every restored lease, keeps confirmed coverage, and keeps
 // per-shard cumulative cursors so reconnecting shards never double-count.
 //

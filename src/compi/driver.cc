@@ -422,6 +422,7 @@ CampaignResult Campaign::run() {
 
   // ---- resume a checkpointed session (crash recovery) ----
   int start_iter = 0;
+  ckpt::StreamLengths resume_at;  // the snapshot's commit point
   if (options_.resume && session) {
     std::optional<ckpt::CampaignCheckpoint> c =
         read_checkpoint(options_.log_dir);
@@ -459,6 +460,7 @@ CampaignResult Campaign::run() {
         interleaving_seen.insert(c->interleaving_seen.begin(),
                                  c->interleaving_seen.end());
         start_iter = c->next_iteration;
+        resume_at = c->streams;
         if (!c->ledger_state.empty()) {
           std::istringstream ledger_blob(c->ledger_state);
           // A failed read keeps the fresh ledger: attribution restarts but
@@ -474,20 +476,16 @@ CampaignResult Campaign::run() {
   // an allocator lock hands the child that lock, held forever.
   for (const auto& wk : pool) wk->executor.start(target_.program);
 
-  // Open iterations.csv for incremental appends (header + any restored
-  // prefix) so a crash mid-campaign loses at most the unflushed rows.
-  if (session) session->begin_iterations(result.iterations);
-
-  // Open the event journal alongside it.  On resume the journal keeps only
-  // events below the checkpoint boundary, so its iteration events stay
-  // aligned with the restored iterations.csv prefix.
-  if (options_.journal && session) {
-    const std::filesystem::path journal_path =
-        session->dir() / "journal.jsonl";
+  // Open the session's append-only streams (iterations.csv, the coverage
+  // timeline and, with --journal, the event journal), so a crash
+  // mid-campaign loses at most the rows past the last snapshot.  A resume
+  // cuts them back to the snapshot's commit point first.
+  if (session) {
+    obs::Journal* const journal_file = options_.journal ? &journal : nullptr;
     if (result.resumed) {
-      (void)journal.open_resume(journal_path, start_iter);
+      session->resume_iterations(resume_at, result.iterations, journal_file);
     } else {
-      (void)journal.open(journal_path);
+      session->begin_iterations({}, journal_file);
     }
   }
 
@@ -565,10 +563,11 @@ CampaignResult Campaign::run() {
   }
 
   // Snapshot at a barrier, from the parked workers.  The snapshot holds no
-  // history: it spans every iterations.csv row, which the session flushes
-  // before it.  The final snapshot, taken after summary.txt, points at the
-  // budget, so a resume of a finished campaign runs nothing; it skips the
-  // fsyncs, as the summary files it follows have none either.
+  // history: it commits every iterations.csv row and journal event so
+  // far, which the session flushes before it.  The final snapshot, taken
+  // after summary.txt, points at the budget, so a resume of a finished
+  // campaign runs nothing; it skips the fsyncs, as the summary files it
+  // follows have none either.
   const auto save_checkpoint = [&](int next_iteration, bool final_snapshot) {
     if (!session) return;
     obs::ObsSpan span(obs::Cat::kCheckpoint, "save_checkpoint", "iteration",
@@ -593,10 +592,8 @@ CampaignResult Campaign::run() {
     std::ostringstream ledger_blob;
     ledger.write(ledger_blob);
     c.ledger_state = ledger_blob.str();
-    session->write_checkpoint(c, /*sync=*/!final_snapshot);
+    session->write_checkpoint(std::move(c), /*sync=*/!final_snapshot);
     session->write_ledger(ledger, *target_.table);
-    session->write_coverage_timeline(result.iterations);
-    journal.flush();
     export_obs();
   };
 
@@ -1439,7 +1436,6 @@ CampaignResult Campaign::run() {
       save_checkpoint(epoch_begin, /*final_snapshot=*/true);
     } else {
       session->write_ledger(ledger, *target_.table);
-      session->write_coverage_timeline(result.iterations);
     }
   }
   campaign_span.finish();  // close before the dump so the span is in it

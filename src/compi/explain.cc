@@ -11,6 +11,7 @@
 
 #include "compi/driver.h"
 #include "compi/ledger.h"
+#include "compi/session.h"
 #include "obs/journal.h"
 
 namespace compi {
@@ -24,54 +25,8 @@ std::int64_t to_int(const std::string& cell, std::int64_t fallback) {
   return v;
 }
 
-double to_double(const std::string& cell, double fallback) {
-  if (cell.empty()) return fallback;
-  double v = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(cell.data(), cell.data() + cell.size(), v);
-  if (ec != std::errc{} || ptr != cell.data() + cell.size()) return fallback;
-  return v;
-}
-
 std::string cell_at(const std::vector<std::string>& cells, std::size_t i) {
   return i < cells.size() ? cells[i] : std::string{};
-}
-
-/// One iterations.csv row, reduced to what the report needs.
-struct IterRow {
-  int iteration = 0;
-  std::string outcome;
-  std::size_t covered = 0;
-  double exec_seconds = 0.0;
-  double solve_seconds = 0.0;
-  bool restart = false;
-  std::int64_t solver_nodes = 0;
-  int retries = 0;
-  std::int64_t interleaving = -1;
-};
-
-std::vector<IterRow> read_iterations_csv(const std::filesystem::path& file) {
-  std::vector<IterRow> rows;
-  std::ifstream in(file);
-  if (!in.is_open()) return rows;
-  std::string line;
-  std::getline(in, line);  // header
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::vector<std::string> cells = split_csv_row(line);
-    IterRow row;
-    row.iteration = static_cast<int>(to_int(cell_at(cells, 0), 0));
-    row.outcome = cell_at(cells, 3);
-    row.covered = static_cast<std::size_t>(to_int(cell_at(cells, 5), 0));
-    row.exec_seconds = to_double(cell_at(cells, 6), 0.0);
-    row.solve_seconds = to_double(cell_at(cells, 7), 0.0);
-    row.restart = to_int(cell_at(cells, 8), 0) != 0;
-    row.solver_nodes = to_int(cell_at(cells, 9), 0);
-    row.retries = static_cast<int>(to_int(cell_at(cells, 10), 0));
-    row.interleaving = to_int(cell_at(cells, 12), -1);
-    rows.push_back(std::move(row));
-  }
-  return rows;
 }
 
 std::string fmt_seconds(double s) {
@@ -83,16 +38,17 @@ std::string fmt_seconds(double s) {
   return out + "s";
 }
 
-void print_timeline(std::ostream& os, const std::vector<IterRow>& iters,
+void print_timeline(std::ostream& os,
+                    const std::vector<IterationRecord>& iters,
                     int max_milestones) {
   // Discovery iterations: every row where coverage grew past the previous
   // maximum (restarts can only repeat coverage, never shrink the merge).
-  std::vector<const IterRow*> growth;
+  std::vector<const IterationRecord*> growth;
   std::size_t prev = 0;
-  for (const IterRow& row : iters) {
-    if (row.covered > prev) {
+  for (const IterationRecord& row : iters) {
+    if (row.covered_branches > prev) {
       growth.push_back(&row);
-      prev = row.covered;
+      prev = row.covered_branches;
     }
   }
   os << "Coverage timeline (" << growth.size() << " discovery iterations";
@@ -106,7 +62,7 @@ void print_timeline(std::ostream& os, const std::vector<IterRow>& iters,
     return;
   }
   // Thin evenly, always keeping the first and last discovery.
-  std::vector<const IterRow*> shown;
+  std::vector<const IterationRecord*> shown;
   const std::size_t limit =
       max_milestones > 0 ? static_cast<std::size_t>(max_milestones)
                          : growth.size();
@@ -121,9 +77,9 @@ void print_timeline(std::ostream& os, const std::vector<IterRow>& iters,
     }
   }
   os << "  iteration  covered\n";
-  for (const IterRow* row : shown) {
-    os << "  " << std::setw(9) << row->iteration << "  " << row->covered
-       << "\n";
+  for (const IterationRecord* row : shown) {
+    os << "  " << std::setw(9) << row->iteration << "  "
+       << row->covered_branches << "\n";
   }
 }
 
@@ -203,13 +159,13 @@ void print_rank_skew(std::ostream& os,
 }
 
 void print_solver_breakdown(std::ostream& os,
-                            const std::vector<IterRow>& iters,
+                            const std::vector<IterationRecord>& iters,
                             const std::vector<obs::ParsedEvent>& journal,
                             bool have_journal) {
   double exec_total = 0.0, solve_total = 0.0;
   std::int64_t nodes_total = 0;
   int retries_total = 0;
-  for (const IterRow& row : iters) {
+  for (const IterationRecord& row : iters) {
     exec_total += row.exec_seconds;
     solve_total += row.solve_seconds;
     nodes_total += row.solver_nodes;
@@ -261,14 +217,15 @@ void print_solver_breakdown(std::ostream& os,
   if (chaos > 0) os << "  chaos injections armed: " << chaos << "\n";
 }
 
-void print_matchings(std::ostream& os, const std::vector<IterRow>& iters,
+void print_matchings(std::ostream& os,
+                     const std::vector<IterationRecord>& iters,
                      const std::vector<LedgerCsvRow>& ledger,
                      const std::vector<obs::ParsedEvent>& journal) {
   std::size_t replays = 0, deadlocks = 0, orphans = 0;
-  for (const IterRow& row : iters) {
+  for (const IterationRecord& row : iters) {
     if (row.interleaving >= 0) ++replays;
-    if (row.outcome == "deadlock") ++deadlocks;
-    if (row.outcome == "orphan-message") ++orphans;
+    if (row.outcome == rt::Outcome::kDeadlock) ++deadlocks;
+    if (row.outcome == rt::Outcome::kOrphanMessage) ++orphans;
   }
   std::size_t interleaving_firsts = 0;
   for (const LedgerCsvRow& row : ledger) {
@@ -411,33 +368,11 @@ std::vector<LedgerCsvRow> parse_ledger_csv(std::istream& in) {
   return rows;
 }
 
-/// IterationRecord -> the report's row shape (the live /explain path;
-/// offline sessions read the same fields back out of iterations.csv).
-std::vector<IterRow> rows_from_records(
-    const std::vector<IterationRecord>& records) {
-  std::vector<IterRow> rows;
-  rows.reserve(records.size());
-  for (const IterationRecord& r : records) {
-    IterRow row;
-    row.iteration = r.iteration;
-    row.outcome = rt::to_string(r.outcome);
-    row.covered = r.covered_branches;
-    row.exec_seconds = r.exec_seconds;
-    row.solve_seconds = r.solve_seconds;
-    row.restart = r.restart;
-    row.solver_nodes = r.solver_nodes;
-    row.retries = r.retries;
-    row.interleaving = r.interleaving;
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
 /// The report body shared by explain_session and explain_live.
 /// `journal_header` is the pre-rendered "journal events : ..." line (empty
 /// when there is no journal to describe).
 void render_report(std::ostream& os, const std::vector<LedgerCsvRow>& ledger,
-                   const std::vector<IterRow>& iters,
+                   const std::vector<IterationRecord>& iters,
                    const std::vector<obs::ParsedEvent>& journal,
                    bool have_journal, const std::string& journal_header,
                    const ExplainOptions& opts) {
@@ -446,7 +381,7 @@ void render_report(std::ostream& os, const std::vector<LedgerCsvRow>& ledger,
     if (row.covered) ++covered;
   }
   int restarts = 0;
-  for (const IterRow& row : iters) {
+  for (const IterationRecord& row : iters) {
     if (row.restart) ++restarts;
   }
   os << "iterations        : " << iters.size() << " (" << restarts
@@ -476,8 +411,8 @@ std::vector<LedgerCsvRow> read_ledger_csv(const std::filesystem::path& file) {
 bool explain_session(const std::filesystem::path& dir, std::ostream& os,
                      const ExplainOptions& opts) {
   const std::vector<LedgerCsvRow> ledger = read_ledger_csv(dir / "ledger.csv");
-  const std::vector<IterRow> iters = read_iterations_csv(
-      dir / "iterations.csv");
+  const std::vector<IterationRecord> iters =
+      read_iterations(dir / "iterations.csv");
   if (ledger.empty() && iters.empty()) {
     os << "explain: no ledger.csv or iterations.csv in " << dir.string()
        << " (run a campaign with --log-dir first)\n";
@@ -514,7 +449,6 @@ std::string explain_live(const CoverageLedger& ledger_state,
   std::stringstream csv;
   ledger_state.write_csv(csv, table);
   const std::vector<LedgerCsvRow> ledger = parse_ledger_csv(csv);
-  const std::vector<IterRow> iters = rows_from_records(iterations);
   std::vector<obs::ParsedEvent> journal;
   journal.reserve(journal_lines.size());
   for (const std::string& line : journal_lines) {
@@ -531,8 +465,8 @@ std::string explain_live(const CoverageLedger& ledger_state,
     jh << "journal events    : " << journal.size() << " (in-memory tail)\n";
     journal_header = jh.str();
   }
-  render_report(os, ledger, iters, journal, have_journal, journal_header,
-                opts);
+  render_report(os, ledger, iterations, journal, have_journal,
+                journal_header, opts);
   return os.str();
 }
 

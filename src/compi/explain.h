@@ -11,8 +11,10 @@
 //   * the solver time / retry breakdown.
 //
 // Everything here is read-only and tolerant of partial sessions: a
-// missing journal degrades the solver section to the CSV totals, and a
-// torn journal tail is skipped exactly as read_journal() skips it.
+// missing journal degrades the solver section to the CSV totals, a torn
+// journal tail is skipped exactly as read_journal() skips it, and
+// iterations.csv is read through the session's row parser
+// (read_iterations), which skips a torn last row as a resume does.
 #pragma once
 
 #include <cstdint>

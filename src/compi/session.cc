@@ -12,6 +12,7 @@
 #include <string_view>
 
 #include "obs/artifacts.h"
+#include "obs/journal.h"
 
 namespace compi {
 
@@ -110,19 +111,30 @@ std::map<std::string, std::string> read_summary(const fs::path& summary_file) {
 namespace {
 
 // `worker` and `interleaving` ride at the END of the row so positional
-// readers of the older layouts (explain, external tooling) keep working.
+// readers of the older layouts (external tooling) keep working.
 constexpr const char* kCsvHeader =
     "iteration,nprocs,focus,outcome,constraint_set_size,"
     "covered_branches,exec_seconds,solve_seconds,restart,"
     "solver_nodes,retries,worker,interleaving\n";
 
-// Timings use the checkpoint's shortest round-trip form: the CSV is the
-// history a resume rebuilds, so a restored row must be bit-exact.
+constexpr const char* kTimelineHeader =
+    "iteration,covered_branches,new_branches\n";
+
+/// A timing at a fixed width: 17 significant digits, so a restored row is
+/// bit-exact, and a row's length does not follow the host's timing, so
+/// neither does the CSV length a snapshot commits.
+std::string_view fixed_width(double v, char (&buf)[32]) {
+  return {buf, std::to_chars(buf, buf + sizeof buf, v,
+                             std::chars_format::scientific, 16)
+                   .ptr};
+}
+
 void write_csv_row(std::ostream& csv, const IterationRecord& r) {
+  char exec[32], solve[32];
   csv << r.iteration << ',' << r.nprocs << ',' << r.focus << ','
       << rt::to_string(r.outcome) << ',' << r.constraint_set_size << ','
-      << r.covered_branches << ',' << ckpt::format_double(r.exec_seconds)
-      << ',' << ckpt::format_double(r.solve_seconds) << ','
+      << r.covered_branches << ',' << fixed_width(r.exec_seconds, exec)
+      << ',' << fixed_width(r.solve_seconds, solve) << ','
       << (r.restart ? 1 : 0) << ',' << r.solver_nodes << ',' << r.retries
       << ',' << r.worker << ',' << r.interleaving << '\n';
 }
@@ -164,33 +176,65 @@ bool parse_csv_row(std::string_view line, IterationRecord& r) {
   return true;
 }
 
-/// Fills c.iterations from the CSV rows below c.next_iteration, in ordinal
-/// order; false unless they are exactly c.history_rows parseable rows with
-/// distinct ordinals — for a mid-campaign snapshot (history_rows ==
-/// next_iteration) that is one row for every ordinal.
-bool rebuild_history(const fs::path& csv, ckpt::CampaignCheckpoint& c) {
-  c.iterations.clear();
-  if (c.history_rows == 0) return true;  // coordinator snapshots, too
-  std::ifstream in(csv);
-  std::string line;
-  while (std::getline(in, line)) {
+/// The bytes of `file` ("" when it cannot be read).
+std::string slurp(const fs::path& file) {
+  std::ifstream in(file, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+/// Appends each parseable whole line of `text` to `rows` (a torn last line
+/// has no newline and is not whole); returns how many whole lines did not
+/// parse.
+std::size_t parse_rows(std::string_view text,
+                       std::vector<IterationRecord>& rows) {
+  std::size_t bad = 0;
+  for (std::size_t nl; (nl = text.find('\n')) != std::string_view::npos;
+       text.remove_prefix(nl + 1)) {
     IterationRecord r;
-    if (parse_csv_row(line, r) && r.iteration >= 0 &&
-        r.iteration < c.next_iteration) {
-      c.iterations.push_back(r);
+    if (parse_csv_row(text.substr(0, nl), r)) {
+      rows.push_back(r);
+    } else {
+      ++bad;
     }
   }
-  std::sort(c.iterations.begin(), c.iterations.end(),
-            [](const IterationRecord& a, const IterationRecord& b) {
-              return a.iteration < b.iteration;
-            });
-  const auto duplicate = std::adjacent_find(
+  return bad;
+}
+
+/// Fills c.iterations from the snapshot's committed CSV prefix; false
+/// unless that is the header plus exactly c.history_rows parseable rows
+/// with increasing ordinals below c.next_iteration.
+bool load_history(const fs::path& csv, ckpt::CampaignCheckpoint& c) {
+  c.iterations.clear();
+  if (c.streams.csv_bytes == 0) return c.history_rows == 0;
+  const std::string bytes = slurp(csv);
+  if (bytes.size() < c.streams.csv_bytes) return false;
+  const std::string_view text(bytes.data(), c.streams.csv_bytes);
+  const std::string_view header(kCsvHeader);
+  if (!text.starts_with(header) || text.back() != '\n' ||
+      parse_rows(text.substr(header.size()), c.iterations) != 0 ||
+      c.iterations.size() != c.history_rows) {
+    return false;
+  }
+  const auto out_of_order = std::adjacent_find(
       c.iterations.begin(), c.iterations.end(),
       [](const IterationRecord& a, const IterationRecord& b) {
-        return a.iteration == b.iteration;
+        return a.iteration >= b.iteration;
       });
-  return c.iterations.size() == c.history_rows &&
-         duplicate == c.iterations.end();
+  return c.iterations.empty() ||
+         (out_of_order == c.iterations.end() &&
+          c.iterations.front().iteration >= 0 &&
+          c.iterations.back().iteration < c.next_iteration);
+}
+
+/// Cuts `file` back to `length` bytes or, when it holds fewer, to its last
+/// newline (0 without one); false when a file there could not be cut.
+bool cut_file(const fs::path& file, std::uint64_t length) {
+  std::error_code ec;
+  const std::uintmax_t size = fs::file_size(file, ec);
+  if (ec) return true;  // nothing there yet
+  if (size < length) length = slurp(file).rfind('\n') + 1;
+  fs::resize_file(file, length, ec);
+  return !ec;
 }
 
 /// fsync()s a file or directory through a fresh read-only descriptor.
@@ -245,15 +289,21 @@ std::optional<ckpt::CampaignCheckpoint> read_checkpoint(const fs::path& dir) {
     if (!in) return std::nullopt;
     std::optional<ckpt::CampaignCheckpoint> c =
         ckpt::CampaignCheckpoint::read(in);
-    if (c && !rebuild_history(dir / "iterations.csv", *c)) return std::nullopt;
+    if (c && !load_history(dir / "iterations.csv", *c)) return std::nullopt;
     return c;
   };
   if (auto c = try_read(dir / "checkpoint.txt")) return c;
   // Torn or truncated snapshot (the writer died mid-file, or the disk
-  // filled), or history rows it needs gone missing: fall back to the
+  // filled), or history rows it commits gone missing: fall back to the
   // previous complete snapshot kept as .bak, so the session resumes from
   // the last good checkpoint instead of starting over.
   return try_read(dir / "checkpoint.txt.bak");
+}
+
+std::vector<IterationRecord> read_iterations(const fs::path& csv) {
+  std::vector<IterationRecord> rows;
+  (void)parse_rows(slurp(csv), rows);
+  return rows;
 }
 
 SessionWriter::SessionWriter(fs::path dir, int keep_rank_logs)
@@ -282,30 +332,46 @@ void SessionWriter::retain_iteration(int iteration,
   if (recent_.size() > window) recent_.erase(recent_.begin());
 }
 
-void SessionWriter::begin_iterations(
-    const std::vector<IterationRecord>& restored) {
-  const fs::path file = dir_ / "iterations.csv";
-  bool ok = true;
-  if (restored.empty()) {
-    // A fresh session has no history to protect: truncate in place.
-    csv_.open(file, std::ios::trunc);
-    csv_ << kCsvHeader;
-  } else {
-    // A resumed one replaces the file whole, so a kill mid-rewrite cannot
-    // tear the rows its snapshot rebuilds from.
-    ok = replace_file(file, [&](std::ostream& out) {
-      out << kCsvHeader;
-      for (const IterationRecord& r : restored) write_csv_row(out, r);
-    });
-    csv_.open(file, std::ios::app);
+void SessionWriter::begin_iterations(const std::vector<IterationRecord>& rows,
+                                     obs::Journal* journal) {
+  resume_iterations({}, {}, journal);
+  for (const IterationRecord& r : rows) append_iteration(r);
+}
+
+void SessionWriter::resume_iterations(
+    const ckpt::StreamLengths& at, const std::vector<IterationRecord>& history,
+    obs::Journal* journal) {
+  // Past the committed lengths lies the killed run's uncommitted tail,
+  // which the resumed campaign is about to re-run.  read_checkpoint
+  // verified the CSV holds its committed bytes; the journal has no fsync,
+  // so power loss may have taken some of its own.
+  const fs::path csv = dir_ / "iterations.csv";
+  const bool cut = cut_file(csv, at.csv_bytes);
+  csv_.open(csv, std::ios::app);
+  if (at.csv_bytes == 0) csv_ << kCsvHeader;
+  if (!cut || !csv_.good()) lose_csv_rows();
+  timeline_.open(dir_ / "coverage_timeline.csv", std::ios::trunc);
+  timeline_ << kTimelineHeader;
+  for (const IterationRecord& r : history) append_timeline(r);
+  if (journal != nullptr) {
+    (void)cut_file(dir_ / "journal.jsonl", at.journal_bytes);
+    (void)journal->open(dir_ / "journal.jsonl");
+    journal_ = journal;
   }
-  if (!ok || !csv_.good()) lose_csv_rows();
 }
 
 void SessionWriter::append_iteration(const IterationRecord& rec) {
   if (!csv_.is_open()) return;
   write_csv_row(csv_, rec);
   if (!csv_.good()) lose_csv_rows();  // a failed buffer drain (disk full)
+  append_timeline(rec);
+}
+
+void SessionWriter::append_timeline(const IterationRecord& rec) {
+  if (rec.covered_branches <= timeline_covered_) return;
+  timeline_ << rec.iteration << ',' << rec.covered_branches << ','
+            << (rec.covered_branches - timeline_covered_) << '\n';
+  timeline_covered_ = rec.covered_branches;
 }
 
 void SessionWriter::lose_csv_rows() {
@@ -317,7 +383,7 @@ void SessionWriter::lose_csv_rows() {
 
 bool SessionWriter::flush_iterations(bool sync) {
   if (csv_lost_rows_) return false;
-  if (!csv_.is_open()) return true;  // no incremental CSV (coordinator)
+  if (!csv_.is_open()) return true;  // no CSV stream (a bare writer)
   csv_.flush();
   bool ok = csv_.good();
   if (ok && sync) ok = sync_path(dir_ / "iterations.csv");
@@ -326,20 +392,26 @@ bool SessionWriter::flush_iterations(bool sync) {
 }
 
 void SessionWriter::write_summary(const CampaignResult& result) {
-  if (csv_.is_open()) csv_.close();
-  // Replaced whole, so a kill mid-rewrite cannot tear the rows the last
-  // snapshot rebuilds from.
-  const bool rewritten =
-      replace_file(dir_ / "iterations.csv", [&](std::ostream& csv) {
-        csv << kCsvHeader;
-        for (const IterationRecord& r : result.iterations) {
-          write_csv_row(csv, r);
-        }
-      });
-  if (rewritten) {
-    csv_lost_rows_ = false;  // whole again: the final snapshot may land
-  } else {
-    lose_csv_rows();
+  timeline_.flush();
+  if (csv_lost_rows_) {
+    // Heal: a failed write lost rows, so write the file whole from the
+    // result, through tmp + rename so a kill mid-rewrite cannot tear the
+    // rows the last snapshot commits.  Appends continue on the new file.
+    csv_.close();
+    const fs::path file = dir_ / "iterations.csv";
+    if (replace_file(file, [&](std::ostream& csv) {
+          csv << kCsvHeader;
+          for (const IterationRecord& r : result.iterations) {
+            write_csv_row(csv, r);
+          }
+        })) {
+      csv_lost_rows_ = false;  // whole again: the final snapshot may land
+      csv_.open(file, std::ios::app);
+    } else {
+      lose_csv_rows();
+    }
+  } else if (csv_.is_open()) {
+    csv_.flush();
   }
   for (const auto& [iteration, ranks] : recent_) {
     write_rank_logs(iteration_dir(dir_, iteration), ranks);
@@ -403,27 +475,25 @@ void SessionWriter::write_ledger(const CoverageLedger& ledger,
   ledger.write_csv(out, table);
 }
 
-void SessionWriter::write_coverage_timeline(
-    const std::vector<IterationRecord>& iterations) {
-  std::ofstream out(dir_ / "coverage_timeline.csv");
-  out << "iteration,covered_branches,new_branches\n";
-  std::size_t prev = 0;
-  for (const IterationRecord& r : iterations) {
-    if (r.covered_branches <= prev) continue;
-    out << r.iteration << ',' << r.covered_branches << ','
-        << (r.covered_branches - prev) << '\n';
-    prev = r.covered_branches;
-  }
-}
-
-void SessionWriter::write_checkpoint(const ckpt::CampaignCheckpoint& checkpoint,
+void SessionWriter::write_checkpoint(ckpt::CampaignCheckpoint checkpoint,
                                      bool sync) {
   const fs::path final_path = dir_ / "checkpoint.txt";
   const fs::path tmp = dir_ / "checkpoint.txt.tmp";
-  // The snapshot's history is the CSV prefix: those rows land first, or
-  // the snapshot would not rebuild.
+  // The snapshot commits the streams as they are now: their bytes land
+  // first, or the snapshot would not rebuild.
   bool written = flush_iterations(sync);
+  timeline_.flush();
+  if (journal_ != nullptr) journal_->flush();
   if (written) {
+    const auto length = [this](const char* name) -> std::uint64_t {
+      std::error_code ec;
+      const std::uintmax_t size = fs::file_size(dir_ / name, ec);
+      return ec ? 0 : size;
+    };
+    checkpoint.streams.csv_bytes = length("iterations.csv");
+    if (journal_ != nullptr) {
+      checkpoint.streams.journal_bytes = length("journal.jsonl");
+    }
     std::ofstream out(tmp);
     written = out.is_open();
     if (written) {

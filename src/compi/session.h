@@ -10,12 +10,22 @@
 //   <dir>/iterations.csv          one row per iteration (coverage curves,
 //                                 constraint-set sizes, timings); also the
 //                                 history store the checkpoint resumes from
+//   <dir>/coverage_timeline.csv   one row per iteration that grew coverage
+//   <dir>/journal.jsonl           the event journal (--journal)
 //   <dir>/bugs.txt                each bug with its error-inducing inputs
 //   <dir>/summary.txt             end-of-campaign totals
 //   <dir>/checkpoint.txt          periodic resume snapshot (crash recovery)
+//
+// iterations.csv, coverage_timeline.csv and journal.jsonl are append-only
+// streams, and SessionWriter owns their lengths.  A snapshot is their one
+// commit point: it records the byte lengths of iterations.csv and
+// journal.jsonl, and a resume cuts both files back to those lengths before
+// it appends again.  Nothing is re-parsed or rewritten on the way, except
+// coverage_timeline.csv, which a resume re-derives from the restored rows.
 #pragma once
 
 #include <filesystem>
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -26,6 +36,10 @@
 #include "compi/driver.h"
 #include "compi/ledger.h"
 #include "minimpi/launcher.h"
+
+namespace compi::obs {
+class Journal;
+}  // namespace compi::obs
 
 namespace compi {
 
@@ -52,14 +66,21 @@ struct LoggedBug {
 [[nodiscard]] std::map<std::string, std::string> read_summary(
     const std::filesystem::path& summary_file);
 
-/// Loads <dir>/checkpoint.txt (or, when that is unreadable, the previous
+/// Loads <dir>/checkpoint.txt (or, when that is unusable, the previous
 /// snapshot kept as checkpoint.txt.bak) and rebuilds its iteration history
-/// from <dir>/iterations.csv: exactly one parseable row for every ordinal
-/// below `history_rows`, or the snapshot counts as unreadable — a resume
-/// never continues from a short history.  nullopt when neither snapshot
-/// is usable.
+/// from exactly the first `streams.csv_bytes` bytes of <dir>/iterations.csv:
+/// the header, then `history_rows` whole rows with increasing ordinals
+/// below `next_iteration`.  Anything else makes the snapshot unusable, so a
+/// resume never continues from a short history.  nullopt when neither
+/// snapshot is usable.
 [[nodiscard]] std::optional<ckpt::CampaignCheckpoint> read_checkpoint(
     const std::filesystem::path& dir);
+
+/// Every whole, parseable row of an iterations.csv file, in file order.
+/// The header, a torn last row (no newline) and rows of other layouts are
+/// skipped.
+[[nodiscard]] std::vector<IterationRecord> read_iterations(
+    const std::filesystem::path& csv);
 
 class SessionWriter {
  public:
@@ -80,46 +101,53 @@ class SessionWriter {
   /// the window an iteration costs no filesystem call and no serialize().
   void retain_iteration(int iteration, minimpi::RunResult&& run);
 
-  /// Opens iterations.csv for incremental appends, holding the header plus
-  /// any `restored` rows (a resumed session replays its checkpointed
-  /// prefix).  A resume replaces the file whole (tmp + rename), so the
-  /// history a snapshot rebuilds from is never torn.
-  void begin_iterations(const std::vector<IterationRecord>& restored);
+  /// Starts the session's append-only streams afresh: iterations.csv and
+  /// coverage_timeline.csv hold their headers, then `rows`; with `journal`,
+  /// journal.jsonl is emptied and the journal opened on it.
+  void begin_iterations(const std::vector<IterationRecord>& rows,
+                        obs::Journal* journal = nullptr);
 
-  /// Appends one row to iterations.csv.  Rows reach the file when a
-  /// checkpoint is written (write_checkpoint flushes them before the
-  /// snapshot) or when the stream's buffer fills; a kill loses only rows
-  /// past the last snapshot, which a resume re-runs anyway.
+  /// Continues the streams from a snapshot's commit point `at`:
+  /// iterations.csv is cut back to at.csv_bytes and journal.jsonl to
+  /// at.journal_bytes (or, when power loss left it shorter, to its last
+  /// newline), and coverage_timeline.csv is re-derived from `history`, the
+  /// rows below the cut.  Appends continue from there.  Zero lengths start
+  /// the streams afresh.  Streams open once per writer: call this or
+  /// begin_iterations, once.
+  void resume_iterations(const ckpt::StreamLengths& at,
+                         const std::vector<IterationRecord>& history,
+                         obs::Journal* journal = nullptr);
+
+  /// Appends one row to iterations.csv, plus a coverage_timeline.csv row
+  /// when it grew coverage.  Rows reach the files when a checkpoint is
+  /// written or when a stream's buffer fills; a kill loses only rows past
+  /// the last snapshot, which a resume re-runs anyway.
   void append_iteration(const IterationRecord& rec);
 
-  /// Writes iterations.csv, bugs.txt and summary.txt, plus the rank logs
-  /// of the retained last-K window.  The CSV is fully rewritten (callers
-  /// that never used begin_iterations — e.g. the random baseline tester —
-  /// still get a complete file).
+  /// Flushes the streams and writes bugs.txt and summary.txt, plus the rank
+  /// logs of the retained last-K window.  iterations.csv is rewritten only
+  /// when a failed write lost some of its rows.
   void write_summary(const CampaignResult& result);
 
   /// Atomically replaces <dir>/checkpoint.txt (write-to-temp + rename, so a
-  /// kill mid-write never leaves a truncated snapshot), after flushing the
-  /// CSV rows the snapshot's history spans.  With `sync` the rows, the
-  /// snapshot and the directory entry are also fsync()ed around the
-  /// rename, so the snapshot survives power loss, not just a kill.  Without
-  /// a successful CSV flush the previous snapshot is kept.
-  void write_checkpoint(const ckpt::CampaignCheckpoint& checkpoint,
-                        bool sync = true);
+  /// kill mid-write never leaves a truncated snapshot).  First it flushes
+  /// the streams and fills the snapshot's `streams` with their lengths: the
+  /// snapshot commits exactly those bytes.  With `sync` the CSV rows, the
+  /// snapshot and the directory entry are also fsync()ed around the rename,
+  /// so the snapshot survives power loss, not just a kill; the journal and
+  /// the timeline are not.  Without a successful CSV flush the previous
+  /// snapshot is kept.
+  void write_checkpoint(ckpt::CampaignCheckpoint checkpoint, bool sync = true);
 
   /// Rewrites <dir>/ledger.csv from the attribution ledger (called at every
   /// checkpoint and at campaign end, like the obs exports).
   void write_ledger(const CoverageLedger& ledger, const rt::BranchTable& table);
 
-  /// Rewrites <dir>/coverage_timeline.csv: one row per iteration that
-  /// increased cumulative coverage (iteration, covered_branches,
-  /// new_branches) — the file bench tables and --explain build
-  /// iterations-to-coverage columns from.
-  void write_coverage_timeline(const std::vector<IterationRecord>& iterations);
-
   [[nodiscard]] const std::filesystem::path& dir() const { return dir_; }
 
  private:
+  /// Appends `rec`'s timeline row when it grew coverage.
+  void append_timeline(const IterationRecord& rec);
   /// Flushes (and with `sync`, fsyncs) the appended CSV rows; false when
   /// they may not all have reached the file.
   bool flush_iterations(bool sync);
@@ -129,8 +157,13 @@ class SessionWriter {
 
   std::filesystem::path dir_;
   int keep_rank_logs_;
-  /// Open while incremental appends are active (begin_iterations called).
+  /// Open while appends are active (begin or resume_iterations called).
   std::ofstream csv_;
+  std::ofstream timeline_;
+  /// Covered branches of the timeline's last row.
+  std::size_t timeline_covered_ = 0;
+  /// The journal whose file length snapshots commit; null without one.
+  obs::Journal* journal_ = nullptr;
   /// Set once a CSV write failed: rows may be missing from the file, so no
   /// later snapshot may claim them (the last good one stays in place)
   /// until write_summary rewrites the file whole.

@@ -155,42 +155,13 @@ JournalEvent& JournalEvent::inputs(
 
 bool Journal::open(const std::filesystem::path& file) {
   close();
-  out_.open(file, std::ios::trunc);
+  out_.open(file, std::ios::app);
   path_ = file;
   events_ = 0;
   if (!out_.is_open()) {
     note_artifact_write_error("journal", file.string());
     return false;
   }
-  return true;
-}
-
-bool Journal::open_resume(const std::filesystem::path& file,
-                          int first_iteration) {
-  close();
-  std::vector<std::string> kept;
-  {
-    std::ifstream in(file);
-    std::string line;
-    while (std::getline(in, line)) {
-      const std::optional<ParsedEvent> event = parse_journal_line(line);
-      // Torn tail or an event from the un-checkpointed iterations the
-      // resumed campaign is about to re-run: drop it, the replacement is
-      // coming.  Events are appended in iteration order, so everything
-      // after the first dropped event would be dropped too.
-      if (!event || event->iter() >= first_iteration) break;
-      kept.push_back(line);
-    }
-  }
-  out_.open(file, std::ios::trunc);
-  path_ = file;
-  events_ = 0;
-  if (!out_.is_open()) {
-    note_artifact_write_error("journal", file.string());
-    return false;
-  }
-  for (const std::string& line : kept) out_ << line << '\n';
-  out_.flush();
   return true;
 }
 

@@ -21,10 +21,11 @@
 // I/O, not ambient instrumentation).
 //
 // Crash contract: the buffer is flushed at iteration granularity, so a
-// killed campaign loses at most the in-flight tail; a resumed campaign
-// calls open_resume(), which drops events at or past the checkpoint
-// boundary (plus any torn trailing line) before appending, keeping the
-// journal's iteration events exactly aligned with iterations.csv.
+// killed campaign loses at most the in-flight tail.  The journal only ever
+// appends; the session that owns the file sets its length.  Each snapshot
+// commits the file's length after a flush, and a resumed campaign's
+// SessionWriter cuts the file back to that length before it opens the
+// journal, so the events stay exactly aligned with iterations.csv.
 #pragma once
 
 #include <atomic>
@@ -72,8 +73,8 @@ class Journal;
 
 /// RAII builder for one journal event: constructs the line in the
 /// journal's buffer, commits it on destruction.  Every event carries a
-/// "type" and an "iter" field — the iteration ordinal is what open_resume
-/// keys its truncation on.  Constructing an event on a disabled journal is
+/// "type" and an "iter" field, the iteration ordinal it belongs to.
+/// Constructing an event on a disabled journal is
 /// a no-op (all field calls become cheap branches).  With `held`, the
 /// finished line goes there instead of into the journal, for a later
 /// Journal::commit_held: events built on several threads can then land in
@@ -104,16 +105,11 @@ class Journal {
  public:
   Journal() = default;
 
-  /// Starts a fresh journal at `file` (truncates).  Returns false when the
-  /// file cannot be opened; the journal then stays disabled.
+  /// Opens `file` for appends, creating it when missing.  Whoever owns the
+  /// file sets its length first (SessionWriter: empty for a fresh session,
+  /// the snapshot's length on resume).  Returns false when the file cannot
+  /// be opened; the journal then stays disabled.
   bool open(const std::filesystem::path& file);
-
-  /// Resume-aware open: keeps existing events whose "iter" field is below
-  /// `first_iteration` (the checkpoint boundary), drops everything at or
-  /// past it — the killed process's un-checkpointed tail — plus any torn
-  /// trailing line, then appends.  Falls back to open() when the file does
-  /// not exist yet.
-  bool open_resume(const std::filesystem::path& file, int first_iteration);
 
   [[nodiscard]] bool enabled() const {
     return out_.is_open() || tap_on_.load(std::memory_order_relaxed);
@@ -146,7 +142,7 @@ class Journal {
   /// Closes the file (flushing first).  Idempotent.
   void close();
 
-  /// Events committed since open (resume-retained lines not included).
+  /// Events committed since open (lines already in the file not included).
   [[nodiscard]] std::size_t events_written() const {
     std::lock_guard<std::mutex> lock(mu_);
     return events_;

@@ -1,6 +1,7 @@
 // Torn-write recovery: a truncated or corrupted trailing checkpoint.txt
 // (and a partial final iterations.csv row) must not strand the session —
-// resume falls back to the last complete snapshot and repairs the CSV.
+// resume falls back to the last complete snapshot and cuts the CSV back to
+// its commit point.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -150,7 +151,7 @@ TEST(CheckpointRecovery, PartialFinalCsvRowIsRepairedOnResume) {
   }
   EXPECT_EQ(rows, 61);
   EXPECT_FALSE(torn_row_survived)
-      << "begin_iterations must rewrite the CSV from the restored records";
+      << "resume must cut the CSV back to the snapshot's commit point";
 }
 
 /// Deletes the iterations.csv row of `iteration`.
@@ -205,16 +206,23 @@ TEST(CheckpointRecovery, MissingCsvRowBelowBothSnapshotsStartsFresh) {
 
 TEST(CheckpointRecovery, DuplicateCsvRowIsRejected) {
   // Exactly one row per ordinal: a second row for an ordinal the snapshot
-  // spans makes its history ambiguous.
+  // spans makes its history ambiguous.  Rows past the snapshot's commit
+  // point are the tail a resume cuts off, so the duplicate goes inside it:
+  // iteration 1's row renumbered 0, at the same length.
   TempDir dir;
   run_until_halt(dir.path, 30);
   {
-    std::ifstream in(dir.path / "iterations.csv");
-    std::string header, row;
-    std::getline(in, header);
-    std::getline(in, row);  // iteration 0
+    std::ifstream in(dir.path / "iterations.csv", std::ios::binary);
+    std::stringstream text;
+    text << in.rdbuf();
+    std::string bytes = text.str();
     in.close();
-    std::ofstream(dir.path / "iterations.csv", std::ios::app) << row << '\n';
+    const std::size_t row1 = bytes.find("\n1,");
+    ASSERT_NE(row1, std::string::npos);
+    bytes[row1 + 1] = '0';
+    std::ofstream(dir.path / "iterations.csv",
+                  std::ios::binary | std::ios::trunc)
+        << bytes;
   }
   EXPECT_FALSE(read_checkpoint(dir.path).has_value());
 }

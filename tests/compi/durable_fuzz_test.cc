@@ -2,13 +2,17 @@
 // checkpoint.txt, journal.jsonl, iterations.csv, ledger.csv, bugs.txt and
 // summary.txt must NEVER crash the readers — every corruption degrades to
 // a clean fallback (nullopt / skipped lines / empty vector), and a resumed
-// campaign over a corrupted session starts fresh and still completes.
+// campaign over a corrupted session starts fresh and still completes.  A
+// crash at every byte offset past the last snapshot must resume to the
+// uninterrupted session.
 //
 // The corpus is real: one serial and one 2-worker fig2 session are run
 // once and their artifacts mutated deterministically (mt19937, fixed
 // seed), so failures reproduce exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -240,10 +244,19 @@ TEST(DurableFuzz, JournalReadersTolerateAnyCorruption) {
     spit(file, mutate(corpus().journal, rng));
     std::size_t malformed = 0;
     (void)obs::read_journal(file, &malformed);
+    // A resume cuts the journal back to the snapshot's length, which a
+    // mutated file may fall short of: never a crash, and the kept bytes are
+    // exactly that length or whole lines.
+    const std::uint64_t length = std::uniform_int_distribution<std::uint64_t>(
+        0, corpus().journal.size() + 64)(rng);
     obs::Journal j;
-    // Resume-open must truncate/skip, never crash; boundary varies.
-    (void)j.open_resume(file, std::uniform_int_distribution<int>(0, 50)(rng));
+    SessionWriter(dir.path).resume_iterations({0, length}, {}, &j);
     j.close();
+    const std::string kept = slurp(file);
+    EXPECT_TRUE(kept.size() == length ||
+                (kept.size() < length &&
+                 (kept.empty() || kept.back() == '\n')))
+        << kept.size() << " of " << length;
   }
 }
 
@@ -416,6 +429,140 @@ TEST(DurableFuzz, DamagedHistoryCountFallsBackToBak) {
     EXPECT_GT(snapshot->next_iteration, 0);
     EXPECT_EQ(snapshot->iterations.size(),
               static_cast<std::size_t>(snapshot->next_iteration));
+  }
+}
+
+// ---- a crash at every byte offset ----
+
+/// fig2 with --journal and a snapshot every 5 iterations.
+CampaignOptions crash_options(const fs::path& dir) {
+  CampaignOptions opts;
+  opts.seed = 11;
+  opts.iterations = 24;
+  opts.initial_nprocs = 4;
+  opts.max_procs = 8;
+  opts.dfs_phase_iterations = 20;
+  opts.checkpoint_interval = 5;
+  opts.journal = true;
+  opts.log_dir = dir.string();
+  return opts;
+}
+
+/// What a resume must reproduce: iterations.csv without its timing
+/// columns (6 and 7), coverage_timeline.csv, bugs.txt, ledger.csv and the
+/// journal's sequence of (type, iter) pairs.  `diagnosis` events are left
+/// out: they are stall verdicts on the wall clock, and a resumed process
+/// starts its verdict history afresh.
+std::string session_image(const fs::path& dir) {
+  std::string image;
+  std::istringstream csv(slurp(dir / "iterations.csv"));
+  for (std::string line; std::getline(csv, line);) {
+    std::istringstream cells(line);
+    std::string cell;
+    for (int col = 0; std::getline(cells, cell, ','); ++col) {
+      image += col == 6 || col == 7 ? std::string("_") : cell;
+      image += ',';
+    }
+    image += '\n';
+  }
+  for (const char* file : {"coverage_timeline.csv", "bugs.txt", "ledger.csv"}) {
+    image += std::string("== ") + file + '\n' + slurp(dir / file);
+  }
+  image += "== journal\n";
+  for (const obs::ParsedEvent& ev : obs::read_journal(dir / "journal.jsonl")) {
+    if (ev.type != "diagnosis") {
+      image += ev.type + ' ' + std::to_string(ev.iter()) + '\n';
+    }
+  }
+  return image;
+}
+
+/// The lines of `text` whose ordinal (`key` reads it) lies in [from, to).
+template <typename Key>
+std::string lines_between(const std::string& text, int from, int to,
+                          Key key) {
+  std::istringstream in(text);
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    const int ordinal = key(line);
+    if (ordinal >= from && ordinal < to) out += line + '\n';
+  }
+  return out;
+}
+
+TEST(DurableFuzz, CrashAtEveryByteOffsetResumesTheSameSession) {
+  TempDir full;
+  (void)Campaign(fig2_target(), crash_options(full.path)).run();
+  const std::string want = session_image(full.path);
+
+  // The killed session: halted at 20, so checkpoint.txt is the snapshot of
+  // 20 and checkpoint.txt.bak that of 15.
+  TempDir halted;
+  CampaignOptions halt_opts = crash_options(halted.path);
+  halt_opts.halt_after_iterations = 20;
+  (void)Campaign(fig2_target(), halt_opts).run();
+  const std::string checkpoint = slurp(halted.path / "checkpoint.txt");
+  const std::string bak = slurp(halted.path / "checkpoint.txt.bak");
+  const std::string csv = slurp(halted.path / "iterations.csv");
+  const std::string journal = slurp(halted.path / "journal.jsonl");
+  std::istringstream snapshot_text(checkpoint);
+  const std::optional<ckpt::CampaignCheckpoint> snapshot =
+      ckpt::CampaignCheckpoint::read(snapshot_text);
+  ASSERT_TRUE(snapshot.has_value());
+  ASSERT_EQ(snapshot->next_iteration, 20);
+  const std::size_t csv_at = snapshot->streams.csv_bytes;
+  const std::size_t journal_at = snapshot->streams.journal_bytes;
+  ASSERT_EQ(csv_at, csv.size());
+  ASSERT_LE(journal_at, journal.size());
+
+  // What the killed process had appended past its last snapshot when it
+  // died: the rows and events of iterations 20..23, as the uninterrupted
+  // session wrote them (its final snapshot would have committed them).
+  // The halted run's own tail, its final stall verdict, comes first.
+  const std::string csv_tail = lines_between(
+      slurp(full.path / "iterations.csv"), 20, 24,
+      [](const std::string& line) { return std::atoi(line.c_str()); });
+  const std::string journal_tail =
+      journal.substr(journal_at) +
+      lines_between(slurp(full.path / "journal.jsonl"), 20, 24,
+                    [](const std::string& line) {
+                      const auto ev = obs::parse_journal_line(line);
+                      return ev ? ev->iter() : -1;
+                    });
+  ASSERT_FALSE(csv_tail.empty());
+  ASSERT_FALSE(journal_tail.empty());
+
+  const auto resume_equals_full = [&](const fs::path& dir) {
+    CampaignOptions opts = crash_options(dir);
+    opts.resume = true;
+    const CampaignResult result = Campaign(fig2_target(), opts).run();
+    return result.resumed && session_image(dir) == want;
+  };
+
+  // A crash after `cut` more bytes reached each stream.
+  const std::size_t tail = std::max(csv_tail.size(), journal_tail.size());
+  for (std::size_t cut = 0; cut <= tail; ++cut) {
+    TempDir dir;
+    spit(dir.path / "checkpoint.txt", checkpoint);
+    spit(dir.path / "checkpoint.txt.bak", bak);
+    spit(dir.path / "iterations.csv",
+         csv + csv_tail.substr(0, std::min(cut, csv_tail.size())));
+    spit(dir.path / "journal.jsonl",
+         journal.substr(0, journal_at) +
+             journal_tail.substr(0, std::min(cut, journal_tail.size())));
+    ASSERT_TRUE(resume_equals_full(dir.path)) << "streams cut at +" << cut;
+  }
+
+  // A crash that tore checkpoint.txt: unless the cut left it whole, the
+  // .bak's snapshot of 15 resumes.
+  for (std::size_t cut = 0; cut < checkpoint.size(); ++cut) {
+    TempDir dir;
+    spit(dir.path / "checkpoint.txt", checkpoint.substr(0, cut));
+    spit(dir.path / "checkpoint.txt.bak", bak);
+    spit(dir.path / "iterations.csv", csv);
+    spit(dir.path / "journal.jsonl", journal);
+    ASSERT_TRUE(resume_equals_full(dir.path))
+        << "checkpoint.txt cut at " << cut;
   }
 }
 

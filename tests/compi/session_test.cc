@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "compi/fixed_run.h"
+#include "obs/journal.h"
 #include "targets/targets.h"
 #include "tests/compi/fig2_target.h"
 
@@ -333,6 +334,68 @@ TEST(Session, CampaignWritesParsableCheckpoint) {
   EXPECT_EQ(checkpoint->next_iteration, static_cast<int>(opts.iterations));
   EXPECT_EQ(checkpoint->iterations.size(), result.iterations.size());
   EXPECT_EQ(checkpoint->covered.size(), result.covered_branches);
+}
+
+TEST(Session, ResumeCutsTheJournalAtTheSnapshotAndDropsTornTails) {
+  TempDir tmp;
+  const fs::path file = tmp.path / "journal.jsonl";
+  {
+    obs::Journal journal;
+    SessionWriter writer(tmp.path);
+    writer.begin_iterations({}, &journal);
+    for (int i = 0; i < 6; ++i) {
+      if (i == 3) {
+        // The snapshot commits iterations 0..2: their rows and events.
+        ckpt::CampaignCheckpoint c;
+        c.next_iteration = 3;
+        c.history_rows = 3;
+        writer.write_checkpoint(c);
+      }
+      IterationRecord rec;
+      rec.iteration = i;
+      writer.append_iteration(rec);
+      obs::JournalEvent(journal, "iteration", i).num("nprocs", 4);
+      obs::JournalEvent(journal, "solve", i).boolean("sat", true);
+    }
+    journal.close();
+  }
+  // Simulate the killed writer's torn tail.
+  {
+    std::ofstream out(file, std::ios::app);
+    out << "{\"type\":\"iteration\",\"iter\":6,\"npro";
+  }
+  const auto snapshot = read_checkpoint(tmp.path);
+  ASSERT_TRUE(snapshot.has_value());
+  ASSERT_EQ(snapshot->iterations.size(), 3u);
+  obs::Journal journal;
+  SessionWriter writer(tmp.path);
+  writer.resume_iterations(snapshot->streams, snapshot->iterations, &journal);
+  obs::JournalEvent(journal, "iteration", 3).num("nprocs", 4);
+  journal.close();
+
+  // Events 0..2 survive; the uncommitted tail (3..5) and the torn line go.
+  const std::vector<obs::ParsedEvent> events = obs::read_journal(file);
+  ASSERT_EQ(events.size(), 7u);  // (iteration+solve) x 3 retained + 1 new
+  int iteration_events = 0;
+  for (const obs::ParsedEvent& ev : events) {
+    EXPECT_LE(ev.iter(), 3);
+    if (ev.type == "iteration") ++iteration_events;
+  }
+  EXPECT_EQ(iteration_events, 4);
+  const std::string text = slurp(file);
+  EXPECT_EQ(text.find("\"iter\":4"), std::string::npos);
+  EXPECT_EQ(text.find("\"iter\":6"), std::string::npos)
+      << "torn tail retained";
+}
+
+TEST(Session, ResumeOpensAFreshJournalWhenTheFileIsMissing) {
+  TempDir tmp;
+  obs::Journal journal;
+  SessionWriter writer(tmp.path);
+  writer.resume_iterations(ckpt::StreamLengths{0, 120}, {}, &journal);
+  obs::JournalEvent(journal, "iteration", 10);
+  journal.close();
+  EXPECT_EQ(obs::read_journal(tmp.path / "journal.jsonl").size(), 1u);
 }
 
 }  // namespace

@@ -80,10 +80,11 @@ TEST(ArtifactErrorsTest, JournalOpenFailureIsCounted) {
 TEST(ArtifactErrorsTest, FailedCheckpointWriteKeepsTheLastGoodSnapshot) {
   TempDir tmp;
   SessionWriter writer(tmp.path / "sess");
-  // Each snapshot spans the iterations.csv rows before its resume point.
+  // Each snapshot commits the iterations.csv rows before its resume point,
+  // which are the rows written so far.
   std::vector<IterationRecord> rows(20);
   for (int i = 0; i < 20; ++i) rows[static_cast<std::size_t>(i)].iteration = i;
-  writer.begin_iterations(rows);
+  writer.begin_iterations({rows.begin(), rows.begin() + 9});
 
   ckpt::CampaignCheckpoint first;
   first.seed = 42;
@@ -91,6 +92,9 @@ TEST(ArtifactErrorsTest, FailedCheckpointWriteKeepsTheLastGoodSnapshot) {
   first.history_rows = 9;
   writer.write_checkpoint(first);
   ASSERT_TRUE(read_checkpoint(writer.dir()).has_value());
+  for (std::size_t i = 9; i < rows.size(); ++i) {
+    writer.append_iteration(rows[i]);
+  }
 
   // A directory squatting on the temp path makes the next tmp open fail —
   // the writer must report it and leave the complete snapshot untouched

@@ -14,6 +14,7 @@
 #include "compi/driver.h"
 #include "compi/report.h"
 #include "obs/journal.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "targets/targets.h"
 #include "tests/compi/fig2_target.h"
@@ -63,6 +64,12 @@ CampaignOptions obs_opts(const TempDir& tmp) {
 
 TEST(CampaignObs, MetricsPromIsWrittenWithCampaignCounters) {
   TempDir tmp;
+  // The registry is process-global: earlier campaigns in this process
+  // have counted their iterations too.
+  const std::int64_t before =
+      obs::registry()
+          .counter("compi_iterations_total", "Campaign iterations executed")
+          .value();
   const CampaignResult result = Campaign(fig2_target(), obs_opts(tmp)).run();
   ASSERT_EQ(result.iterations.size(), 6u);
 
@@ -73,8 +80,10 @@ TEST(CampaignObs, MetricsPromIsWrittenWithCampaignCounters) {
   EXPECT_NE(prom.find("# TYPE compi_exec_us histogram"), std::string::npos);
   EXPECT_NE(prom.find("compi_exec_us_bucket{le=\"+Inf\"}"), std::string::npos);
   EXPECT_NE(prom.find("compi_mpi_collectives_total"), std::string::npos);
-  // The run above did 6 iterations in this process.
-  EXPECT_NE(prom.find("compi_iterations_total 6\n"), std::string::npos)
+  // The run above added its 6 iterations to the counter.
+  EXPECT_NE(prom.find("compi_iterations_total " + std::to_string(before + 6) +
+                      "\n"),
+            std::string::npos)
       << prom;
 }
 

@@ -29,13 +29,6 @@ struct TempDir {
   }
 };
 
-std::string slurp(const fs::path& p) {
-  std::ifstream in(p);
-  std::string out((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  return out;
-}
-
 TEST(JsonWriter, EscapesQuotesBackslashesAndControlCharacters) {
   std::string out;
   JsonWriter::append_escaped(out, "a\"b\\c\nd\te\x01" "f");
@@ -120,53 +113,6 @@ TEST(Journal, ReadSkipsTornTrailingLine) {
   const std::vector<ParsedEvent> events = read_journal(file, &malformed);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(malformed, 1u);
-}
-
-TEST(Journal, OpenResumeDropsEventsAtOrPastTheBoundaryAndTornTails) {
-  TempDir tmp;
-  const fs::path file = tmp.path / "journal.jsonl";
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.open(file));
-    for (int i = 0; i < 6; ++i) {
-      JournalEvent(journal, "iteration", i).num("nprocs", 4);
-      JournalEvent(journal, "solve", i).boolean("sat", true);
-    }
-    journal.close();
-  }
-  // Simulate the killed writer's torn tail.
-  {
-    std::ofstream out(file, std::ios::app);
-    out << "{\"type\":\"iteration\",\"iter\":6,\"npro";
-  }
-  // Checkpoint said the next iteration is 3: events 0..2 survive, the
-  // un-checkpointed tail (3..6) and the torn line go.
-  Journal journal;
-  ASSERT_TRUE(journal.open_resume(file, 3));
-  JournalEvent(journal, "iteration", 3).num("nprocs", 4);
-  journal.close();
-
-  const std::vector<ParsedEvent> events = read_journal(file);
-  ASSERT_EQ(events.size(), 7u);  // (iteration+solve) x 3 retained + 1 new
-  int iteration_events = 0;
-  for (const ParsedEvent& ev : events) {
-    EXPECT_LE(ev.iter(), 3);
-    if (ev.type == "iteration") ++iteration_events;
-  }
-  EXPECT_EQ(iteration_events, 4);
-  const std::string text = slurp(file);
-  EXPECT_EQ(text.find("\"iter\":4"), std::string::npos);
-  EXPECT_EQ(text.find("\"iter\":6"), std::string::npos)
-      << "torn tail retained";
-}
-
-TEST(Journal, OpenResumeFallsBackToFreshOpenWhenFileMissing) {
-  TempDir tmp;
-  Journal journal;
-  ASSERT_TRUE(journal.open_resume(tmp.path / "journal.jsonl", 10));
-  JournalEvent(journal, "iteration", 10);
-  journal.close();
-  EXPECT_EQ(read_journal(tmp.path / "journal.jsonl").size(), 1u);
 }
 
 TEST(Journal, BufferedEventsReachDiskOnFlush) {
