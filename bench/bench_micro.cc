@@ -25,6 +25,7 @@
 #include "sandbox/supervisor.h"
 #include "sandbox/wire.h"
 #include "solver/solver.h"
+#include "solver/store.h"
 #include "targets/targets.h"
 
 namespace {
@@ -35,38 +36,97 @@ void BM_SolverChain(benchmark::State& state) {
   // x0 < x1 < ... < x_{k-1} <= 100, negate the last: a coupled chain the
   // incremental solver must re-solve wholesale.
   const int k = static_cast<int>(state.range(0));
-  std::vector<solver::Predicate> preds;
+  solver::PredicateStore path;
   solver::Assignment prev;
   for (int i = 0; i + 1 < k; ++i) {
-    preds.push_back(solver::make_lt(i, i + 1));
+    path.push_back(solver::make_lt(i, i + 1));
     prev[i] = i;
   }
   prev[k - 1] = k - 1;
-  preds.push_back(solver::make_le_const(k - 1, 100).negated());
+  const solver::Predicate negated = solver::make_le_const(k - 1, 100).negated();
+  const solver::PredicateStore side;
   solver::Solver s;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(s.solve_incremental(preds, {}, prev));
+    benchmark::DoNotOptimize(
+        s.solve_incremental(path, path.size(), side, negated, {}, prev));
   }
 }
 BENCHMARK(BM_SolverChain)->Arg(4)->Arg(16)->Arg(64);
 
-void BM_SolverIndependent(benchmark::State& state) {
-  // Many independent constraints: dependency slicing should make the
-  // incremental solve O(slice), not O(set).
-  const int k = static_cast<int>(state.range(0));
-  std::vector<solver::Predicate> preds;
+/// One incremental query through the store API: negate `negated` after
+/// the whole of `path`, with no side predicates.
+struct StoreQuery {
+  solver::PredicateStore path;
+  solver::Predicate negated;
+  solver::DomainMap domains;
   solver::Assignment prev;
+
+  [[nodiscard]] solver::SolveResult solve(const solver::Solver& s) const {
+    static const solver::PredicateStore kNoSide;
+    return s.solve_incremental(path, path.size(), kNoSide, negated, domains,
+                               prev);
+  }
+};
+
+/// k independent bounds; the negation's slice is one predicate.
+StoreQuery independent_query(int k) {
+  StoreQuery q;
   for (int i = 0; i < k; ++i) {
-    preds.push_back(solver::make_le_const(i, 50));
-    prev[i] = 0;
+    q.path.push_back(solver::make_le_const(i, 50));
+    q.prev[i] = 0;
   }
-  preds.push_back(solver::make_le_const(k - 1, 50).negated());
+  q.negated = solver::make_le_const(k - 1, 50).negated();
+  return q;
+}
+
+/// The shape of a long SUSY candidate: a 2000-entry path whose negation
+/// depends on a coupled slice of 600 entries (repeated bound checks and
+/// differences over 8 shared inputs), the other 1400 independent.
+StoreQuery deep_prefix_query() {
+  constexpr int kPath = 2000;
+  constexpr int kCoupled = 600;
+  constexpr int kShared = 8;
+  StoreQuery q;
+  for (int v = 0; v < kShared; ++v) {
+    q.domains[v] = {0, 4096};
+    q.prev[v] = 10;
+  }
+  for (int i = 0; i < kCoupled; ++i) {
+    const int v = i % kShared;
+    if (i % 3 == 0) {
+      q.path.push_back(solver::make_le_const(v, 1000 + i));
+    } else if (i % 3 == 1) {
+      q.path.push_back(solver::make_ge_const(v, 1));
+    } else {
+      solver::LinearExpr diff(v, 1, -5);  // x_v - x_{v+1} - 5 <= 0
+      diff.add_term((v + 1) % kShared, -1);
+      q.path.push_back({diff, solver::CompareOp::kLe});
+    }
+  }
+  for (int v = kShared; q.path.size() < kPath; ++v) {
+    q.path.push_back(solver::make_ge_const(v, 0));
+    q.prev[v] = v;
+  }
+  q.negated = solver::make_lt_const(0, 1000).negated();  // x0 >= 1000
+  return q;
+}
+
+void BM_SolverIndependent(benchmark::State& state) {
+  // Many independent constraints: dependency slicing makes the
+  // incremental solve O(slice), not O(set) — read in place from the store,
+  // the prefix's length costs nothing.
+  const StoreQuery q = independent_query(static_cast<int>(state.range(0)));
   solver::Solver s;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(s.solve_incremental(preds, {}, prev));
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(q.solve(s));
 }
 BENCHMARK(BM_SolverIndependent)->Arg(16)->Arg(256)->Arg(2048);
+
+void BM_SolveDeepPrefix(benchmark::State& state) {
+  const StoreQuery q = deep_prefix_query();
+  solver::Solver s;
+  for (auto _ : state) benchmark::DoNotOptimize(q.solve(s));
+}
+BENCHMARK(BM_SolveDeepPrefix);
 
 void BM_BranchEventHeavy(benchmark::State& state) {
   rt::BranchTable table;
@@ -498,6 +558,36 @@ void BM_WireEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_WireEncodeDecode);
 
+// ---- --json sidecar: incremental solves through the store API ----
+// Seconds per solve of the solver benchmarks above, timed over a fixed
+// repetition count so before/after trajectories compare like for like.
+void write_solver_sidecar(const compi::bench::BenchArgs& args) {
+  compi::bench::JsonEmitter json(args, "micro_solver");
+  const solver::Solver s;
+  const auto time_solves = [&](const StoreQuery& q) {
+    constexpr int kReps = 2000;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kReps; ++i) benchmark::DoNotOptimize(q.solve(s));
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+               .count() /
+           kReps;
+  };
+  for (int k : {16, 256, 2048}) {
+    const StoreQuery q = independent_query(k);
+    json.row("independent_" + std::to_string(k),
+             {{"seconds_per_solve", time_solves(q)},
+              {"slice_size",
+               static_cast<double>(q.solve(s).slice_size)}});
+  }
+  const StoreQuery deep = deep_prefix_query();
+  const solver::SolveResult r = deep.solve(s);
+  json.row("deep_prefix", {{"seconds_per_solve", time_solves(deep)},
+                           {"slice_size", static_cast<double>(r.slice_size)},
+                           {"nodes", static_cast<double>(r.nodes_searched)},
+                           {"sat", r.sat ? 1.0 : 0.0}});
+}
+
 // ---- --json sidecar: the spawn-engine trajectory ----
 // Cold fork vs warm spawn, measured the way a campaign
 // experiences them: the cold fork copies the CAMPAIGN process (here padded
@@ -586,6 +676,9 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (args.json) write_spawn_sidecar(args);
+  if (args.json) {
+    write_spawn_sidecar(args);
+    write_solver_sidecar(args);
+  }
   return 0;
 }

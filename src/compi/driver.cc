@@ -998,9 +998,15 @@ CampaignResult Campaign::run() {
       wk.pending_depth.reset();  // root the new strategy at this path
     }
 
-    wk.strategy->observe(focus_log.path, wk.next_is_restart
-                                             ? std::nullopt
-                                             : wk.pending_depth);
+    // The recorded path becomes the constraint store every candidate drawn
+    // from it shares.  A session still writes it into the rank logs at the
+    // barrier, so there the store is a copy.
+    sym::Path& recorded =
+        run.ranks[static_cast<std::size_t>(run.focus)].log.path;
+    wk.strategy->observe(
+        std::make_shared<const sym::Path>(session ? recorded
+                                                  : std::move(recorded)),
+        wk.next_is_restart ? std::nullopt : wk.pending_depth);
     wk.next_is_restart = false;
     wk.pending_depth.reset();
 
@@ -1015,23 +1021,20 @@ CampaignResult Campaign::run() {
     obs::ObsSpan plan_span(obs::Cat::kStrategy, "plan_next_test");
     solver::SolveCache* cache = wk.cache ? &*wk.cache : nullptr;
     // The registry is fixed until the next run: one set of MPI-semantics
-    // constraints and domains serves every candidate.
-    const std::vector<solver::Predicate> mpi_preds =
-        wk.framework.mpi_constraints(focus_log);
+    // constraints (indexed once) and domains serves every candidate.
+    const solver::PredicateStore mpi_preds(
+        wk.framework.mpi_constraints(focus_log));
     const solver::DomainMap domains = wk.framework.domains();
     bool planned = false;
     while (auto cand = wk.strategy->next()) {
-      // Insert the MPI-semantics constraints before the negated
-      // constraint (which must stay last for incremental solving).
-      std::vector<solver::Predicate> preds = std::move(cand->constraints);
-      const solver::Predicate negated = std::move(preds.back());
-      preds.pop_back();
-      preds.insert(preds.end(), mpi_preds.begin(), mpi_preds.end());
-      preds.push_back(negated);
-
+      const solver::Predicate negated = cand->negated();
+      const auto solve = [&](const solver::Solver& solver) {
+        return solver.solve_incremental(*cand->path, cand->depth, mpi_preds,
+                                        negated, domains,
+                                        focus_log.inputs_used, cache);
+      };
       const std::int64_t nodes_before = rec.solver_nodes;
-      solver::SolveResult solved = wk.solver.solve_incremental(
-          preds, domains, focus_log.inputs_used, cache);
+      solver::SolveResult solved = solve(wk.solver);
       rec.solver_nodes += solved.nodes_searched;
       // Node-budget exhaustion is "unknown", not UNSAT: retry the same
       // query with a doubled budget before treating it as failed.
@@ -1048,9 +1051,8 @@ CampaignResult Campaign::run() {
             .num("target", cand->target);
         m_retries.inc();
         ++iter_retries;
-        solver::Solver relaxed({options_.solver_node_budget << (attempt + 1)});
-        solved = relaxed.solve_incremental(preds, domains,
-                                           focus_log.inputs_used, cache);
+        solved = solve(
+            solver::Solver({options_.solver_node_budget << (attempt + 1)}));
         rec.solver_nodes += solved.nodes_searched;
       }
 
@@ -1122,14 +1124,15 @@ CampaignResult Campaign::run() {
     const std::size_t n = pool.size(), rows = result.iterations.size();
     std::vector<double> cost(n, 0.0), share(n, 1.0), credit(n, 0.0);
     double cost_sum = 1.0, row_sum = 1.0, total = 0.0;
-    for (std::size_t i = rows - std::min(rows, n * kSliceOrdinals); i < rows;
-         ++i) {
-      const IterationRecord& r = result.iterations[i];
-      cost[static_cast<std::size_t>(r.worker)] += r.constraint_set_size + 1.0;
-      share[static_cast<std::size_t>(r.worker)] += 1.0;
-      cost_sum += r.constraint_set_size + 1.0;
-      row_sum += 1.0;
-    }
+    result.iterations.visit(
+        rows - std::min(rows, n * kSliceOrdinals),
+        [&](const IterationRecord& r) {
+          cost[static_cast<std::size_t>(r.worker)] +=
+              r.constraint_set_size + 1.0;
+          share[static_cast<std::size_t>(r.worker)] += 1.0;
+          cost_sum += r.constraint_set_size + 1.0;
+          row_sum += 1.0;
+        });
     for (std::size_t w = 0; w < n; ++w) {
       total += share[w] /= cost[w] + cost_sum / row_sum;
     }
@@ -1146,9 +1149,11 @@ CampaignResult Campaign::run() {
   };
 
   // Sizes the epoch starting at epoch_begin: N * kSliceOrdinals (one for a
-  // lone worker, whom batching only costs memory), cut short at the budget,
-  // the halt point and — when a session writes checkpoints — the next
-  // checkpoint multiple, so snapshots fall on barriers.  Then leases it
+  // lone worker, whom batching only costs memory), cut short at the budget
+  // and — when a session writes checkpoints — the next checkpoint multiple,
+  // so snapshots fall on barriers.  The halt hook does not cut epochs: it
+  // stops at the first boundary at or past its count, a boundary of the
+  // uninterrupted plan, so a resume continues that very plan.  Then leases it
   // from the work source, which may grant fewer (none ends the campaign),
   // deals it, and shows stale views the merged campaign — each gets an
   // equal share of the --max-interleavings headroom, so together they
@@ -1162,10 +1167,6 @@ CampaignResult Campaign::run() {
     const int interval = options_.checkpoint_interval;
     if (session && interval > 0) {
       end = std::min(end, (epoch_begin / interval + 1) * interval);
-    }
-    const int halt_at = start_iter + options_.halt_after_iterations;
-    if (options_.halt_after_iterations > 0 && halt_at > epoch_begin) {
-      end = std::min(end, halt_at);
     }
     if (end > epoch_begin && options_.work_source != nullptr) {
       end = epoch_begin +
@@ -1336,15 +1337,40 @@ CampaignResult Campaign::run() {
     }
   };
 
-  std::barrier sync(workers, [&]() noexcept {
-    try {
-      apply_epoch();
-      plan_epoch();
-    } catch (...) {
-      apply_error = std::current_exception();
-      outcomes.clear();
+  plan_epoch();
+  // A worker the campaign can never reach gets no thread: when the first
+  // epoch spans the whole remaining budget and no work source can grant
+  // more, only the workers it deals ordinals to run, and the barrier waits
+  // for them alone.  The others report done and keep their cursors.
+  const bool one_epoch =
+      options_.work_source == nullptr &&
+      epoch_begin + static_cast<int>(outcomes.size()) >= options_.iterations;
+  const auto reachable = [&](int w) {
+    return !one_epoch ||
+           std::any_of(outcomes.begin(), outcomes.end(),
+                       [w](const Outcome& o) { return o.worker == w; });
+  };
+  int running = 0;
+  int first = -1;  // the first running worker takes the calling thread
+  for (int w = 0; w < workers; ++w) {
+    if (reachable(w)) {
+      ++running;
+      if (first < 0) first = w;
+    } else if (board != nullptr) {
+      board->worker_phase(w, pool[static_cast<std::size_t>(w)]->last_iter,
+                          obs::WorkerPhase::kDone);
     }
-  });
+  }
+  std::barrier sync(running,
+                    [&]() noexcept {
+                      try {
+                        apply_epoch();
+                        plan_epoch();
+                      } catch (...) {
+                        apply_error = std::current_exception();
+                        outcomes.clear();
+                      }
+                    });
   // Worker w runs the ordinals dealt to it, in order.  It stops early when
   // the time budget runs out or when its own view already holds the bug
   // budget.
@@ -1372,12 +1398,13 @@ CampaignResult Campaign::run() {
       board->worker_phase(w, wk.last_iter, obs::WorkerPhase::kDone);
     }
   };
-  plan_epoch();
-  {
+  if (running > 0) {
     std::vector<std::jthread> threads;
-    threads.reserve(static_cast<std::size_t>(workers - 1));
-    for (int w = 1; w < workers; ++w) threads.emplace_back(worker_loop, w);
-    worker_loop(0);  // worker 0 is the calling thread
+    threads.reserve(static_cast<std::size_t>(running - 1));
+    for (int w = first + 1; w < workers; ++w) {
+      if (reachable(w)) threads.emplace_back(worker_loop, w);
+    }
+    worker_loop(first);
   }  // join
   obs::set_thread_track(0);
   if (apply_error) std::rethrow_exception(apply_error);
@@ -1404,6 +1431,7 @@ CampaignResult Campaign::run() {
   }
 
   // ---- finalize ----
+  result.iterations.shrink_to_fit();
   result.covered_branches = coverage.covered_branches();
   result.reachable_branches = coverage.reachable_branches();
   result.total_branches = coverage.total_branches();
@@ -1418,14 +1446,14 @@ CampaignResult Campaign::run() {
   result.total_seconds = elapsed();
   result.total_exec_seconds = 0.0;
   result.total_solve_seconds = 0.0;
-  for (const IterationRecord& r : result.iterations) {
+  result.iterations.visit(0, [&](const IterationRecord& r) {
     result.total_exec_seconds += r.exec_seconds;
     result.total_solve_seconds += r.solve_seconds;
     if (r.outcome == rt::Outcome::kDeadlock) ++result.deadlocks_found;
     if (r.outcome == rt::Outcome::kOrphanMessage) {
       ++result.orphan_messages_found;
     }
-  }
+  });
   // A simulated kill stops before the summary files exist, exactly like a
   // real SIGKILL would; only the checkpoint survives (the halt snapshot
   // already exported the observability artifacts with it).

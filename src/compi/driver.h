@@ -17,37 +17,13 @@
 
 #include "compi/coverage.h"
 #include "compi/framework.h"
+#include "compi/history.h"
 #include "compi/options.h"
 #include "compi/search_strategy.h"
 #include "compi/target.h"
 #include "runtime/var_registry.h"
 
 namespace compi {
-
-struct IterationRecord {
-  int iteration = 0;
-  int nprocs = 0;
-  int focus = 0;
-  rt::Outcome outcome = rt::Outcome::kOk;
-  /// Size of the focus's recorded constraint set this run (Fig. 9).
-  std::size_t constraint_set_size = 0;
-  /// Cumulative covered branches after this iteration (coverage curves).
-  std::size_t covered_branches = 0;
-  double exec_seconds = 0.0;
-  double solve_seconds = 0.0;
-  bool restart = false;  // this run used fresh random inputs
-  /// Backtracking-search nodes expanded by this iteration's solver queries
-  /// (summed over candidates and budget retries).
-  std::int64_t solver_nodes = 0;
-  /// Transient-failure retries absorbed this iteration (timeout re-runs and
-  /// relaxed-budget solver re-queries).
-  int retries = 0;
-  /// Campaign worker that executed this iteration (0 for the serial path).
-  int worker = 0;
-  /// Interleaving id when this iteration replayed a reordered wildcard
-  /// matching (--explore-matchings); -1 for ordinary input-driven runs.
-  std::int64_t interleaving = -1;
-};
 
 /// One discovered bug: the failure plus its error-inducing test setup.
 struct BugRecord {
@@ -107,7 +83,7 @@ struct CampaignCounters {
 };
 
 struct CampaignResult : CampaignCounters {
-  std::vector<IterationRecord> iterations;
+  IterationHistory iterations;
   std::vector<BugRecord> bugs;
   /// Where the uncovered branches live (function-level breakdown).
   std::vector<FunctionCoverage> function_coverage;

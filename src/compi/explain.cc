@@ -39,7 +39,7 @@ std::string fmt_seconds(double s) {
 }
 
 void print_timeline(std::ostream& os,
-                    const std::vector<IterationRecord>& iters,
+                    const IterationHistory& iters,
                     int max_milestones) {
   // Discovery iterations: every row where coverage grew past the previous
   // maximum (restarts can only repeat coverage, never shrink the merge).
@@ -159,7 +159,7 @@ void print_rank_skew(std::ostream& os,
 }
 
 void print_solver_breakdown(std::ostream& os,
-                            const std::vector<IterationRecord>& iters,
+                            const IterationHistory& iters,
                             const std::vector<obs::ParsedEvent>& journal,
                             bool have_journal) {
   double exec_total = 0.0, solve_total = 0.0;
@@ -218,7 +218,7 @@ void print_solver_breakdown(std::ostream& os,
 }
 
 void print_matchings(std::ostream& os,
-                     const std::vector<IterationRecord>& iters,
+                     const IterationHistory& iters,
                      const std::vector<LedgerCsvRow>& ledger,
                      const std::vector<obs::ParsedEvent>& journal) {
   std::size_t replays = 0, deadlocks = 0, orphans = 0;
@@ -372,7 +372,7 @@ std::vector<LedgerCsvRow> parse_ledger_csv(std::istream& in) {
 /// `journal_header` is the pre-rendered "journal events : ..." line (empty
 /// when there is no journal to describe).
 void render_report(std::ostream& os, const std::vector<LedgerCsvRow>& ledger,
-                   const std::vector<IterationRecord>& iters,
+                   const IterationHistory& iters,
                    const std::vector<obs::ParsedEvent>& journal,
                    bool have_journal, const std::string& journal_header,
                    const ExplainOptions& opts) {
@@ -411,8 +411,7 @@ std::vector<LedgerCsvRow> read_ledger_csv(const std::filesystem::path& file) {
 bool explain_session(const std::filesystem::path& dir, std::ostream& os,
                      const ExplainOptions& opts) {
   const std::vector<LedgerCsvRow> ledger = read_ledger_csv(dir / "ledger.csv");
-  const std::vector<IterationRecord> iters =
-      read_iterations(dir / "iterations.csv");
+  const IterationHistory iters = read_iterations(dir / "iterations.csv");
   if (ledger.empty() && iters.empty()) {
     os << "explain: no ledger.csv or iterations.csv in " << dir.string()
        << " (run a campaign with --log-dir first)\n";
@@ -441,7 +440,7 @@ bool explain_session(const std::filesystem::path& dir, std::ostream& os,
 
 std::string explain_live(const CoverageLedger& ledger_state,
                          const rt::BranchTable& table,
-                         const std::vector<IterationRecord>& iterations,
+                         const IterationHistory& iterations,
                          const std::vector<std::string>& journal_lines,
                          const ExplainOptions& opts) {
   // Render the live ledger to CSV and re-parse it through the offline

@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "compi/history.h"
+
 namespace compi::rt {
 class BranchTable;
 }  // namespace compi::rt
@@ -30,7 +32,6 @@ class BranchTable;
 namespace compi {
 
 class CoverageLedger;
-struct IterationRecord;
 
 struct ExplainOptions {
   /// Never-taken branch sites shown in the near-miss section.
@@ -85,10 +86,10 @@ bool explain_session(const std::filesystem::path& dir, std::ostream& os,
 /// lines from the in-memory tap.  The ledger CSV is rendered and re-parsed
 /// through the exact offline reader so live and offline reports can never
 /// drift.  The caller must hold whatever lock guards the ledger and
-/// iteration vector for the duration of the call.
+/// iteration history for the duration of the call.
 [[nodiscard]] std::string explain_live(
     const CoverageLedger& ledger, const rt::BranchTable& table,
-    const std::vector<IterationRecord>& iterations,
+    const IterationHistory& iterations,
     const std::vector<std::string>& journal_lines,
     const ExplainOptions& opts = {});
 

@@ -117,8 +117,10 @@ struct CampaignOptions {
   /// starting fresh (falls back to a fresh run when none is readable).
   bool resume = false;
   /// Testing hook: stop abruptly after this many iterations of THIS process
-  /// (writing a final checkpoint but no summary), simulating a kill.
-  /// 0 = run to the configured budget.
+  /// (writing a final checkpoint but no summary), simulating a kill.  Under
+  /// --workers the stop lands on the first epoch boundary at or past it
+  /// (serial epochs are one iteration long).  0 = run to the configured
+  /// budget.
   int halt_after_iterations = 0;
   /// Run every test outside the tester's process, in the fork server's
   /// persistent executor (sandbox/fork_server.h): a target that really

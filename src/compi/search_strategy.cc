@@ -25,6 +25,21 @@ sym::BranchId flip_target(const sym::Path& path, std::size_t depth) {
   return sym::branch_id(path[depth].site, !path[depth].taken);
 }
 
+/// Restores a checkpointed path (its text holds the whole path).
+bool read_shared_path(std::istream& is,
+                      std::shared_ptr<const sym::Path>& out) {
+  sym::Path path;
+  if (!ckpt::read_path(is, path)) return false;
+  out = std::make_shared<const sym::Path>(std::move(path));
+  return true;
+}
+
+/// Checkpoints a path a strategy may not have observed yet (as empty).
+void write_shared_path(std::ostream& os,
+                       const std::shared_ptr<const sym::Path>& path) {
+  ckpt::write_path(os, path ? *path : sym::Path{});
+}
+
 // Global mirrors of the per-strategy stats (metrics.prom aggregates across
 // strategy swaps — the two-phase switch replaces the strategy object).
 void note_candidate_issued() {
@@ -45,32 +60,32 @@ void note_prediction_failure() {
 // (Bounded) depth-first search — CREST's BoundedDFS, COMPI's default.
 //
 // An explicit stack of frames replaces CREST's re-execution recursion: a
-// frame is the path of one execution plus the range [lo, idx] of depths
-// whose negation is still pending.  Children (deeper flips) are pushed on
-// top, so exploration is depth-first; a child's `lo` starts just past the
-// flip depth so the parent's prefix is not re-explored.
+// frame is the (shared) path of one execution plus the range [lo, idx] of
+// depths whose negation is still pending.  Children (deeper flips) are
+// pushed on top, so exploration is depth-first; a child's `lo` starts just
+// past the flip depth so the parent's prefix is not re-explored.
 // ---------------------------------------------------------------------------
 class BoundedDfsStrategy final : public SearchStrategy {
  public:
   explicit BoundedDfsStrategy(std::size_t bound) : bound_(bound) {}
 
-  void observe(const sym::Path& path,
+  void observe(std::shared_ptr<const sym::Path> path,
                std::optional<std::size_t> flipped_depth) override {
     if (!flipped_depth) {
       // Initial or restart execution: root the search tree here.
       stack_.clear();
-      push_frame(path, 0);
+      push_frame(std::move(path), 0);
       return;
     }
     // The frame that issued the candidate is still on top.
     if (!stack_.empty() &&
-        !stack_.back().path.diverges_as_predicted(path, *flipped_depth)) {
+        !stack_.back().path->diverges_as_predicted(*path, *flipped_depth)) {
       // Prediction failure (CREST logs and skips the subtree).
       ++stats_.prediction_failures;
       note_prediction_failure();
       return;
     }
-    push_frame(path, *flipped_depth + 1);
+    push_frame(std::move(path), *flipped_depth + 1);
   }
 
   std::optional<Candidate> next() override {
@@ -83,8 +98,7 @@ class BoundedDfsStrategy final : public SearchStrategy {
       const std::size_t depth = static_cast<std::size_t>(f.idx--);
       ++stats_.candidates_issued;
       note_candidate_issued();
-      return Candidate{f.path.constraints_negating(depth), depth,
-                       flip_target(f.path, depth)};
+      return Candidate{f.path, depth, flip_target(*f.path, depth)};
     }
     return std::nullopt;
   }
@@ -98,7 +112,7 @@ class BoundedDfsStrategy final : public SearchStrategy {
     os << "frames " << stack_.size() << '\n';
     for (const Frame& f : stack_) {
       os << f.lo << ' ' << f.idx << ' ';
-      ckpt::write_path(os, f.path);
+      ckpt::write_path(os, *f.path);
     }
   }
 
@@ -109,7 +123,9 @@ class BoundedDfsStrategy final : public SearchStrategy {
     stack_.clear();
     for (std::size_t i = 0; i < n; ++i) {
       Frame f;
-      if (!(is >> f.lo >> f.idx) || !ckpt::read_path(is, f.path)) return false;
+      if (!(is >> f.lo >> f.idx) || !read_shared_path(is, f.path)) {
+        return false;
+      }
       stack_.push_back(std::move(f));
     }
     return true;
@@ -117,16 +133,16 @@ class BoundedDfsStrategy final : public SearchStrategy {
 
  private:
   struct Frame {
-    sym::Path path;
+    std::shared_ptr<const sym::Path> path;
     std::size_t lo = 0;
     std::ptrdiff_t idx = -1;
   };
 
-  void push_frame(const sym::Path& path, std::size_t lo) {
-    const std::size_t limit = std::min(path.size(), bound_);
+  void push_frame(std::shared_ptr<const sym::Path> path, std::size_t lo) {
+    const std::size_t limit = std::min(path->size(), bound_);
     if (limit == 0 || lo >= limit) return;
     stack_.push_back(
-        {path, lo, static_cast<std::ptrdiff_t>(limit) - 1});
+        {std::move(path), lo, static_cast<std::ptrdiff_t>(limit) - 1});
   }
 
   std::size_t bound_;
@@ -162,19 +178,21 @@ class RandomDepthStrategy final : public SearchStrategy {
   RandomDepthStrategy(std::uint64_t seed, const char* name, DepthDraw draw)
       : rng_(seed), name_(name), draw_(draw) {}
 
-  void observe(const sym::Path& path, std::optional<std::size_t>) override {
-    path_ = path;
+  void observe(std::shared_ptr<const sym::Path> path,
+               std::optional<std::size_t>) override {
+    path_ = std::move(path);
     attempts_ = 0;
   }
 
   std::optional<Candidate> next() override {
-    if (path_.empty() || attempts_ > path_.size() * 2) return std::nullopt;
+    if (!path_ || path_->empty() || attempts_ > path_->size() * 2) {
+      return std::nullopt;
+    }
     ++attempts_;
-    const std::size_t depth = draw_(rng_, path_.size());
+    const std::size_t depth = draw_(rng_, path_->size());
     ++stats_.candidates_issued;
     note_candidate_issued();
-    return Candidate{path_.constraints_negating(depth), depth,
-                     flip_target(path_, depth)};
+    return Candidate{path_, depth, flip_target(*path_, depth)};
   }
 
   void accepted(const Candidate&) override { attempts_ = 0; }
@@ -186,21 +204,21 @@ class RandomDepthStrategy final : public SearchStrategy {
     os << "rng " << rng_ << '\n';
     os << "attempts " << attempts_ << '\n';
     os << "path ";
-    ckpt::write_path(os, path_);
+    write_shared_path(os, path_);
   }
 
   bool load_state(std::istream& is) override {
     if (!SearchStrategy::load_state(is)) return false;
     if (!expect_tag(is, "rng") || !(is >> rng_)) return false;
     if (!expect_tag(is, "attempts") || !(is >> attempts_)) return false;
-    return expect_tag(is, "path") && ckpt::read_path(is, path_);
+    return expect_tag(is, "path") && read_shared_path(is, path_);
   }
 
  private:
   std::mt19937_64 rng_;
   const char* name_;
   DepthDraw draw_;
-  sym::Path path_;
+  std::shared_ptr<const sym::Path> path_;  // null until the first observe
   std::size_t attempts_ = 0;
 };
 
@@ -215,22 +233,26 @@ class CfgStrategy final : public SearchStrategy {
               const CoverageTracker& coverage)
       : rng_(seed), table_(&table), coverage_(&coverage) {}
 
-  void observe(const sym::Path& path, std::optional<std::size_t>) override {
-    path_ = path;
-    tried_.assign(path_.size(), 0);
+  void observe(std::shared_ptr<const sym::Path> path,
+               std::optional<std::size_t>) override {
+    path_ = std::move(path);
+    tried_.assign(path_->size(), 0);
     attempts_ = 0;
   }
 
   std::optional<Candidate> next() override {
-    if (path_.empty() || attempts_ > path_.size()) return std::nullopt;
+    if (!path_ || path_->empty() || attempts_ > path_->size()) {
+      return std::nullopt;
+    }
     ++attempts_;
 
-    std::size_t best_depth = path_.size();
+    const sym::Path& path = *path_;
+    std::size_t best_depth = path.size();
     std::size_t best_score = std::numeric_limits<std::size_t>::max();
     std::size_t ties = 0;
-    for (std::size_t i = 0; i < path_.size(); ++i) {
+    for (std::size_t i = 0; i < path.size(); ++i) {
       if (tried_[i]) continue;
-      const sym::PathEntry& e = path_[i];
+      const sym::PathEntry& e = path[i];
       // Flipping entry i lands on branch (site, !taken).
       std::size_t score;
       if (!coverage_->branch_covered(sym::branch_id(e.site, !e.taken))) {
@@ -249,12 +271,11 @@ class CfgStrategy final : public SearchStrategy {
         ++ties;
       }
     }
-    if (best_depth >= path_.size()) return std::nullopt;
+    if (best_depth >= path.size()) return std::nullopt;
     tried_[best_depth] = 1;
     ++stats_.candidates_issued;
     note_candidate_issued();
-    return Candidate{path_.constraints_negating(best_depth), best_depth,
-                     flip_target(path_, best_depth)};
+    return Candidate{path_, best_depth, flip_target(path, best_depth)};
   }
 
   void accepted(const Candidate&) override { attempts_ = 0; }
@@ -269,7 +290,7 @@ class CfgStrategy final : public SearchStrategy {
     for (std::uint8_t t : tried_) os << ' ' << static_cast<int>(t);
     os << '\n';
     os << "path ";
-    ckpt::write_path(os, path_);
+    write_shared_path(os, path_);
   }
 
   bool load_state(std::istream& is) override {
@@ -284,7 +305,7 @@ class CfgStrategy final : public SearchStrategy {
       if (!(is >> bit)) return false;
       tried_[i] = static_cast<std::uint8_t>(bit);
     }
-    return expect_tag(is, "path") && ckpt::read_path(is, path_);
+    return expect_tag(is, "path") && read_shared_path(is, path_);
   }
 
  private:
@@ -315,7 +336,7 @@ class CfgStrategy final : public SearchStrategy {
   std::mt19937_64 rng_;
   const rt::BranchTable* table_;
   const CoverageTracker* coverage_;
-  sym::Path path_;
+  std::shared_ptr<const sym::Path> path_;  // null until the first observe
   std::vector<std::uint8_t> tried_;
   std::size_t attempts_ = 0;
 };
@@ -326,13 +347,15 @@ class CfgStrategy final : public SearchStrategy {
 // are queued as candidates, and generations whose runs uncovered new
 // branches are expanded first.  Trades DFS's systematic order for breadth;
 // included as the natural next step the paper's search framework invites.
+// A queued flip is a view (the run's shared path plus a depth), so a
+// generation costs O(path) to queue, not O(path²).
 // ---------------------------------------------------------------------------
 class GenerationalStrategy final : public SearchStrategy {
  public:
   explicit GenerationalStrategy(const CoverageTracker* coverage)
       : coverage_(coverage) {}
 
-  void observe(const sym::Path& path,
+  void observe(std::shared_ptr<const sym::Path> path,
                std::optional<std::size_t> flipped_depth) override {
     // Score by coverage novelty: how much the campaign total grew since
     // the last observation (this run's contribution).
@@ -342,10 +365,9 @@ class GenerationalStrategy final : public SearchStrategy {
     last_covered_ = covered_now;
 
     const std::size_t lo = flipped_depth ? *flipped_depth + 1 : 0;
-    for (std::size_t d = lo; d < path.size(); ++d) {
-      queue_.push_back(Entry{gain, next_tiebreak_++,
-                             path.constraints_negating(d), d,
-                             flip_target(path, d)});
+    for (std::size_t d = lo; d < path->size(); ++d) {
+      queue_.push_back(
+          Entry{gain, next_tiebreak_++, path, d, flip_target(*path, d)});
       std::push_heap(queue_.begin(), queue_.end());
     }
   }
@@ -357,7 +379,7 @@ class GenerationalStrategy final : public SearchStrategy {
     queue_.pop_back();
     ++stats_.candidates_issued;
     note_candidate_issued();
-    return Candidate{std::move(top.constraints), top.depth, top.target};
+    return Candidate{std::move(top.path), top.depth, top.target};
   }
 
   [[nodiscard]] const char* name() const override { return "Generational"; }
@@ -366,13 +388,16 @@ class GenerationalStrategy final : public SearchStrategy {
     SearchStrategy::save_state(os);
     os << "gen " << last_covered_ << ' ' << next_tiebreak_ << '\n';
     os << "entries " << queue_.size() << '\n';
+    // Each entry as its constraint set: the prefix, then the negation.
     for (const Entry& e : queue_) {
       os << e.score << ' ' << e.tiebreak << ' ' << e.depth << ' '
-         << e.target << ' ' << e.constraints.size() << '\n';
-      for (const solver::Predicate& p : e.constraints) {
-        ckpt::write_predicate(os, p);
+         << e.target << ' ' << e.depth + 1 << '\n';
+      for (std::size_t i = 0; i < e.depth; ++i) {
+        ckpt::write_predicate(os, (*e.path)[i].constraint);
         os << '\n';
       }
+      ckpt::write_predicate(os, (*e.path)[e.depth].constraint.negated());
+      os << '\n';
     }
   }
 
@@ -385,16 +410,23 @@ class GenerationalStrategy final : public SearchStrategy {
     if (!expect_tag(is, "entries") || !(is >> n)) return false;
     queue_.clear();
     queue_.reserve(n);
+    // A restored entry gets a path of its own holding just the prefix and
+    // the un-negated entry: solving needs no sites, and the target is
+    // saved.
     for (std::size_t i = 0; i < n; ++i) {
       Entry e;
       std::size_t npreds = 0;
-      if (!(is >> e.score >> e.tiebreak >> e.depth >> e.target >> npreds)) {
+      if (!(is >> e.score >> e.tiebreak >> e.depth >> e.target >> npreds) ||
+          npreds != e.depth + 1) {
         return false;
       }
-      e.constraints.resize(npreds);
-      for (solver::Predicate& p : e.constraints) {
+      sym::Path path;
+      for (std::size_t k = 0; k < npreds; ++k) {
+        solver::Predicate p;
         if (!ckpt::read_predicate(is, p)) return false;
+        path.append(0, false, k == e.depth ? p.negated() : std::move(p));
       }
+      e.path = std::make_shared<const sym::Path>(std::move(path));
       queue_.push_back(std::move(e));
     }
     std::make_heap(queue_.begin(), queue_.end());
@@ -405,7 +437,7 @@ class GenerationalStrategy final : public SearchStrategy {
   struct Entry {
     std::size_t score = 0;      // coverage gain of the producing run
     std::uint64_t tiebreak = 0; // FIFO within a score class
-    std::vector<solver::Predicate> constraints;
+    std::shared_ptr<const sym::Path> path;
     std::size_t depth = 0;
     sym::BranchId target = -1;  // untaken arm the flip steers toward
     bool operator<(const Entry& o) const {

@@ -21,16 +21,21 @@
 
 namespace compi {
 
-/// A proposed next test: follow the previous path up to `depth`, then take
-/// the other side.  `constraints` is the path prefix with the negated
-/// constraint LAST (the convention Solver::solve_incremental expects).
+/// A proposed next test: follow a recorded path up to `depth`, then take
+/// the other side.  A view, not a copy: it shares the path (the constraint
+/// store the solver reads in place) and names the entry to negate.
 struct Candidate {
-  std::vector<solver::Predicate> constraints;
+  std::shared_ptr<const sym::Path> path;
   std::size_t depth = 0;
   /// Branch the negation steers toward — the UNTAKEN arm of the flipped
   /// path entry.  -1 when unknown; the attribution ledger keys solver
   /// near-misses on it.
   sym::BranchId target = -1;
+
+  /// The constraint the next test must satisfy: entry `depth`, negated.
+  [[nodiscard]] solver::Predicate negated() const {
+    return (*path)[depth].constraint.negated();
+  }
 };
 
 struct StrategyStats {
@@ -44,8 +49,9 @@ class SearchStrategy {
 
   /// Reports the focus path of a completed execution.  `flipped_depth` is
   /// the depth of the accepted candidate that produced this run, or nullopt
-  /// for an initial/restart run.
-  virtual void observe(const sym::Path& path,
+  /// for an initial/restart run.  Strategies keep the path itself, shared
+  /// by every candidate they draw from it.
+  virtual void observe(std::shared_ptr<const sym::Path> path,
                        std::optional<std::size_t> flipped_depth) = 0;
 
   /// Next constraint negation to try; nullopt when the strategy is out of

@@ -339,7 +339,7 @@ void SessionWriter::begin_iterations(const std::vector<IterationRecord>& rows,
 }
 
 void SessionWriter::resume_iterations(
-    const ckpt::StreamLengths& at, const std::vector<IterationRecord>& history,
+    const ckpt::StreamLengths& at, const IterationHistory& history,
     obs::Journal* journal) {
   // Past the committed lengths lies the killed run's uncommitted tail,
   // which the resumed campaign is about to re-run.  read_checkpoint
@@ -352,7 +352,7 @@ void SessionWriter::resume_iterations(
   if (!cut || !csv_.good()) lose_csv_rows();
   timeline_.open(dir_ / "coverage_timeline.csv", std::ios::trunc);
   timeline_ << kTimelineHeader;
-  for (const IterationRecord& r : history) append_timeline(r);
+  history.visit(0, [this](const IterationRecord& r) { append_timeline(r); });
   if (journal != nullptr) {
     (void)cut_file(dir_ / "journal.jsonl", at.journal_bytes);
     (void)journal->open(dir_ / "journal.jsonl");
@@ -401,9 +401,8 @@ void SessionWriter::write_summary(const CampaignResult& result) {
     const fs::path file = dir_ / "iterations.csv";
     if (replace_file(file, [&](std::ostream& csv) {
           csv << kCsvHeader;
-          for (const IterationRecord& r : result.iterations) {
-            write_csv_row(csv, r);
-          }
+          result.iterations.visit(
+              0, [&](const IterationRecord& r) { write_csv_row(csv, r); });
         })) {
       csv_lost_rows_ = false;  // whole again: the final snapshot may land
       csv_.open(file, std::ios::app);

@@ -115,7 +115,7 @@ class SessionWriter {
   /// the streams afresh.  Streams open once per writer: call this or
   /// begin_iterations, once.
   void resume_iterations(const ckpt::StreamLengths& at,
-                         const std::vector<IterationRecord>& history,
+                         const IterationHistory& history,
                          obs::Journal* journal = nullptr);
 
   /// Appends one row to iterations.csv, plus a coverage_timeline.csv row

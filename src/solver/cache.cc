@@ -53,33 +53,35 @@ void append_int(std::string& out, std::int64_t v) {
 }  // namespace
 
 NormalizedSlice normalize_slice(
-    std::span<const Predicate> slice_preds, const DomainMap& domains,
+    const DenseSystem& slice, const std::vector<Interval>& domains,
     const std::unordered_map<Var, std::int64_t>& prefer) {
   NormalizedSlice out;
   // Canonical ids in first-occurrence order over the predicates' term
-  // lists; terms within a LinearExpr are already sorted by Var, so the
-  // order is a deterministic function of the slice alone.
-  std::unordered_map<Var, std::size_t> canon;
-  for (const Predicate& p : slice_preds) {
-    for (const Term& t : p.expr.terms()) {
-      if (canon.emplace(t.var, out.vars.size()).second) {
-        out.vars.push_back(t.var);
-      }
+  // lists; terms within a predicate are sorted by Var, so the order is a
+  // deterministic function of the slice alone.
+  constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> canon(slice.vars.size(), kUnseen);
+  std::vector<std::uint32_t> dense;  // canonical id -> dense id
+  for (const DenseSystem::Term& t : slice.terms) {
+    if (canon[t.var] == kUnseen) {
+      canon[t.var] = dense.size();
+      dense.push_back(t.var);
+      out.vars.push_back(slice.vars[t.var]);
     }
   }
-  out.key.reserve(slice_preds.size() * 24 + out.vars.size() * 32);
-  for (const Predicate& p : slice_preds) {
+  out.key.reserve(slice.preds.size() * 24 + out.vars.size() * 32);
+  for (const DenseSystem::Pred& p : slice.preds) {
     out.key.push_back('P');
     append_int(out.key, static_cast<std::int64_t>(p.op));
-    append_int(out.key, p.expr.constant_part());
-    for (const Term& t : p.expr.terms()) {
-      append_int(out.key, static_cast<std::int64_t>(canon[t.var]));
-      append_int(out.key, t.coeff);
+    append_int(out.key, p.constant);
+    for (std::uint32_t k = p.begin; k < p.end; ++k) {
+      append_int(out.key, static_cast<std::int64_t>(canon[slice.terms[k].var]));
+      append_int(out.key, slice.terms[k].coeff);
     }
     out.key.push_back(';');
   }
   for (std::size_t i = 0; i < out.vars.size(); ++i) {
-    const Interval dom = domain_of(domains, out.vars[i]);
+    const Interval dom = domains[dense[i]];
     out.key.push_back('D');
     append_int(out.key, dom.lo);
     append_int(out.key, dom.hi);

@@ -95,12 +95,12 @@ class SolveCache {
   std::int64_t evictions_ = 0;
 };
 
-/// Canonicalizes one dependency slice: `slice_preds` in slice order, each
-/// variable's effective solve domain from `domains`, and its preferred
-/// value from `prefer` (absent entries rendered distinctly — preference
-/// changes the deterministic search order, so it is part of the identity).
+/// Canonicalizes one dependency slice: `slice`'s predicates in order, each
+/// variable's solve domain (`domains`, by dense id) and its preferred value
+/// from `prefer` (absent entries rendered distinctly — preference changes
+/// the deterministic search order, so it is part of the identity).
 [[nodiscard]] NormalizedSlice normalize_slice(
-    std::span<const Predicate> slice_preds, const DomainMap& domains,
+    const DenseSystem& slice, const std::vector<Interval>& domains,
     const std::unordered_map<Var, std::int64_t>& prefer);
 
 }  // namespace compi::solver

@@ -8,6 +8,13 @@
 // The result therefore distinguishes *changed* variables (whose values are
 // "most up-to-date") from stale ones — the property COMPI's rank-conflict
 // resolution depends on.
+//
+// An incremental query reads a recorded path in place (store.h): the
+// entries below a depth, the run's side predicates (the MPI-semantics
+// constraints) and one negated entry.  The slice is found by BFS over the
+// stores' occurrence lists, and propagation and search run on the slice
+// renumbered onto dense variable ids, so a query costs O(slice) whatever
+// the path's length.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +26,7 @@
 #include "solver/cache.h"
 #include "solver/predicate.h"
 #include "solver/propagation.h"
+#include "solver/store.h"
 
 namespace compi::solver {
 
@@ -45,13 +53,29 @@ struct SolveResult {
   /// Backtracking-search nodes expanded by this query (per-iteration solver
   /// cost accounting: iterations.csv's solver_nodes column).
   std::int64_t nodes_searched = 0;
-  /// Constraints in the dependency slice actually re-solved (the journal's
-  /// per-solve cost signal; 0 for the empty-set fast path).
+  /// Constraints in the dependency slice actually re-solved, the negation
+  /// included (the journal's per-solve cost signal).
   std::size_t slice_size = 0;
   /// Answered from the memoization cache: no search ran (nodes_searched is
   /// 0) but the verdict and model are exactly what the search would have
   /// produced (the cache key covers everything the search depends on).
   bool cache_hit = false;
+};
+
+/// One incremental query's dependency slice.  Solved in this order:
+/// path entries ascending, side predicates ascending, then the negation.
+struct Slice {
+  std::vector<std::uint32_t> path;  // store indices, all below the depth
+  std::vector<std::uint32_t> side;  // side-store indices
+  std::vector<Var> vars;            // every variable of the slice, ascending
+  /// Predicates the BFS read: the negation, then every slice predicate
+  /// once per variable it has and nothing else, so finding a slice costs
+  /// O(slice edges) whatever the depth (tests pin this count).
+  std::size_t touched = 0;
+
+  [[nodiscard]] std::size_t size() const {
+    return path.size() + side.size() + 1;
+  }
 };
 
 class Solver {
@@ -69,22 +93,27 @@ class Solver {
       bool* budget_exhausted = nullptr,
       std::int64_t* nodes_searched = nullptr) const;
 
-  /// CREST-style incremental solve.  `preds` is the updated constraint set
-  /// whose *last* element is the freshly negated constraint; `previous` is
-  /// the input assignment that satisfied the un-negated set.  Re-solves only
-  /// the dependency slice of the last constraint and keeps previous values
-  /// elsewhere.  A non-null `cache` memoizes definitive answers keyed on
-  /// the normalized slice (cache.h): hits skip the search entirely while
-  /// returning the identical verdict/model/changed-set.
-  [[nodiscard]] SolveResult solve_incremental(std::span<const Predicate> preds,
-                                              const DomainMap& domains,
-                                              const Assignment& previous,
-                                              SolveCache* cache = nullptr) const;
+  /// CREST-style incremental solve: "follow `path` below `depth`, then
+  /// satisfy `negated`" (the negation of entry `depth`), together with the
+  /// `side` predicates.  `previous` is the input assignment that satisfied
+  /// the un-negated set.  Re-solves only the dependency slice of `negated`
+  /// and keeps previous values elsewhere.  A non-null `cache` memoizes
+  /// definitive answers keyed on the normalized slice (cache.h): hits skip
+  /// the search entirely while returning the identical verdict, model and
+  /// changed set.
+  [[nodiscard]] SolveResult solve_incremental(
+      const ConstraintStore& path, std::size_t depth,
+      const ConstraintStore& side, const Predicate& negated,
+      const DomainMap& domains, const Assignment& previous,
+      SolveCache* cache = nullptr) const;
 
-  /// Indices of `preds` transitively sharing variables with `preds[seed]`
-  /// (the dependency slice used by incremental solving).  Exposed for tests.
-  [[nodiscard]] static std::vector<std::size_t> dependency_slice(
-      std::span<const Predicate> preds, std::size_t seed);
+  /// The dependency slice of `negated` over `path` entries below `depth`
+  /// plus `side`: the predicates transitively sharing a variable with it.
+  /// Exposed for tests.
+  [[nodiscard]] static Slice dependency_slice(const ConstraintStore& path,
+                                              std::size_t depth,
+                                              const ConstraintStore& side,
+                                              const Predicate& negated);
 
  private:
   SolverOptions opts_;

@@ -2,24 +2,6 @@
 
 namespace compi::sym {
 
-std::vector<solver::Predicate> Path::constraints_negating(
-    std::size_t depth) const {
-  std::vector<solver::Predicate> out;
-  out.reserve(depth + 1);
-  for (std::size_t i = 0; i < depth; ++i) {
-    out.push_back(entries_[i].constraint);
-  }
-  out.push_back(entries_[depth].constraint.negated());
-  return out;
-}
-
-std::vector<solver::Predicate> Path::all_constraints() const {
-  std::vector<solver::Predicate> out;
-  out.reserve(entries_.size());
-  for (const PathEntry& e : entries_) out.push_back(e.constraint);
-  return out;
-}
-
 bool Path::diverges_as_predicted(const Path& other, std::size_t depth) const {
   if (other.size() <= depth || size() <= depth) return false;
   for (std::size_t i = 0; i < depth; ++i) {

@@ -5,6 +5,11 @@
 // the taken direction.  Negating the constraint at position i (and keeping
 // positions [0, i) as-is) asks the solver for inputs that steer execution
 // down the other side of that branch — the core move of concolic testing.
+//
+// A recorded Path is also the constraint store every candidate drawn from
+// it reads (solver/store.h): the path indexes, per variable, the entries
+// that mention it as they are appended, and candidates share the path
+// rather than copying its prefix.
 #pragma once
 
 #include <cstddef>
@@ -12,6 +17,7 @@
 #include <vector>
 
 #include "solver/predicate.h"
+#include "solver/store.h"
 
 namespace compi::sym {
 
@@ -36,15 +42,19 @@ struct PathEntry {
 };
 
 /// The symbolic execution history of one run of the focus process.
-class Path {
+class Path final : public solver::ConstraintStore {
  public:
-  void clear() { entries_.clear(); }
+  void clear() {
+    entries_.clear();
+    occ_.clear();
+  }
   void append(SiteId site, bool taken, solver::Predicate constraint) {
+    occ_.add(static_cast<std::uint32_t>(entries_.size()), constraint.expr);
     entries_.push_back({site, taken, std::move(constraint)});
   }
 
   [[nodiscard]] bool empty() const { return entries_.empty(); }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const override { return entries_.size(); }
   [[nodiscard]] const PathEntry& operator[](std::size_t i) const {
     return entries_[i];
   }
@@ -52,15 +62,14 @@ class Path {
     return entries_;
   }
 
-  /// Constraint set for "follow this path up to (but excluding) `depth`,
-  /// then diverge at `depth`": entries [0, depth) as satisfied, plus the
-  /// negation of entry `depth` as the last element (the convention
-  /// Solver::solve_incremental expects).
-  [[nodiscard]] std::vector<solver::Predicate> constraints_negating(
-      std::size_t depth) const;
-
-  /// All constraints as satisfied by this execution.
-  [[nodiscard]] std::vector<solver::Predicate> all_constraints() const;
+  // ---- the constraint store: entry i's constraint as satisfied ----
+  [[nodiscard]] const solver::Predicate& predicate(
+      std::size_t i) const override {
+    return entries_[i].constraint;
+  }
+  [[nodiscard]] const solver::OccurrenceIndex& occurrences() const override {
+    return occ_;
+  }
 
   /// True when `other` starts with the same (site, direction) sequence as
   /// this path's first `depth` entries, and entry `depth` (when present in
@@ -71,6 +80,7 @@ class Path {
 
  private:
   std::vector<PathEntry> entries_;
+  solver::OccurrenceIndex occ_;
 };
 
 }  // namespace compi::sym

@@ -271,5 +271,52 @@ TEST(Determinism, HaltAndResumeAtThreeWorkersMatchesAnUninterruptedRun) {
   expect_identical_files(whole.path, resumed.path);
 }
 
+TEST(Determinism, GenerationalHaltAndResumeMatchesAnUninterruptedRun) {
+  // The generational queue holds views of shared paths; its checkpoint
+  // still writes each entry's constraint set, and a resume rebuilds a
+  // store per entry that solves to the same candidates.
+  const TargetInfo target = targets::make_mini_susy_target();
+  TempDir whole, resumed;
+  CampaignOptions opts = four_worker_options(whole.path, 300);
+  opts.workers = 1;
+  opts.search = SearchKind::kGenerational;
+  opts.checkpoint_interval = 10;
+  (void)Campaign(target, opts).run();
+
+  opts.log_dir = resumed.path.string();
+  opts.halt_after_iterations = 37;
+  const CampaignResult partial = Campaign(target, opts).run();
+  ASSERT_EQ(partial.iterations.size(), 37u);
+  opts.halt_after_iterations = 0;
+  opts.resume = true;
+  const CampaignResult rest = Campaign(target, opts).run();
+  EXPECT_TRUE(rest.resumed);
+  expect_identical_files(whole.path, resumed.path);
+}
+
+TEST(Determinism, HaltOffTheCheckpointGridResumesTheUninterruptedSession) {
+  // Two workers, snapshots every 25, halted at 30: the halt lands on the
+  // uninterrupted plan's next boundary (50) rather than cutting an epoch
+  // of its own at 30, so the resumed campaign deals every later ordinal to
+  // the same worker the uninterrupted one did.
+  const TargetInfo target = targets::make_mini_susy_target();
+  TempDir whole, resumed;
+  CampaignOptions opts = four_worker_options(whole.path, 300);
+  opts.workers = 2;
+  opts.checkpoint_interval = 25;
+  (void)Campaign(target, opts).run();
+
+  opts.log_dir = resumed.path.string();
+  opts.halt_after_iterations = 30;
+  const CampaignResult partial = Campaign(target, opts).run();
+  ASSERT_EQ(partial.iterations.size(), 50u);
+  ASSERT_FALSE(fs::exists(resumed.path / "summary.txt"));
+  opts.halt_after_iterations = 0;
+  opts.resume = true;
+  const CampaignResult rest = Campaign(target, opts).run();
+  EXPECT_TRUE(rest.resumed);
+  expect_identical_files(whole.path, resumed.path);
+}
+
 }  // namespace
 }  // namespace compi

@@ -13,6 +13,7 @@
 #include "solver/solver.h"
 #include "targets/target_common.h"
 #include "tests/compi/fig2_target.h"
+#include "tests/solver/flat_solve.h"
 
 namespace compi {
 namespace {
@@ -79,7 +80,7 @@ TEST(SolverBudget, ExhaustionIsDistinguishedFromProvenUnsat) {
   EXPECT_FALSE(exhausted);
 
   // And the incremental entry point surfaces the same flag.
-  const solver::SolveResult inc = tiny.solve_incremental(preds, domains, {});
+  const solver::SolveResult inc = solver::solve_flat(tiny, preds, domains, {});
   EXPECT_FALSE(inc.sat);
   EXPECT_TRUE(inc.budget_exhausted);
 }

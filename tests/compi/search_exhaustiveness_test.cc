@@ -9,6 +9,7 @@
 #include "compi/driver.h"
 #include "compi/target.h"
 #include "targets/target_common.h"
+#include "tests/solver/flat_solve.h"
 
 namespace compi {
 namespace {
@@ -136,7 +137,7 @@ TEST_P(IncrementalSoundnessTest, ValuesSatisfyAllConstraints) {
   solver::DomainMap domains;
   for (solver::Var v = 0; v < nvars; ++v) domains[v] = {-100, 100};
   solver::Solver s;
-  const solver::SolveResult r = s.solve_incremental(preds, domains, witness);
+  const solver::SolveResult r = solver::solve_flat(s, preds, domains, witness);
   if (!r.sat) return;  // UNSAT is acceptable; soundness is about SAT results
   for (const solver::Predicate& p : preds) {
     EXPECT_TRUE(p.holds([&](solver::Var v) { return r.values.at(v); }))

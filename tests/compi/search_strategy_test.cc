@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 
 #include "compi/driver.h"
 
@@ -14,13 +15,13 @@ namespace {
 using solver::make_ge_const;
 using solver::make_le_const;
 
-sym::Path path_of(std::initializer_list<int> sites) {
+std::shared_ptr<const sym::Path> path_of(std::initializer_list<int> sites) {
   sym::Path p;
   int depth = 0;
   for (int s : sites) {
     p.append(s, true, make_ge_const(0, depth++));
   }
-  return p;
+  return std::make_shared<const sym::Path>(std::move(p));
 }
 
 std::unique_ptr<SearchStrategy> make(SearchKind kind, std::size_t bound =
@@ -38,9 +39,9 @@ TEST(BoundedDfs, NegatesDeepestFirst) {
   const auto c1 = s->next();
   ASSERT_TRUE(c1.has_value());
   EXPECT_EQ(c1->depth, 2u);
-  EXPECT_EQ(c1->constraints.size(), 3u);
-  // Last constraint is the negation of the deepest.
-  EXPECT_EQ(c1->constraints.back(), make_ge_const(0, 2).negated());
+  EXPECT_EQ(c1->path->size(), 3u);
+  // The constraint to satisfy is the negation of the deepest.
+  EXPECT_EQ(c1->negated(), make_ge_const(0, 2).negated());
   const auto c2 = s->next();
   ASSERT_TRUE(c2.has_value());
   EXPECT_EQ(c2->depth, 1u);
@@ -74,7 +75,7 @@ TEST(BoundedDfs, ChildFrameExploresOnlyBeyondFlip) {
   child.append(1, true, make_ge_const(0, 1));
   child.append(2, false, make_ge_const(0, 2).negated());
   child.append(5, true, make_ge_const(0, 3));
-  s->observe(child, c->depth);
+  s->observe(std::make_shared<const sym::Path>(std::move(child)), c->depth);
   // Deepest pending is now the child's new suffix (depth 3).
   const auto c2 = s->next();
   ASSERT_TRUE(c2.has_value());
@@ -117,7 +118,7 @@ TEST(RandomBranch, ProposesWithinPath) {
     const auto c = s->next();
     ASSERT_TRUE(c.has_value());
     EXPECT_LT(c->depth, 4u);
-    EXPECT_EQ(c->constraints.size(), c->depth + 1);
+    EXPECT_LT(c->depth, c->path->size());
   }
 }
 
@@ -132,7 +133,7 @@ TEST(RandomBranch, GivesUpAfterManyRejections) {
 
 TEST(RandomBranch, EmptyPathYieldsNothing) {
   auto s = make(SearchKind::kRandomBranch);
-  s->observe(sym::Path{}, std::nullopt);
+  s->observe(std::make_shared<const sym::Path>(), std::nullopt);
   EXPECT_FALSE(s->next().has_value());
 }
 
@@ -224,6 +225,61 @@ TEST(Generational, CoversChainInLinearBudget) {
   opts.search = SearchKind::kGenerational;
   const CampaignResult result = Campaign(info, opts).run();
   EXPECT_EQ(result.covered_branches, 20u);
+}
+
+TEST(Generational, CheckpointKeepsTheConstraintSetsOfItsViews) {
+  // Queued views checkpoint as full constraint sets (prefix, then the
+  // negation), and a restored queue proposes the same negations.
+  auto s = make(SearchKind::kGenerational);
+  s->observe(path_of({0, 1, 2, 3}), std::nullopt);
+  std::ostringstream saved;
+  s->save_state(saved);
+  EXPECT_NE(saved.str().find("entries 4"), std::string::npos);
+
+  auto restored = make(SearchKind::kGenerational);
+  std::istringstream in(saved.str());
+  ASSERT_TRUE(restored->load_state(in));
+  std::ostringstream again;
+  restored->save_state(again);
+  EXPECT_EQ(again.str(), saved.str());
+  for (int i = 0; i < 4; ++i) {
+    const auto a = s->next();
+    const auto b = restored->next();
+    ASSERT_TRUE(a.has_value() && b.has_value());
+    EXPECT_EQ(a->depth, b->depth);
+    EXPECT_EQ(a->target, b->target);
+    EXPECT_EQ(a->negated(), b->negated());
+    for (std::size_t k = 0; k < a->depth; ++k) {
+      EXPECT_EQ((*a->path)[k].constraint, (*b->path)[k].constraint);
+    }
+  }
+}
+
+TEST(StrategyViews, EveryStrategySharesTheObservedPath) {
+  // A candidate is a view: the path it negates is the very path the
+  // strategy observed, never a copy of its prefix.
+  rt::BranchTable table;
+  for (int i = 0; i < 4; ++i) table.add_site("f", "s" + std::to_string(i));
+  table.finalize();
+  CoverageTracker coverage(table);
+  for (SearchKind kind :
+       {SearchKind::kDfs, SearchKind::kBoundedDfs, SearchKind::kRandomBranch,
+        SearchKind::kUniformRandom, SearchKind::kCfg,
+        SearchKind::kGenerational}) {
+    StrategyConfig cfg;
+    cfg.kind = kind;
+    cfg.seed = 5;
+    cfg.table = &table;
+    cfg.coverage = &coverage;
+    auto s = make_strategy(cfg);
+    const auto observed = path_of({0, 1, 2, 3});
+    s->observe(observed, std::nullopt);
+    const auto c = s->next();
+    ASSERT_TRUE(c.has_value()) << s->name();
+    EXPECT_EQ(c->path.get(), observed.get()) << s->name();
+    EXPECT_EQ(c->negated(), (*observed)[c->depth].constraint.negated())
+        << s->name();
+  }
 }
 
 TEST(StrategyNames, AreStable) {

@@ -22,6 +22,7 @@
 
 #include "solver/cache.h"
 #include "solver/solver.h"
+#include "tests/solver/flat_solve.h"
 
 namespace compi::solver {
 namespace {
@@ -199,11 +200,11 @@ TEST(SolverProperty, CacheOnAndOffReturnIdenticalResults) {
     const Assignment prev = random_previous(sys, rng);
 
     const SolveResult plain =
-        the_solver.solve_incremental(sys.preds, sys.domains, prev, nullptr);
+        solve_flat(the_solver, sys.preds, sys.domains, prev, nullptr);
     const SolveResult cold =
-        the_solver.solve_incremental(sys.preds, sys.domains, prev, &cache);
+        solve_flat(the_solver, sys.preds, sys.domains, prev, &cache);
     const SolveResult warm =
-        the_solver.solve_incremental(sys.preds, sys.domains, prev, &cache);
+        solve_flat(the_solver, sys.preds, sys.domains, prev, &cache);
 
     if (testing::Test::HasFailure()) break;
     expect_same_result(plain, cold, case_seed, "cache-off vs cold");
@@ -234,9 +235,9 @@ TEST(SolverProperty, CacheEvictsPastCapacityAndStaysCorrect) {
     const RandomSystem sys = make_system(rng);
     const Assignment prev = random_previous(sys, rng);
     const SolveResult plain =
-        the_solver.solve_incremental(sys.preds, sys.domains, prev, nullptr);
+        solve_flat(the_solver, sys.preds, sys.domains, prev, nullptr);
     const SolveResult cached =
-        the_solver.solve_incremental(sys.preds, sys.domains, prev, &cache);
+        solve_flat(the_solver, sys.preds, sys.domains, prev, &cache);
     expect_same_result(plain, cached, case_seed, "evicting cache");
     if (testing::Test::HasFailure()) {
       log_failing_seed(case_seed);

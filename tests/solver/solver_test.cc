@@ -1,4 +1,5 @@
 #include "solver/solver.h"
+#include "tests/solver/flat_solve.h"
 
 #include <gtest/gtest.h>
 
@@ -70,18 +71,23 @@ TEST(Solver, HonorsDomains) {
 
 TEST(DependencySlice, IsolatesIndependentConstraints) {
   // c0: x0 <= 5; c1: x1 <= 5; c2: x1 >= 2  — seed c2 touches only x1.
-  std::vector<Predicate> preds{make_le_const(0, 5), make_le_const(1, 5),
-                               make_ge_const(1, 2)};
-  const auto slice = Solver::dependency_slice(preds, 2);
-  EXPECT_EQ(slice, (std::vector<std::size_t>{1, 2}));
+  const PredicateStore path({make_le_const(0, 5), make_le_const(1, 5)});
+  const Slice slice = Solver::dependency_slice(path, path.size(),
+                                               PredicateStore{},
+                                               make_ge_const(1, 2));
+  EXPECT_EQ(slice.path, (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(slice.vars, (std::vector<Var>{1}));
 }
 
 TEST(DependencySlice, FollowsTransitiveSharing) {
   // c0: x0 - x1 = 0; c1: x1 - x2 = 0; c2: x3 <= 1; seed c3: x2 >= 0.
-  std::vector<Predicate> preds{make_eq(0, 1), make_eq(1, 2),
-                               make_le_const(3, 1), make_ge_const(2, 0)};
-  const auto slice = Solver::dependency_slice(preds, 3);
-  EXPECT_EQ(slice, (std::vector<std::size_t>{0, 1, 3}));
+  const PredicateStore path(
+      {make_eq(0, 1), make_eq(1, 2), make_le_const(3, 1)});
+  const Slice slice = Solver::dependency_slice(path, path.size(),
+                                               PredicateStore{},
+                                               make_ge_const(2, 0));
+  EXPECT_EQ(slice.path, (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(slice.size(), 3u);
 }
 
 TEST(SolveIncremental, KeepsStaleValuesAndReportsChanged) {
@@ -90,7 +96,7 @@ TEST(SolveIncremental, KeepsStaleValuesAndReportsChanged) {
   std::vector<Predicate> preds{make_le_const(0, 5),
                                make_le_const(1, 5).negated()};
   const Assignment prev{{0, 3}, {1, 4}};
-  const SolveResult r = s.solve_incremental(preds, {}, prev);
+  const SolveResult r = solve_flat(s, preds, {}, prev);
   ASSERT_TRUE(r.sat);
   EXPECT_EQ(r.values.at(0), 3) << "untouched variable keeps stale value";
   EXPECT_GT(r.values.at(1), 5);
@@ -101,7 +107,7 @@ TEST(SolveIncremental, UnsatLeavesNoResult) {
   Solver s;
   std::vector<Predicate> preds{make_ge_const(0, 3), make_le_const(0, 3),
                                make_eq_const(0, 4)};  // negated seed: x0 == 4
-  const SolveResult r = s.solve_incremental(preds, {}, {{0, 3}});
+  const SolveResult r = solve_flat(s, preds, {}, {{0, 3}});
   EXPECT_FALSE(r.sat);
 }
 
@@ -111,7 +117,7 @@ TEST(SolveIncremental, ChangedIsSortedAndMinimal) {
                                make_ge_const(2, 0),    // independent
                                make_eq_const(1, 9)};   // seed: x1 == 9
   const Assignment prev{{0, 2}, {1, 2}, {2, 7}};
-  const SolveResult r = s.solve_incremental(preds, {}, prev);
+  const SolveResult r = solve_flat(s, preds, {}, prev);
   ASSERT_TRUE(r.sat);
   EXPECT_EQ(r.values.at(0), 9);
   EXPECT_EQ(r.values.at(1), 9);

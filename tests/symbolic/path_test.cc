@@ -1,5 +1,7 @@
 #include "symbolic/path.h"
 
+#include "solver/solver.h"
+
 #include <gtest/gtest.h>
 
 #include "solver/predicate.h"
@@ -35,24 +37,35 @@ TEST(Path, AppendAndAccess) {
   EXPECT_FALSE(p[1].taken);
 }
 
-TEST(Path, ConstraintsNegatingKeepsPrefixNegatesLast) {
+TEST(Path, SliceAtDepthKeepsPrefixAndNegation) {
+  // Negating entry 1 (x0 <= 9) keeps entry 0 (x0 >= 1, same variable) and
+  // never reads entry 2, which lies past the depth.
   const Path p = make_path();
-  const auto preds = p.constraints_negating(1);
-  ASSERT_EQ(preds.size(), 2u);
-  EXPECT_EQ(preds[0], make_ge_const(0, 1));
-  EXPECT_EQ(preds[1], make_le_const(0, 9).negated());
+  const solver::Slice slice = solver::Solver::dependency_slice(
+      p, 1, solver::PredicateStore{}, p[1].constraint.negated());
+  EXPECT_EQ(slice.path, (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(slice.size(), 2u);
+  EXPECT_EQ(slice.touched, 2u) << "the negation and entry 0, once each";
 }
 
-TEST(Path, ConstraintsNegatingDepthZero) {
+TEST(Path, SliceAtDepthZeroIsTheNegationAlone) {
   const Path p = make_path();
-  const auto preds = p.constraints_negating(0);
-  ASSERT_EQ(preds.size(), 1u);
-  EXPECT_EQ(preds[0], make_ge_const(0, 1).negated());
+  const solver::Slice slice = solver::Solver::dependency_slice(
+      p, 0, solver::PredicateStore{}, p[0].constraint.negated());
+  EXPECT_TRUE(slice.path.empty());
+  EXPECT_EQ(slice.size(), 1u);
 }
 
-TEST(Path, AllConstraints) {
+TEST(Path, OccurrenceListsIndexEveryEntry) {
   const Path p = make_path();
-  EXPECT_EQ(p.all_constraints().size(), 3u);
+  const std::span<const std::uint32_t> x0 = p.occurrences().of(0);
+  const std::span<const std::uint32_t> x1 = p.occurrences().of(1);
+  EXPECT_EQ(std::vector<std::uint32_t>(x0.begin(), x0.end()),
+            (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(std::vector<std::uint32_t>(x1.begin(), x1.end()),
+            (std::vector<std::uint32_t>{2}));
+  EXPECT_TRUE(p.occurrences().of(7).empty());
+  EXPECT_EQ(p.predicate(2), make_ge_const(1, 5));
 }
 
 TEST(Path, DivergesAsPredictedTrueCase) {
@@ -89,6 +102,7 @@ TEST(Path, ClearEmptiesEverything) {
   p.clear();
   EXPECT_TRUE(p.empty());
   EXPECT_EQ(p.size(), 0u);
+  EXPECT_TRUE(p.occurrences().of(0).empty());
 }
 
 }  // namespace
