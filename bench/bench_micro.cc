@@ -550,13 +550,44 @@ void BM_WireEncodeDecode(benchmark::State& state) {
   const solver::Assignment inputs;
   const minimpi::LaunchSpec spec = sandbox_bench_spec(registry, inputs);
   const minimpi::RunResult run = minimpi::launch(spec, sandbox_bench_table());
+  std::string frame;
   for (auto _ : state) {
+    frame.clear();
+    sandbox::encode_run_result(run, frame);
     minimpi::RunResult decoded;
-    benchmark::DoNotOptimize(
-        sandbox::decode_run_result(sandbox::encode_run_result(run), decoded));
+    benchmark::DoNotOptimize(sandbox::decode_run_result(
+        std::string_view(frame).substr(sandbox::kFrameHeaderBytes),
+        registry.size(), decoded));
   }
+  state.counters["payload_bytes"] =
+      static_cast<double>(frame.size() - sandbox::kFrameHeaderBytes);
 }
 BENCHMARK(BM_WireEncodeDecode);
+
+void BM_WireEncodeDecodeHpl(benchmark::State& state) {
+  // The result --isolate ships on HPL: four ranks of mini-HPL (cap 100, a
+  // 12x12 problem in 4x4 blocks on a 2x2 grid), 3.6 KB in the old text
+  // codec, about a campaign's mean.  BM_WireEncodeDecode's two-rank toy
+  // run is a tenth of that.
+  const TargetInfo target = targets::make_mini_hpl_target(100);
+  FixedRunOptions fixed;
+  fixed.nprocs = 4;
+  rt::VarRegistry registry;
+  const minimpi::RunResult run = run_fixed(
+      target, targets::mini_hpl_defaults(12, 4, 2, 2), fixed, &registry);
+  std::string frame;
+  for (auto _ : state) {
+    frame.clear();
+    sandbox::encode_run_result(run, frame);
+    minimpi::RunResult decoded;
+    benchmark::DoNotOptimize(sandbox::decode_run_result(
+        std::string_view(frame).substr(sandbox::kFrameHeaderBytes),
+        registry.size(), decoded));
+  }
+  state.counters["payload_bytes"] =
+      static_cast<double>(frame.size() - sandbox::kFrameHeaderBytes);
+}
+BENCHMARK(BM_WireEncodeDecodeHpl);
 
 // ---- --json sidecar: incremental solves through the store API ----
 // Seconds per solve of the solver benchmarks above, timed over a fixed

@@ -808,7 +808,12 @@ bool Coordinator::start() {
     }
     obs::Journal* const journal = im.opts.journal ? &im.journal : nullptr;
     if (restored) {
-      im.session->resume_iterations(*restored, {}, journal);
+      const std::string verdict =
+          im.session->resume_iterations(*restored, {}, journal);
+      if (const auto kind = obs::stall_kind_from_string(verdict)) {
+        std::lock_guard<std::mutex> lock(im.mu);
+        im.diagnosis_engine.resume(*kind);
+      }
     } else {
       im.session->begin_iterations({}, journal);
     }

@@ -483,7 +483,11 @@ CampaignResult Campaign::run() {
   if (session) {
     obs::Journal* const journal_file = options_.journal ? &journal : nullptr;
     if (result.resumed) {
-      session->resume_iterations(resume_at, result.iterations, journal_file);
+      const std::string verdict = session->resume_iterations(
+          resume_at, result.iterations, journal_file);
+      if (const auto kind = obs::stall_kind_from_string(verdict)) {
+        diagnosis_engine.resume(*kind);
+      }
     } else {
       session->begin_iterations({}, journal_file);
     }

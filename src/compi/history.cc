@@ -1,89 +1,57 @@
 #include "compi/history.h"
 
-#include <cstring>
+#include <string_view>
+
+#include "serve/frame.h"
 
 namespace compi {
 namespace {
 
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-void put_signed(std::vector<std::uint8_t>& out, std::int64_t v) {
-  put_varint(out, (static_cast<std::uint64_t>(v) << 1) ^
-                      static_cast<std::uint64_t>(v >> 63));  // zigzag
-}
-
-void put_double(std::vector<std::uint8_t>& out, double d) {
-  std::uint8_t raw[sizeof d];
-  std::memcpy(raw, &d, sizeof d);
-  out.insert(out.end(), raw, raw + sizeof d);
-}
-
-std::uint64_t get_varint(const std::uint8_t* bytes, std::size_t& at) {
-  std::uint64_t v = 0;
-  for (int shift = 0;; shift += 7) {
-    const std::uint8_t b = bytes[at++];
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if (b < 0x80) return v;
-  }
-}
-
-std::int64_t get_signed(const std::uint8_t* bytes, std::size_t& at) {
-  const std::uint64_t z = get_varint(bytes, at);
-  return static_cast<std::int64_t>(z >> 1) ^ -static_cast<std::int64_t>(z & 1);
-}
-
-double get_double(const std::uint8_t* bytes, std::size_t& at) {
-  double d = 0.0;
-  std::memcpy(&d, bytes + at, sizeof d);
-  at += sizeof d;
-  return d;
-}
-
 /// Encodes `row` against `base` (the previous row of its block, or a zero
 /// row at a block start).
-void encode(std::vector<std::uint8_t>& out, const IterationRecord& base,
+void encode(std::string& bytes, const IterationRecord& base,
             const IterationRecord& row) {
-  put_signed(out, static_cast<std::int64_t>(row.iteration) - base.iteration);
-  put_signed(out, row.nprocs);
-  put_signed(out, row.focus);
-  put_varint(out, static_cast<std::uint64_t>(row.outcome) * 2 +
-                      (row.restart ? 1 : 0));
-  put_varint(out, row.constraint_set_size);
-  put_signed(out, static_cast<std::int64_t>(row.covered_branches) -
-                      static_cast<std::int64_t>(base.covered_branches));
-  put_double(out, row.exec_seconds);
-  put_double(out, row.solve_seconds);
-  put_signed(out, row.solver_nodes);
-  put_signed(out, row.retries);
-  put_signed(out, row.worker);
-  put_signed(out, row.interleaving);
+  serve::ByteWriter out(bytes);
+  out.i64(static_cast<std::int64_t>(row.iteration) - base.iteration);
+  out.i64(row.nprocs);
+  out.i64(row.focus);
+  out.u64(static_cast<std::uint64_t>(row.outcome) * 2 + (row.restart ? 1 : 0));
+  out.u64(row.constraint_set_size);
+  out.i64(static_cast<std::int64_t>(row.covered_branches) -
+          static_cast<std::int64_t>(base.covered_branches));
+  out.f64(row.exec_seconds);
+  out.f64(row.solve_seconds);
+  out.i64(row.solver_nodes);
+  out.i64(row.retries);
+  out.i64(row.worker);
+  out.i64(row.interleaving);
 }
 
-IterationRecord decode(const std::uint8_t* bytes, std::size_t& at,
+/// Decodes the row at byte `at` of `bytes` against `base`, advancing `at`.
+/// The bytes are the history's own encoding, so every read succeeds.
+IterationRecord decode(std::string_view bytes, std::size_t& at,
                        const IterationRecord& base) {
+  serve::ByteReader in(bytes.substr(at));
+  std::int64_t iteration = 0, nprocs = 0, focus = 0, covered = 0, retries = 0,
+               worker = 0;
+  std::uint64_t outcome = 0, constraints = 0;
   IterationRecord row;
-  row.iteration =
-      static_cast<int>(base.iteration + get_signed(bytes, at));
-  row.nprocs = static_cast<int>(get_signed(bytes, at));
-  row.focus = static_cast<int>(get_signed(bytes, at));
-  const std::uint64_t outcome = get_varint(bytes, at);
+  (void)(in.i64(iteration) && in.i64(nprocs) && in.i64(focus) &&
+         in.u64(outcome) && in.u64(constraints) && in.i64(covered) &&
+         in.f64(row.exec_seconds) && in.f64(row.solve_seconds) &&
+         in.i64(row.solver_nodes) && in.i64(retries) && in.i64(worker) &&
+         in.i64(row.interleaving));
+  at += in.consumed();
+  row.iteration = static_cast<int>(base.iteration + iteration);
+  row.nprocs = static_cast<int>(nprocs);
+  row.focus = static_cast<int>(focus);
   row.outcome = static_cast<rt::Outcome>(outcome / 2);
   row.restart = (outcome & 1) != 0;
-  row.constraint_set_size = get_varint(bytes, at);
+  row.constraint_set_size = constraints;
   row.covered_branches = static_cast<std::size_t>(
-      static_cast<std::int64_t>(base.covered_branches) + get_signed(bytes, at));
-  row.exec_seconds = get_double(bytes, at);
-  row.solve_seconds = get_double(bytes, at);
-  row.solver_nodes = get_signed(bytes, at);
-  row.retries = static_cast<int>(get_signed(bytes, at));
-  row.worker = static_cast<int>(get_signed(bytes, at));
-  row.interleaving = get_signed(bytes, at);
+      static_cast<std::int64_t>(base.covered_branches) + covered);
+  row.retries = static_cast<int>(retries);
+  row.worker = static_cast<int>(worker);
   return row;
 }
 
@@ -145,7 +113,7 @@ IterationHistory::Decoder::Decoder(const IterationHistory& h,
     return;
   }
   offset = h.block_offsets_[index / kBlockRows];
-  row = decode(h.bytes_.data(), offset, block_base());
+  row = decode(h.bytes_, offset, block_base());
   while (index < first) next();
 }
 
@@ -153,7 +121,7 @@ void IterationHistory::Decoder::next() {
   ++index;
   if (index >= history.size_) return;
   const bool block_start = index % kBlockRows == 0;
-  row = decode(history.bytes_.data(), offset,
+  row = decode(history.bytes_, offset,
                block_start ? block_base() : row);
 }
 

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "runtime/faults.h"
@@ -109,7 +110,7 @@ class IterationHistory {
     IterationRecord row;
   };
 
-  std::vector<std::uint8_t> bytes_;
+  std::string bytes_;
   std::vector<std::uint32_t> block_offsets_;  // byte offset of each block
   std::size_t size_ = 0;
   IterationRecord last_;  // the last row appended (the next row's base)

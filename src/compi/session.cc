@@ -237,6 +237,23 @@ bool cut_file(const fs::path& file, std::uint64_t length) {
   return !ec;
 }
 
+/// The kind of the last `diagnosis` event in journal `text`, or "".
+std::string last_diagnosis_kind(std::string_view text) {
+  while (!text.empty()) {
+    if (text.back() == '\n') text.remove_suffix(1);
+    const std::size_t nl = text.rfind('\n');
+    const std::string_view line =
+        nl == std::string_view::npos ? text : text.substr(nl + 1);
+    if (line.find("\"diagnosis\"") != std::string_view::npos) {
+      const std::optional<obs::ParsedEvent> e = obs::parse_journal_line(line);
+      if (e && e->type == "diagnosis") return e->str("kind").value_or("");
+    }
+    text = nl == std::string_view::npos ? std::string_view{}
+                                        : text.substr(0, nl + 1);
+  }
+  return "";
+}
+
 /// fsync()s a file or directory through a fresh read-only descriptor.
 bool sync_path(const fs::path& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -338,7 +355,7 @@ void SessionWriter::begin_iterations(const std::vector<IterationRecord>& rows,
   for (const IterationRecord& r : rows) append_iteration(r);
 }
 
-void SessionWriter::resume_iterations(
+std::string SessionWriter::resume_iterations(
     const ckpt::StreamLengths& at, const IterationHistory& history,
     obs::Journal* journal) {
   // Past the committed lengths lies the killed run's uncommitted tail,
@@ -353,11 +370,15 @@ void SessionWriter::resume_iterations(
   timeline_.open(dir_ / "coverage_timeline.csv", std::ios::trunc);
   timeline_ << kTimelineHeader;
   history.visit(0, [this](const IterationRecord& r) { append_timeline(r); });
+  std::string verdict;
   if (journal != nullptr) {
-    (void)cut_file(dir_ / "journal.jsonl", at.journal_bytes);
-    (void)journal->open(dir_ / "journal.jsonl");
+    const fs::path file = dir_ / "journal.jsonl";
+    (void)cut_file(file, at.journal_bytes);
+    if (at.journal_bytes > 0) verdict = last_diagnosis_kind(slurp(file));
+    (void)journal->open(file);
     journal_ = journal;
   }
+  return verdict;
 }
 
 void SessionWriter::append_iteration(const IterationRecord& rec) {

@@ -113,8 +113,10 @@ class SessionWriter {
   /// newline), and coverage_timeline.csv is re-derived from `history`, the
   /// rows below the cut.  Appends continue from there.  Zero lengths start
   /// the streams afresh.  Streams open once per writer: call this or
-  /// begin_iterations, once.
-  void resume_iterations(const ckpt::StreamLengths& at,
+  /// begin_iterations, once.  Returns the kind of the last `diagnosis`
+  /// event the kept journal holds ("" when none), the verdict a resumed
+  /// campaign's stall diagnosis continues from.
+  std::string resume_iterations(const ckpt::StreamLengths& at,
                          const IterationHistory& history,
                          obs::Journal* journal = nullptr);
 

@@ -42,6 +42,16 @@ const char* to_string(StallKind kind) {
   return "progressing";
 }
 
+std::optional<StallKind> stall_kind_from_string(std::string_view s) {
+  for (StallKind k :
+       {StallKind::kProgressing, StallKind::kCoveragePlateau,
+        StallKind::kFrontierStarved, StallKind::kSolverThrash,
+        StallKind::kStragglerShard, StallKind::kLeaseChurn}) {
+    if (s == to_string(k)) return k;
+  }
+  return std::nullopt;
+}
+
 Diagnosis diagnose(const DiagnosisInput& in) {
   Diagnosis d;
   if (in.coverage_timeline.empty()) {
@@ -177,6 +187,11 @@ Diagnosis DiagnosisEngine::update(DiagnosisInput in, std::int64_t covered,
         .num("covered", covered);
   }
   return current_;
+}
+
+void DiagnosisEngine::resume(StallKind kind) {
+  current_.kind = kind;
+  reported_once_ = true;
 }
 
 }  // namespace compi::obs

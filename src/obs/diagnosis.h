@@ -27,7 +27,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace compi::obs {
@@ -44,6 +46,9 @@ enum class StallKind {
 };
 
 [[nodiscard]] const char* to_string(StallKind kind);
+/// Inverse of to_string; nullopt for any other text.
+[[nodiscard]] std::optional<StallKind> stall_kind_from_string(
+    std::string_view s);
 
 /// One point on the coverage timeline (campaign-relative seconds).
 struct CoveragePoint {
@@ -111,6 +116,11 @@ class DiagnosisEngine {
   /// iterations) only reads as starvation once it has persisted for the
   /// whole plateau window.  Returns the current diagnosis.
   Diagnosis update(DiagnosisInput in, std::int64_t covered, int iteration);
+
+  /// Continues a resumed campaign whose journal last recorded a `kind`
+  /// verdict: the first sample journals an event only when its verdict
+  /// differs, as it would have in the uninterrupted campaign.
+  void resume(StallKind kind);
 
   [[nodiscard]] const Diagnosis& current() const { return current_; }
 

@@ -39,6 +39,12 @@ std::vector<VarMeta> VarRegistry::all() const {
   return metas_;
 }
 
+std::vector<VarMeta> VarRegistry::metas_from(std::size_t start) const {
+  std::scoped_lock lock(mu_);
+  if (start >= metas_.size()) return {};
+  return {metas_.begin() + static_cast<std::ptrdiff_t>(start), metas_.end()};
+}
+
 solver::Interval VarRegistry::effective_domain(Var v) const {
   std::scoped_lock lock(mu_);
   const VarMeta& m = metas_[v];

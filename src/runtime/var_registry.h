@@ -56,6 +56,9 @@ class VarRegistry {
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] VarMeta meta(Var v) const;
   [[nodiscard]] std::vector<VarMeta> all() const;
+  /// The variables with id >= `start`, in id order: a sync's suffix,
+  /// copied without copying the prefix.
+  [[nodiscard]] std::vector<VarMeta> metas_from(std::size_t start) const;
 
   /// Effective solver domain of `v`: declared domain intersected with the
   /// cap constraint `v <= cap` when present.

@@ -112,10 +112,10 @@ void send_status(int fd, const std::string& text) {
   rt::VarRegistry registry;
   minimpi::LaunchSpec base = prototype;
   base.registry = &registry;
-  base.inputs = nullptr;
 
   FrameReader ctl;
   bool poisoned = false;  // a registry suffix failed to apply
+  std::string out;        // one run's answer; its capacity is reused
   char buf[65536];
   for (;;) {
     const ssize_t n = read(ctl_rd, buf, sizeof(buf));
@@ -128,36 +128,19 @@ void send_status(int fd, const std::string& text) {
         continue;
       }
       if (f->type != FrameType::kSpawn) continue;
-      std::string out;
-      SpawnRequest req;
-      if (poisoned || !decode_spawn_request(f->payload, req)) {
+      out.clear();
+      minimpi::LaunchSpec spec = base;
+      solver::Assignment inputs;
+      milliseconds hang{0};
+      if (poisoned || !decode_spawn_request(f->payload, spec, inputs, hang)) {
         append_frame(out, FrameType::kDone,
                      poisoned ? "reject registry" : "reject decode");
         detail::write_all(res_wr, out);
         _exit(kExecutorRecycle);
       }
       map[map_size] = 1;  // started: this executor took the spawn
-      minimpi::LaunchSpec spec = base;
-      spec.nprocs = req.nprocs;
-      spec.focus = req.focus;
-      spec.one_way = req.one_way;
-      spec.inputs = &req.inputs;
-      spec.rng_seed = req.rng_seed;
-      spec.step_budget = req.step_budget;
-      spec.reduction = req.reduction;
-      spec.mark_mpi_vars = req.mark_mpi_vars;
-      spec.timeout = milliseconds(req.timeout_ms);
-      spec.chaos = req.chaos;
-      spec.track_base = req.track_base;
-      spec.match_plan = req.match_plan;
-
-      detail::fence_cpu(sandbox, milliseconds(req.hang_ms));
-      const std::size_t known = registry.size();
+      detail::fence_cpu(sandbox, hang);
       const bool clean = detail::launch_frames(spec, table, out);
-      if (registry.size() > known) {
-        append_frame(out, FrameType::kRegistry,
-                     encode_registry_suffix(registry, known));
-      }
       append_frame(out, FrameType::kDone, clean ? "next" : "exit");
       detail::write_all(res_wr, out);
       if (!clean) _exit(kExecutorRecycle);
@@ -407,24 +390,9 @@ minimpi::RunResult ForkServer::run(const minimpi::LaunchSpec& spec,
   // Ship the registry suffix the executor hasn't seen, then the spawn.
   std::string out;
   if (spec.registry != nullptr && spec.registry->size() > synced_vars_) {
-    append_frame(out, FrameType::kRegistry,
-                 encode_registry_suffix(*spec.registry, synced_vars_));
+    encode_registry(*spec.registry, synced_vars_, out);
   }
-  SpawnRequest req;
-  req.nprocs = spec.nprocs;
-  req.focus = spec.focus;
-  req.one_way = spec.one_way;
-  if (spec.inputs != nullptr) req.inputs = *spec.inputs;
-  req.rng_seed = spec.rng_seed;
-  req.step_budget = spec.step_budget;
-  req.reduction = spec.reduction;
-  req.mark_mpi_vars = spec.mark_mpi_vars;
-  req.timeout_ms = spec.timeout.count();
-  req.hang_ms = hang.count();
-  req.track_base = spec.track_base;
-  req.match_plan = spec.match_plan;
-  req.chaos = spec.chaos;
-  append_frame(out, FrameType::kSpawn, encode_spawn_request(req));
+  encode_spawn_request(spec, hang, out);
 
   const auto t0 = steady_clock::now();
   bool write_failed = false;

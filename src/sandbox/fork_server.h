@@ -26,9 +26,9 @@
 //                          "spawned <pid>" and "reaped <wait-status>",
 //                          plus "alive" for each ping byte the parent
 //                          writes after shipping a spawn.
-//   res  executor → parent  per run: kResult/kError (or the fatal-signal
-//                          handler's kSignal), a kRegistry frame with the
-//                          variables the run interned, and one kDone
+//   res  executor → parent  per run: a kRegistry frame with the variables
+//                          the run interned, kResult/kError (or the
+//                          fatal-signal handler's kSignal), and one kDone
 //                          end-of-run frame: "next" (the executor takes the
 //                          next spawn), "exit" (it recycles now) or
 //                          "reject <reason>" (undecodable spawn; it
@@ -99,7 +99,7 @@ class ForkServer {
 
   /// Runs one iteration, warm when possible.  The first call captures
   /// `spec` as the snapshot prototype (program + table are fixed for a
-  /// campaign); later calls may vary everything a SpawnRequest carries.
+  /// campaign); later calls may vary everything a kSpawn frame carries.
   /// Behaves exactly like run_sandboxed: never throws target faults, maps
   /// child deaths onto synthesized results, updates `stats` per run.
   /// `warm` (when non-null) reports whether this run used the snapshot.

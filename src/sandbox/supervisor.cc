@@ -212,16 +212,29 @@ void fence_cpu(const SandboxOptions& options, std::chrono::milliseconds hang) {
 
 bool launch_frames(const minimpi::LaunchSpec& spec,
                    const rt::BranchTable& table, std::string& out) {
+  const std::size_t known =
+      spec.registry != nullptr ? spec.registry->size() : 0;
+  std::optional<minimpi::RunResult> run;
+  std::string error;
   try {
-    const minimpi::RunResult run = minimpi::launch(spec, table);
-    append_frame(out, FrameType::kResult, encode_run_result(run));
-    return run.job_outcome() == rt::Outcome::kOk;
+    run = minimpi::launch(spec, table);
   } catch (const std::exception& e) {
-    append_frame(out, FrameType::kError, e.what());
+    error = e.what();
   } catch (...) {
-    append_frame(out, FrameType::kError, "unknown launcher failure");
+    error = "unknown launcher failure";
   }
-  return false;
+  // New input variables were interned into THIS process's registry; ship
+  // them back, ahead of the result that mentions them, or the parent's
+  // planner dereferences unknown variable ids on the next iteration.
+  if (spec.registry != nullptr && spec.registry->size() > known) {
+    encode_registry(*spec.registry, known, out);
+  }
+  if (!run) {
+    append_frame(out, FrameType::kError, error);
+    return false;
+  }
+  encode_run_result(*run, out);
+  return run->job_outcome() == rt::Outcome::kOk;
 }
 
 void write_all(int fd, const std::string& bytes) {
@@ -247,12 +260,6 @@ void write_all(int fd, const std::string& bytes) {
   fence_cpu(options, hang);
   std::string out;
   (void)launch_frames(spec, table, out);
-  // New input variables were interned into THIS process's fork-copied
-  // registry; ship them back or the parent's planner dereferences unknown
-  // variable ids on the next iteration.
-  if (spec.registry != nullptr) {
-    append_frame(out, FrameType::kRegistry, encode_registry(*spec.registry));
-  }
   write_all(write_fd, out);
   _exit(0);
 }
@@ -269,8 +276,14 @@ minimpi::RunResult interpret_child_exit(
   for (Frame& f : frames) {
     switch (f.type) {
       case FrameType::kResult: {
+        // The run's kRegistry frame came first, so the registry knows
+        // every variable a well-formed result mentions.
         minimpi::RunResult run;
-        if (decode_run_result(f.payload, run)) decoded = std::move(run);
+        if (decode_run_result(
+                f.payload,
+                spec.registry != nullptr ? spec.registry->size() : 0, run)) {
+          decoded = std::move(run);
+        }
         break;
       }
       case FrameType::kError:

@@ -131,8 +131,10 @@ void arm_child(const SandboxOptions& options, int signal_fd,
 /// + 2 s), rounded up to whole seconds.  Called before every run.
 void fence_cpu(const SandboxOptions& options, std::chrono::milliseconds hang);
 
-/// Runs the launcher and appends its kResult frame (or a kError frame if
-/// it threw) to `out`.  True when the job outcome is kOk.
+/// Runs the launcher and appends to `out` a kRegistry frame with the
+/// variables the run interned (when it interned any), then its kResult
+/// frame (or a kError frame if it threw).  True when the job outcome is
+/// kOk.
 bool launch_frames(const minimpi::LaunchSpec& spec,
                    const rt::BranchTable& table, std::string& out);
 

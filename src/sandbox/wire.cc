@@ -1,24 +1,15 @@
 #include "sandbox/wire.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <istream>
-#include <ostream>
-#include <sstream>
+#include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "symbolic/serialize.h"
 
 namespace compi::sandbox {
 
 namespace {
-
-using serial::expect;
-using serial::read_assignment;
-using serial::read_tail;
-using serial::write_assignment;
 
 /// Ceiling on a single frame payload; anything larger is a corrupt header
 /// (a torn write interleaved into the stream), not a real frame.
@@ -36,10 +27,307 @@ constexpr char kFrameTags[] = {
     static_cast<char>(FrameType::kDone),
     '\0'};
 
-std::optional<rt::Outcome> read_outcome(std::istream& is) {
-  std::string tok;
-  if (!(is >> tok)) return std::nullopt;
-  return rt::outcome_from_string(tok);
+// The fewest bytes one element of each counted list takes: a count is
+// checked against the bytes left before anything is sized from it.
+constexpr std::size_t kMinRankBytes = 15;     // outcome, message, TestLog
+constexpr std::size_t kMinEntryBytes = 4;     // site, flags, constant, terms
+constexpr std::size_t kMinTermBytes = 2;      // var, coeff
+constexpr std::size_t kMinInputBytes = 2;     // var, value
+constexpr std::size_t kMinMatchBytes = 6;     // five ids, feasible count
+constexpr std::size_t kMinVarBytes = 6;       // kind, lo, hi, cap, comm, key
+constexpr std::size_t kMinDecisionBytes = 3;  // rank, seq, src
+
+/// The last Outcome enumerator: larger encoded values are corrupt.
+constexpr rt::Outcome kLastOutcome = rt::Outcome::kOrphanMessage;
+
+// Each payload's layout is written once, as a field list (the *_fields
+// templates below) walked by a Writer, which encodes a const value, or by
+// a Reader, which decodes into one: the two directions cannot disagree on
+// the order of the fields.  Only the path, the coverage bitmap and the
+// inputs map have a reading and a writing side of their own.
+
+/// Appends one frame to `out`, encoding in place: the header goes out
+/// first and gets its length when the writer is destroyed.
+class Writer {
+ public:
+  Writer(std::string& out, FrameType type)
+      : out_(out),
+        w_(out),
+        header_(serve::begin_wire_frame(out, static_cast<char>(type))) {}
+  ~Writer() { serve::end_wire_frame(out_, header_); }
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
+
+  /// An integer (zigzag when signed), bool, double or millisecond count.
+  template <typename T>
+  bool num(const T& v) {
+    if constexpr (std::is_same_v<T, double>) {
+      w_.f64(v);
+    } else if constexpr (std::is_same_v<T, std::chrono::milliseconds>) {
+      w_.i64(v.count());
+    } else if constexpr (std::is_signed_v<T>) {
+      w_.i64(v);
+    } else {
+      w_.u64(static_cast<std::uint64_t>(v));
+    }
+    return true;
+  }
+  /// An enum no larger than its last enumerator.
+  template <typename E>
+  bool upto(const E& v, E /*last*/) {
+    w_.u64(static_cast<std::uint64_t>(v));
+    return true;
+  }
+  bool str(const std::string& s) {
+    w_.str(s);
+    return true;
+  }
+  bool opt(const std::optional<std::int64_t>& v) {
+    w_.u64(v ? 1 : 0);
+    if (v) w_.i64(*v);
+    return true;
+  }
+  /// A count, then `each(item)` per item.
+  template <typename C, typename F>
+  bool list(const C& items, std::size_t /*min_bytes*/, F&& each) {
+    w_.u64(items.size());
+    for (const auto& item : items) each(item);
+    return true;
+  }
+
+  /// Sorted by variable id, so the decoder fills its unordered_map in one
+  /// canonical order (the order the checkpoint text writes too).
+  bool inputs(const solver::Assignment& a) {
+    sorted_.assign(a.begin(), a.end());
+    std::sort(sorted_.begin(), sorted_.end());
+    w_.u64(sorted_.size());
+    for (const auto& [v, value] : sorted_) {
+      w_.i64(v);
+      w_.i64(value);
+    }
+    return true;
+  }
+  /// The bitmap's size, then one bit per branch (LSB first), so the size
+  /// a decoder allocates is bounded by the bytes it was sent.
+  bool coverage(const rt::CoverageBitmap& covered) {
+    bits_.assign((covered.size() + 7) / 8, '\0');
+    for (std::size_t b = 0; b < covered.size(); ++b) {
+      if (covered.covered(static_cast<sym::BranchId>(b))) {
+        bits_[b / 8] = static_cast<char>(bits_[b / 8] | (1 << (b % 8)));
+      }
+    }
+    w_.u64(covered.size());
+    w_.str(bits_);
+    return true;
+  }
+  /// Per entry: site, op * 2 + taken, constant, then (var, coeff) terms.
+  bool path(const sym::Path& path) {
+    w_.u64(path.size());
+    for (const sym::PathEntry& e : path.entries()) {
+      w_.i64(e.site);
+      w_.u64(static_cast<std::uint64_t>(e.constraint.op) * 2 +
+             (e.taken ? 1 : 0));
+      w_.i64(e.constraint.expr.constant_part());
+      w_.u64(e.constraint.expr.num_terms());
+      for (const solver::Term& t : e.constraint.expr.terms()) {
+        w_.i64(t.var);
+        w_.i64(t.coeff);
+      }
+    }
+    return true;
+  }
+
+ private:
+  std::string& out_;
+  serve::ByteWriter w_;
+  std::size_t header_;
+  std::vector<std::pair<solver::Var, std::int64_t>> sorted_;  // scratch
+  std::string bits_;                                          // scratch
+};
+
+/// Decodes a Writer's payload.  Every read checks its value's range, and
+/// the caller checks done(): a payload must end where its layout does.
+class Reader {
+ public:
+  /// A path may mention only variable ids below `num_vars`: sym::Path
+  /// indexes its entries by variable id, so an unchecked id would size
+  /// that index.
+  explicit Reader(std::string_view in, std::size_t num_vars = 0)
+      : r_(in), num_vars_(num_vars) {}
+
+  template <typename T>
+  bool num(T& v) {
+    if constexpr (std::is_same_v<T, double>) {
+      return r_.f64(v);
+    } else if constexpr (std::is_same_v<T, std::chrono::milliseconds>) {
+      std::int64_t ms = 0;
+      if (!r_.i64(ms)) return false;
+      v = std::chrono::milliseconds(ms);
+      return true;
+    } else if constexpr (std::is_same_v<T, bool>) {
+      return upto(v, true);
+    } else if constexpr (std::is_signed_v<T>) {
+      std::int64_t x = 0;
+      if (!r_.i64(x) || x < std::numeric_limits<T>::min() ||
+          x > std::numeric_limits<T>::max()) {
+        return false;
+      }
+      v = static_cast<T>(x);
+      return true;
+    } else {
+      std::uint64_t x = 0;
+      if (!r_.u64(x) || x > std::numeric_limits<T>::max()) return false;
+      v = static_cast<T>(x);
+      return true;
+    }
+  }
+  template <typename E>
+  bool upto(E& v, E last) {
+    std::uint64_t x = 0;
+    if (!r_.u64(x) || x > static_cast<std::uint64_t>(last)) return false;
+    v = static_cast<E>(x);
+    return true;
+  }
+  bool str(std::string& s) { return r_.str(s); }
+  bool opt(std::optional<std::int64_t>& v) {
+    bool has = false;
+    std::int64_t x = 0;
+    if (!upto(has, true) || (has && !r_.i64(x))) return false;
+    v = has ? std::optional<std::int64_t>(x) : std::nullopt;
+    return true;
+  }
+  template <typename C, typename F>
+  bool list(C& items, std::size_t min_bytes, F&& each) {
+    std::size_t n = 0;
+    if (!r_.count(n, min_bytes)) return false;
+    items.assign(n, {});
+    for (auto& item : items) {
+      if (!each(item)) return false;
+    }
+    return true;
+  }
+
+  bool inputs(solver::Assignment& a) {
+    std::size_t n = 0;
+    if (!r_.count(n, kMinInputBytes)) return false;
+    a.clear();
+    a.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      solver::Var v = 0;
+      std::int64_t value = 0;
+      if (!num(v) || !r_.i64(value)) return false;
+      a[v] = value;
+    }
+    return true;
+  }
+  bool coverage(rt::CoverageBitmap& covered) {
+    std::uint64_t size = 0;
+    if (!r_.u64(size) || !r_.str(bits_) ||
+        bits_.size() != size / 8 + (size % 8 != 0 ? 1 : 0)) {
+      return false;
+    }
+    covered = rt::CoverageBitmap(static_cast<std::size_t>(size));
+    for (std::size_t i = 0; i < bits_.size(); ++i) {
+      unsigned byte = static_cast<unsigned char>(bits_[i]);
+      for (std::size_t b = i * 8; byte != 0; ++b, byte >>= 1) {
+        if ((byte & 1u) != 0) covered.mark(static_cast<sym::BranchId>(b));
+      }
+    }
+    return true;
+  }
+  bool path(sym::Path& path) {
+    std::size_t n = 0;
+    if (!r_.count(n, kMinEntryBytes)) return false;
+    path.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      sym::SiteId site = 0;
+      std::uint64_t flags = 0;
+      std::int64_t constant = 0;
+      std::size_t nterms = 0;
+      if (!num(site) || !r_.u64(flags) ||
+          flags / 2 > static_cast<std::uint64_t>(solver::CompareOp::kGe) ||
+          !r_.i64(constant) || !r_.count(nterms, kMinTermBytes)) {
+        return false;
+      }
+      solver::Predicate p;
+      p.op = static_cast<solver::CompareOp>(flags / 2);
+      p.expr = solver::LinearExpr(constant);
+      for (std::size_t t = 0; t < nterms; ++t) {
+        solver::Var v = 0;
+        std::int64_t coeff = 0;
+        if (!num(v) || v < 0 || static_cast<std::size_t>(v) >= num_vars_ ||
+            !r_.i64(coeff)) {
+          return false;
+        }
+        p.expr.add_term(v, coeff);
+      }
+      path.append(site, (flags & 1) != 0, std::move(p));
+    }
+    return true;
+  }
+
+  [[nodiscard]] bool done() const { return r_.done(); }
+
+ private:
+  serve::ByteReader r_;
+  std::size_t num_vars_;
+  std::string bits_;  // scratch
+};
+
+template <typename IO, typename C>
+bool ints(IO& io, C& values) {
+  return io.list(values, 1, [&](auto& v) { return io.num(v); });
+}
+
+template <typename IO, typename Log>
+bool log_fields(IO& io, Log& log) {
+  return io.num(log.heavy) && io.num(log.rank) && io.num(log.nprocs) &&
+         io.upto(log.outcome, kLastOutcome) && io.str(log.outcome_message) &&
+         io.coverage(log.covered) && io.path(log.path) &&
+         ints(io, log.branch_trace) && io.num(log.op_count) &&
+         io.inputs(log.inputs_used) && ints(io, log.comm_sizes) &&
+         io.list(log.rank_mapping, 1, [&](auto& row) { return ints(io, row); });
+}
+
+template <typename IO, typename Run>
+bool run_fields(IO& io, Run& run) {
+  return io.num(run.focus) && io.num(run.wall_seconds) &&
+         io.list(run.ranks, kMinRankBytes,
+                 [&](auto& rank) {
+                   return io.upto(rank.outcome, kLastOutcome) &&
+                          io.str(rank.message) && log_fields(io, rank.log);
+                 }) &&
+         // Wildcard decision trace (empty when no wildcard receive matched).
+         io.num(run.match_diverged) &&
+         io.list(run.match_trace, kMinMatchBytes, [&](auto& m) {
+           return io.num(m.rank) && io.num(m.seq) && io.num(m.chosen_src) &&
+                  io.num(m.comm_uid) && io.num(m.tag) && ints(io, m.feasible);
+         });
+}
+
+template <typename IO, typename Meta>
+bool var_fields(IO& io, Meta& m) {
+  return io.upto(m.kind, rt::VarKind::kSizeWorld) && io.num(m.domain.lo) &&
+         io.num(m.domain.hi) && io.opt(m.cap) && io.num(m.comm_index) &&
+         io.str(m.key);
+}
+
+/// Every launch parameter but the inputs, which go last.
+template <typename IO, typename Spec, typename Hang>
+bool spawn_fields(IO& io, Spec& spec, Hang& hang) {
+  auto& chaos = spec.chaos;
+  return io.num(spec.nprocs) && io.num(spec.focus) && io.num(spec.one_way) &&
+         io.num(spec.reduction) && io.num(spec.mark_mpi_vars) &&
+         io.num(spec.rng_seed) && io.num(spec.step_budget) &&
+         io.num(spec.timeout) && io.num(hang) && io.num(spec.track_base) &&
+         io.num(chaos.seed) && io.num(chaos.drop_rate) &&
+         io.num(chaos.delay_rate) && io.num(chaos.delay) &&
+         io.num(chaos.crash_rank) && io.num(chaos.crash_at_call) &&
+         io.upto(chaos.crash_outcome, kLastOutcome) &&
+         io.num(chaos.stall_rank) && io.num(chaos.stall_at_collective) &&
+         io.list(spec.match_plan, kMinDecisionBytes, [&](auto& d) {
+           return io.num(d.rank) && io.num(d.seq) && io.num(d.src);
+         });
 }
 
 }  // namespace
@@ -57,303 +345,54 @@ std::optional<Frame> FrameReader::next() {
   return Frame{static_cast<FrameType>(f->type), std::move(f->payload)};
 }
 
-void write_test_log(std::ostream& os, const rt::TestLog& log) {
-  os << "log " << (log.heavy ? 1 : 0) << ' ' << log.rank << ' '
-     << log.nprocs << ' ' << rt::to_string(log.outcome) << '\n';
-  os << "msg " << serial::escape(log.outcome_message) << '\n';
-  const std::vector<sym::BranchId> ids = log.covered.covered_ids();
-  os << "covered " << log.covered.size() << ' ' << ids.size();
-  for (sym::BranchId b : ids) os << ' ' << b;
-  os << '\n';
-  os << "path ";
-  serial::write_path(os, log.path);
-  os << "btrace " << log.branch_trace.size();
-  for (sym::BranchId b : log.branch_trace) os << ' ' << b;
-  os << '\n';
-  os << "ops " << log.op_count << '\n';
-  os << "inputs ";
-  write_assignment(os, log.inputs_used);
-  os << '\n';
-  os << "comm_sizes " << log.comm_sizes.size();
-  for (std::int64_t s : log.comm_sizes) os << ' ' << s;
-  os << '\n';
-  os << "mappings " << log.rank_mapping.size() << '\n';
-  for (const std::vector<int>& row : log.rank_mapping) {
-    os << "mapping " << row.size();
-    for (int g : row) os << ' ' << g;
-    os << '\n';
-  }
-  os << "end_log\n";
+void encode_run_result(const minimpi::RunResult& run, std::string& out) {
+  Writer w(out, FrameType::kResult);
+  run_fields(w, run);
 }
 
-bool read_test_log(std::istream& is, rt::TestLog& log) {
-  int heavy = 0;
-  if (!expect(is, "log") || !(is >> heavy >> log.rank >> log.nprocs)) {
-    return false;
-  }
-  log.heavy = heavy != 0;
-  const auto outcome = read_outcome(is);
-  if (!outcome) return false;
-  log.outcome = *outcome;
-  if (!expect(is, "msg")) return false;
-  log.outcome_message = serial::unescape(read_tail(is));
-
-  std::size_t bitmap_size = 0;
-  std::size_t n = 0;
-  if (!expect(is, "covered") || !(is >> bitmap_size >> n)) return false;
-  log.covered = rt::CoverageBitmap(bitmap_size);
-  for (std::size_t i = 0; i < n; ++i) {
-    sym::BranchId b = 0;
-    if (!(is >> b)) return false;
-    log.covered.mark(b);
-  }
-
-  if (!expect(is, "path") || !serial::read_path(is, log.path)) return false;
-
-  if (!expect(is, "btrace") || !(is >> n)) return false;
-  log.branch_trace.clear();
-  log.branch_trace.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sym::BranchId b = 0;
-    if (!(is >> b)) return false;
-    log.branch_trace.push_back(b);
-  }
-
-  if (!expect(is, "ops") || !(is >> log.op_count)) return false;
-  if (!expect(is, "inputs") || !read_assignment(is, log.inputs_used)) {
-    return false;
-  }
-
-  if (!expect(is, "comm_sizes") || !(is >> n)) return false;
-  log.comm_sizes.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(is >> log.comm_sizes[i])) return false;
-  }
-
-  if (!expect(is, "mappings") || !(is >> n)) return false;
-  log.rank_mapping.assign(n, {});
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t row = 0;
-    if (!expect(is, "mapping") || !(is >> row)) return false;
-    log.rank_mapping[i].assign(row, 0);
-    for (std::size_t j = 0; j < row; ++j) {
-      if (!(is >> log.rank_mapping[i][j])) return false;
-    }
-  }
-  return expect(is, "end_log");
+bool decode_run_result(std::string_view payload, std::size_t num_vars,
+                       minimpi::RunResult& out) {
+  Reader r(payload, num_vars);
+  return run_fields(r, out) && r.done();
 }
 
-std::string encode_run_result(const minimpi::RunResult& run) {
-  // The measured wall time goes out at a fixed width (17 significant
-  // digits, an exact round trip), so the frame's length, which the
-  // campaign sums into sandbox_harvest_bytes, does not follow the host's
-  // timing.
-  char wall[32];
-  const char* wall_end =
-      std::to_chars(wall, wall + sizeof wall, run.wall_seconds,
-                    std::chars_format::scientific, 16)
-          .ptr;
-  std::ostringstream os;
-  os << "run " << run.focus << ' ' << std::string_view(wall, wall_end - wall)
-     << ' ' << run.ranks.size() << '\n';
-  for (std::size_t r = 0; r < run.ranks.size(); ++r) {
-    const minimpi::RankResult& rank = run.ranks[r];
-    os << "rank " << r << ' ' << rt::to_string(rank.outcome) << '\n';
-    os << "rmsg " << serial::escape(rank.message) << '\n';
-    write_test_log(os, rank.log);
-  }
-  // Wildcard decision trace (empty when no wildcard receive matched).  Both
-  // sides of the pipe are the same binary, so growing the format needs no
-  // compatibility shim.
-  os << "matches " << run.match_trace.size() << ' '
-     << (run.match_diverged ? 1 : 0) << '\n';
-  for (const minimpi::MatchRecord& m : run.match_trace) {
-    os << "match " << m.rank << ' ' << m.seq << ' ' << m.chosen_src << ' '
-       << m.comm_uid << ' ' << m.tag << ' ' << m.feasible.size();
-    for (int f : m.feasible) os << ' ' << f;
-    os << '\n';
-  }
-  os << "end_run\n";
-  return os.str();
-}
-
-bool decode_run_result(std::string_view payload, minimpi::RunResult& out) {
-  std::istringstream is{std::string(payload)};
-  std::size_t nranks = 0;
-  std::string wall;
-  if (!expect(is, "run") || !(is >> out.focus >> wall >> nranks)) {
-    return false;
-  }
-  try {
-    out.wall_seconds = std::stod(wall);
-  } catch (...) {
-    return false;
-  }
-  out.ranks.assign(nranks, {});
-  for (std::size_t r = 0; r < nranks; ++r) {
-    std::size_t idx = 0;
-    if (!expect(is, "rank") || !(is >> idx) || idx != r) return false;
-    const auto outcome = read_outcome(is);
-    if (!outcome) return false;
-    out.ranks[r].outcome = *outcome;
-    if (!expect(is, "rmsg")) return false;
-    out.ranks[r].message = serial::unescape(read_tail(is));
-    if (!read_test_log(is, out.ranks[r].log)) return false;
-  }
-  std::size_t nmatches = 0;
-  int diverged = 0;
-  if (!expect(is, "matches") || !(is >> nmatches >> diverged)) return false;
-  out.match_diverged = diverged != 0;
-  out.match_trace.clear();
-  out.match_trace.reserve(std::min<std::size_t>(nmatches, 1u << 20));
-  for (std::size_t i = 0; i < nmatches; ++i) {
-    minimpi::MatchRecord m;
-    std::size_t nfeasible = 0;
-    if (!expect(is, "match") ||
-        !(is >> m.rank >> m.seq >> m.chosen_src >> m.comm_uid >> m.tag >>
-          nfeasible)) {
-      return false;
-    }
-    m.feasible.assign(nfeasible, 0);
-    for (std::size_t j = 0; j < nfeasible; ++j) {
-      if (!(is >> m.feasible[j])) return false;
-    }
-    out.match_trace.push_back(std::move(m));
-  }
-  return expect(is, "end_run");
-}
-
-namespace {
-
-std::string encode_registry_from(const rt::VarRegistry& registry,
-                                 std::size_t start) {
-  std::ostringstream os;
-  const std::vector<rt::VarMeta> metas = registry.all();
-  const std::size_t first = std::min(start, metas.size());
-  os << "registry " << (metas.size() - first) << '\n';
-  for (std::size_t i = first; i < metas.size(); ++i) {
-    const rt::VarMeta& m = metas[i];
-    os << "var " << static_cast<int>(m.kind) << ' ' << m.domain.lo << ' '
-       << m.domain.hi << ' ';
-    if (m.cap) {
-      os << *m.cap;
-    } else {
-      os << "none";
-    }
-    os << ' ' << m.comm_index << ' ' << serial::escape(m.key) << '\n';
-  }
-  os << "end_registry\n";
-  return os.str();
-}
-
-}  // namespace
-
-std::string encode_registry(const rt::VarRegistry& registry) {
-  return encode_registry_from(registry, 0);
-}
-
-std::string encode_registry_suffix(const rt::VarRegistry& registry,
-                                   std::size_t start) {
-  return encode_registry_from(registry, start);
+void encode_registry(const rt::VarRegistry& registry, std::size_t start,
+                     std::string& out) {
+  Writer w(out, FrameType::kRegistry);
+  w.list(registry.metas_from(start), kMinVarBytes,
+         [&](const rt::VarMeta& m) { return var_fields(w, m); });
 }
 
 bool apply_registry(std::string_view payload, rt::VarRegistry& registry) {
-  std::istringstream is{std::string(payload)};
-  std::size_t n = 0;
-  if (!expect(is, "registry") || !(is >> n)) return false;
-  for (std::size_t i = 0; i < n; ++i) {
-    rt::VarMeta m;
-    int kind = 0;
-    std::string cap;
-    if (!expect(is, "var") ||
-        !(is >> kind >> m.domain.lo >> m.domain.hi >> cap >> m.comm_index)) {
-      return false;
-    }
-    m.kind = static_cast<rt::VarKind>(kind);
-    std::optional<std::int64_t> cap_value;
-    if (cap != "none") {
-      try {
-        cap_value = std::stoll(cap);
-      } catch (...) {
-        return false;
-      }
-    }
-    m.key = serial::unescape(read_tail(is));
-    registry.intern(m.key, m.kind, m.domain, cap_value, m.comm_index);
+  Reader r(payload);
+  std::vector<rt::VarMeta> metas;
+  if (!r.list(metas, kMinVarBytes,
+              [&](rt::VarMeta& m) { return var_fields(r, m); }) ||
+      !r.done()) {
+    return false;
   }
-  return expect(is, "end_registry");
+  for (const rt::VarMeta& m : metas) {
+    registry.intern(m.key, m.kind, m.domain, m.cap, m.comm_index);
+  }
+  return true;
 }
 
-std::string encode_spawn_request(const SpawnRequest& req) {
-  std::ostringstream os;
-  os << "spawn " << req.nprocs << ' ' << req.focus << ' '
-     << (req.one_way ? 1 : 0) << ' ' << req.rng_seed << ' '
-     << req.step_budget << ' ' << (req.reduction ? 1 : 0) << ' '
-     << (req.mark_mpi_vars ? 1 : 0) << ' ' << req.timeout_ms << ' '
-     << req.hang_ms << ' ' << req.track_base << '\n';
-  os << "inputs ";
-  write_assignment(os, req.inputs);
-  os << '\n';
-  os << "chaos " << req.chaos.seed << ' '
-     << serial::format_double(req.chaos.drop_rate) << ' '
-     << serial::format_double(req.chaos.delay_rate) << ' '
-     << req.chaos.delay.count() << ' ' << req.chaos.crash_rank << ' '
-     << req.chaos.crash_at_call << ' '
-     << rt::to_string(req.chaos.crash_outcome) << ' ' << req.chaos.stall_rank
-     << ' ' << req.chaos.stall_at_collective << '\n';
-  os << "plan " << req.match_plan.size() << '\n';
-  for (const minimpi::MatchDecision& d : req.match_plan) {
-    os << "d " << d.rank << ' ' << d.seq << ' ' << d.src << '\n';
-  }
-  os << "end_spawn\n";
-  return os.str();
+void encode_spawn_request(const minimpi::LaunchSpec& spec,
+                          std::chrono::milliseconds hang, std::string& out) {
+  Writer w(out, FrameType::kSpawn);
+  spawn_fields(w, spec, hang);
+  w.inputs(spec.inputs != nullptr ? *spec.inputs : solver::Assignment{});
 }
 
-bool decode_spawn_request(std::string_view payload, SpawnRequest& out) {
-  std::istringstream is{std::string(payload)};
-  int one_way = 0, reduction = 0, mark = 0;
-  if (!expect(is, "spawn") ||
-      !(is >> out.nprocs >> out.focus >> one_way >> out.rng_seed >>
-        out.step_budget >> reduction >> mark >> out.timeout_ms >>
-        out.hang_ms >> out.track_base)) {
+bool decode_spawn_request(std::string_view payload, minimpi::LaunchSpec& spec,
+                          solver::Assignment& inputs,
+                          std::chrono::milliseconds& hang) {
+  Reader r(payload);
+  if (!spawn_fields(r, spec, hang) || !r.inputs(inputs) || !r.done()) {
     return false;
   }
-  out.one_way = one_way != 0;
-  out.reduction = reduction != 0;
-  out.mark_mpi_vars = mark != 0;
-  if (!expect(is, "inputs") || !read_assignment(is, out.inputs)) return false;
-
-  std::string drop, delay_rate;
-  std::int64_t delay_ms = 0;
-  if (!expect(is, "chaos") ||
-      !(is >> out.chaos.seed >> drop >> delay_rate >> delay_ms >>
-        out.chaos.crash_rank >> out.chaos.crash_at_call)) {
-    return false;
-  }
-  const auto crash_outcome = read_outcome(is);
-  if (!crash_outcome ||
-      !(is >> out.chaos.stall_rank >> out.chaos.stall_at_collective)) {
-    return false;
-  }
-  out.chaos.crash_outcome = *crash_outcome;
-  try {
-    out.chaos.drop_rate = std::stod(drop);
-    out.chaos.delay_rate = std::stod(delay_rate);
-  } catch (...) {
-    return false;
-  }
-  out.chaos.delay = std::chrono::milliseconds(delay_ms);
-
-  std::size_t n = 0;
-  if (!expect(is, "plan") || !(is >> n)) return false;
-  out.match_plan.clear();
-  out.match_plan.reserve(std::min<std::size_t>(n, 1u << 20));
-  for (std::size_t i = 0; i < n; ++i) {
-    minimpi::MatchDecision d;
-    if (!expect(is, "d") || !(is >> d.rank >> d.seq >> d.src)) return false;
-    out.match_plan.push_back(d);
-  }
-  return expect(is, "end_spawn");
+  spec.inputs = &inputs;
+  return true;
 }
 
 }  // namespace compi::sandbox

@@ -4,27 +4,41 @@
 // payload length, 1-byte type tag, payload); this header fixes the
 // sandbox's tag set (FrameType) and its 256 MiB payload ceiling, and adds
 // the payload codecs.  A sandboxed child streams its results back to the
-// supervisor as frames: a cleanly finishing child writes one kResult frame
-// holding the full RunResult (every rank's TestLog, serialized with the
-// same text helpers the checkpoint format uses); a child whose launcher
-// threw writes a kError frame; a fatal-signal handler squeezes out a
-// kSignal frame (just the signal number, written by hand because the
-// handler cannot allocate) before re-raising.  The reader consumes the raw
-// byte stream incrementally and simply stops at a trailing partial or
-// malformed frame — exactly the residue a dying child leaves behind.
+// supervisor as frames: a kRegistry frame with the variables the run
+// interned (when it interned any), then, from a cleanly finishing child,
+// one kResult frame holding the full RunResult (every rank's TestLog); a
+// child whose launcher threw writes a kError frame instead; a
+// fatal-signal handler squeezes out a kSignal frame (just the signal
+// number in decimal, written by hand because the handler cannot
+// allocate) before re-raising.  The reader
+// consumes the raw byte stream incrementally and simply stops at a
+// trailing partial or malformed frame — exactly the residue a dying child
+// leaves behind.
 //
 // The fork server (fork_server.h) speaks the same framing on two more
 // pipes: the supervisor sends kRegistry sync frames plus one kSpawn frame
 // per iteration down the control pipe, and the server answers with one
 // kHello at startup and kStatus lifecycle frames for its executor process
 // ("spawned <pid>", "reaped <wait-status>").  The executor answers each
-// kSpawn on the result pipe with the classic kResult/kError (plus kSignal
-// if it dies) frames, a kRegistry frame with the variables the run
-// interned, and one kDone end-of-run frame.  Both the executor's control
-// reader and the supervisor's status reader live for a whole campaign;
-// the shared reader drops the bytes it has consumed, so neither grows.
+// kSpawn on the result pipe with the classic kRegistry and kResult/kError
+// (plus kSignal if it dies) frames and one kDone end-of-run frame.  Both
+// the executor's control reader and the supervisor's status reader live
+// for a whole campaign; the shared reader drops the bytes it has
+// consumed, so neither grows.
+//
+// The three per-iteration payloads (kResult, kSpawn, kRegistry) are
+// binary, in serve/frame.h's field codec (varints, zigzag varints, raw
+// doubles, length-prefixed strings); the short lifecycle payloads are
+// text.  Both ends are the same binary, so the layout carries no version.
+// A decoder checks every count against the bytes left before it sizes a
+// container and requires the payload to end exactly where the layout
+// does: a torn or bit-flipped payload decodes to false (or to some other
+// well-formed value), never to an overrun or an oversized allocation.
+// Layouts are fixed by the encoder's field order: no padding and no
+// wall-clock reading changes a payload's length.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -37,11 +51,11 @@
 namespace compi::sandbox {
 
 enum class FrameType : char {
-  kResult = 'R',    // payload: encode_run_result() text
+  kResult = 'R',    // payload: encode_run_result() bytes
   kError = 'E',     // payload: launcher error message
   kSignal = 'S',    // payload: decimal signal number (fatal-signal handler)
-  kRegistry = 'V',  // payload: encode_registry() text (child's var interns)
-  kSpawn = 'W',     // payload: encode_spawn_request() text (ctl pipe)
+  kRegistry = 'V',  // payload: encode_registry() bytes (var interns)
+  kSpawn = 'W',     // payload: encode_spawn_request() bytes (ctl pipe)
   kHello = 'H',     // payload: "compi-fork-server <version> <pid>"
   kStatus = 'T',    // payload: "spawned <pid>" | "reaped <status>"
   kDone = 'D',      // payload: "next" | "exit" | "reject <reason>"
@@ -81,64 +95,52 @@ class FrameReader {
   serve::WireFrameReader reader_;
 };
 
-/// Serializes a full RunResult — outcome, message, and complete TestLog
-/// (coverage, path, trace, inputs) for every rank.
-[[nodiscard]] std::string encode_run_result(const minimpi::RunResult& run);
+/// Appends a kResult frame holding a full RunResult — outcome, message,
+/// and complete TestLog (coverage, path, trace, inputs) for every rank —
+/// to `out`, encoding in place.
+void encode_run_result(const minimpi::RunResult& run, std::string& out);
 
-/// Inverse of encode_run_result.  False on any parse error.
+/// Inverse of encode_run_result, on the frame's payload.  False on any
+/// malformed payload, which includes a path that mentions a variable id
+/// >= `num_vars`: the size of the registry the run interned into, with
+/// the run's kRegistry frame (which precedes its kResult) applied.
 [[nodiscard]] bool decode_run_result(std::string_view payload,
+                                     std::size_t num_vars,
                                      minimpi::RunResult& out);
 
-/// One rank's TestLog round-trip (exposed for tests).
-void write_test_log(std::ostream& os, const rt::TestLog& log);
-[[nodiscard]] bool read_test_log(std::istream& is, rt::TestLog& log);
+/// Appends a kRegistry frame with the registry's variables of id >=
+/// `start`, in intern (= variable id) order, to `out`.  A child mutates
+/// only its own registry, so the new input variables a run interned must
+/// be shipped back for the parent's planner, and the supervisor ships the
+/// fork server the suffix it has not seen yet.  Interning is
+/// first-marking-wins and never removes, so replaying suffixes in order
+/// reconstructs identical dense ids (and a replayed shared prefix is a
+/// no-op).  A `start` past the end encodes an empty suffix.
+void encode_registry(const rt::VarRegistry& registry, std::size_t start,
+                     std::string& out);
 
-/// Serializes the registry's full contents in intern (= variable id)
-/// order.  The child mutates only its fork-copied registry, so new input
-/// variables it interned must be shipped back for the parent's planner —
-/// replaying the interns in order reproduces identical dense ids
-/// (first-marking-wins makes the shared prefix a no-op).
-[[nodiscard]] std::string encode_registry(const rt::VarRegistry& registry);
-
-/// Replays an encode_registry() payload into `registry`.  False on any
-/// parse error (the registry keeps whatever prefix was applied).
+/// Replays an encode_registry() frame's payload into `registry`.  False on
+/// any malformed payload, which then applies nothing.
 [[nodiscard]] bool apply_registry(std::string_view payload,
                                   rt::VarRegistry& registry);
 
-/// Like encode_registry but only variables with id >= `start`: the
-/// append-only suffix the fork server hasn't seen yet.  Interning is
-/// first-marking-wins and never removes, so replaying suffixes in order
-/// reconstructs identical dense ids on the server side.
-[[nodiscard]] std::string encode_registry_suffix(
-    const rt::VarRegistry& registry, std::size_t start);
+/// Appends a kSpawn frame: everything about one warm spawn that varies
+/// between iterations.  The server captured the target program, branch
+/// table and sandbox options when it forked, and the executor keeps its
+/// own registry, so the frame carries only `spec`'s launch parameters
+/// (inputs, chaos plan and prescribed wildcard decisions included) and
+/// the supervisor-derived hang deadline the executor's rlimit fence is
+/// sized from.
+void encode_spawn_request(const minimpi::LaunchSpec& spec,
+                          std::chrono::milliseconds hang, std::string& out);
 
-/// Everything about one warm spawn that varies between iterations.  The
-/// server captured the target program, branch table, and sandbox options
-/// when it forked; a kSpawn frame carries only the per-iteration launch
-/// parameters (including the chaos plan and any prescribed wildcard
-/// decisions) plus the supervisor-derived hang deadline the executor's
-/// rlimit fence is sized from.
-struct SpawnRequest {
-  int nprocs = 1;
-  int focus = 0;
-  bool one_way = false;
-  solver::Assignment inputs;
-  std::uint64_t rng_seed = 1;
-  std::int64_t step_budget = 2'000'000;
-  bool reduction = true;
-  bool mark_mpi_vars = true;
-  std::int64_t timeout_ms = 30'000;
-  std::int64_t hang_ms = 62'000;
-  int track_base = 0;
-  minimpi::MatchPlan match_plan;
-  minimpi::FaultPlan chaos;
-};
-
-[[nodiscard]] std::string encode_spawn_request(const SpawnRequest& req);
-
-/// Inverse of encode_spawn_request.  False on any parse error (the server
-/// rejects the spawn and the supervisor cold-forks that iteration).
+/// Inverse of encode_spawn_request, on the frame's payload: sets `spec`'s
+/// launch parameters, spec.inputs pointing at `inputs`, and `hang`.  False
+/// on any malformed payload (the server rejects the spawn and the
+/// supervisor cold-forks that iteration).
 [[nodiscard]] bool decode_spawn_request(std::string_view payload,
-                                        SpawnRequest& out);
+                                        minimpi::LaunchSpec& spec,
+                                        solver::Assignment& inputs,
+                                        std::chrono::milliseconds& hang);
 
 }  // namespace compi::sandbox

@@ -4,11 +4,11 @@ namespace compi::serve {
 
 namespace {
 
-void put_u32_le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
+void put_u32_le(char* p, std::uint32_t v) {
+  p[0] = static_cast<char>(v & 0xff);
+  p[1] = static_cast<char>((v >> 8) & 0xff);
+  p[2] = static_cast<char>((v >> 16) & 0xff);
+  p[3] = static_cast<char>((v >> 24) & 0xff);
 }
 
 std::uint32_t get_u32_le(const char* p) {
@@ -23,9 +23,22 @@ std::uint32_t get_u32_le(const char* p) {
 
 void append_wire_frame(std::string& out, char type,
                        std::string_view payload) {
-  put_u32_le(out, static_cast<std::uint32_t>(payload.size()));
-  out.push_back(type);
+  const std::size_t header = begin_wire_frame(out, type);
   out.append(payload);
+  end_wire_frame(out, header);
+}
+
+std::size_t begin_wire_frame(std::string& out, char type) {
+  const std::size_t header = out.size();
+  out.append(4, '\0');
+  out.push_back(type);
+  return header;
+}
+
+void end_wire_frame(std::string& out, std::size_t header) {
+  put_u32_le(out.data() + header, static_cast<std::uint32_t>(
+                                      out.size() - header -
+                                      kWireFrameHeaderBytes));
 }
 
 std::optional<std::size_t> decode_wire_header(const char* header,

@@ -14,9 +14,17 @@
 // after the first corruption is ignored, which is exactly the right
 // behavior for a peer that died mid-write.  It keeps only the unread tail,
 // so a stream that lives for a whole campaign stays small.
+//
+// Binary payloads (the sandbox's result, spawn and registry frames) and
+// the packed iteration history share one field codec, ByteWriter and
+// ByteReader: unsigned integers as LEB128 varints, signed ones zigzag
+// mapped onto varints, doubles as their raw 8 bytes, strings as a varint
+// length then the bytes.  The reader is bounded: every field read past
+// the end of its bytes fails instead of reading on.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -39,6 +47,12 @@ inline constexpr std::size_t kMaxWireFramePayload = 64u * 1024u * 1024u;
 
 /// Appends one frame (header + payload) to `out`.
 void append_wire_frame(std::string& out, char type, std::string_view payload);
+
+/// Appends the header of a frame whose payload the caller appends to `out`
+/// next; end_wire_frame(out, <returned offset>) then fills in its length.
+/// Encoders write straight into the frame this way, with no payload copy.
+[[nodiscard]] std::size_t begin_wire_frame(std::string& out, char type);
+void end_wire_frame(std::string& out, std::size_t header);
 
 /// The payload length a kWireFrameHeaderBytes-byte `header` announces (its
 /// tag is header[4]), or nullopt when the tag is not in `valid_types` or
@@ -75,6 +89,107 @@ class WireFrameReader {
   std::size_t pos_ = 0;
   std::size_t fed_ = 0;
   bool corrupt_ = false;
+};
+
+namespace detail {
+
+inline void put_varint(std::string& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<char>(v | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<char>(v));
+}
+
+/// Decodes the varint at `in[at]`, advancing `at`; false past the end of
+/// `in` or after the 10 bytes a 64-bit value can take.
+inline bool get_varint(std::string_view in, std::size_t& at,
+                       std::uint64_t& v) {
+  v = 0;
+  for (int shift = 0; shift < 64 && at < in.size(); shift += 7) {
+    const auto b = static_cast<std::uint8_t>(in[at++]);
+    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+    if (b < 0x80) return true;
+  }
+  return false;
+}
+
+}  // namespace detail
+
+/// Appends binary fields to a string (see the header comment).  Inline:
+/// a payload is hundreds of fields, so a call per field would cost more
+/// than the fields.
+class ByteWriter {
+ public:
+  explicit ByteWriter(std::string& out) : out_(&out) {}
+
+  void u64(std::uint64_t v) { detail::put_varint(*out_, v); }
+  void i64(std::int64_t v) {
+    detail::put_varint(*out_, (static_cast<std::uint64_t>(v) << 1) ^
+                                  static_cast<std::uint64_t>(v >> 63));
+  }
+  void f64(double v) {
+    char raw[sizeof v];
+    std::memcpy(raw, &v, sizeof v);
+    out_->append(raw, sizeof v);
+  }
+  void str(std::string_view s) {
+    detail::put_varint(*out_, s.size());
+    out_->append(s);
+  }
+
+ private:
+  std::string* out_;
+};
+
+/// Reads ByteWriter fields back from a byte range.  Every read returns
+/// false, leaving its output unspecified, once the field would run past
+/// the end or a varint is longer than 10 bytes.
+class ByteReader {
+ public:
+  explicit ByteReader(std::string_view in) : in_(in) {}
+
+  [[nodiscard]] bool u64(std::uint64_t& v) {
+    return detail::get_varint(in_, at_, v);
+  }
+  [[nodiscard]] bool i64(std::int64_t& v) {
+    std::uint64_t z = 0;
+    if (!detail::get_varint(in_, at_, z)) return false;
+    v = static_cast<std::int64_t>(z >> 1) ^ -static_cast<std::int64_t>(z & 1);
+    return true;
+  }
+  [[nodiscard]] bool f64(double& v) {
+    if (in_.size() - at_ < sizeof v) return false;
+    std::memcpy(&v, in_.data() + at_, sizeof v);
+    at_ += sizeof v;
+    return true;
+  }
+  [[nodiscard]] bool str(std::string& s) {
+    std::size_t n = 0;
+    if (!count(n)) return false;
+    s.assign(in_.data() + at_, n);
+    at_ += n;
+    return true;
+  }
+  /// A count of items that take at least `min_bytes` (>= 1) each: false
+  /// when the bytes left could not hold that many, so a corrupt count
+  /// fails before it sizes an allocation.
+  [[nodiscard]] bool count(std::size_t& n, std::size_t min_bytes = 1) {
+    std::uint64_t v = 0;
+    if (!detail::get_varint(in_, at_, v) ||
+        v > (in_.size() - at_) / min_bytes) {
+      return false;
+    }
+    n = static_cast<std::size_t>(v);
+    return true;
+  }
+
+  [[nodiscard]] std::size_t consumed() const { return at_; }
+  [[nodiscard]] bool done() const { return at_ == in_.size(); }
+
+ private:
+  std::string_view in_;
+  std::size_t at_ = 0;
 };
 
 }  // namespace compi::serve

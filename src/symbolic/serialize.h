@@ -1,6 +1,7 @@
-// Low-level text serialization shared by every on-disk / on-wire format:
-// the campaign checkpoint, session files, and the sandbox supervisor's
-// pipe protocol all speak the same line-oriented dialect.
+// Low-level text serialization shared by the on-disk formats: the
+// campaign checkpoint and the session files speak the same line-oriented
+// dialect.  (The sandbox pipes carry binary payloads instead; see
+// sandbox/wire.h.)
 //
 // Strings are escaped (\n, \r, \\) so multi-line fault messages fit on one
 // line; doubles use shortest-round-trip formatting so restored timings are

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "compi/driver.h"
+#include "obs/journal.h"
 #include "sandbox/supervisor.h"
 #include "targets/targets.h"
 
@@ -316,6 +317,42 @@ TEST(Determinism, HaltOffTheCheckpointGridResumesTheUninterruptedSession) {
   const CampaignResult rest = Campaign(target, opts).run();
   EXPECT_TRUE(rest.resumed);
   expect_identical_files(whole.path, resumed.path);
+}
+
+TEST(Determinism, ResumeJournalsNoDiagnosisWhenTheVerdictHolds) {
+  // A resumed campaign's stall diagnosis continues from the last verdict
+  // its kept journal recorded, so the first resumed sample journals a
+  // `diagnosis` event only if the verdict changed there — as in the
+  // uninterrupted campaign, which journals verdict transitions only.
+  const TargetInfo target = targets::make_mini_susy_target();
+  TempDir dir;
+  CampaignOptions opts;
+  opts.seed = 1;
+  opts.iterations = 60;
+  opts.journal = true;
+  opts.log_dir = dir.path.string();
+  opts.halt_after_iterations = 30;
+  const CampaignResult partial = Campaign(target, opts).run();
+  ASSERT_EQ(partial.iterations.size(), 30u);
+  opts.halt_after_iterations = 0;
+  opts.resume = true;
+  const CampaignResult rest = Campaign(target, opts).run();
+  ASSERT_TRUE(rest.resumed);
+
+  std::string verdict_at_halt;
+  std::vector<std::string> resumed_events;
+  for (const obs::ParsedEvent& e : obs::read_journal(dir.path / "journal.jsonl")) {
+    if (e.type != "diagnosis") continue;
+    const std::string kind = e.str("kind").value_or("?");
+    if (e.iter() < 30) verdict_at_halt = kind;
+    if (e.iter() == 30) resumed_events.push_back(kind);
+  }
+  ASSERT_FALSE(verdict_at_halt.empty()) << "the first sample journals one";
+  for (const std::string& kind : resumed_events) {
+    EXPECT_NE(kind, verdict_at_halt)
+        << "a diagnosis event at the first resumed iteration repeats the "
+           "verdict the journal already holds";
+  }
 }
 
 }  // namespace

@@ -285,23 +285,24 @@ TEST(DurableFuzz, ForkServerWireFramesTolerateAnyCorruption) {
   // contract is a clean reject (and a cold-fork fallback), not a fault.
   std::mt19937 rng(0xF0AC5E);
 
-  sandbox::SpawnRequest req;
-  req.nprocs = 4;
-  req.focus = 2;
-  req.inputs[0] = 77;
-  req.inputs[1] = 33;
-  req.match_plan = {{0, 0, 2}, {1, 1, 0}};
-  req.chaos.crash_rank = 1;
+  solver::Assignment inputs;
+  inputs[0] = 77;
+  inputs[1] = 33;
+  minimpi::LaunchSpec spec;
+  spec.nprocs = 4;
+  spec.focus = 2;
+  spec.inputs = &inputs;
+  spec.match_plan = {{0, 0, 2}, {1, 1, 0}};
+  spec.chaos.crash_rank = 1;
 
   rt::VarRegistry registry;
   registry.intern("x", rt::VarKind::kRegular, solver::int32_domain(), 500);
   registry.intern("y", rt::VarKind::kRegular, solver::int32_domain(), 500);
 
   std::string ctl_stream;  // what the supervisor sends the server
-  sandbox::append_frame(ctl_stream, sandbox::FrameType::kRegistry,
-                        sandbox::encode_registry_suffix(registry, 0));
-  sandbox::append_frame(ctl_stream, sandbox::FrameType::kSpawn,
-                        sandbox::encode_spawn_request(req));
+  sandbox::encode_registry(registry, 0, ctl_stream);
+  sandbox::encode_spawn_request(spec, std::chrono::milliseconds(5000),
+                                ctl_stream);
 
   std::string st_stream;  // what the server answers with
   sandbox::append_frame(st_stream, sandbox::FrameType::kHello,
@@ -322,8 +323,11 @@ TEST(DurableFuzz, ForkServerWireFramesTolerateAnyCorruption) {
         // do; success or clean rejection are both acceptable.
         switch (f->type) {
           case sandbox::FrameType::kSpawn: {
-            sandbox::SpawnRequest out;
-            (void)sandbox::decode_spawn_request(f->payload, out);
+            minimpi::LaunchSpec out;
+            solver::Assignment out_inputs;
+            std::chrono::milliseconds hang{0};
+            (void)sandbox::decode_spawn_request(f->payload, out, out_inputs,
+                                                hang);
             break;
           }
           case sandbox::FrameType::kRegistry: {
@@ -333,7 +337,8 @@ TEST(DurableFuzz, ForkServerWireFramesTolerateAnyCorruption) {
           }
           case sandbox::FrameType::kResult: {
             minimpi::RunResult out;
-            (void)sandbox::decode_run_result(f->payload, out);
+            (void)sandbox::decode_run_result(f->payload, registry.size(),
+                                             out);
             break;
           }
           default:

@@ -242,9 +242,11 @@ TEST(MatchOutcomes, SandboxWireRoundTripsMatchTraceAndVerdicts) {
   m.feasible = {1, 2};
   run.match_trace.push_back(m);
 
+  std::string frame;
+  sandbox::encode_run_result(run, frame);
   minimpi::RunResult back;
-  ASSERT_TRUE(sandbox::decode_run_result(sandbox::encode_run_result(run),
-                                         back));
+  ASSERT_TRUE(sandbox::decode_run_result(
+      std::string_view(frame).substr(sandbox::kFrameHeaderBytes), 0, back));
   ASSERT_EQ(back.ranks.size(), 2u);
   EXPECT_EQ(back.ranks[0].outcome, rt::Outcome::kDeadlock);
   EXPECT_EQ(back.ranks[0].message, run.ranks[0].message);
