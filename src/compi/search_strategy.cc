@@ -26,10 +26,10 @@ sym::BranchId flip_target(const sym::Path& path, std::size_t depth) {
 }
 
 /// Restores a checkpointed path (its text holds the whole path).
-bool read_shared_path(std::istream& is,
-                      std::shared_ptr<const sym::Path>& out) {
+bool read_shared_path(std::istream& is, std::shared_ptr<const sym::Path>& out,
+                      std::size_t num_vars) {
   sym::Path path;
-  if (!ckpt::read_path(is, path)) return false;
+  if (!ckpt::read_path(is, path, num_vars)) return false;
   out = std::make_shared<const sym::Path>(std::move(path));
   return true;
 }
@@ -116,14 +116,17 @@ class BoundedDfsStrategy final : public SearchStrategy {
     }
   }
 
-  bool load_state(std::istream& is) override {
+  bool load_state(std::istream& is, std::size_t num_vars) override {
     if (!SearchStrategy::load_state(is)) return false;
     std::size_t n = 0;
     if (!expect_tag(is, "frames") || !(is >> n)) return false;
     stack_.clear();
     for (std::size_t i = 0; i < n; ++i) {
       Frame f;
-      if (!(is >> f.lo >> f.idx) || !read_shared_path(is, f.path)) {
+      // next() flips entry idx of the path: it must exist.
+      if (!(is >> f.lo >> f.idx) ||
+          !read_shared_path(is, f.path, num_vars) ||
+          f.idx >= static_cast<std::ptrdiff_t>(f.path->size())) {
         return false;
       }
       stack_.push_back(std::move(f));
@@ -207,11 +210,11 @@ class RandomDepthStrategy final : public SearchStrategy {
     write_shared_path(os, path_);
   }
 
-  bool load_state(std::istream& is) override {
+  bool load_state(std::istream& is, std::size_t num_vars) override {
     if (!SearchStrategy::load_state(is)) return false;
     if (!expect_tag(is, "rng") || !(is >> rng_)) return false;
     if (!expect_tag(is, "attempts") || !(is >> attempts_)) return false;
-    return expect_tag(is, "path") && read_shared_path(is, path_);
+    return expect_tag(is, "path") && read_shared_path(is, path_, num_vars);
   }
 
  private:
@@ -293,19 +296,22 @@ class CfgStrategy final : public SearchStrategy {
     write_shared_path(os, path_);
   }
 
-  bool load_state(std::istream& is) override {
+  bool load_state(std::istream& is, std::size_t num_vars) override {
     if (!SearchStrategy::load_state(is)) return false;
     if (!expect_tag(is, "rng") || !(is >> rng_)) return false;
     if (!expect_tag(is, "attempts") || !(is >> attempts_)) return false;
     std::size_t n = 0;
     if (!expect_tag(is, "tried") || !(is >> n)) return false;
-    tried_.assign(n, 0);
+    // One flag per path entry: read one by one, so a corrupt count cannot
+    // size an allocation, and checked against the path below.
+    tried_.clear();
     for (std::size_t i = 0; i < n; ++i) {
       int bit = 0;
       if (!(is >> bit)) return false;
-      tried_[i] = static_cast<std::uint8_t>(bit);
+      tried_.push_back(static_cast<std::uint8_t>(bit));
     }
-    return expect_tag(is, "path") && read_shared_path(is, path_);
+    return expect_tag(is, "path") && read_shared_path(is, path_, num_vars) &&
+           tried_.size() == path_->size();
   }
 
  private:
@@ -401,7 +407,7 @@ class GenerationalStrategy final : public SearchStrategy {
     }
   }
 
-  bool load_state(std::istream& is) override {
+  bool load_state(std::istream& is, std::size_t num_vars) override {
     if (!SearchStrategy::load_state(is)) return false;
     if (!expect_tag(is, "gen") || !(is >> last_covered_ >> next_tiebreak_)) {
       return false;
@@ -423,7 +429,7 @@ class GenerationalStrategy final : public SearchStrategy {
       sym::Path path;
       for (std::size_t k = 0; k < npreds; ++k) {
         solver::Predicate p;
-        if (!ckpt::read_predicate(is, p)) return false;
+        if (!ckpt::read_predicate(is, p, num_vars)) return false;
         path.append(0, false, k == e.depth ? p.negated() : std::move(p));
       }
       e.path = std::make_shared<const sym::Path>(std::move(path));
@@ -460,7 +466,8 @@ void SearchStrategy::save_state(std::ostream& os) const {
      << stats_.prediction_failures << '\n';
 }
 
-bool SearchStrategy::load_state(std::istream& is) {
+bool SearchStrategy::load_state(std::istream& is,
+                                std::size_t /*num_vars*/) {
   return expect_tag(is, "stats") &&
          static_cast<bool>(is >> stats_.candidates_issued >>
                            stats_.prediction_failures);

@@ -18,6 +18,7 @@
 #include "runtime/branch_table.h"
 #include "solver/predicate.h"
 #include "symbolic/path.h"
+#include "symbolic/serialize.h"
 
 namespace compi {
 
@@ -68,10 +69,12 @@ class SearchStrategy {
   /// Checkpoint support: serializes the strategy's full mutable state
   /// (pending frames/queues, RNG engines, stats) as line-oriented text, and
   /// restores it so a resumed campaign proposes exactly the candidates the
-  /// killed one would have.  `load_state` returns false on parse errors
-  /// (the caller then falls back to a fresh campaign).
+  /// killed one would have.  `load_state` returns false on parse errors,
+  /// a path naming a variable outside [0, num_vars) among them (the caller
+  /// then falls back to an older snapshot or a fresh campaign).
   virtual void save_state(std::ostream& os) const;
-  [[nodiscard]] virtual bool load_state(std::istream& is);
+  [[nodiscard]] virtual bool load_state(std::istream& is,
+                                        std::size_t num_vars = serial::kAnyVar);
 
  protected:
   StrategyStats stats_;

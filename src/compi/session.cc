@@ -299,14 +299,19 @@ fs::path iteration_dir(const fs::path& dir, int iteration) {
 
 }  // namespace
 
-std::optional<ckpt::CampaignCheckpoint> read_checkpoint(const fs::path& dir) {
+std::optional<ckpt::CampaignCheckpoint> read_checkpoint(
+    const fs::path& dir,
+    const std::function<bool(const ckpt::CampaignCheckpoint&)>& usable) {
   const auto try_read =
-      [&dir](const fs::path& file) -> std::optional<ckpt::CampaignCheckpoint> {
+      [&](const fs::path& file) -> std::optional<ckpt::CampaignCheckpoint> {
     std::ifstream in(file);
     if (!in) return std::nullopt;
     std::optional<ckpt::CampaignCheckpoint> c =
         ckpt::CampaignCheckpoint::read(in);
-    if (c && !load_history(dir / "iterations.csv", *c)) return std::nullopt;
+    if (c && (!load_history(dir / "iterations.csv", *c) ||
+              (usable && !usable(*c)))) {
+      return std::nullopt;
+    }
     return c;
   };
   if (auto c = try_read(dir / "checkpoint.txt")) return c;

@@ -27,6 +27,7 @@
 #include <filesystem>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -71,10 +72,11 @@ struct LoggedBug {
 /// from exactly the first `streams.csv_bytes` bytes of <dir>/iterations.csv:
 /// the header, then `history_rows` whole rows with increasing ordinals
 /// below `next_iteration`.  Anything else makes the snapshot unusable, so a
-/// resume never continues from a short history.  nullopt when neither
-/// snapshot is usable.
+/// resume never continues from a short history, and so does a snapshot
+/// `usable` (when given) rejects.  nullopt when neither snapshot is usable.
 [[nodiscard]] std::optional<ckpt::CampaignCheckpoint> read_checkpoint(
-    const std::filesystem::path& dir);
+    const std::filesystem::path& dir,
+    const std::function<bool(const ckpt::CampaignCheckpoint&)>& usable = {});
 
 /// Every whole, parseable row of an iterations.csv file, in file order.
 /// The header, a torn last row (no newline) and rows of other layouts are

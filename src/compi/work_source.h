@@ -3,10 +3,11 @@
 //
 // A WorkSource decides how many of the next iterations may run and absorbs
 // the results of completed ones.  When CampaignOptions::work_source is
-// set, the campaign (driver.cc) leases each epoch's ordinals with one
-// acquire() before dealing them, reports once per applied epoch and drains
-// the remote coverage; a null pointer (the default) leaves the engine
-// byte-identical to its standalone behaviour.
+// set, the campaign's EpochPlanner (driver_internal.h) leases each epoch's
+// ordinals with one acquire() before dealing them, and the Applier reports
+// once per applied epoch and drains the remote coverage — both on the
+// apply thread, at the barrier.  A null pointer (the default) leaves the
+// engine byte-identical to its standalone behaviour.
 //
 // The contract is built for idempotent re-execution: report() always
 // carries the shard's FULL covered set, FULL bug list, and CUMULATIVE

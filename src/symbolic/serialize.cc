@@ -54,16 +54,23 @@ void write_predicate(std::ostream& os, const solver::Predicate& p) {
   }
 }
 
-bool read_predicate(std::istream& is, solver::Predicate& p) {
+bool read_predicate(std::istream& is, solver::Predicate& p,
+                    std::size_t num_vars) {
   int op = 0;
   std::int64_t constant = 0;
   std::size_t nterms = 0;
-  if (!(is >> op >> constant >> nterms)) return false;
+  if (!(is >> op >> constant >> nterms) || op < 0 ||
+      op > static_cast<int>(solver::CompareOp::kGe)) {
+    return false;
+  }
   solver::LinearExpr expr(constant);
   for (std::size_t i = 0; i < nterms; ++i) {
     solver::Var v = 0;
     std::int64_t coeff = 0;
-    if (!(is >> v >> coeff)) return false;
+    if (!(is >> v >> coeff) || v < 0 ||
+        static_cast<std::size_t>(v) >= num_vars) {
+      return false;
+    }
     expr.add_term(v, coeff);
   }
   p.expr = std::move(expr);
@@ -80,7 +87,7 @@ void write_path(std::ostream& os, const sym::Path& path) {
   }
 }
 
-bool read_path(std::istream& is, sym::Path& path) {
+bool read_path(std::istream& is, sym::Path& path, std::size_t num_vars) {
   std::size_t n = 0;
   if (!(is >> n)) return false;
   path.clear();
@@ -88,7 +95,9 @@ bool read_path(std::istream& is, sym::Path& path) {
     sym::SiteId site = 0;
     int taken = 0;
     solver::Predicate p;
-    if (!(is >> site >> taken) || !read_predicate(is, p)) return false;
+    if (!(is >> site >> taken) || !read_predicate(is, p, num_vars)) {
+      return false;
+    }
     path.append(site, taken != 0, std::move(p));
   }
   return true;

@@ -9,7 +9,9 @@
 // everywhere, keeping the formats mutually consistent.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -26,11 +28,20 @@ namespace compi::serial {
 /// Shortest string that parses back to exactly `v`.
 [[nodiscard]] std::string format_double(double v);
 
-/// One-line predicate / multi-line path round-trips.
+/// Bounds no variable id beyond the id type itself.
+inline constexpr std::size_t kAnyVar =
+    static_cast<std::size_t>(std::numeric_limits<solver::Var>::max()) + 1;
+
+/// One-line predicate / multi-line path round-trips.  A read fails on a
+/// comparison outside CompareOp and on a variable outside [0, num_vars):
+/// a path indexes its entries by variable, so a corrupt id must not reach
+/// it.
 void write_predicate(std::ostream& os, const solver::Predicate& p);
-[[nodiscard]] bool read_predicate(std::istream& is, solver::Predicate& p);
+[[nodiscard]] bool read_predicate(std::istream& is, solver::Predicate& p,
+                                  std::size_t num_vars = kAnyVar);
 void write_path(std::ostream& os, const sym::Path& path);
-[[nodiscard]] bool read_path(std::istream& is, sym::Path& path);
+[[nodiscard]] bool read_path(std::istream& is, sym::Path& path,
+                             std::size_t num_vars = kAnyVar);
 
 /// Expects the next whitespace-delimited token to equal `tag`; poisons the
 /// stream otherwise.

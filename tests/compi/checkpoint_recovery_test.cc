@@ -4,9 +4,13 @@
 // its commit point.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "compi/checkpoint.h"
 #include "compi/driver.h"
@@ -237,6 +241,152 @@ TEST(CheckpointRecovery, BothSnapshotsUnreadableFallsBackToFreshRun) {
   // No snapshot to continue from: a fresh campaign, run to the full budget.
   EXPECT_FALSE(got.resumed);
   EXPECT_EQ(got.iterations.size(), 60u);
+}
+
+/// Rewrites `file` line by line: `edit` gets the tokens of each line after
+/// the first one starting with `after`, until it changes one (returns
+/// true).  False when it changed none.
+bool edit_tokens_after(
+    const fs::path& file, const std::string& after,
+    const std::function<bool(std::vector<std::string>&)>& edit) {
+  std::ifstream in(file);
+  std::ostringstream out;
+  bool armed = false, done = false;
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream words(line);
+    std::vector<std::string> t;
+    for (std::string w; words >> w;) t.push_back(w);
+    if (armed && !done && edit(t)) {
+      done = true;
+      line = t[0];
+      for (std::size_t i = 1; i < t.size(); ++i) line += " " + t[i];
+    }
+    armed |= line.rfind(after, 0) == 0;
+    out << line << '\n';
+  }
+  in.close();
+  if (done) std::ofstream(file, std::ios::trunc) << out.str();
+  return done;
+}
+
+/// Names variable -1 in the first path entry of the cursor's strategy
+/// state: `site taken op constant nterms var coeff ...`.
+void poison_strategy_path(const fs::path& file) {
+  ASSERT_TRUE(edit_tokens_after(file, "cursor_state_lines", [](auto& t) {
+    if (t.size() < 7 || t.size() != 5 + 2 * std::stoul(t[4])) return false;
+    t[5] = "-1";
+    return true;
+  })) << "no path entry to corrupt in " << file;
+}
+
+TEST(CheckpointRecovery, StrategyStateNamingVarMinusOneFallsBackToBak) {
+  // A path naming a variable outside the cursor's registry would index the
+  // path's occurrence lists (and later the registry) out of bounds: the
+  // snapshot is unusable, and resume continues from the .bak instead.
+  TempDir dir;
+  run_until_halt(dir.path, 30);
+  poison_strategy_path(dir.path / "checkpoint.txt");
+  const CampaignResult got = resume_campaign(dir.path);
+  EXPECT_TRUE(got.resumed);
+  expect_full_history(got);
+}
+
+TEST(CheckpointRecovery, StrategyStateNamingVarMinusOneInBothStartsFresh) {
+  TempDir dir;
+  run_until_halt(dir.path, 30);
+  poison_strategy_path(dir.path / "checkpoint.txt");
+  poison_strategy_path(dir.path / "checkpoint.txt.bak");
+  const CampaignResult got = resume_campaign(dir.path);
+  EXPECT_FALSE(got.resumed);
+  expect_full_history(got);
+}
+
+TEST(CheckpointRecovery, FrameDepthPastItsPathFallsBackToBak) {
+  // A BoundedDFS frame is `lo idx`, then its path: an idx past the path's
+  // last entry would flip an entry that does not exist.
+  TempDir dir;
+  run_until_halt(dir.path, 30);
+  const auto past_its_path = [](std::vector<std::string>& t) {
+    if (t.size() != 3 || !std::isdigit(static_cast<unsigned char>(t[0][0]))) {
+      return false;  // not a frame's `lo idx size` line
+    }
+    t[1] = "1000";
+    return true;
+  };
+  ASSERT_TRUE(edit_tokens_after(dir.path / "checkpoint.txt", "frames",
+                                past_its_path));
+  const CampaignResult got = resume_campaign(dir.path);
+  EXPECT_TRUE(got.resumed);
+  expect_full_history(got);
+}
+
+TEST(CheckpointRecovery, CfgFlagCountNotMatchingItsPathFallsBackToBak) {
+  // The CFG strategy keeps one tried flag per path entry; a corrupt count
+  // must neither size an allocation nor leave the flags shorter than the
+  // path they index.
+  TempDir dir;
+  CampaignOptions opts = session_opts(dir.path);
+  opts.search = SearchKind::kCfg;
+  opts.halt_after_iterations = 30;
+  ASSERT_EQ(Campaign(fig2_target(), opts).run().iterations.size(), 30u);
+  const auto huge_count = [](std::vector<std::string>& t) {
+    if (t.empty() || t[0] != "tried") return false;
+    t[1] = "4611686018427387904";
+    return true;
+  };
+  ASSERT_TRUE(edit_tokens_after(dir.path / "checkpoint.txt", "attempts",
+                                huge_count));
+  opts.halt_after_iterations = 0;
+  opts.resume = true;
+  const CampaignResult got = Campaign(fig2_target(), opts).run();
+  EXPECT_TRUE(got.resumed);
+  expect_full_history(got);
+}
+
+/// iterations.csv rows with the exec/solve timing columns (6 and 7) cut.
+std::vector<std::string> rows_without_timings(const fs::path& csv) {
+  std::ifstream in(csv);
+  std::vector<std::string> rows;
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream fields(line);
+    std::string field, row;
+    for (int col = 0; std::getline(fields, field, ','); ++col) {
+      if (col != 6 && col != 7) row += field + ',';
+    }
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+TEST(CheckpointRecovery, PlanInputOutsideTheRegistryFallsBackToBak) {
+  // The cursor line is `cursor nprocs focus restart depth failures replans
+  // bounded bound N var value ...`: the planned test's inputs get ids far
+  // past the registry.  Resuming from it would run another test
+  // than the uninterrupted campaign; the .bak continues it exactly.
+  TempDir dir, whole;
+  run_until_halt(dir.path, 30);
+  if (!edit_tokens_after(dir.path / "checkpoint.txt", "cursors", [](auto& t) {
+        if (t.size() < 11 || t[0] != "cursor" || t[9] == "0") return false;
+        for (std::size_t i = 10; i < t.size(); i += 2) {
+          t[i] = std::to_string(2000000000 + i);
+        }
+        return true;
+      })) {
+    GTEST_SKIP() << "the halted plan has no inputs";
+  }
+  const CampaignResult got = resume_campaign(dir.path);
+  EXPECT_TRUE(got.resumed);
+  expect_full_history(got);
+  (void)Campaign(fig2_target(), session_opts(whole.path)).run();
+  EXPECT_EQ(rows_without_timings(dir.path / "iterations.csv"),
+            rows_without_timings(whole.path / "iterations.csv"));
+  for (const char* file : {"ledger.csv", "checkpoint.txt"}) {
+    std::ifstream a(dir.path / file), b(whole.path / file);
+    std::stringstream ta, tb;
+    ta << a.rdbuf();
+    tb << b.rdbuf();
+    EXPECT_EQ(ta.str(), tb.str()) << file;
+  }
 }
 
 }  // namespace

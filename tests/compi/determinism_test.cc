@@ -181,33 +181,41 @@ CampaignOptions four_worker_options(const fs::path& dir, int iterations) {
   return opts;
 }
 
-TEST(Determinism, ImbFourWorkersAreByteIdenticalNextToACpuHog) {
-  // Snapshots every 2048 ordinals leave full-length epochs (4 workers x
-  // 256), so each worker runs long slices against a stale view.
-  const TargetInfo target = targets::make_mini_imb_target();
+/// Runs `opts` twice, the second time next to a CPU hog, and expects
+/// byte-identical sessions; returns the first run's result.
+CampaignResult expect_twins_next_to_a_cpu_hog(const TargetInfo& target,
+                                              CampaignOptions opts) {
   TempDir quiet, loaded;
-  CampaignOptions opts = four_worker_options(quiet.path, 4000);
-  opts.checkpoint_interval = 2048;
-  (void)Campaign(target, opts).run();
+  opts.log_dir = quiet.path.string();
+  CampaignResult a = Campaign(target, opts).run();
   {
     CpuHog hog;
     opts.log_dir = loaded.path.string();
     (void)Campaign(target, opts).run();
   }
   expect_identical_files(quiet.path, loaded.path);
+  return a;
+}
+
+TEST(Determinism, ImbFourWorkersAreByteIdenticalNextToACpuHog) {
+  // Snapshots every 2048 ordinals leave full-length epochs (4 workers x
+  // 256), so each worker runs long slices against a stale view.
+  CampaignOptions opts = four_worker_options({}, 4000);
+  opts.checkpoint_interval = 2048;
+  (void)expect_twins_next_to_a_cpu_hog(targets::make_mini_imb_target(), opts);
 }
 
 TEST(Determinism, SusyFourWorkersAreByteIdenticalNextToACpuHog) {
-  const TargetInfo target = targets::make_mini_susy_target();
-  TempDir quiet, loaded;
-  const CampaignResult a =
-      Campaign(target, four_worker_options(quiet.path, 600)).run();
-  {
-    CpuHog hog;
-    (void)Campaign(target, four_worker_options(loaded.path, 600)).run();
-  }
+  const CampaignResult a = expect_twins_next_to_a_cpu_hog(
+      targets::make_mini_susy_target(), four_worker_options({}, 600));
   EXPECT_FALSE(a.bugs.empty());
-  expect_identical_files(quiet.path, loaded.path);
+}
+
+TEST(Determinism, HplTwoWorkersAreByteIdenticalNextToACpuHog) {
+  CampaignOptions opts = four_worker_options({}, 600);
+  opts.workers = 2;
+  (void)expect_twins_next_to_a_cpu_hog(targets::make_mini_hpl_target(100),
+                                       opts);
 }
 
 TEST(Determinism, SusyUnderDropsAndDelaysIsByteIdenticalNextToACpuHog) {
@@ -251,25 +259,38 @@ TEST(Determinism, SolverCacheTwoWorkersAreByteIdentical) {
   expect_identical_files(first.path, second.path);
 }
 
-TEST(Determinism, HaltAndResumeAtThreeWorkersMatchesAnUninterruptedRun) {
-  // A halt lands on a barrier, where no ordinal is in flight: the resumed
-  // campaign continues every worker's search line exactly.
-  const TargetInfo target = targets::make_mini_susy_target();
+/// Runs `opts` uninterrupted, then halted after `halt` ordinals and
+/// resumed, and expects the same session.
+void expect_halt_and_resume_match(const TargetInfo& target,
+                                  CampaignOptions opts, int halt) {
   TempDir whole, resumed;
-  CampaignOptions opts = four_worker_options(whole.path, 600);
-  opts.workers = 3;
+  opts.log_dir = whole.path.string();
   (void)Campaign(target, opts).run();
 
   opts.log_dir = resumed.path.string();
-  opts.halt_after_iterations = 250;
+  opts.halt_after_iterations = halt;
   const CampaignResult partial = Campaign(target, opts).run();
-  ASSERT_EQ(partial.iterations.size(), 250u);
+  ASSERT_EQ(partial.iterations.size(), static_cast<std::size_t>(halt));
   ASSERT_FALSE(fs::exists(resumed.path / "summary.txt"));
   opts.halt_after_iterations = 0;
   opts.resume = true;
   const CampaignResult rest = Campaign(target, opts).run();
   EXPECT_TRUE(rest.resumed);
   expect_identical_files(whole.path, resumed.path);
+}
+
+TEST(Determinism, HaltAndResumeAtThreeWorkersMatchesAnUninterruptedRun) {
+  // A halt lands on a barrier, where no ordinal is in flight: the resumed
+  // campaign continues every worker's search line exactly.
+  CampaignOptions opts = four_worker_options({}, 600);
+  opts.workers = 3;
+  expect_halt_and_resume_match(targets::make_mini_susy_target(), opts, 250);
+}
+
+TEST(Determinism, HplHaltAndResumeAtTwoWorkersMatchesAnUninterruptedRun) {
+  CampaignOptions opts = four_worker_options({}, 600);
+  opts.workers = 2;
+  expect_halt_and_resume_match(targets::make_mini_hpl_target(100), opts, 250);
 }
 
 TEST(Determinism, GenerationalHaltAndResumeMatchesAnUninterruptedRun) {
