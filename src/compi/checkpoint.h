@@ -3,16 +3,18 @@
 // A long campaign must survive being killed: SessionWriter periodically
 // snapshots the full driver state — registry, RNG-bearing search-strategy
 // state, coverage bitmap, bug records, and the already-planned next test —
-// into <dir>/checkpoint.txt, and Campaign::run can resume from it,
-// continuing deterministically where the killed process stopped (same
-// coverage, bug list, and iteration tail as an uninterrupted run).
+// as a frame of the append-only <dir>/session.log, and Campaign::run can
+// resume from the newest usable one, continuing deterministically where the
+// killed process stopped (same coverage, bug list, and iteration tail as an
+// uninterrupted run).
 //
 // The snapshot holds state, not history: its size does not grow with the
 // iteration count.  The per-iteration records live in the append-only
 // <dir>/iterations.csv, the events in <dir>/journal.jsonl.  A snapshot is
 // the commit point of both streams: it records how many bytes of each it
-// covers and how many CSV rows those bytes hold.  read_checkpoint
-// (session.h) rebuilds the history from exactly that CSV prefix, and a
+// covers and how many CSV rows those bytes hold.  The log carries the CSV
+// bytes each snapshot adds next to it, so read_checkpoint (session.h)
+// rebuilds the history from the CSV's durable prefix plus the log, and a
 // resume cuts both files back to their committed lengths.
 //
 // The format is line-oriented text.  Strings are escaped (\n, \r, \\) so
@@ -126,19 +128,26 @@ struct CoordShardCursor {
 struct StreamLengths {
   std::uint64_t csv_bytes = 0;
   std::uint64_t journal_bytes = 0;
+  /// Where read_checkpoint found the snapshot in session.log; not part of
+  /// the snapshot text.  log_bytes is the log's length through the
+  /// snapshot's frame; csv_base the CSV length below which the history is
+  /// the file's own durable bytes (above it, up to csv_bytes, the log's
+  /// rows frames hold them).
+  std::uint64_t log_bytes = 0;
+  std::uint64_t csv_base = 0;
 };
 
 /// The accumulated counters are the inherited CampaignCounters (the
 /// `counters`, `sandbox`, v8 `sandbox2` and `match_frontier` lines).
 struct CampaignCheckpoint : CampaignCounters {
-  // v13: the `streams` line commits the byte lengths of iterations.csv and
-  // journal.jsonl.
-  // (v12 dropped the `sandbox2` line's fourth field, the removed batch
-  // fast path's run count; v11 moved the variable registry, the pending
-  // interleavings and the next interleaving id into the worker cursors —
-  // each worker owns its own (`cursor_registry`, `cursor_pending`
-  // sections) — and gave each
-  // cursor its worker's depth bound; v10 moved the iteration history out
+  // v14: the snapshot is a frame of session.log; the text is v13's.
+  // (v13 added the `streams` line, the byte lengths of iterations.csv and
+  // journal.jsonl it commits; v12 dropped the `sandbox2` line's fourth
+  // field, the removed batch fast path's run count; v11 moved the variable
+  // registry, the pending interleavings and the next interleaving id into
+  // the worker cursors — each worker owns its own (`cursor_registry`,
+  // `cursor_pending` sections) — and gave each cursor its worker's depth
+  // bound; v10 moved the iteration history out
   // to iterations.csv — the
   // `iterations N F` line keeps only the row count and the finished flag,
   // with no `iter` lines; v9 moved the driver loop state into the worker
@@ -152,7 +161,7 @@ struct CampaignCheckpoint : CampaignCounters {
   // ledger snapshot; v3 the sandbox accounting line; v2 solver_nodes and
   // retries on iter lines.)  Older snapshots are rejected and the campaign
   // falls back to a fresh start, by design.
-  static constexpr int kVersion = 13;
+  static constexpr int kVersion = 14;
 
   /// Campaign seed the snapshot was taken under (resume sanity check).
   std::uint64_t seed = 0;
@@ -173,7 +182,7 @@ struct CampaignCheckpoint : CampaignCounters {
   bool finished = false;
   /// Those rows, in iteration order.  Not part of the snapshot text:
   /// read() leaves this empty and write() ignores it; read_checkpoint
-  /// fills it from the committed prefix of the session's iterations.csv.
+  /// fills it from the session's committed CSV bytes.
   std::vector<IterationRecord> iterations;
   std::vector<BugRecord> bugs;
   std::vector<sym::BranchId> covered;

@@ -20,7 +20,7 @@
 //
 // Durability: the coordinator embeds its state in a v7 campaign checkpoint
 // (coord section: budget/completed counters, outstanding leases, per-shard
-// merge cursors) written through the same tmp+rename SessionWriter path as
+// merge cursors) appended to session.log by the same SessionWriter as
 // campaign snapshots, which also commits the journal's length, so a
 // restarted coordinator's journal is cut back to its snapshot the way a
 // campaign's is.  A kill -9'd coordinator restarted with resume=true
@@ -66,7 +66,7 @@ struct CoordinatorOptions {
   /// Session directory for checkpoint/journal/bugs/summary; empty = no
   /// persistence (in-process tests).
   std::string log_dir;
-  /// Resume from <log_dir>/checkpoint.txt when present.
+  /// Resume from the newest snapshot in <log_dir>/session.log, if any.
   bool resume = false;
   /// Write journal.jsonl into the session directory.
   bool journal = false;

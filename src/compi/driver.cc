@@ -1280,7 +1280,7 @@ void Applier::finish(const WorkerPool& pool) {
 }
 
 /// The session's durable side: the SessionWriter with its append-only
-/// streams, the checkpoints, the status file and the metrics/trace
+/// streams and session log, the status file and the metrics/trace
 /// exports.  Its destructor is the end-of-campaign export, so the journal
 /// tail and the exports land on disk whatever way the campaign ends —
 /// budget, bug-budget exhaustion, a thrown fatal error.  The simulated-kill
@@ -1290,7 +1290,8 @@ void Applier::finish(const WorkerPool& pool) {
 struct Snapshotter {
   Snapshotter(Context& cx, const WorkerPool& pool) : cx(cx), pool(pool) {
     if (cx.logged) {
-      session.emplace(cx.options.log_dir, cx.options.keep_rank_logs);
+      session.emplace(cx.options.log_dir, cx.options.keep_rank_logs,
+                      cx.options.checkpoint_interval > 0);
     }
   }
   ~Snapshotter() {
@@ -1326,10 +1327,10 @@ struct Snapshotter {
   // Snapshot at a barrier, from the parked workers: every
   // --checkpoint-interval rows, and at a halt.  The snapshot holds no
   // history: it commits every iterations.csv row and journal event so far,
-  // which the session flushes before it.  The final snapshot, taken after
-  // summary.txt, points at the budget, so a resume of a finished campaign
-  // runs nothing; it skips the fsyncs, as the summary files it follows
-  // have none either.
+  // and the session log it lands in carries the rows since the previous
+  // one.  The final snapshot, taken after summary.txt, points at the
+  // budget, so a resume of a finished campaign runs nothing; it skips the
+  // fdatasync, as the summary files it follows have none either.
   void save(int next_iteration, bool final_snapshot, const Applier& state) {
     if (!session) return;
     obs::ObsSpan span(obs::Cat::kCheckpoint, "save_checkpoint", "iteration",
@@ -1357,7 +1358,6 @@ struct Snapshotter {
     state.ledger.write(ledger_blob);
     c.ledger_state = ledger_blob.str();
     session->write_checkpoint(std::move(c), /*sync=*/!final_snapshot);
-    session->write_ledger(state.ledger, *cx.target.table);
     export_obs();
   }
   void at_barrier(int next_iteration, bool halt, const Applier& state) {
@@ -1369,14 +1369,13 @@ struct Snapshotter {
     }
   }
 
-  /// summary.txt and bugs.txt, then the final snapshot.
+  /// summary.txt, bugs.txt and ledger.csv, then the final snapshot.
   void finish(int next_iteration, const Applier& state) {
     if (!session) return;
     session->write_summary(state.result);
+    session->write_ledger(state.ledger, *cx.target.table);
     if (cx.options.checkpoint_interval > 0) {
       save(next_iteration, /*final_snapshot=*/true, state);
-    } else {
-      session->write_ledger(state.ledger, *cx.target.table);
     }
   }
 
@@ -1558,7 +1557,7 @@ CampaignResult Campaign::run() {
 
   // ---- resume a checkpointed session (crash recovery) ----
   // A snapshot the pool cannot restore counts as unreadable: the resume
-  // falls back to the .bak snapshot, else starts fresh.
+  // falls back to the snapshot before it, else starts fresh.
   int start = 0;
   std::optional<ckpt::StreamLengths> resume_at;  // the commit point
   if (options_.resume && cx.logged) {
@@ -1625,7 +1624,7 @@ CampaignResult Campaign::run() {
   control_plane.stop();
   applier.finish(pool);
   // A simulated kill stops before the summary files exist, exactly like a
-  // real SIGKILL would; only the checkpoint survives (the halt snapshot
+  // real SIGKILL would; only the session log survives (the halt snapshot
   // already exported the observability artifacts with it).
   if (halted) return std::move(applier.result);
   snap.finish(epoch.begin, applier);

@@ -110,8 +110,8 @@ struct CampaignOptions {
   /// Re-execute each newly discovered bug once (same inputs, chaos off) and
   /// mark it flaky when the failure does not reproduce.
   bool confirm_bugs = true;
-  /// Write <log_dir>/checkpoint.txt every this-many iterations (and on
-  /// completion); 0 disables.  Only active when `log_dir` is set.
+  /// Append a snapshot to <log_dir>/session.log every this-many iterations
+  /// (and on completion); 0 disables.  Only active when `log_dir` is set.
   int checkpoint_interval = 25;
   /// Continue a previous session from `log_dir`'s checkpoint instead of
   /// starting fresh (falls back to a fresh run when none is readable).

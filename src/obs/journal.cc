@@ -162,24 +162,35 @@ bool Journal::open(const std::filesystem::path& file) {
     note_artifact_write_error("journal", file.string());
     return false;
   }
+  std::error_code ec;
+  file_bytes_ = std::filesystem::file_size(file, ec);
+  if (ec) file_bytes_ = 0;
   return true;
 }
 
 void Journal::flush() {
   std::lock_guard<std::mutex> lock(mu_);
   if (!out_.is_open()) return;
-  if (!buffer_.empty()) {
-    out_ << buffer_;
-    buffer_.clear();
-  }
+  drain_locked();
   out_.flush();
   // A short write (disk full) latches the stream's failbit; report it and
   // clear the state so later events still get their chance — the journal
-  // is a paper trail, not the campaign's source of truth.
+  // is a paper trail, not the campaign's source of truth.  The file's
+  // length is then whatever reached it.
   if (!out_.good()) {
     note_artifact_write_error("journal", path_.string());
     out_.clear();
+    std::error_code ec;
+    file_bytes_ = std::filesystem::file_size(path_, ec);
+    if (ec) file_bytes_ = 0;
   }
+}
+
+void Journal::drain_locked() {
+  if (buffer_.empty()) return;
+  out_ << buffer_;
+  file_bytes_ += buffer_.size();
+  buffer_.clear();
 }
 
 void Journal::close() {
@@ -212,10 +223,7 @@ void Journal::commit(std::string&& line) {
   // bound.
   if (!out_.is_open()) return;
   buffer_ += line;
-  if (buffer_.size() >= kFlushBytes) {
-    out_ << buffer_;
-    buffer_.clear();
-  }
+  if (buffer_.size() >= kFlushBytes) drain_locked();
 }
 
 void Journal::enable_tap(std::size_t capacity) {

@@ -142,6 +142,13 @@ class Journal {
   /// Closes the file (flushing first).  Idempotent.
   void close();
 
+  /// The file's length once flush() has returned: its length at open()
+  /// plus every byte handed to it since (what a snapshot commits).
+  [[nodiscard]] std::uint64_t file_bytes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return file_bytes_;
+  }
+
   /// Events committed since open (lines already in the file not included).
   [[nodiscard]] std::size_t events_written() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -157,6 +164,8 @@ class Journal {
   static constexpr std::size_t kFlushBytes = 16 * 1024;
 
   void commit(std::string&& line);
+  /// Hands buffer_ to the file and counts it into file_bytes_.
+  void drain_locked();
 
   /// Guards buffer_/out_/events_: parallel campaign workers commit events
   /// concurrently, each event landing as one whole line.  open/close are
@@ -166,6 +175,7 @@ class Journal {
   std::filesystem::path path_;  ///< names the target in write-error logs
   std::string buffer_;
   std::size_t events_ = 0;
+  std::uint64_t file_bytes_ = 0;
   /// Tap state (guarded by mu_ except the enable flag, which emit sites
   /// read lock-free like out_.is_open()).  tap_head_ is the sequence
   /// number one past the newest retained line.

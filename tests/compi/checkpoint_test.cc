@@ -287,7 +287,7 @@ void expect_resume_equivalence(int kill_after) {
   const CampaignResult partial =
       Campaign(fig2_target(/*with_bug=*/true), killed).run();
   ASSERT_EQ(partial.iterations.size(), static_cast<std::size_t>(kill_after));
-  ASSERT_TRUE(fs::exists(killed_dir.path / "checkpoint.txt"));
+  ASSERT_TRUE(fs::exists(killed_dir.path / "session.log"));
   ASSERT_FALSE(fs::exists(killed_dir.path / "summary.txt"))
       << "a killed process cannot have written its summary";
   // The serial campaign is one worker: its loop state is cursor 0.
@@ -357,7 +357,7 @@ TEST(Resume, MissingCheckpointFallsBackToFreshRun) {
 TEST(Resume, CorruptCheckpointFallsBackToFreshRun) {
   TempDir tmp;
   fs::create_directories(tmp.path);
-  std::ofstream(tmp.path / "checkpoint.txt") << "compi-checkpoint 1\njunk\n";
+  std::ofstream(tmp.path / "session.log") << "compi-checkpoint 1\njunk\n";
   CampaignOptions opts = resume_opts(tmp.path);
   opts.iterations = 8;
   opts.resume = true;
@@ -371,7 +371,7 @@ TEST(Resume, SeedMismatchIsNotResumed) {
   CampaignOptions first = resume_opts(tmp.path);
   first.iterations = 6;
   (void)Campaign(fig2_target(), first).run();
-  ASSERT_TRUE(fs::exists(tmp.path / "checkpoint.txt"));
+  ASSERT_TRUE(fs::exists(tmp.path / "session.log"));
 
   CampaignOptions other = resume_opts(tmp.path);
   other.iterations = 6;

@@ -20,6 +20,7 @@
 #include "serve/http.h"
 #include "serve/net_util.h"
 #include "tests/compi/fig2_target.h"
+#include "tests/compi/session_log_util.h"
 
 #ifdef COMPI_SERVE_POSIX
 
@@ -28,6 +29,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using compi::testing::fig2_target;
+using compi::testing::snapshot_text;
 
 struct TempDir {
   fs::path path;
@@ -404,17 +406,14 @@ TEST(Coordinator, RestartFromCheckpointKeepsStateAndNeverDoubleCounts) {
     // on-disk state mid-run (a clean stop() would write a final snapshot,
     // which is exactly what a SIGKILL never gets to do).
     ASSERT_TRUE(eventually([&] {
-      std::ifstream in(dir.path / "checkpoint.txt");
-      std::stringstream ss;
-      ss << in.rdbuf();
-      return ss.str().find("coord 1") != std::string::npos &&
-             ss.str().find("coord_counters 20 3 ") != std::string::npos;
+      const std::string text = snapshot_text(dir.path, 0);
+      return text.find("coord 1") != std::string::npos &&
+             text.find("coord_counters 20 3 ") != std::string::npos;
     }));
-    fs::copy(dir.path / "checkpoint.txt", dir.path / "frozen.txt");
+    fs::copy(dir.path / "session.log", dir.path / "frozen.log");
     coord.stop();
   }
-  fs::rename(dir.path / "frozen.txt", dir.path / "checkpoint.txt");
-  fs::remove(dir.path / "checkpoint.txt.bak");
+  fs::rename(dir.path / "frozen.log", dir.path / "session.log");
 
   CoordinatorOptions r = o;
   r.resume = true;

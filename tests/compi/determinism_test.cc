@@ -34,11 +34,13 @@
 #include "obs/journal.h"
 #include "sandbox/supervisor.h"
 #include "targets/targets.h"
+#include "tests/compi/session_log_util.h"
 
 namespace compi {
 namespace {
 
 namespace fs = std::filesystem;
+using compi::testing::snapshot_text;
 
 struct TempDir {
   fs::path path;
@@ -114,7 +116,8 @@ TEST(Determinism, SusyForkServerRunMatchesInProcess) {
 
 /// Every session file the campaign's results live in, byte for byte:
 /// iterations.csv without its timing columns, bugs.txt, ledger.csv,
-/// coverage_timeline.csv and the final checkpoint.txt.
+/// coverage_timeline.csv and the final snapshot, the newest of
+/// session.log (its rows frames carry the timing columns).
 void expect_identical_files(const fs::path& a, const fs::path& b) {
   const std::vector<std::string> rows =
       rows_without_timings(a / "iterations.csv");
@@ -125,11 +128,13 @@ void expect_identical_files(const fs::path& a, const fs::path& b) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     ASSERT_EQ(rows[i], other[i]) << "first differing row " << i;
   }
-  for (const char* file : {"bugs.txt", "ledger.csv", "coverage_timeline.csv",
-                           "checkpoint.txt"}) {
+  for (const char* file : {"bugs.txt", "ledger.csv", "coverage_timeline.csv"}) {
     EXPECT_TRUE(fs::exists(a / file)) << file;
     EXPECT_EQ(slurp(a / file), slurp(b / file)) << file;
   }
+  const std::string snapshot = snapshot_text(a, 0);
+  EXPECT_FALSE(snapshot.empty());
+  EXPECT_EQ(snapshot, snapshot_text(b, 0)) << "the final snapshot";
 }
 
 TEST(Determinism, IsolatedRunsWriteByteIdenticalCheckpoints) {

@@ -1,10 +1,11 @@
 // Fuzzing the durable-format parsers: random truncation and bit-flips of
-// checkpoint.txt, journal.jsonl, iterations.csv, ledger.csv, bugs.txt and
-// summary.txt must NEVER crash the readers — every corruption degrades to
-// a clean fallback (nullopt / skipped lines / empty vector), and a resumed
-// campaign over a corrupted session starts fresh and still completes.  A
-// crash at every byte offset past the last snapshot must resume to the
-// uninterrupted session.
+// the snapshot text, journal.jsonl, iterations.csv, ledger.csv, bugs.txt
+// and summary.txt must NEVER crash the readers — every corruption degrades
+// to a clean fallback (nullopt / skipped lines / empty vector), and a
+// resumed campaign over a corrupted session starts fresh and still
+// completes.  A crash at every byte offset past the last snapshot, and a
+// power loss that took any unsynced part of iterations.csv, must resume to
+// the uninterrupted session.
 //
 // The corpus is real: one serial and one 2-worker fig2 session are run
 // once and their artifacts mutated deterministically (mt19937, fixed
@@ -26,12 +27,15 @@
 #include "obs/journal.h"
 #include "sandbox/wire.h"
 #include "tests/compi/fig2_target.h"
+#include "tests/compi/session_log_util.h"
 
 namespace compi {
 namespace {
 
 namespace fs = std::filesystem;
 using compi::testing::fig2_target;
+using compi::testing::snapshot_index;
+using compi::testing::snapshot_text;
 
 struct TempDir {
   fs::path path;
@@ -69,10 +73,11 @@ struct Corpus {
   /// (leases and shard cursors with hostile shard names), as
   /// `compi coordinate` writes.
   std::string coordinator_checkpoint;
-  /// A serial session killed halfway: its snapshot plus the CSV rows it
-  /// rebuilds its history from.
+  /// A serial session killed halfway: its newest snapshot and the one
+  /// before it, its session log and its iterations.csv.
   std::string killed_checkpoint;
   std::string killed_bak;
+  std::vector<SessionLogFrame> killed_log;
   std::string killed_csv;
   std::string journal;
   std::string iterations_csv;
@@ -96,7 +101,7 @@ const Corpus& corpus() {
       opts.journal = true;
       opts.log_dir = dir.path.string();
       (void)Campaign(fig2_target(), opts).run();
-      out.serial_checkpoint = slurp(dir.path / "checkpoint.txt");
+      out.serial_checkpoint = snapshot_text(dir.path, 0);
       out.journal = slurp(dir.path / "journal.jsonl");
       out.iterations_csv = slurp(dir.path / "iterations.csv");
       out.ledger_csv = slurp(dir.path / "ledger.csv");
@@ -115,7 +120,7 @@ const Corpus& corpus() {
       opts.workers = 2;
       opts.log_dir = dir.path.string();
       (void)Campaign(fig2_target(), opts).run();
-      out.parallel_checkpoint = slurp(dir.path / "checkpoint.txt");
+      out.parallel_checkpoint = snapshot_text(dir.path, 0);
     }
     {
       TempDir dir;
@@ -129,8 +134,9 @@ const Corpus& corpus() {
       opts.halt_after_iterations = 20;
       opts.log_dir = dir.path.string();
       (void)Campaign(fig2_target(), opts).run();
-      out.killed_checkpoint = slurp(dir.path / "checkpoint.txt");
-      out.killed_bak = slurp(dir.path / "checkpoint.txt.bak");
+      out.killed_checkpoint = snapshot_text(dir.path, 0);
+      out.killed_bak = snapshot_text(dir.path, 1);
+      out.killed_log = read_session_log(dir.path);
       out.killed_csv = slurp(dir.path / "iterations.csv");
     }
     {
@@ -349,15 +355,26 @@ TEST(DurableFuzz, ForkServerWireFramesTolerateAnyCorruption) {
   }
 }
 
+/// Writes a session log holding one snapshot, `text`, and the rows frame
+/// with all of `csv` before it.
+void spit_log(const fs::path& dir, const std::string& csv,
+              const std::string& text) {
+  ASSERT_TRUE(write_session_log(
+      dir, {{SessionLogFrame::Kind::kRows, 0, csv},
+            {SessionLogFrame::Kind::kSnapshot, csv.size(), text}}));
+}
+
 TEST(DurableFuzz, ResumeOverCorruptedCheckpointStillCompletes) {
   // End to end: a resume pointed at a corrupted snapshot (and no usable
-  // .bak) must fall back to a fresh campaign and run to its budget.
+  // one before it) must fall back to a fresh campaign and run to its
+  // budget.
   std::mt19937 rng(0x2E5013);
   for (int i = 0; i < 4; ++i) {
     TempDir dir;
-    spit(dir.path / "checkpoint.txt", mutate(corpus().serial_checkpoint, rng));
-    // The CSV the history is rebuilt from, so a mutated snapshot that still
-    // parses reaches the resume path instead of failing the rebuild.
+    // The rows the history is rebuilt from, so a mutated snapshot that
+    // still parses reaches the resume path instead of failing the rebuild.
+    spit_log(dir.path, corpus().iterations_csv,
+             mutate(corpus().serial_checkpoint, rng));
     spit(dir.path / "iterations.csv", corpus().iterations_csv);
     CampaignOptions opts;
     opts.seed = 11;
@@ -374,17 +391,16 @@ TEST(DurableFuzz, ResumeOverCorruptedCheckpointStillCompletes) {
 }
 
 TEST(DurableFuzz, ResumeOverCorruptedCsvStillCompletes) {
-  // The snapshot is intact but the CSV its history is rebuilt from is
-  // mutated.  Whether resume continues (the damage lies past the
-  // snapshot's rows) or starts fresh (it does not), the campaign runs to
-  // its full budget with every ordinal exactly once — never a short
-  // history.
+  // The session log is intact but iterations.csv is mutated.  The log
+  // holds the snapshot's rows, so resume continues and restores the CSV;
+  // either way the campaign runs to its full budget with every ordinal
+  // exactly once — never a short history.
   std::mt19937 rng(0xC5F00D);
   ASSERT_FALSE(corpus().killed_checkpoint.empty());
   {
     // Sanity: the pristine pair rebuilds the snapshot's 20 rows.
     TempDir dir;
-    spit(dir.path / "checkpoint.txt", corpus().killed_checkpoint);
+    ASSERT_TRUE(write_session_log(dir.path, corpus().killed_log));
     spit(dir.path / "iterations.csv", corpus().killed_csv);
     const auto snapshot = read_checkpoint(dir.path);
     ASSERT_TRUE(snapshot.has_value());
@@ -392,7 +408,7 @@ TEST(DurableFuzz, ResumeOverCorruptedCsvStillCompletes) {
   }
   for (int i = 0; i < 12; ++i) {
     TempDir dir;
-    spit(dir.path / "checkpoint.txt", corpus().killed_checkpoint);
+    ASSERT_TRUE(write_session_log(dir.path, corpus().killed_log));
     spit(dir.path / "iterations.csv", mutate(corpus().killed_csv, rng));
     CampaignOptions opts;
     opts.seed = 11;
@@ -415,7 +431,7 @@ TEST(DurableFuzz, ResumeOverCorruptedCsvStillCompletes) {
 TEST(DurableFuzz, DamagedHistoryCountFallsBackToBak) {
   // One flipped digit in a mid-campaign snapshot's row count would let a
   // resume continue with ordinals missing from its history.  The snapshot
-  // must read as unreadable instead, so the previous one (.bak) is used.
+  // must read as unreadable instead, so the one before it is used.
   const std::string line = "\niterations 20 0\n";
   const std::size_t at = corpus().killed_checkpoint.find(line);
   ASSERT_NE(at, std::string::npos);
@@ -425,10 +441,12 @@ TEST(DurableFuzz, DamagedHistoryCountFallsBackToBak) {
     bytes.replace(at, line.size(),
                   std::string("\niterations ") + count + " 0\n");
     TempDir dir;
-    spit(dir.path / "checkpoint.txt", bytes);
+    spit_log(dir.path, corpus().killed_csv, bytes);
     spit(dir.path / "iterations.csv", corpus().killed_csv);
     EXPECT_FALSE(read_checkpoint(dir.path).has_value()) << count;
-    spit(dir.path / "checkpoint.txt.bak", corpus().killed_bak);
+    std::vector<SessionLogFrame> frames = corpus().killed_log;
+    frames[snapshot_index(frames, 0)].body = bytes;
+    ASSERT_TRUE(write_session_log(dir.path, frames));
     const auto snapshot = read_checkpoint(dir.path);
     ASSERT_TRUE(snapshot.has_value()) << count;
     EXPECT_GT(snapshot->next_iteration, 0);
@@ -495,79 +513,155 @@ std::string lines_between(const std::string& text, int from, int to,
   return out;
 }
 
+/// The session a crash test starts from: fig2 halted at 20, so the newest
+/// snapshot of its log is that of 20 and the one before it that of 15,
+/// plus what the uninterrupted session looks like.
+struct HaltedSession {
+  std::string want;  // session_image of the uninterrupted session
+  std::string log, csv, journal;
+  std::size_t csv_at = 0, journal_at = 0;  // the newest snapshot's commit
+  /// What the killed process had appended past its last snapshot when it
+  /// died: the rows and events of iterations 20..23, as the uninterrupted
+  /// session wrote them (its final snapshot would have committed them).
+  /// The halted run's own tail, its final stall verdict, comes first.
+  std::string csv_tail, journal_tail;
+};
+
+const HaltedSession& halted_session() {
+  static const HaltedSession h = [] {
+    HaltedSession out;
+    TempDir full;
+    (void)Campaign(fig2_target(), crash_options(full.path)).run();
+    out.want = session_image(full.path);
+    TempDir halted;
+    CampaignOptions halt_opts = crash_options(halted.path);
+    halt_opts.halt_after_iterations = 20;
+    (void)Campaign(fig2_target(), halt_opts).run();
+    out.log = slurp(halted.path / "session.log");
+    out.csv = slurp(halted.path / "iterations.csv");
+    out.journal = slurp(halted.path / "journal.jsonl");
+    std::istringstream text(snapshot_text(halted.path, 0));
+    const std::optional<ckpt::CampaignCheckpoint> snapshot =
+        ckpt::CampaignCheckpoint::read(text);
+    if (!snapshot || snapshot->next_iteration != 20) return out;
+    out.csv_at = snapshot->streams.csv_bytes;
+    out.journal_at = snapshot->streams.journal_bytes;
+    out.csv_tail = lines_between(
+        slurp(full.path / "iterations.csv"), 20, 24,
+        [](const std::string& line) { return std::atoi(line.c_str()); });
+    out.journal_tail =
+        out.journal.substr(std::min(out.journal_at, out.journal.size())) +
+        lines_between(slurp(full.path / "journal.jsonl"), 20, 24,
+                      [](const std::string& line) {
+                        const auto ev = obs::parse_journal_line(line);
+                        return ev ? ev->iter() : -1;
+                      });
+    return out;
+  }();
+  return h;
+}
+
+/// Resumes the session in `dir` and compares it with the uninterrupted one.
+bool resume_equals_full(const fs::path& dir) {
+  CampaignOptions opts = crash_options(dir);
+  opts.resume = true;
+  const CampaignResult result = Campaign(fig2_target(), opts).run();
+  return result.resumed && session_image(dir) == halted_session().want;
+}
+
 TEST(DurableFuzz, CrashAtEveryByteOffsetResumesTheSameSession) {
-  TempDir full;
-  (void)Campaign(fig2_target(), crash_options(full.path)).run();
-  const std::string want = session_image(full.path);
-
-  // The killed session: halted at 20, so checkpoint.txt is the snapshot of
-  // 20 and checkpoint.txt.bak that of 15.
-  TempDir halted;
-  CampaignOptions halt_opts = crash_options(halted.path);
-  halt_opts.halt_after_iterations = 20;
-  (void)Campaign(fig2_target(), halt_opts).run();
-  const std::string checkpoint = slurp(halted.path / "checkpoint.txt");
-  const std::string bak = slurp(halted.path / "checkpoint.txt.bak");
-  const std::string csv = slurp(halted.path / "iterations.csv");
-  const std::string journal = slurp(halted.path / "journal.jsonl");
-  std::istringstream snapshot_text(checkpoint);
-  const std::optional<ckpt::CampaignCheckpoint> snapshot =
-      ckpt::CampaignCheckpoint::read(snapshot_text);
-  ASSERT_TRUE(snapshot.has_value());
-  ASSERT_EQ(snapshot->next_iteration, 20);
-  const std::size_t csv_at = snapshot->streams.csv_bytes;
-  const std::size_t journal_at = snapshot->streams.journal_bytes;
-  ASSERT_EQ(csv_at, csv.size());
-  ASSERT_LE(journal_at, journal.size());
-
-  // What the killed process had appended past its last snapshot when it
-  // died: the rows and events of iterations 20..23, as the uninterrupted
-  // session wrote them (its final snapshot would have committed them).
-  // The halted run's own tail, its final stall verdict, comes first.
-  const std::string csv_tail = lines_between(
-      slurp(full.path / "iterations.csv"), 20, 24,
-      [](const std::string& line) { return std::atoi(line.c_str()); });
-  const std::string journal_tail =
-      journal.substr(journal_at) +
-      lines_between(slurp(full.path / "journal.jsonl"), 20, 24,
-                    [](const std::string& line) {
-                      const auto ev = obs::parse_journal_line(line);
-                      return ev ? ev->iter() : -1;
-                    });
-  ASSERT_FALSE(csv_tail.empty());
-  ASSERT_FALSE(journal_tail.empty());
-
-  const auto resume_equals_full = [&](const fs::path& dir) {
-    CampaignOptions opts = crash_options(dir);
-    opts.resume = true;
-    const CampaignResult result = Campaign(fig2_target(), opts).run();
-    return result.resumed && session_image(dir) == want;
-  };
+  const HaltedSession& h = halted_session();
+  ASSERT_EQ(h.csv_at, h.csv.size());
+  ASSERT_LE(h.journal_at, h.journal.size());
+  ASSERT_FALSE(h.csv_tail.empty());
+  ASSERT_FALSE(h.journal_tail.empty());
 
   // A crash after `cut` more bytes reached each stream.
-  const std::size_t tail = std::max(csv_tail.size(), journal_tail.size());
+  const std::size_t tail = std::max(h.csv_tail.size(), h.journal_tail.size());
   for (std::size_t cut = 0; cut <= tail; ++cut) {
     TempDir dir;
-    spit(dir.path / "checkpoint.txt", checkpoint);
-    spit(dir.path / "checkpoint.txt.bak", bak);
+    spit(dir.path / "session.log", h.log);
     spit(dir.path / "iterations.csv",
-         csv + csv_tail.substr(0, std::min(cut, csv_tail.size())));
+         h.csv + h.csv_tail.substr(0, std::min(cut, h.csv_tail.size())));
     spit(dir.path / "journal.jsonl",
-         journal.substr(0, journal_at) +
-             journal_tail.substr(0, std::min(cut, journal_tail.size())));
+         h.journal.substr(0, h.journal_at) +
+             h.journal_tail.substr(0, std::min(cut, h.journal_tail.size())));
     ASSERT_TRUE(resume_equals_full(dir.path)) << "streams cut at +" << cut;
   }
 
-  // A crash that tore checkpoint.txt: unless the cut left it whole, the
-  // .bak's snapshot of 15 resumes.
-  for (std::size_t cut = 0; cut < checkpoint.size(); ++cut) {
+  // A crash that tore the last record of the log (the rows since 15 and
+  // the snapshot of 20): unless the cut left it whole, the snapshot of 15
+  // resumes.
+  TempDir before;
+  std::vector<SessionLogFrame> frames;
+  {
+    TempDir scan;
+    spit(scan.path / "session.log", h.log);
+    frames = read_session_log(scan.path);
+  }
+  const std::size_t previous = snapshot_index(frames, 1);
+  ASSERT_LT(previous, frames.size());
+  ASSERT_TRUE(write_session_log(before.path, {frames.begin(),
+                                              frames.begin() + previous + 1}));
+  const std::size_t record = slurp(before.path / "session.log").size();
+  for (std::size_t cut = record; cut < h.log.size(); ++cut) {
     TempDir dir;
-    spit(dir.path / "checkpoint.txt", checkpoint.substr(0, cut));
-    spit(dir.path / "checkpoint.txt.bak", bak);
-    spit(dir.path / "iterations.csv", csv);
-    spit(dir.path / "journal.jsonl", journal);
+    spit(dir.path / "session.log", h.log.substr(0, cut));
+    spit(dir.path / "iterations.csv", h.csv);
+    spit(dir.path / "journal.jsonl", h.journal);
+    ASSERT_TRUE(resume_equals_full(dir.path)) << "session.log cut at " << cut;
+  }
+}
+
+TEST(DurableFuzz, LogCutAtEveryByteOffsetReadsTheNewestIntactSnapshot) {
+  // The reader stops at the first frame a cut tore, so it reads back the
+  // newest snapshot wholly inside the cut (none before the first one).
+  const HaltedSession& h = halted_session();
+  TempDir scan;
+  spit(scan.path / "session.log", h.log);
+  const std::vector<SessionLogFrame> frames = read_session_log(scan.path);
+  // Where each frame ends, and the resume point of each snapshot.
+  std::vector<std::size_t> ends;
+  std::vector<int> resume_points;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    ASSERT_TRUE(write_session_log(scan.path, {frames.begin(),
+                                              frames.begin() + i + 1}));
+    ends.push_back(slurp(scan.path / "session.log").size());
+    std::istringstream text(frames[i].body);
+    const auto c = ckpt::CampaignCheckpoint::read(text);
+    resume_points.push_back(
+        frames[i].kind == SessionLogFrame::Kind::kSnapshot && c
+            ? c->next_iteration
+            : -1);
+  }
+  ASSERT_EQ(ends.back(), h.log.size());
+  TempDir dir;
+  spit(dir.path / "iterations.csv", h.csv);
+  for (std::size_t cut = 0; cut <= h.log.size(); ++cut) {
+    spit(dir.path / "session.log", h.log.substr(0, cut));
+    int want = -1;
+    for (std::size_t i = 0; i < ends.size() && ends[i] <= cut; ++i) {
+      if (resume_points[i] >= 0) want = resume_points[i];
+    }
+    const auto got = read_checkpoint(dir.path);
+    ASSERT_EQ(got ? got->next_iteration : -1, want) << "cut at " << cut;
+  }
+}
+
+TEST(DurableFuzz, PowerLossBelowTheCommitPointResumesTheSameSession) {
+  // After a snapshot committed, power loss may take any unsynced part of
+  // iterations.csv: it is synced only below the log's base (0 here, the
+  // log was never compacted).  The log holds the rest, so every cut below
+  // the commit point resumes to the uninterrupted session.
+  const HaltedSession& h = halted_session();
+  ASSERT_EQ(h.csv_at, h.csv.size());
+  for (std::size_t cut = 0; cut < h.csv_at; ++cut) {
+    TempDir dir;
+    spit(dir.path / "session.log", h.log);
+    spit(dir.path / "iterations.csv", h.csv.substr(0, cut));
+    spit(dir.path / "journal.jsonl", h.journal);
     ASSERT_TRUE(resume_equals_full(dir.path))
-        << "checkpoint.txt cut at " << cut;
+        << "iterations.csv cut at " << cut;
   }
 }
 

@@ -261,7 +261,7 @@ TEST(ParallelCampaign, ParallelCheckpointResumeCompletesTheBudget) {
   opts.halt_after_iterations = 20;
   const CampaignResult partial = Campaign(fig2_target(), opts).run();
   EXPECT_GE(partial.iterations.size(), 20u);
-  ASSERT_TRUE(fs::exists(dir.path / "checkpoint.txt"));
+  ASSERT_TRUE(fs::exists(dir.path / "session.log"));
 
   CampaignOptions resume = base_opts(dir.path);
   resume.workers = 2;
@@ -283,7 +283,7 @@ TEST(ParallelCampaign, SerialResumeRejectsParallelSnapshot) {
   opts.workers = 2;
   opts.checkpoint_interval = 5;
   const CampaignResult parallel = Campaign(fig2_target(), opts).run();
-  ASSERT_TRUE(fs::exists(dir.path / "checkpoint.txt"));
+  ASSERT_TRUE(fs::exists(dir.path / "session.log"));
 
   CampaignOptions resume = base_opts(dir.path);
   resume.resume = true;  // workers defaults to 1

@@ -11,12 +11,14 @@
 #include "obs/journal.h"
 #include "targets/targets.h"
 #include "tests/compi/fig2_target.h"
+#include "tests/compi/session_log_util.h"
 
 namespace compi {
 namespace {
 
 namespace fs = std::filesystem;
 using compi::testing::fig2_target;
+using compi::testing::snapshot_text;
 
 struct TempDir {
   fs::path path;
@@ -285,7 +287,7 @@ TEST(Session, CheckpointSizeIsFlatInIterationCount) {
     TempDir tmp;
     CampaignOptions opts = session_opts(tmp.path, iterations);
     (void)Campaign(fig2_target(/*with_bug=*/true), opts).run();
-    std::ifstream in(tmp.path / "checkpoint.txt");
+    std::istringstream in(snapshot_text(tmp.path, 0));
     std::optional<ckpt::CampaignCheckpoint> c =
         ckpt::CampaignCheckpoint::read(in);
     EXPECT_TRUE(c.has_value());
@@ -396,6 +398,155 @@ TEST(Session, ResumeOpensAFreshJournalWhenTheFileIsMissing) {
   obs::JournalEvent(journal, "iteration", 10);
   journal.close();
   EXPECT_EQ(obs::read_journal(tmp.path / "journal.jsonl").size(), 1u);
+}
+
+/// The snapshot frames, then the rows frames, of `dir`'s session log.
+std::pair<std::size_t, std::size_t> frame_counts(const fs::path& dir) {
+  std::size_t snapshots = 0, rows = 0;
+  for (const SessionLogFrame& f : read_session_log(dir)) {
+    ++(f.kind == SessionLogFrame::Kind::kSnapshot ? snapshots : rows);
+  }
+  return {snapshots, rows};
+}
+
+TEST(Session, EachSnapshotIsOneRowsFrameAndOneSnapshotFrame) {
+  // 20 iterations at interval 5: snapshots at 5, 10, 15 and 20, plus the
+  // final one.  Each is a rows frame followed by its snapshot frame, and
+  // no other snapshot file is written.
+  TempDir tmp;
+  CampaignOptions opts = session_opts(tmp.path, 20);
+  opts.checkpoint_interval = 5;
+  (void)Campaign(fig2_target(), opts).run();
+  const std::vector<SessionLogFrame> frames = read_session_log(tmp.path);
+  ASSERT_EQ(frames.size(), 10u);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].kind, i % 2 == 0 ? SessionLogFrame::Kind::kRows
+                                         : SessionLogFrame::Kind::kSnapshot)
+        << i;
+  }
+  EXPECT_EQ(frame_counts(tmp.path), std::make_pair(std::size_t{5},
+                                                   std::size_t{5}));
+  // The rows frames hold iterations.csv, in order and whole.
+  std::string rows;
+  for (const SessionLogFrame& f : frames) {
+    if (f.kind == SessionLogFrame::Kind::kRows) {
+      EXPECT_EQ(f.at, rows.size());
+      rows += f.body;
+    }
+  }
+  EXPECT_EQ(rows, slurp(tmp.path / "iterations.csv"));
+  for (const auto& e : fs::directory_iterator(tmp.path)) {
+    EXPECT_NE(e.path().filename().string().rfind("checkpoint", 0), 0u)
+        << e.path();
+  }
+}
+
+TEST(Session, SnapshotsOffWriteNoRowsIntoTheLog) {
+  // Without periodic snapshots the writer keeps no rows for the log: a
+  // halt's snapshot commits the CSV it synced, with an empty rows frame.
+  TempDir tmp;
+  CampaignOptions opts = session_opts(tmp.path, 20);
+  opts.checkpoint_interval = 0;
+  opts.halt_after_iterations = 12;
+  (void)Campaign(fig2_target(), opts).run();
+  const std::vector<SessionLogFrame> frames = read_session_log(tmp.path);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_TRUE(frames[0].body.empty());
+  const std::uint64_t csv = fs::file_size(tmp.path / "iterations.csv");
+  EXPECT_EQ(frames[0].at, csv);
+  EXPECT_EQ(frames[1].at, csv);
+  const auto snapshot = read_checkpoint(tmp.path);
+  ASSERT_TRUE(snapshot.has_value());
+  EXPECT_EQ(snapshot->iterations.size(), 12u);
+}
+
+TEST(Session, CompactionKeepsTwoSnapshotsAndTheRowsBetween) {
+  TempDir tmp;
+  SessionWriter writer(tmp.path);
+  writer.begin_iterations({});
+  const fs::path log = tmp.path / "session.log";
+  bool compacted = false;
+  for (int i = 0; i < 400; ++i) {
+    IterationRecord rec;
+    rec.iteration = i;
+    writer.append_iteration(rec);
+    ckpt::CampaignCheckpoint c;
+    c.next_iteration = i + 1;
+    c.history_rows = static_cast<std::size_t>(i) + 1;
+    writer.write_checkpoint(c);
+    const std::vector<SessionLogFrame> frames = read_session_log(tmp.path);
+    ASSERT_GE(frames.size(), 2u);
+    // The log stays within the compaction factor times its newest
+    // snapshot frame.
+    EXPECT_LE(fs::file_size(log),
+              SessionWriter::kCompactFactor *
+                  (kLogFrameHeader + frames.back().body.size()))
+        << i;
+    if (frames.front().kind != SessionLogFrame::Kind::kSnapshot) continue;
+    if (!compacted) {
+      // Just compacted: the newest two snapshots and the rows between.
+      compacted = true;
+      ASSERT_EQ(frames.size(), 3u);
+      EXPECT_EQ(frames[1].kind, SessionLogFrame::Kind::kRows);
+      EXPECT_EQ(frames[2].kind, SessionLogFrame::Kind::kSnapshot);
+      EXPECT_EQ(frames[1].at, frames[0].at);
+      EXPECT_EQ(frames[2].at, frames[1].at + frames[1].body.size());
+      // The CSV below the older snapshot left the log: the file has it.
+      EXPECT_GE(fs::file_size(tmp.path / "iterations.csv"), frames[0].at);
+    }
+    const auto snapshot = read_checkpoint(tmp.path);
+    ASSERT_TRUE(snapshot.has_value()) << i;
+    ASSERT_EQ(snapshot->iterations.size(), static_cast<std::size_t>(i) + 1);
+    EXPECT_EQ(snapshot->iterations.back().iteration, i);
+  }
+  EXPECT_TRUE(compacted);
+}
+
+/// iterations.csv without its timing columns (6 and 7).
+std::string rows_without_timings(const fs::path& csv) {
+  std::istringstream in(slurp(csv));
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream cells(line);
+    std::string cell;
+    for (int col = 0; std::getline(cells, cell, ','); ++col) {
+      out += col == 6 || col == 7 ? std::string("_") : cell;
+      out += ',';
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+TEST(Session, CompactedLogResumesToTheSameSession) {
+  // A snapshot every iteration compacts the log within a few dozen; a
+  // halt past that and a resume must write the uninterrupted session.
+  const auto opts = [](const fs::path& dir) {
+    CampaignOptions o = session_opts(dir, 160);
+    o.checkpoint_interval = 1;
+    return o;
+  };
+  TempDir full, halted;
+  (void)Campaign(fig2_target(), opts(full.path)).run();
+  CampaignOptions halt = opts(halted.path);
+  halt.halt_after_iterations = 130;
+  (void)Campaign(fig2_target(), halt).run();
+  const std::vector<SessionLogFrame> frames = read_session_log(halted.path);
+  ASSERT_FALSE(frames.empty());
+  ASSERT_EQ(frames.front().kind, SessionLogFrame::Kind::kSnapshot)
+      << "the log was never compacted";
+  ASSERT_GT(frames.front().at, 0u);
+
+  CampaignOptions resume = opts(halted.path);
+  resume.resume = true;
+  const CampaignResult got = Campaign(fig2_target(), resume).run();
+  EXPECT_TRUE(got.resumed);
+  EXPECT_EQ(rows_without_timings(halted.path / "iterations.csv"),
+            rows_without_timings(full.path / "iterations.csv"));
+  for (const char* file : {"bugs.txt", "ledger.csv", "coverage_timeline.csv"}) {
+    EXPECT_EQ(slurp(halted.path / file), slurp(full.path / file)) << file;
+  }
+  EXPECT_EQ(snapshot_text(halted.path, 0), snapshot_text(full.path, 0));
 }
 
 }  // namespace

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -96,17 +99,28 @@ TEST(ArtifactErrorsTest, FailedCheckpointWriteKeepsTheLastGoodSnapshot) {
     writer.append_iteration(rows[i]);
   }
 
-  // A directory squatting on the temp path makes the next tmp open fail —
-  // the writer must report it and leave the complete snapshot untouched
-  // (chmod tricks don't work here: tests may run as root).
-  fs::create_directories(writer.dir() / "checkpoint.txt.tmp");
+  // A file-size limit a few bytes past the log's length makes the next
+  // append stop part way, as a full disk would — the writer must report
+  // it and leave the complete snapshot readable (chmod tricks don't work
+  // here: tests may run as root).
+  const fs::path log = writer.dir() / "session.log";
+  const std::uintmax_t log_bytes = fs::file_size(log);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit tight = saved;
+  tight.rlim_cur = log_bytes + 8;
+  const auto handler = std::signal(SIGXFSZ, SIG_IGN);
   const std::int64_t before = obs::artifact_write_errors();
   ckpt::CampaignCheckpoint second;
   second.seed = 42;
   second.next_iteration = 20;
   second.history_rows = 20;
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &tight), 0);
   writer.write_checkpoint(second);
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, handler);
   EXPECT_EQ(obs::artifact_write_errors(), before + 1);
+  EXPECT_EQ(fs::file_size(log), log_bytes) << "the torn record stayed";
   const auto kept = read_checkpoint(writer.dir());
   ASSERT_TRUE(kept.has_value());
   EXPECT_EQ(kept->next_iteration, 9);
@@ -114,6 +128,58 @@ TEST(ArtifactErrorsTest, FailedCheckpointWriteKeepsTheLastGoodSnapshot) {
   // The failed attempt cleans up its debris, so the next write lands.
   writer.write_checkpoint(second);
   EXPECT_EQ(read_checkpoint(writer.dir())->next_iteration, 20);
+}
+
+TEST(ArtifactErrorsTest, HealedCsvHoldsEachRowOnce) {
+  TempDir tmp;
+  constexpr int kRows = 1500;
+  std::vector<IterationRecord> rows(kRows);
+  for (int i = 0; i < kRows; ++i) {
+    rows[static_cast<std::size_t>(i)].iteration = i;
+  }
+  {
+    SessionWriter writer(tmp.path / "sess");
+    writer.begin_iterations({});
+    // Enough rows to fill the CSV buffer once: its write stops part way at
+    // the file-size limit, so rows are lost until write_summary heals.
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit tight = saved;
+    tight.rlim_cur = 100;
+    const auto handler = std::signal(SIGXFSZ, SIG_IGN);
+    const std::int64_t before = obs::artifact_write_errors();
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &tight), 0);
+    for (int i = 0; i < 1000; ++i) {
+      writer.append_iteration(rows[static_cast<std::size_t>(i)]);
+    }
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, handler);
+    ASSERT_EQ(obs::artifact_write_errors(), before + 1);
+    for (int i = 1000; i < kRows; ++i) {
+      writer.append_iteration(rows[static_cast<std::size_t>(i)]);
+    }
+
+    CampaignResult result;
+    result.iterations = rows;
+    writer.write_summary(result);
+    ckpt::CampaignCheckpoint final_snapshot;
+    final_snapshot.seed = 42;
+    final_snapshot.next_iteration = kRows;
+    final_snapshot.history_rows = kRows;
+    final_snapshot.finished = true;
+    writer.write_checkpoint(final_snapshot, /*sync=*/false);
+  }
+  // The writer's close flushes nothing twice.
+  const std::vector<IterationRecord> read =
+      read_iterations(tmp.path / "sess" / "iterations.csv");
+  ASSERT_EQ(read.size(), rows.size());
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_EQ(read[static_cast<std::size_t>(i)].iteration, i);
+  }
+  // The final snapshot's rows frame lines up with the healed file.
+  const auto kept = read_checkpoint(tmp.path / "sess");
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(kept->next_iteration, kRows);
 }
 
 TEST(ArtifactErrorsTest, LogsOncePerArtifactKindButCountsEveryFailure) {
